@@ -212,6 +212,11 @@ def _theta_coefficients(L: int, X: int, ns: float, delta: float) -> np.ndarray:
     return out
 
 
+def _theta_table(L: int, ns: float, delta: float) -> np.ndarray:
+    """:func:`_theta_coefficients` for every split X = 0..L; shape (L+1, L)."""
+    return np.stack([_theta_coefficients(L, X, ns, delta) for X in range(L + 1)])
+
+
 def _bracket_chunk(phase_args, signs):
     """Per-j squared signed sums for one chunk.
 
@@ -305,9 +310,7 @@ def coincidence_density_all_splits(
     if k.shape[-1] != L:
         raise ValueError("momenta last axis must have length L")
     w = mode_weights(scene, psf, delta_override=delta_override)
-    coefs = np.stack(
-        [_theta_coefficients(L, X, scene.brightness, w.delta) for X in range(L + 1)]
-    )  # (L+1, L)
+    coefs = _theta_table(L, scene.brightness, w.delta)  # (L+1, L)
     flat = k.reshape(-1, L)
     out = np.empty((flat.shape[0], L + 1))
     for lo, hi in _iter_chunks(flat.shape[0], L):
@@ -622,15 +625,14 @@ def frame_size_probability(
     """Exact probability that a frame contains L photons in total.
 
     P(L) = p0 * sum_{m+n = L-1} r_plus^m r_minus^n (thermal double geometric
-    series), evaluated in closed form.
+    series), summed term by term: every term is positive, so no digits are
+    lost as delta -> 0, where r_plus and r_minus merge.
     """
     if L < 1:
         raise ValueError("L must be >= 1")
     w = mode_weights(scene, psf, delta_override=delta_override)
-    rp, rm = w.r_plus, w.r_minus
-    if abs(rp - rm) < 1e-12:
-        return w.p0 * L * ((0.5 * (rp + rm)) ** (L - 1))
-    return w.p0 * (rp ** L - rm ** L) / (rp - rm)
+    m = np.arange(L)
+    return w.p0 * float(np.sum(w.r_plus ** m * w.r_minus ** (L - 1 - m)))
 
 
 def frame_size_distribution(
@@ -651,20 +653,46 @@ def class_weights(
     sample_count: int = 200_000,
     seed: int = 7,
 ) -> np.ndarray:
-    """Momentum-integrated weights w(L, X) for X = 0..L (sums to ~P(L)).
+    """Momentum-integrated weights w(L, X) for X = 0..L (they sum to P(L)).
 
-    Tensor Gauss-Hermite quadrature for L <= 4 (deterministic, smooth in s,
-    machine-exact at the default node counts for the separations where it is
-    auto-selected); envelope-importance Monte Carlo beyond.  The GH node
-    requirement grows with the fringe frequency s*sigma_k, hence the
-    dimension-dependent cutoffs in the auto policy.
+    The default ``"auto"`` is exact, O(L^2) and runs no quadrature.  Under
+    the product envelope the photons are independent and the signed sums
+    S_j are multilinear in each photon's (cos theta, sin theta),
+    theta = k s/2; as E[sin] = E[sin cos] = 0, E[S_j^2] keeps only the
+    one-photon moments (u = s^2 sigma_k^2/4)
+
+        a = E[sin^2] = -expm1(-2u)/2,   b = E[cos^2] = 1 - a,
+        kappa2 = E[cos]^2 = exp(-u),    g = b - kappa2 = expm1(-u)^2/2,
+
+    giving E[S_{L-1}^2] = L a^{L-1} and, for j <= L-2,
+
+        E[S_j^2] = a^j b^{L-2-j} [L C(L-2,j) g + L C(L-2,j-1) b
+                                  + (2X-L)^2 C(L-2,j) kappa2],
+
+    then w(L, X) = sum_j Theta-coefficient_j(L, X) E[S_j^2].  Every term is
+    non-negative, so nothing cancels as s -> 0, and w(L, X) = w(L, L-X).
+
+    ``"gh"`` (tensor Gauss-Hermite, ``nodes_per_dim`` nodes per photon) and
+    ``"mc"`` (envelope Monte Carlo, ``sample_count`` draws from ``seed``)
+    integrate the all-splits density numerically, as cross-checks.
     """
     if method == "auto":
-        phase = scene.separation * psf.sigma_k
-        if L <= 2 or (L == 3 and phase <= 6.0) or (L == 4 and phase <= 4.5):
-            method = "gh"
-        else:
-            method = "mc"
+        u = (scene.separation * psf.sigma_k) ** 2 / 4.0
+        a = -math.expm1(-2.0 * u) / 2.0
+        b = 1.0 - a
+        g = math.expm1(-u) ** 2 / 2.0
+        kappa2 = interference_kappa(scene, psf)
+        spin = (2 * np.arange(L + 1) - L) ** 2
+        moments = np.empty((L + 1, L))  # E[S_j^2], indexed [X, j]
+        moments[:, L - 1] = L * a ** (L - 1)
+        for j in range(L - 1):
+            c = math.comb(L - 2, j)
+            # C(L-2, j-1) = C(L-1, j) - C(L-2, j), which is also right at j = 0
+            moments[:, j] = a ** j * b ** (L - 2 - j) * (
+                L * c * g + L * (math.comb(L - 1, j) - c) * b + spin * c * kappa2
+            )
+        coefs = _theta_table(L, scene.brightness, mode_weights(scene, psf).delta)
+        return (coefs * moments).sum(axis=1)
     if method == "gh":
         if nodes_per_dim is None:
             nodes_per_dim = {1: 64, 2: 48, 3: 40, 4: 24}.get(L, 24)

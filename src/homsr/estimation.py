@@ -2,9 +2,9 @@
 
 Frames are drawn exactly from the coincidence model in three stages:
 frame size L from the closed-form thermal distribution (truncated at
-``l_cap``; larger frames are redrawn), camera split X from cached
-momentum-integrated class weights, and momenta by rejection sampling with
-the product envelope as proposal.
+``l_cap``; larger frames are redrawn), camera split X from the exact
+closed-form momentum-integrated class weights, and momenta by rejection
+sampling with the product envelope as proposal.
 
 The likelihood used for estimation conditions on L <= l_cap — the same
 truncation the sampler applies — by subtracting N log W(s) with
@@ -74,7 +74,6 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class EstimationReport:
     s_hat: float
-    sample_variance: float | None
     crb: float | None          # 1/(N F), length^2 units
     bias: float | None
     boundary_flag: bool
@@ -84,9 +83,11 @@ class EstimationReport:
 class FrameSampler:
     """Exact sampler of frame outcomes for a fixed scene.
 
-    Class-weight tables and rejection majorants are cached per (L, X) cell;
-    the majorant is 1.2x the maximum bracket value found on a scan of
-    envelope-distributed probe points (plus the origin).  Every proposal is
+    The camera-split law X | L is the exact closed form of
+    :func:`~homsr.coincidence.class_weights`, tabulated once per L.
+    Rejection majorants are cached per (L, X) cell; the majorant is 1.2x
+    the maximum bracket value found on a scan of envelope-distributed probe
+    points (plus the origin).  Every proposal is
     checked against the majorant; a violation raises the bound and restarts
     the affected batch, and repeated violations abort with
     :class:`MajorantError`.
@@ -97,8 +98,6 @@ class FrameSampler:
         scene: SourceScene,
         psf: PsfModel,
         l_cap: int = 12,
-        weight_sample_count: int = 200_000,
-        weight_seed: int = 7,
         majorant_scan: int = 32_768,
         majorant_margin: float = 1.2,
     ):
@@ -113,8 +112,7 @@ class FrameSampler:
         self.p_l_given_cap = p_l / self.truncated_mass
         self.x_given_l = {}
         for L in range(1, l_cap + 1):
-            w = class_weights(L, scene, psf, sample_count=weight_sample_count, seed=weight_seed)
-            w = np.clip(w, 0.0, None)
+            w = class_weights(L, scene, psf)
             self.x_given_l[L] = w / w.sum()
         self._majorants: dict = {}
 
@@ -249,7 +247,9 @@ def mle_separation(
     The per-source brightness is treated as known; the likelihood is the
     exact coincidence density conditioned on L <= l_cap.  The scalar search
     is a bracketed golden-section/parabolic minimization of the negative
-    log-likelihood; a maximum at the interval boundary is flagged.
+    log-likelihood; a maximum at the interval boundary is flagged.  A record
+    whose likelihood is zero across the interval (a zero-density frame)
+    raises ``ValueError`` instead of returning a boundary estimate.
     """
     if not record:
         raise ValueError("record must be non-empty")
@@ -261,6 +261,11 @@ def mle_separation(
         return -_log_likelihood(groups, n, psf, brightness, l_cap, s)
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-5 * psf.sigma_x})
+    if not np.isfinite(res.fun):
+        raise ValueError(
+            "log-likelihood is not finite at the optimum: a frame in the record has "
+            "zero density (for example an antibunched pair with k1 == k2)"
+        )
     s_hat = float(res.x)
     boundary = (s_hat - lo) < 1e-3 * (hi - lo) or (hi - s_hat) < 1e-3 * (hi - lo)
 
@@ -276,7 +281,6 @@ def mle_separation(
     bias = (s_hat - true_separation) if true_separation is not None else None
     return EstimationReport(
         s_hat=s_hat,
-        sample_variance=None,
         crb=crb,
         bias=bias,
         boundary_flag=boundary,

@@ -184,20 +184,18 @@ def fisher_total(
     return FisherBreakdown(per_L=per_L, total=total, total_stderr=total_stderr, l_max=l_max, closed_form_refs=refs)
 
 
-def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int, h: float | None = None, **weight_kwargs) -> float:
+def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
     """Fisher information of bucket detection at order L, sigma_k^2 units.
 
     Bucket detection records only (L, X); its information is
-    sum_X (d_s w(L,X))^2 / w(L,X) with the momentum-integrated class
-    weights, differentiated by central finite differences (class weights
-    are computed with a common seed/scheme at s +- h so the difference is
-    smooth).
+    sum_X (d_s w(L,X))^2 / w(L,X) over the exact closed-form class weights
+    of :func:`~homsr.coincidence.class_weights`, with the derivative taken
+    by a central difference of step :func:`_fd_step`.
     """
-    if h is None:
-        h = _fd_step(scene, psf)
-    w0 = class_weights(L, scene, psf, **weight_kwargs)
-    wp = class_weights(L, replace(scene, separation=scene.separation + h), psf, **weight_kwargs)
-    wm = class_weights(L, replace(scene, separation=scene.separation - h), psf, **weight_kwargs)
+    h = _fd_step(scene, psf)
+    w0 = class_weights(L, scene, psf)
+    wp = class_weights(L, replace(scene, separation=scene.separation + h), psf)
+    wm = class_weights(L, replace(scene, separation=scene.separation - h), psf)
     deriv = (wp - wm) / (2.0 * h)
     mask = w0 > 1e-15 * w0.max()
     return float((deriv[mask] ** 2 / w0[mask]).sum()) / psf.sigma_k ** 2

@@ -1,10 +1,11 @@
 """Shared quadrature helpers: tensor Gauss-Hermite nodes and envelope MC draws.
 
-All integrals in this package are expectations against the product momentum
-envelope prod_m |phi(k_m)|^2, i.e. an isotropic Gaussian with per-axis
-standard deviation sigma_k.  Gauss-Hermite tensor grids handle dimensions
-up to 4; higher dimensions use importance-sampled Monte Carlo with the same
-envelope as proposal.
+The numeric integrals in this package are expectations against the product
+momentum envelope prod_m |phi(k_m)|^2, i.e. an isotropic Gaussian with
+per-axis standard deviation sigma_k.  They serve :func:`homsr.fisher.fisher_L`
+(Gauss-Hermite tensor grids for L <= 3, importance-sampled Monte Carlo with
+the envelope as proposal above) and the ``"gh"``/``"mc"`` cross-checks of the
+closed-form class weights in :func:`homsr.coincidence.class_weights`.
 """
 
 from __future__ import annotations

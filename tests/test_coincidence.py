@@ -201,21 +201,24 @@ class TestGeneralDensity:
 
 
 class TestNormalization:
-    @pytest.mark.parametrize("L", [1, 2, 3, 4])
-    @pytest.mark.parametrize("s", [0.1, 1.0, 4.0])
+    @pytest.mark.parametrize("L", range(1, 13))
+    @pytest.mark.parametrize("s", [1e-6, 0.1, 1.0, 4.0, 11.0, 20.0])
     def test_classes_integrate_to_frame_probability(self, L, s):
         scene = SourceScene(separation=s, brightness=1.5)
         weights = class_weights(L, scene, PSF)
         assert weights.sum() == pytest.approx(frame_size_probability(L, scene, PSF), rel=1e-9)
+        assert np.all(weights >= 0)
+        np.testing.assert_array_equal(weights, weights[::-1])
 
     def test_frame_size_against_double_geometric_sum(self):
-        scene = SourceScene(separation=0.8, brightness=1.5)
-        w = mode_weights(scene, PSF)
-        for L in (1, 2, 5, 9):
-            oracle = w.p0 * sum(
-                w.r_plus ** m * w.r_minus ** (L - 1 - m) for m in range(L)
-            )
-            assert frame_size_probability(L, scene, PSF) == pytest.approx(oracle, rel=1e-12)
+        for s in (0.8, 11.0):
+            scene = SourceScene(separation=s, brightness=1.5)
+            w = mode_weights(scene, PSF)
+            for L in (1, 2, 5, 9):
+                oracle = w.p0 * sum(
+                    w.r_plus ** m * w.r_minus ** (L - 1 - m) for m in range(L)
+                )
+                assert frame_size_probability(L, scene, PSF) == pytest.approx(oracle, rel=1e-12)
 
     def test_frame_size_distribution_consistency(self):
         scene = SourceScene(separation=1.0, brightness=1.5)
@@ -233,8 +236,8 @@ class TestNormalization:
         assert total == pytest.approx(1.0, rel=1e-12)
 
     def test_degenerate_equal_modes(self):
-        # delta = 0 makes both thermal modes equal; the closed form must
-        # switch to the L r^{L-1} limit without loss of accuracy.
+        # delta = 0 makes both thermal modes equal; the geometric sum must
+        # reduce to the L r^{L-1} limit without loss of accuracy.
         scene = SourceScene(separation=1.0, brightness=1.5)
         w = mode_weights(scene, PSF, delta_override=0.0)
         p = frame_size_probability(6, scene, PSF, delta_override=0.0)
@@ -318,12 +321,14 @@ class TestSmallSeparationLimits:
             assert coincidence_density_grid(3, X, k, scene, PSF) > 1e-6
 
     def test_bucket_probability_matches_integrated_weight(self):
-        scene = SourceScene(separation=0.01, brightness=1.5)
-        for P in (1, 2):
-            weights = class_weights(2 * P, scene, PSF)
-            assert bucket_probability(P, scene, PSF) == pytest.approx(
-                weights[P], rel=2e-4
-            )
+        # s = 1e-6 guards the closed-form weights against cancellation.
+        for s in (0.01, 1e-6):
+            scene = SourceScene(separation=s, brightness=1.5)
+            for P in (1, 2):
+                weights = class_weights(2 * P, scene, PSF)
+                assert bucket_probability(P, scene, PSF) == pytest.approx(
+                    weights[P], rel=2e-4
+                )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -387,6 +392,10 @@ class TestClassWeights:
         gh = class_weights(3, scene, PSF, method="gh")
         mc = class_weights(3, scene, PSF, method="mc", sample_count=400_000)
         np.testing.assert_allclose(mc, gh, rtol=2e-2)
+        for L in (2, 3, 4):
+            np.testing.assert_allclose(
+                class_weights(L, scene, PSF), class_weights(L, scene, PSF, method="gh"), rtol=1e-10
+            )
 
     def test_auto_falls_back_to_mc_at_large_separation(self):
         # Tensor GH under-resolves the fringes at large s * sigma_k; the

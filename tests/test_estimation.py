@@ -162,6 +162,12 @@ class TestMle:
         with pytest.raises(ValueError):
             mle_separation([], PSF, 1.5)
 
+    def test_zero_density_frame_rejected(self):
+        # An antibunched pair with k1 == k2 has density 0 at every s.
+        record = [DetectionOutcome(1, 0, (0.1,))] * 50 + [DetectionOutcome(2, 1, (0.3, 0.3))]
+        with pytest.raises(ValueError, match="zero density"):
+            mle_separation(record, PSF, 1.5, compute_crb=False)
+
 
 class TestCrb:
     def test_scales_inversely_with_frames(self):
