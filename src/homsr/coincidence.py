@@ -24,6 +24,12 @@ camera assignment, and the squared signed sum weights the thermal-mode
 coefficients.  The subset normalization is the one under which the total
 density is correctly normalized; this is verified against the closed-form
 frame-size distribution in the test suite.
+
+One kernel forms the signed sums, in a single forward pass over the photons
+(see :func:`_bracket`); it can carry the exact s-derivative along for the
+Fisher information.  The sums are symmetric under a joint permutation of
+momenta and camera labels, so any camera assignment is evaluated as the
+canonical one (C1 photons first) on reordered momenta.
 """
 
 from __future__ import annotations
@@ -71,8 +77,9 @@ __all__ = [
     "class_label",
 ]
 
-# Chunk size control for the vectorized evaluator: keep N * L^2 bounded.
-_CHUNK_BUDGET = 4_000_000
+# Floats of polynomial state per chunk of the bracket kernel; its
+# temporaries take a few times more.
+_CHUNK_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -164,93 +171,90 @@ def _product_poly_coeffs(c, sn):
     return coeffs
 
 
-def _loo_coeffs(c, sn):
-    """Leave-one-out product polynomials.
-
-    ``c``, ``sn`` have shape (N, L); returns q of shape (N, L, L) where
-    q[n, i, j] is the coefficient of t^j in prod_{a != i} (c[n,a] + t sn[n,a]),
-    built from prefix/suffix partial products (stable, O(L^3)).
-    """
-    n_rows, L = c.shape
-    prefix = [np.ones((n_rows, 1))]
-    for a in range(L):
-        p = prefix[-1]
-        new = np.zeros((n_rows, p.shape[1] + 1))
-        new[:, :-1] += p * c[:, a : a + 1]
-        new[:, 1:] += p * sn[:, a : a + 1]
-        prefix.append(new)
-    suffix = [np.ones((n_rows, 1))]
-    for a in range(L - 1, -1, -1):
-        p = suffix[-1]
-        new = np.zeros((n_rows, p.shape[1] + 1))
-        new[:, :-1] += p * c[:, a : a + 1]
-        new[:, 1:] += p * sn[:, a : a + 1]
-        suffix.append(new)
-    suffix.reverse()  # suffix[a] = product over indices > a-1 ... see below
-
-    # after reversal: suffix[m] is the product over indices >= m shifted by one:
-    # suffix[L] = 1, suffix[m] = prod_{a >= m} (built above from the right).
-    q = np.zeros((n_rows, L, L))
-    for i in range(L):
-        pa = prefix[i]          # degree i polynomial (indices < i)
-        sb = suffix[i + 1]      # degree L-1-i polynomial (indices > i)
-        for da in range(pa.shape[1]):
-            q[:, i, da : da + sb.shape[1]] += pa[:, da : da + 1] * sb
-    return q
-
-
-def _theta_coefficients(L: int, X: int, ns: float, delta: float) -> np.ndarray:
-    """Per-j weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j)."""
+def _theta_table(L: int, ns: float, delta: float) -> np.ndarray:
+    """Weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j), indexed [X, j] for X = 0..L."""
     a_mode = 1.0 + ns * (1.0 + delta)
     b_mode = 1.0 + ns * (1.0 - delta)
     p0 = 1.0 / (a_mode * b_mode)
-    denom_x = math.factorial(X) * math.factorial(L - X)
-    out = np.empty(L)
-    for j in range(L):
-        theta = math.factorial(L - 1 - j) * math.factorial(j) / denom_x
-        out[j] = theta * p0 * ns ** (L - 1) / (2.0 * a_mode ** (L - 1 - j) * b_mode ** j)
+    return np.array([
+        [
+            math.factorial(L - 1 - j) * math.factorial(j) / (math.factorial(X) * math.factorial(L - X))
+            * p0 * ns ** (L - 1) / (2.0 * a_mode ** (L - 1 - j) * b_mode ** j)
+            for j in range(L)
+        ]
+        for X in range(L + 1)
+    ])
+
+
+def _theta_table_ds(L: int, scene: SourceScene, psf: PsfModel):
+    """:func:`_theta_table` at the scene's overlap delta and its exact s-derivative.
+
+    log Theta-coefficient_j = const - (L-j) log A - (j+1) log B, so its
+    delta-derivative is -(L-j) N_s/A + (j+1) N_s/B (the same for every X),
+    and delta' = -s sigma_k^2 delta.
+    """
+    ns, s = scene.brightness, scene.separation
+    delta = mode_weights(scene, psf).delta
+    j = np.arange(L)
+    dlog = -(L - j) * ns / (1.0 + ns * (1.0 + delta)) + (j + 1) * ns / (1.0 + ns * (1.0 - delta))
+    coefs = _theta_table(L, ns, delta)
+    return coefs, coefs * (dlog * (-s * psf.sigma_k ** 2 * delta))
+
+
+def _times_linear(p, x, y):
+    """p(t) (x + t y) for coefficient axis -2, truncated to p's length."""
+    out = p * x
+    out[..., 1:, :] += p[..., :-1, :] * y
     return out
 
 
-def _theta_table(L: int, ns: float, delta: float) -> np.ndarray:
-    """:func:`_theta_coefficients` for every split X = 0..L; shape (L+1, L)."""
-    return np.stack([_theta_coefficients(L, X, ns, delta) for X in range(L + 1)])
+def _bracket(k, s: float, splits, coefs, dcoefs=None):
+    """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``.
 
+    ``k`` has shape (N, L) with the C1 photons first; ``splits`` ascends.
+    With f_a(t) = cos(k_a s/2) + t sin(k_a s/2), the signed sums are the
+    coefficients of S(t) = 2 C_X(t) - D(t), where D = sum_i prod_{a != i} f_a
+    and C_X = sum_{i < X} prod_{a != i} f_a.  One pass over the photons
+    builds them: the prefix product P <- P f_a, the leave-one-out sum
+    D <- D f_a + P, and C_X <- D when a reaches X, times f_a thereafter.
 
-def _bracket_chunk(phase_args, signs):
-    """Per-j squared signed sums for one chunk.
-
-    ``phase_args`` is k*s with shape (N, L); ``signs`` the per-slot camera
-    signs (+-1).  Returns (sum_i signs_i q[:, i, j])**2 of shape (N, L);
-    the Theta/thermal coefficients are applied by the caller.
-    """
-    half = phase_args * 0.5
-    q = _loo_coeffs(np.cos(half), np.sin(half))
-    s_j = np.einsum("nij,i->nj", q, signs)
-    return s_j ** 2
-
-
-def _bracket_chunk_all_splits(k):
-    """Per-j squared signed sums for every canonical split X = 0..L.
-
-    Returns array of shape (N, L+1, L): entry [:, X, j].
+    Given ``dcoefs`` (d_s of ``coefs``) the pass carries the same recurrences
+    in forward-mode d_s, with d_s f_a = (k_a/2)(-sin + t cos), and also
+    returns the exact d_s of the bracket.  Results have shape (N, len(splits)).
     """
     n_rows, L = k.shape
-    half = k * 0.5
-    q = _loo_coeffs(np.cos(half), np.sin(half))
-    tot = q.sum(axis=1)                       # (N, L)
-    cs = np.cumsum(q, axis=1)                 # (N, L, L)
-    out = np.empty((n_rows, L + 1, L))
-    out[:, 0, :] = tot ** 2                   # X = 0: all signs equal
-    for X in range(1, L + 1):
-        out[:, X, :] = (2.0 * cs[:, X - 1, :] - tot) ** 2
-    return out
-
-
-def _iter_chunks(n_rows: int, L: int):
-    chunk = max(1, _CHUNK_BUDGET // max(1, L * L))
-    for start in range(0, n_rows, chunk):
-        yield start, min(start + chunk, n_rows)
+    splits = list(splits)
+    out = np.empty((n_rows, len(splits)))
+    dout = None if dcoefs is None else np.empty_like(out)
+    # z[0] holds values and z[1] (if any) d_s; along axis 1 the polynomials
+    # P, D, then C_X per stored split; coefficients on axis 2, rows on axis 3
+    state = (1 if dout is None else 2, 2 + len(splits), L)
+    chunk = max(1, _CHUNK_BUDGET // math.prod(state))
+    for lo in range(0, n_rows, chunk):
+        kt = np.ascontiguousarray(k[lo : lo + chunk].T)
+        c, sn = np.cos(0.5 * s * kt), np.sin(0.5 * s * kt)
+        z = np.zeros(state + (kt.shape[1],))
+        z[0, 0, 0] = 1.0
+        rows = 2
+        for a in range(L):
+            while rows - 2 < len(splits) and splits[rows - 2] == a:
+                z[:, rows] = z[:, 1]
+                rows += 1
+            v = slice(0, min(a + 2, L))  # degrees stay <= a + 1
+            new = _times_linear(z[:, :rows, v], c[a], sn[a])
+            if dout is not None:
+                new[1] += _times_linear(z[0, :rows, v], -0.5 * kt[a] * sn[a], 0.5 * kt[a] * c[a])
+            new[:, 1] += z[:, 0, v]
+            z[:, :rows, v] = new
+        z[:, rows:] = z[:, 1:2]
+        S = 2.0 * z[:, 2:] - z[:, 1:2]
+        sq = S[0] * S[0]
+        out[lo : lo + chunk] = np.einsum("xjn,xj->nx", sq, coefs)
+        if dout is not None:
+            dout[lo : lo + chunk] = np.einsum("xjn,xj->nx", sq, dcoefs) + 2.0 * np.einsum(
+                "xjn,xj->nx", S[0] * S[1], coefs
+            )
+    return out if dout is None else (out, dout)
 
 
 def coincidence_density_grid(
@@ -269,7 +273,10 @@ def coincidence_density_grid(
     ``delta_override`` replaces the PSF overlap (0 gives the
     large-separation asymptotic density).  With ``include_envelope=False``
     the product envelope factor is omitted (useful for quadratures whose
-    weight already contains it).
+    weight already contains it).  A camera ``assignment`` is applied as a
+    stable reorder of the momenta that puts its C1 slots first: the density
+    is symmetric under a joint permutation of momenta and camera labels, so
+    the reordered tuple has the canonical split X.
     """
     k = np.asarray(momenta, dtype=float)
     if k.shape[-1] != L:
@@ -277,23 +284,16 @@ def coincidence_density_grid(
     if L < 1:
         raise ValueError("photon_count must be >= 1")
     w = mode_weights(scene, psf, delta_override=delta_override)
-    if assignment is None:
-        signs = np.array([1.0] * X + [-1.0] * (L - X))
-    else:
-        q = np.asarray(assignment, dtype=int)
-        if q.shape != (L,) or int(q.sum()) != X:
-            raise ValueError("camera assignment inconsistent with (L, X)")
-        signs = np.where(q == 1, 1.0, -1.0)
-    coefs = _theta_coefficients(L, X, scene.brightness, w.delta)
-
     flat = k.reshape(-1, L)
-    out = np.empty(flat.shape[0])
-    for lo, hi in _iter_chunks(flat.shape[0], L):
-        sq = _bracket_chunk(flat[lo:hi] * scene.separation, signs)
-        out[lo:hi] = sq @ coefs
+    if assignment is not None:
+        q = np.asarray(assignment, dtype=int)
+        if q.shape != (L,) or not np.isin(q, (0, 1)).all() or int(q.sum()) != X:
+            raise ValueError("camera assignment inconsistent with (L, X)")
+        flat = flat[:, np.argsort(q == 0, kind="stable")]
+    coefs = _theta_table(L, scene.brightness, w.delta)[X : X + 1]
+    out = _bracket(flat, scene.separation, [X], coefs)[:, 0]
     if include_envelope:
-        env = np.prod(momentum_envelope(psf, flat), axis=-1)
-        out = out * env
+        out = out * np.prod(momentum_envelope(psf, flat), axis=-1)
     return out.reshape(k.shape[:-1])
 
 
@@ -310,15 +310,10 @@ def coincidence_density_all_splits(
     if k.shape[-1] != L:
         raise ValueError("momenta last axis must have length L")
     w = mode_weights(scene, psf, delta_override=delta_override)
-    coefs = _theta_table(L, scene.brightness, w.delta)  # (L+1, L)
     flat = k.reshape(-1, L)
-    out = np.empty((flat.shape[0], L + 1))
-    for lo, hi in _iter_chunks(flat.shape[0], L):
-        sq = _bracket_chunk_all_splits(flat[lo:hi] * scene.separation)  # (n, L+1, L)
-        out[lo:hi] = np.einsum("nxj,xj->nx", sq, coefs)
+    out = _bracket(flat, scene.separation, np.arange(L + 1), _theta_table(L, scene.brightness, w.delta))
     if include_envelope:
-        env = np.prod(momentum_envelope(psf, flat), axis=-1)
-        out = out * env[:, None]
+        out = out * np.prod(momentum_envelope(psf, flat), axis=-1)[:, None]
     return out.reshape(k.shape[:-1] + (L + 1,))
 
 
@@ -677,22 +672,7 @@ def class_weights(
     integrate the all-splits density numerically, as cross-checks.
     """
     if method == "auto":
-        u = (scene.separation * psf.sigma_k) ** 2 / 4.0
-        a = -math.expm1(-2.0 * u) / 2.0
-        b = 1.0 - a
-        g = math.expm1(-u) ** 2 / 2.0
-        kappa2 = interference_kappa(scene, psf)
-        spin = (2 * np.arange(L + 1) - L) ** 2
-        moments = np.empty((L + 1, L))  # E[S_j^2], indexed [X, j]
-        moments[:, L - 1] = L * a ** (L - 1)
-        for j in range(L - 1):
-            c = math.comb(L - 2, j)
-            # C(L-2, j-1) = C(L-1, j) - C(L-2, j), which is also right at j = 0
-            moments[:, j] = a ** j * b ** (L - 2 - j) * (
-                L * c * g + L * (math.comb(L - 1, j) - c) * b + spin * c * kappa2
-            )
-        coefs = _theta_table(L, scene.brightness, mode_weights(scene, psf).delta)
-        return (coefs * moments).sum(axis=1)
+        return _closed_form_weights(L, scene, psf)[0]
     if method == "gh":
         if nodes_per_dim is None:
             nodes_per_dim = {1: 64, 2: 48, 3: 40, 4: 24}.get(L, 24)
@@ -705,3 +685,36 @@ def class_weights(
         vals = coincidence_density_all_splits(L, k, scene, psf, include_envelope=False)
         return vals.mean(axis=0)
     raise ValueError("method must be 'auto', 'gh' or 'mc'")
+
+
+def _closed_form_weights(L: int, scene: SourceScene, psf: PsfModel):
+    """The exact w(L, X) of :func:`class_weights`, X = 0..L, and its s-derivative.
+
+    Each one-photon moment is a function of u = s^2 sigma_k^2/4 with
+    u' = s sigma_k^2/2: a' = exp(-2u) u', b' = -a', (kappa2)' = -kappa2 u'
+    and g' = -expm1(-u) exp(-u) u'; the Theta coefficients bring their own
+    s-derivative (:func:`_theta_table_ds`).
+    """
+    u = (scene.separation * psf.sigma_k) ** 2 / 4.0
+    du = scene.separation * psf.sigma_k ** 2 / 2.0
+    a = -math.expm1(-2.0 * u) / 2.0
+    b = 1.0 - a
+    kappa2 = interference_kappa(scene, psf)
+    g = math.expm1(-u) ** 2 / 2.0
+    da = math.exp(-2.0 * u) * du
+    dkappa2 = -kappa2 * du
+    dg = -math.expm1(-u) * kappa2 * du
+    # E[S_j^2] and its s-derivative for j <= L-2, indexed [X, j]
+    j = np.arange(L - 1)
+    c = np.array([math.comb(L - 2, i) for i in j], dtype=float)
+    c1 = np.array([math.comb(L - 1, i) for i in j]) - c  # C(L-2, j-1), also right at j = 0
+    spin = ((2 * np.arange(L + 1) - L) ** 2)[:, None]
+    power = a ** j * b ** (L - 2 - j)
+    dpower = (j * a ** np.maximum(j - 1, 0) * b ** (L - 2 - j) - (L - 2 - j) * a ** j * b ** (L - 3 - j)) * da
+    h = L * c * g + L * c1 * b + spin * c * kappa2
+    dh = L * c * dg - L * c1 * da + spin * c * dkappa2
+    # E[S_{L-1}^2] = L a^{L-1}
+    moments = np.hstack([power * h, np.full((L + 1, 1), L * a ** (L - 1))])
+    dmoments = np.hstack([dpower * h + power * dh, np.full((L + 1, 1), L * (L - 1) * a ** max(L - 2, 0) * da)])
+    coefs, dcoefs = _theta_table_ds(L, scene, psf)
+    return (coefs * moments).sum(axis=1), (dcoefs * moments + coefs * dmoments).sum(axis=1)

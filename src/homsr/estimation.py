@@ -299,10 +299,14 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int, l_max: int | No
 # ---------------------------------------------------------------------------
 
 def record_to_lines(record, psf: PsfModel):
+    """Serialize frames, C1 momenta first in stable order: the density is symmetric
+    under a joint permutation of momenta and camera labels, so this keeps it."""
     sk = psf.sigma_k
     for outcome in record:
+        pairs = list(zip(outcome.assignment, outcome.momenta))
+        momenta = [k for q, k in pairs if q == 1] + [k for q, k in pairs if q == 0]
         cols = [str(outcome.photon_count), str(outcome.camera_split)]
-        cols += [repr(k / sk) for k in outcome.momenta]
+        cols += [repr(k / sk) for k in momenta]
         yield ",".join(cols)
 
 

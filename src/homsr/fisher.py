@@ -11,9 +11,12 @@ The per-order information is
     F^(L)(s) = sum_X  integral d^L k  (d/ds P^(L)(X; k))^2 / P^(L)(X; k)
 
 computed with the envelope factored out (it is s-independent, so only the
-bracket factor is differentiated, by central finite differences).  Tensor
-Gauss-Hermite quadrature covers L <= 3; envelope-importance Monte Carlo
-with batched standard errors covers higher orders.
+bracket factor is differentiated).  The derivative is exact: the bracket
+kernel of :mod:`homsr.coincidence` carries forward-mode d/ds through its
+single pass over the photons, and the thermal coefficients through
+delta'(s).  Tensor Gauss-Hermite quadrature covers L <= 3;
+envelope-importance Monte Carlo with batched standard errors covers higher
+orders.
 """
 
 from __future__ import annotations
@@ -25,8 +28,9 @@ import numpy as np
 from scipy import integrate
 
 from .coincidence import (
-    class_weights,
-    coincidence_density_all_splits,
+    _bracket,
+    _closed_form_weights,
+    _theta_table_ds,
     dk_conditional_density,
     kbar_conditional_density,
     two_photon_class_probability,
@@ -95,19 +99,9 @@ class FisherBreakdown:
     closed_form_refs: dict
 
 
-def _fd_step(scene: SourceScene, psf: PsfModel) -> float:
-    h = 1e-3 * psf.sigma_x
-    if scene.separation > 0:
-        h = min(h, 0.45 * scene.separation)
-    return h
-
-
-def _fisher_integrand(L, k, scene, psf, h):
+def _fisher_integrand(L, k, scene, psf):
     """Sum over X of (d_s bracket)^2 / bracket at the momenta ``k`` (N, L)."""
-    g0 = coincidence_density_all_splits(L, k, scene, psf, include_envelope=False)
-    gp = coincidence_density_all_splits(L, k, replace(scene, separation=scene.separation + h), psf, include_envelope=False)
-    gm = coincidence_density_all_splits(L, k, replace(scene, separation=scene.separation - h), psf, include_envelope=False)
-    deriv = (gp - gm) / (2.0 * h)
+    g0, deriv = _bracket(k, scene.separation, range(L + 1), *_theta_table_ds(L, scene, psf))
     # skip nodes where the density is vanishingly small relative to its
     # scale in that split; (d_s P)^2/P has a finite limit at the zeros, so
     # dropping a measure-zero neighborhood is below integration error.
@@ -126,16 +120,15 @@ def fisher_L(scene: SourceScene, psf: PsfModel, L: int, quad: QuadratureSpec | N
     scheme = quad.scheme
     if scheme == "auto":
         scheme = "gauss_hermite_tensor" if L <= 3 else "monte_carlo_importance"
-    h = _fd_step(scene, psf)
     unit = psf.sigma_k ** 2
 
     if scheme == "gauss_hermite_tensor":
         n = quad.nodes_per_dim or _GH_DEFAULT_NODES.get(L, 32)
         k, w = envelope_gh_nodes(psf, L, n)
-        value = float(w @ _fisher_integrand(L, k, scene, psf, h)) / unit
+        value = float(w @ _fisher_integrand(L, k, scene, psf)) / unit
         n2 = max(8, int(0.75 * n))
         k2, w2 = envelope_gh_nodes(psf, L, n2)
-        value2 = float(w2 @ _fisher_integrand(L, k2, scene, psf, h)) / unit
+        value2 = float(w2 @ _fisher_integrand(L, k2, scene, psf)) / unit
         stderr = abs(value - value2)
         converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
         return FisherEstimate(value, stderr, converged, scheme)
@@ -146,7 +139,7 @@ def fisher_L(scene: SourceScene, psf: PsfModel, L: int, quad: QuadratureSpec | N
         for b in range(quad.batch_count):
             rng = np.random.default_rng([quad.seed, L, b])
             k = envelope_mc_nodes(psf, L, batch, rng)
-            means.append(_fisher_integrand(L, k, scene, psf, h).mean() / unit)
+            means.append(_fisher_integrand(L, k, scene, psf).mean() / unit)
         means = np.array(means)
         value = float(means.mean())
         stderr = float(means.std(ddof=1) / math.sqrt(quad.batch_count))
@@ -189,14 +182,10 @@ def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
 
     Bucket detection records only (L, X); its information is
     sum_X (d_s w(L,X))^2 / w(L,X) over the exact closed-form class weights
-    of :func:`~homsr.coincidence.class_weights`, with the derivative taken
-    by a central difference of step :func:`_fd_step`.
+    of :func:`~homsr.coincidence.class_weights`, with d_s w taken
+    analytically from the same one-photon moments.
     """
-    h = _fd_step(scene, psf)
-    w0 = class_weights(L, scene, psf)
-    wp = class_weights(L, replace(scene, separation=scene.separation + h), psf)
-    wm = class_weights(L, replace(scene, separation=scene.separation - h), psf)
-    deriv = (wp - wm) / (2.0 * h)
+    w0, deriv = _closed_form_weights(L, scene, psf)
     mask = w0 > 1e-15 * w0.max()
     return float((deriv[mask] ** 2 / w0[mask]).sum()) / psf.sigma_k ** 2
 
@@ -242,7 +231,7 @@ class HierarchyFisher:
     f_full: float       # fully momentum-resolved two-photon information
 
 
-def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel, fd_step: float | None = None) -> HierarchyFisher:
+def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel) -> HierarchyFisher:
     """Two-photon Fisher hierarchy from the conditional decomposition.
 
     Uses the exact factorization P^(2) = P(X) f(Kbar; X) g(dk; X):
@@ -255,9 +244,7 @@ def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel, fd_step: float | No
     cross-validated against the 2-D quadrature of :func:`fisher_L` in the
     test suite.  All values in sigma_k^2 units.
     """
-    if fd_step is None:
-        fd_step = min(1e-5 * psf.sigma_x, 0.45 * scene.separation) if scene.separation > 0 else 1e-5 * psf.sigma_x
-    h = fd_step
+    h = min(1e-5 * psf.sigma_x, 0.45 * scene.separation) if scene.separation > 0 else 1e-5 * psf.sigma_x
     sp = replace(scene, separation=scene.separation + h)
     sm = replace(scene, separation=scene.separation - h)
     sk = psf.sigma_k
@@ -271,24 +258,13 @@ def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel, fd_step: float | No
         pm = two_photon_class_probability(cls, sm, psf)
         f_x += ((pp - pm) / (2.0 * h)) ** 2 / p0
 
-        def score_kbar(kbar, cls=cls):
-            f0 = kbar_conditional_density(kbar, cls, scene, psf)
-            fp = kbar_conditional_density(kbar, cls, sp, psf)
-            fm = kbar_conditional_density(kbar, cls, sm, psf)
-            d = (fp - fm) / (2.0 * h)
+        def score(x, density, cls=cls):
+            f0 = density(x, cls, scene, psf)
+            d = (density(x, cls, sp, psf) - density(x, cls, sm, psf)) / (2.0 * h)
             return np.where(f0 > 1e-300, d ** 2 / np.where(f0 > 0, f0, 1.0), 0.0)
 
-        def score_dk(dk, cls=cls):
-            g0 = dk_conditional_density(dk, cls, scene, psf)
-            gp = dk_conditional_density(dk, cls, sp, psf)
-            gm = dk_conditional_density(dk, cls, sm, psf)
-            d = (gp - gm) / (2.0 * h)
-            return np.where(g0 > 1e-300, d ** 2 / np.where(g0 > 0, g0, 1.0), 0.0)
-
-        lim_kbar = 10.0 * sk
-        lim_dk = 14.0 * sk
-        i_kbar, _ = integrate.quad(score_kbar, -lim_kbar, lim_kbar, limit=400)
-        i_dk, _ = integrate.quad(score_dk, -lim_dk, lim_dk, limit=400)
+        i_kbar, _ = integrate.quad(score, -10.0 * sk, 10.0 * sk, args=(kbar_conditional_density,), limit=400)
+        i_dk, _ = integrate.quad(score, -14.0 * sk, 14.0 * sk, args=(dk_conditional_density,), limit=400)
         extra_kbar += p0 * i_kbar
         extra_dk += p0 * i_dk
 

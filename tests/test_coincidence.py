@@ -4,7 +4,7 @@ Oracles
 -------
 * brute-force subset/permutation enumeration of the trigonometric symmetric
   sums and of the full density formula (independent of the vectorized
-  prefix/suffix evaluation path);
+  one-pass evaluation path);
 * tensor Gauss-Hermite quadrature of densities against the closed-form
   thermal frame-size distribution;
 * 1-D adaptive quadrature for the two-photon conditional factors.

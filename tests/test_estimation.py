@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from homsr.coincidence import DetectionOutcome, class_weights, frame_size_distribution
+from homsr.coincidence import DetectionOutcome, class_weights, coincidence_density, frame_size_distribution
 from homsr.estimation import (
     ExperimentConfig,
     FrameSampler,
@@ -127,6 +127,13 @@ class TestRecordIO:
         assert fields[0] == "2" and fields[1] == "1"
         # momenta serialized in sigma_k units
         assert float(fields[2]) == pytest.approx(0.25 / PSF.sigma_k)
+
+    def test_roundtrip_keeps_camera_assignment(self):
+        outcome = DetectionOutcome(3, 1, (0.3, -0.7, 1.1), camera_assignment=(0, 0, 1))
+        (back,) = record_from_lines(record_to_lines([outcome], PSF), PSF)
+        assert coincidence_density(back, SCENE, PSF) == pytest.approx(
+            coincidence_density(outcome, SCENE, PSF), rel=1e-12
+        )
 
     def test_blank_lines_ignored(self):
         lines = ["", "1,0,0.5", "   "]

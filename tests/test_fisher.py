@@ -2,18 +2,22 @@
 
 Oracles: the closed-form small- and large-separation limits, agreement
 between the deterministic Gauss-Hermite and Monte Carlo integration paths,
-the additive two-photon hierarchy decomposition, and adaptive quadrature of
-the unpixelated direct-imaging information.
+the additive two-photon hierarchy decomposition, adaptive quadrature of
+the unpixelated direct-imaging information, and five-point differences in s
+for the exact derivatives.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy import integrate
 
+from homsr.coincidence import class_weights, coincidence_density_all_splits
 from homsr.fisher import (
     QuadratureSpec,
+    _fisher_integrand,
     asymptotic_fisher_2p,
     bucket_fisher,
     default_l_max,
@@ -26,8 +30,18 @@ from homsr.fisher import (
     subrayleigh_fisher_total,
 )
 from homsr.optics import PsfModel, SourceScene
+from homsr.quadrature import envelope_mc_nodes
 
 PSF = PsfModel()
+
+
+def five_point_ds(f, scene, h):
+    """Five-point central difference of f(scene) in the separation."""
+
+    def at(d):
+        return f(replace(scene, separation=scene.separation + d))
+
+    return (at(-2 * h) - 8 * at(-h) + 8 * at(h) - at(2 * h)) / (12 * h)
 
 
 class TestClosedForms:
@@ -105,6 +119,27 @@ class TestFisherL:
             fisher_L(SourceScene(1.0, 1.0), PSF, 2, QuadratureSpec(scheme="simpson"))
 
 
+class TestExactIntegrand:
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    @pytest.mark.parametrize("L", [1, 2, 3, 5, 8])
+    def test_matches_five_point_difference(self, L, s):
+        # The tolerance is the reference's own error: at step 1e-3 s the
+        # double-precision five-point difference is off by up to ~2e-7
+        # (its truncation at s = 8, its rounding at s = 0.01); a central
+        # difference of step 1e-3 sigma_x is off by up to 8e-4 on these draws.
+        scene = SourceScene(separation=s, brightness=1.5)
+        k = envelope_mc_nodes(PSF, L, 200, np.random.default_rng([3, L]))
+
+        def density(sc):
+            return coincidence_density_all_splits(L, k, sc, PSF, include_envelope=False)
+
+        g = density(scene)
+        dg = five_point_ds(density, scene, 1e-3 * s)
+        floor = 1e-15 * g.max(axis=0, keepdims=True)
+        expected = np.where(g > floor, dg ** 2 / np.where(g > 0, g, 1.0), 0.0).sum(axis=1)
+        np.testing.assert_allclose(_fisher_integrand(L, k, scene, PSF), expected, rtol=1e-6)
+
+
 class TestFisherTotal:
     def test_default_l_max(self):
         assert default_l_max(SourceScene(1.0, 1.5)) == 7
@@ -151,6 +186,15 @@ class TestBucketFisher:
         for L in (2, 4):
             resolved = fisher_L(scene, PSF, L).value
             assert bucket_fisher(scene, PSF, L) >= 0.95 * resolved
+
+    @pytest.mark.parametrize("s", [0.3, 1.0, 5.0])
+    @pytest.mark.parametrize("L", [1, 2, 4, 8, 12])
+    def test_matches_five_point_difference_of_weights(self, L, s):
+        scene = SourceScene(separation=s, brightness=1.5)
+        w = class_weights(L, scene, PSF)
+        dw = five_point_ds(lambda sc: class_weights(L, sc, PSF), scene, 1e-4 * s)
+        expected = float((dw ** 2 / w).sum()) / PSF.sigma_k ** 2
+        assert bucket_fisher(scene, PSF, L) == pytest.approx(expected, rel=2e-7)
 
     def test_large_separation_loses_information(self):
         scene = SourceScene(separation=10.0, brightness=1.5)
