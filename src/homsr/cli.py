@@ -168,7 +168,9 @@ def cmd_fi_curve(args):
     params = _resolve(args, _FI_CURVE_DEFAULTS)
     psf = PsfModel()
     s_grid = _parse_grid(str(params["s_grid"]))
-    scheme = {"auto": "auto", "gh": "gauss_hermite_tensor", "mc": "monte_carlo_importance"}[str(params["quad"])]
+    scheme = {"auto": "auto", "gh": "gauss_hermite_tensor", "mc": "monte_carlo_importance"}.get(str(params["quad"]))
+    if scheme is None:
+        raise SystemExit(f"fi-curve supports quad in {{auto, gh, mc}}, not {params['quad']!r}")
     quad = QuadratureSpec(scheme=scheme)
     lmax = int(params["lmax"]) if params["lmax"] is not None else None
     out = _out_path(args, params, "fi_curve.csv")

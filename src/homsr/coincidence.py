@@ -48,7 +48,7 @@ from .optics import (
     mode_weights,
     momentum_envelope,
 )
-from .quadrature import envelope_gh_nodes, envelope_mc_nodes
+from .quadrature import QuadratureSpec, envelope_expectation
 
 __all__ = [
     "DetectionOutcome",
@@ -644,7 +644,6 @@ def class_weights(
     scene: SourceScene,
     psf: PsfModel,
     method: str = "auto",
-    nodes_per_dim: int | None = None,
     sample_count: int = 200_000,
     seed: int = 7,
 ) -> np.ndarray:
@@ -667,24 +666,22 @@ def class_weights(
     then w(L, X) = sum_j Theta-coefficient_j(L, X) E[S_j^2].  Every term is
     non-negative, so nothing cancels as s -> 0, and w(L, X) = w(L, L-X).
 
-    ``"gh"`` (tensor Gauss-Hermite, ``nodes_per_dim`` nodes per photon) and
-    ``"mc"`` (envelope Monte Carlo, ``sample_count`` draws from ``seed``)
-    integrate the all-splits density numerically, as cross-checks.
+    ``"gh"`` (tensor Gauss-Hermite at the default node table) and ``"mc"``
+    (``sample_count`` envelope draws in batches seeded from ``seed``)
+    integrate the all-splits density with
+    :func:`~homsr.quadrature.envelope_expectation`, as cross-checks.
     """
+    if L < 1:
+        raise ValueError("L must be >= 1")
     if method == "auto":
         return _closed_form_weights(L, scene, psf)[0]
-    if method == "gh":
-        if nodes_per_dim is None:
-            nodes_per_dim = {1: 64, 2: 48, 3: 40, 4: 24}.get(L, 24)
-        k, w = envelope_gh_nodes(psf, L, nodes_per_dim)
-        vals = coincidence_density_all_splits(L, k, scene, psf, include_envelope=False)
-        return w @ vals
-    if method == "mc":
-        rng = np.random.default_rng(seed)
-        k = envelope_mc_nodes(psf, L, sample_count, rng)
-        vals = coincidence_density_all_splits(L, k, scene, psf, include_envelope=False)
-        return vals.mean(axis=0)
-    raise ValueError("method must be 'auto', 'gh' or 'mc'")
+    schemes = {"gh": "gauss_hermite_tensor", "mc": "monte_carlo_importance"}
+    if method not in schemes:
+        raise ValueError("method must be 'auto', 'gh' or 'mc'")
+    quad = QuadratureSpec(scheme=schemes[method], sample_count=sample_count, seed=seed)
+    return envelope_expectation(
+        lambda k: coincidence_density_all_splits(L, k, scene, psf, include_envelope=False), L, psf, quad
+    )[0]
 
 
 def _closed_form_weights(L: int, scene: SourceScene, psf: PsfModel):

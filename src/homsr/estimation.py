@@ -47,6 +47,12 @@ __all__ = [
 ]
 
 
+# Envelope probes per (L, X) cell in the initial majorant scan, and the
+# factor by which every majorant exceeds the largest bracket value seen.
+_MAJORANT_SCAN = 32_768
+_MAJORANT_MARGIN = 1.2
+
+
 class MajorantError(RuntimeError):
     """Raised when the rejection sampler observes a density above its majorant."""
 
@@ -93,19 +99,10 @@ class FrameSampler:
     :class:`MajorantError`.
     """
 
-    def __init__(
-        self,
-        scene: SourceScene,
-        psf: PsfModel,
-        l_cap: int = 12,
-        majorant_scan: int = 32_768,
-        majorant_margin: float = 1.2,
-    ):
+    def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = 12):
         self.scene = scene
         self.psf = psf
         self.l_cap = l_cap
-        self.majorant_margin = majorant_margin
-        self._majorant_scan = majorant_scan
 
         p_l = frame_size_distribution(l_cap, scene, psf)
         self.truncated_mass = float(p_l.sum())
@@ -122,7 +119,7 @@ class FrameSampler:
     def _majorant(self, L, X):
         """Initial rejection bound for the bracket factor of one (L, X) cell.
 
-        The bound is ``majorant_margin`` times the largest bracket value seen
+        The bound is ``_MAJORANT_MARGIN`` times the largest bracket value seen
         on a scan of envelope-distributed probes (plus the origin).  It covers
         the region Gaussian proposals actually visit; the sampler verifies it
         against every proposal and tightens it adaptively on a violation.
@@ -130,10 +127,10 @@ class FrameSampler:
         key = (L, X)
         if key not in self._majorants:
             rng = np.random.default_rng([9191, L, X])
-            probes = rng.standard_normal((self._majorant_scan, L)) * self.psf.sigma_k
+            probes = rng.standard_normal((_MAJORANT_SCAN, L)) * self.psf.sigma_k
             probes[0] = 0.0
             peak = float(self._bracket(L, X, probes).max())
-            self._majorants[key] = self.majorant_margin * peak
+            self._majorants[key] = _MAJORANT_MARGIN * peak
         return self._majorants[key]
 
     def _sample_momenta(self, L, X, count, rng):
@@ -156,7 +153,7 @@ class FrameSampler:
                 k = rng.standard_normal((block, L)) * self.psf.sigma_k
                 g = self._bracket(L, X, k)
                 if g.max() > bound:
-                    self._majorants[(L, X)] = self.majorant_margin * float(g.max())
+                    self._majorants[(L, X)] = _MAJORANT_MARGIN * float(g.max())
                     break
                 accept = rng.random(block) * bound < g
                 n_acc = int(accept.sum())
@@ -240,7 +237,6 @@ def mle_separation(
     true_separation: float | None = None,
     curve_points: int = 0,
     compute_crb: bool = True,
-    crb_quad: QuadratureSpec | None = None,
 ) -> EstimationReport:
     """Maximum-likelihood separation estimate from a frame record.
 
@@ -276,7 +272,7 @@ def mle_separation(
 
     crb = None
     if compute_crb:
-        crb = crb_report(SourceScene(separation=max(s_hat, 1e-3 * psf.sigma_x), brightness=brightness), psf, n, quad=crb_quad)
+        crb = crb_report(SourceScene(separation=max(s_hat, 1e-3 * psf.sigma_x), brightness=brightness), psf, n)
 
     bias = (s_hat - true_separation) if true_separation is not None else None
     return EstimationReport(

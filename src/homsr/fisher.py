@@ -14,9 +14,9 @@ computed with the envelope factored out (it is s-independent, so only the
 bracket factor is differentiated).  The derivative is exact: the bracket
 kernel of :mod:`homsr.coincidence` carries forward-mode d/ds through its
 single pass over the photons, and the thermal coefficients through
-delta'(s).  Tensor Gauss-Hermite quadrature covers L <= 3;
-envelope-importance Monte Carlo with batched standard errors covers higher
-orders.
+delta'(s).  The envelope expectation over the L momenta is taken by
+:func:`homsr.quadrature.envelope_expectation`: by default tensor
+Gauss-Hermite for L <= 3 and envelope-importance Monte Carlo above.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .coincidence import (
     two_photon_class_probability,
 )
 from .optics import PsfModel, SourceScene
-from .quadrature import envelope_gh_nodes, envelope_mc_nodes
+from .quadrature import QuadratureSpec, envelope_expectation
 
 __all__ = [
     "QuadratureSpec",
@@ -55,35 +55,12 @@ __all__ = [
     "default_l_max",
 ]
 
-_GH_DEFAULT_NODES = {1: 64, 2: 48, 3: 40}
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Integration controls for :func:`fisher_L`.
-
-    ``scheme`` is "auto" (GH tensor for L <= 3, importance MC above),
-    "gauss_hermite_tensor" or "monte_carlo_importance".
-    """
-
-    scheme: str = "auto"
-    nodes_per_dim: int | None = None
-    sample_count: int = 200_000
-    seed: int = 20240801
-    relative_error_target: float = 0.05
-    batch_count: int = 20
-
-    def __post_init__(self):
-        if self.nodes_per_dim is not None and self.nodes_per_dim < 8:
-            raise ValueError("nodes_per_dim must be >= 8")
-        if self.sample_count < 10_000:
-            raise ValueError("sample_count must be >= 10^4")
-        if self.batch_count < 2:
-            raise ValueError("batch_count must be >= 2")
-
 
 @dataclass(frozen=True)
 class FisherEstimate:
+    """``stderr`` is the batch-mean standard error under Monte Carlo and the
+    node-refinement difference |Q_n - Q_3n/4| under Gauss-Hermite."""
+
     value: float          # in sigma_k^2 units
     stderr: float
     converged: bool
@@ -117,36 +94,11 @@ def fisher_L(scene: SourceScene, psf: PsfModel, L: int, quad: QuadratureSpec | N
     if scene.separation <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
     quad = quad or QuadratureSpec()
-    scheme = quad.scheme
-    if scheme == "auto":
-        scheme = "gauss_hermite_tensor" if L <= 3 else "monte_carlo_importance"
     unit = psf.sigma_k ** 2
-
-    if scheme == "gauss_hermite_tensor":
-        n = quad.nodes_per_dim or _GH_DEFAULT_NODES.get(L, 32)
-        k, w = envelope_gh_nodes(psf, L, n)
-        value = float(w @ _fisher_integrand(L, k, scene, psf)) / unit
-        n2 = max(8, int(0.75 * n))
-        k2, w2 = envelope_gh_nodes(psf, L, n2)
-        value2 = float(w2 @ _fisher_integrand(L, k2, scene, psf)) / unit
-        stderr = abs(value - value2)
-        converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
-        return FisherEstimate(value, stderr, converged, scheme)
-
-    if scheme == "monte_carlo_importance":
-        batch = quad.sample_count // quad.batch_count
-        means = []
-        for b in range(quad.batch_count):
-            rng = np.random.default_rng([quad.seed, L, b])
-            k = envelope_mc_nodes(psf, L, batch, rng)
-            means.append(_fisher_integrand(L, k, scene, psf).mean() / unit)
-        means = np.array(means)
-        value = float(means.mean())
-        stderr = float(means.std(ddof=1) / math.sqrt(quad.batch_count))
-        converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
-        return FisherEstimate(value, stderr, converged, scheme)
-
-    raise ValueError(f"unknown quadrature scheme: {quad.scheme}")
+    value, stderr, scheme = envelope_expectation(lambda k: _fisher_integrand(L, k, scene, psf), L, psf, quad)
+    value, stderr = float(value) / unit, float(stderr) / unit
+    converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
+    return FisherEstimate(value, stderr, converged, scheme)
 
 
 def default_l_max(scene: SourceScene) -> int:

@@ -156,6 +156,13 @@ class TestConfigAndOutdir:
         with pytest.raises(SystemExit):
             main(["probability-surface", "--config", str(config)])
 
+    def test_unknown_config_quad_rejected(self, tmp_path):
+        # config values bypass argparse's choices, so fi-curve checks them itself
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"quad": "simpson"}))
+        with pytest.raises(SystemExit, match="auto, gh, mc"):
+            main(["fi-curve", "--config", str(config), "--out", str(tmp_path / "fi.csv")])
+
     def test_outdir_environment_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("HOMSR_OUTDIR", str(tmp_path))
         code = main(["bucket-compare", "--l", "2", "--s-grid", "0.5,1", "--ns", "1.0"])

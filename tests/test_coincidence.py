@@ -399,7 +399,7 @@ class TestClassWeights:
 
     def test_auto_falls_back_to_mc_at_large_separation(self):
         # Tensor GH under-resolves the fringes at large s * sigma_k; the
-        # auto policy must agree with a large-sample MC reference.
+        # closed-form default must agree with a large-sample MC reference.
         scene = SourceScene(separation=20.0, brightness=1.5)
         auto = class_weights(4, scene, PSF, sample_count=400_000)
         mc = class_weights(4, scene, PSF, method="mc", sample_count=400_000, seed=123)
@@ -409,3 +409,8 @@ class TestClassWeights:
     def test_invalid_method(self):
         with pytest.raises(ValueError):
             class_weights(2, SourceScene(1.0, 1.0), PSF, method="trapezoid")
+
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_rejects_empty_frame_size(self, L):
+        with pytest.raises(ValueError):
+            class_weights(L, SourceScene(1.0, 1.0), PSF)

@@ -98,6 +98,13 @@ class TestFisherL:
         assert mc.value == pytest.approx(gh.value, rel=0.05)
         assert mc.stderr > 0
 
+    def test_gh_error_is_nonzero_at_eight_nodes(self):
+        # the refinement rule must use fewer nodes than the rule it checks
+        est = fisher_L(
+            SourceScene(8.0, 1.5), PSF, 2, QuadratureSpec(scheme="gauss_hermite_tensor", nodes_per_dim=8)
+        )
+        assert est.stderr > 0
+
     def test_reference_photon_order_is_negligible(self):
         # The lone reference photon carries information only through the
         # frame-size weight; by s = 6 sigma_x that channel is ~1e-8.
