@@ -48,15 +48,25 @@ _SURFACE_GRID_DEFAULT = {2: 61, 3: 21, 4: 11}
 
 
 def _parse_grid(spec: str) -> np.ndarray:
-    """Parse a grid spec: "lo:hi:n" (linear), "log:lo:hi:n", or "v1,v2,...". """
-    if "," in spec:
-        return np.array([float(v) for v in spec.split(",")])
-    parts = spec.split(":")
-    if parts[0] == "log":
-        lo, hi, n = float(parts[1]), float(parts[2]), int(parts[3])
-        return np.geomspace(lo, hi, n)
-    lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-    return np.linspace(lo, hi, n)
+    """Parse a grid spec: "lo:hi:n" (linear), "log:lo:hi:n", or "v1,v2,..."; exit on anything else."""
+    try:
+        if "," in spec:
+            grid = np.array([float(v) for v in spec.split(",")])
+        else:
+            parts = spec.split(":")
+            log = parts[0] == "log"
+            lo, hi, n = parts[1:] if log else parts
+            lo, hi, n = float(lo), float(hi), int(n)
+            if n < 1 or not np.isfinite([lo, hi]).all() or (log and min(lo, hi) <= 0):
+                raise ValueError
+            grid = (np.geomspace if log else np.linspace)(lo, hi, n)
+        if not np.isfinite(grid).all():
+            raise ValueError
+    except ValueError:
+        raise SystemExit(
+            f"grid spec {spec!r} must be lo:hi:n, log:lo:hi:n (lo, hi > 0) or v1,v2,... with n >= 1"
+        ) from None
+    return grid
 
 
 def _fmt(value) -> str:

@@ -138,7 +138,7 @@ def trig_xi(j: int, momenta: Sequence[float], s: float) -> float:
     n = momenta.size
     if not 0 <= j <= n:
         raise ValueError("j out of range")
-    coeffs = _product_poly_coeffs(np.cos(momenta * s / 2.0), np.sin(momenta * s / 2.0))
+    coeffs = _xi_coeffs(momenta, s)
     return math.factorial(n - j) * math.factorial(j) * float(coeffs[j])
 
 
@@ -161,13 +161,16 @@ def interference_phases(assignment: Sequence[int], i: int) -> float:
 # Core vectorized evaluator
 # ---------------------------------------------------------------------------
 
-def _product_poly_coeffs(c, sn):
-    """Coefficients (in t) of prod_a (c_a + t sn_a) for 1-D inputs."""
-    coeffs = np.zeros(len(c) + 1)
-    coeffs[0] = 1.0
-    for a in range(len(c)):
-        coeffs[1 : a + 2] = coeffs[1 : a + 2] * c[a] + coeffs[: a + 1] * sn[a]
-        coeffs[0] *= c[a]
+def _xi_coeffs(momenta, s: float) -> list:
+    """Coefficients xi_0..xi_n (in t) of prod_a (cos(k_a s/2) + t sin(k_a s/2)).
+
+    The momenta may be scalars or broadcastable arrays.
+    """
+    coeffs = [1.0]
+    for k in momenta:
+        c, sn = np.cos(k * s / 2.0), np.sin(k * s / 2.0)
+        prev = coeffs + [0.0]
+        coeffs = [prev[0] * c] + [prev[j] * c + prev[j - 1] * sn for j in range(1, len(prev))]
     return coeffs
 
 
@@ -378,6 +381,18 @@ def _class_alpha(x_class: str) -> float:
         raise ValueError("two-photon class must be 'A' or 'B'") from None
 
 
+def _fringe(alpha: float, u):
+    """1 + alpha cos(u) as 2 cos^2(u/2) or 2 sin^2(u/2), which do not cancel as u -> 0."""
+    half = np.asarray(u, dtype=float) / 2.0
+    return 2.0 * (np.cos(half) if alpha > 0 else np.sin(half)) ** 2
+
+
+def _fringe_mean(alpha: float, scene: SourceScene, psf: PsfModel) -> float:
+    """Envelope mean 1 + alpha kappa of the difference fringe; 1 - kappa via expm1."""
+    u = (scene.separation * psf.sigma_k) ** 2 / 4.0
+    return 1.0 + math.exp(-u) if alpha > 0 else -math.expm1(-u)
+
+
 def two_photon_density(coords: TwoPhotonCoordinates, x_class: str, scene: SourceScene, psf: PsfModel):
     """Mirror-summed two-photon class density in (Kbar, dk) coordinates.
 
@@ -396,24 +411,8 @@ def two_photon_density(coords: TwoPhotonCoordinates, x_class: str, scene: Source
         * w.p0 ** 2
         * env
         * (1.0 + ns - alpha * ns * w.delta * np.cos(kbar * s))
-        * (1.0 + alpha * np.cos(dk * s / 2.0))
+        * _fringe(alpha, dk * s / 2.0)
     )
-
-
-def _pair_xi(ka, kb, s):
-    ca, cb = np.cos(ka * s / 2.0), np.cos(kb * s / 2.0)
-    sa, sb = np.sin(ka * s / 2.0), np.sin(kb * s / 2.0)
-    return ca * cb, ca * sb + cb * sa, sa * sb
-
-
-def _triple_xi(ka, kb, kc, s):
-    ca, cb, cc = (np.cos(k * s / 2.0) for k in (ka, kb, kc))
-    sa, sb, sc = (np.sin(k * s / 2.0) for k in (ka, kb, kc))
-    xi0 = ca * cb * cc
-    xi1 = sa * cb * cc + ca * sb * cc + ca * cb * sc
-    xi2 = sa * sb * cc + sa * cb * sc + ca * sb * sc
-    xi3 = sa * sb * sc
-    return xi0, xi1, xi2, xi3
 
 
 _THREE_PHOTON_CLASSES = {"B": ((1.0, 1.0), 1.0 / 6.0), "UA": ((1.0, -1.0), 1.0 / 2.0)}
@@ -424,6 +423,14 @@ _FOUR_PHOTON_CLASSES = {
 }
 
 
+def _low_order_density(momenta: tuple, lams: tuple, xi_big: list, s: float, psf: PsfModel):
+    """Envelope times sum_j xi_big[j] (sum_i lam_i xi_j(momenta without k_i))^2, lam_0 = 1."""
+    leave_one_out = [_xi_coeffs(momenta[:i] + momenta[i + 1 :], s) for i in range(len(momenta))]
+    signed = [sum(lam * xi[j] for lam, xi in zip((1.0,) + lams, leave_one_out)) for j in range(len(xi_big))]
+    env = math.prod(momentum_envelope(psf, k) for k in momenta)
+    return env * sum(x * sj ** 2 for x, sj in zip(xi_big, signed))
+
+
 def three_photon_density(k1, k2, k3, x_class: str, scene: SourceScene, psf: PsfModel):
     """Mirror-summed three-photon class density.
 
@@ -432,7 +439,7 @@ def three_photon_density(k1, k2, k3, x_class: str, scene: SourceScene, psf: PsfM
     momentum argument is the lone photon.
     """
     try:
-        (lam1, lam2), f_factor = _THREE_PHOTON_CLASSES[x_class.upper()]
+        lams, f_factor = _THREE_PHOTON_CLASSES[x_class.upper()]
     except KeyError:
         raise ValueError("three-photon class must be 'B' or 'UA'") from None
     w = mode_weights(scene, psf)
@@ -444,14 +451,7 @@ def three_photon_density(k1, k2, k3, x_class: str, scene: SourceScene, psf: PsfM
         w.p0 ** 2 * ns ** 2,
         2.0 * w.p0 * ns ** 2 / b_mode ** 2,
     ]
-    t23 = _pair_xi(k2, k3, s)
-    t13 = _pair_xi(k1, k3, s)
-    t12 = _pair_xi(k1, k2, s)
-    bracket = sum(
-        xi_big[j] * (t23[j] + lam1 * t13[j] + lam2 * t12[j]) ** 2 for j in range(3)
-    )
-    env = momentum_envelope(psf, k1) * momentum_envelope(psf, k2) * momentum_envelope(psf, k3)
-    return f_factor * env * bracket
+    return f_factor * _low_order_density((k1, k2, k3), lams, xi_big, s, psf)
 
 
 def four_photon_density(k1, k2, k3, k4, x_class: str, scene: SourceScene, psf: PsfModel):
@@ -462,7 +462,7 @@ def four_photon_density(k1, k2, k3, k4, x_class: str, scene: SourceScene, psf: P
     (3-1 split; the *first* momentum argument is the lone photon).
     """
     try:
-        (lam1, lam2, lam3), f_factor = _FOUR_PHOTON_CLASSES[x_class.upper()]
+        lams, f_factor = _FOUR_PHOTON_CLASSES[x_class.upper()]
     except KeyError:
         raise ValueError("four-photon class must be 'B', 'A' or 'UA'") from None
     w = mode_weights(scene, psf)
@@ -475,21 +475,7 @@ def four_photon_density(k1, k2, k3, k4, x_class: str, scene: SourceScene, psf: P
         2.0 * w.p0 ** 2 * ns ** 3 / b_mode,
         6.0 * w.p0 * ns ** 3 / b_mode ** 3,
     ]
-    t234 = _triple_xi(k2, k3, k4, s)
-    t134 = _triple_xi(k1, k3, k4, s)
-    t124 = _triple_xi(k1, k2, k4, s)
-    t123 = _triple_xi(k1, k2, k3, s)
-    bracket = sum(
-        xi_big[j] * (t234[j] + lam1 * t134[j] + lam2 * t124[j] + lam3 * t123[j]) ** 2
-        for j in range(4)
-    )
-    env = (
-        momentum_envelope(psf, k1)
-        * momentum_envelope(psf, k2)
-        * momentum_envelope(psf, k3)
-        * momentum_envelope(psf, k4)
-    )
-    return f_factor * env * bracket
+    return f_factor * _low_order_density((k1, k2, k3, k4), lams, xi_big, s, psf)
 
 
 def subrayleigh_leading_density(P: int, momenta, scene: SourceScene, psf: PsfModel):
@@ -561,7 +547,7 @@ def two_photon_class_probability(x_class: str, scene: SourceScene, psf: PsfModel
     w = mode_weights(scene, psf)
     ns = scene.brightness
     kappa = interference_kappa(scene, psf)
-    return ns * w.p0 ** 2 * (1.0 + ns - alpha * ns * w.delta * kappa) * (1.0 + alpha * kappa)
+    return ns * w.p0 ** 2 * (1.0 + ns - alpha * ns * w.delta * kappa) * _fringe_mean(alpha, scene, psf)
 
 
 def kbar_conditional_density(k_bar, x_class: str, scene: SourceScene, psf: PsfModel):
@@ -577,10 +563,8 @@ def kbar_conditional_density(k_bar, x_class: str, scene: SourceScene, psf: PsfMo
 def dk_conditional_density(delta_k, x_class: str, scene: SourceScene, psf: PsfModel):
     """Normalized conditional density g(dk; X) of the pair momentum difference."""
     alpha = _class_alpha(x_class)
-    s = scene.separation
-    kappa = interference_kappa(scene, psf)
-    num = 1.0 + alpha * np.cos(np.asarray(delta_k, dtype=float) * s / 2.0)
-    return difference_momentum_envelope(psf, delta_k) * num / (1.0 + alpha * kappa)
+    num = _fringe(alpha, np.asarray(delta_k, dtype=float) * scene.separation / 2.0)
+    return difference_momentum_envelope(psf, delta_k) * num / _fringe_mean(alpha, scene, psf)
 
 
 @dataclass(frozen=True)

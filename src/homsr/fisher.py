@@ -17,25 +17,19 @@ single pass over the photons, and the thermal coefficients through
 delta'(s).  The envelope expectation over the L momenta is taken by
 :func:`homsr.quadrature.envelope_expectation`: by default tensor
 Gauss-Hermite for L <= 3 and envelope-importance Monte Carlo above.
+No value here takes a finite difference, and that expectation is the only
+numeric integration (the two-photon hierarchy uses it in one dimension).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
-from .coincidence import (
-    _bracket,
-    _closed_form_weights,
-    _theta_table_ds,
-    dk_conditional_density,
-    kbar_conditional_density,
-    two_photon_class_probability,
-)
-from .optics import PsfModel, SourceScene
+from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _theta_table_ds, interference_kappa
+from .optics import PsfModel, SourceScene, mode_weights
 from .quadrature import QuadratureSpec, envelope_expectation
 
 __all__ = [
@@ -135,10 +129,13 @@ def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
     Bucket detection records only (L, X); its information is
     sum_X (d_s w(L,X))^2 / w(L,X) over the exact closed-form class weights
     of :func:`~homsr.coincidence.class_weights`, with d_s w taken
-    analytically from the same one-photon moments.
+    analytically from the same one-photon moments; no class is dropped, as
+    the weights carry no cancellation.  Raises ``ValueError`` at s <= 0.
     """
+    if scene.separation <= 0:
+        raise ValueError("bucket_fisher requires s > 0 (use the closed-form limits at s = 0)")
     w0, deriv = _closed_form_weights(L, scene, psf)
-    mask = w0 > 1e-15 * w0.max()
+    mask = w0 > 0
     return float((deriv[mask] ** 2 / w0[mask]).sum()) / psf.sigma_k ** 2
 
 
@@ -184,52 +181,54 @@ class HierarchyFisher:
 
 
 def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel) -> HierarchyFisher:
-    """Two-photon Fisher hierarchy from the conditional decomposition.
+    """Two-photon Fisher hierarchy, sigma_k^2 units, from exact s-derivatives.
 
-    Uses the exact factorization P^(2) = P(X) f(Kbar; X) g(dk; X):
+    P(X; Kbar, dk) = N_s p0^2 e(Kbar) h_X C(dk) q_X with h_X = 1 + N_s -
+    alpha N_s delta cos(Kbar s), q_X = 1 + alpha cos(dk s/2), alpha = +1 for
+    class B and -1 for A, and kappa = exp(-s^2 sigma_k^2/4).  F_X is
+    :func:`bucket_fisher` at L = 2.  The information of (X, dk) is closed
+    form: with c_X = N_s p0^2 Z_X, Z_X = 1 + N_s - alpha N_s delta kappa,
+    a_X = d_s log c_X and sin^2 = (1 - cos)(1 + cos),
 
-        F_full = F_X + sum_X P(X) I[f(.;X)] + sum_X P(X) I[g(.;X)]
+        F_{dk;X} = sum_X c_X [a_X^2 (1 + alpha kappa) - alpha a_X s sigma_k^2 kappa
+                              + (sigma_k^2/2)(1 - alpha (1 - s^2 sigma_k^2/2) kappa)].
 
-    where I[.] is the conditional score integral of each 1-D factor.  The
-    three additive pieces are non-negative, so the hierarchy
-    F_full >= F_{marg;X} >= F_X holds by construction; F_full is
-    cross-validated against the 2-D quadrature of :func:`fisher_L` in the
-    test suite.  All values in sigma_k^2 units.
+    The Kbar term sum_X P(X) E[(h'/h - Z'/Z)^2 | X], with h' = alpha N_s delta
+    (s sigma_k^2 cos Kbar s + Kbar sin Kbar s) and Z' = 1.5 alpha N_s s
+    sigma_k^2 delta kappa, is one Gauss-Hermite envelope expectation per
+    class; its integrand is non-negative and falls with delta, so the dk
+    fringe that defeats quadrature at large s never enters one.
+    F_{Kbar;X} = F_X + Kbar term and F_full = F_{dk;X} + Kbar term, so
+    F_{Kbar;X} >= F_X and F_full >= F_{dk;X} hold by construction, and
+    F_full >= F_{Kbar;X} as far as the two closed forms keep F_{dk;X} >= F_X
+    (to rounding; their gap is O(s^2), 2e-10 to 5e-10 relative at s = 1e-4).
+    Raises ``ValueError`` at s <= 0, like :func:`fisher_L`.
     """
-    h = min(1e-5 * psf.sigma_x, 0.45 * scene.separation) if scene.separation > 0 else 1e-5 * psf.sigma_x
-    sp = replace(scene, separation=scene.separation + h)
-    sm = replace(scene, separation=scene.separation - h)
-    sk = psf.sigma_k
+    f_x = bucket_fisher(scene, psf, 2)  # raises at s <= 0
+    ns, s, sk2 = scene.brightness, scene.separation, psf.sigma_k ** 2
+    w = mode_weights(scene, psf)
+    delta, kappa = w.delta, interference_kappa(scene, psf)
+    dlog_p0sq = -4.0 * ns ** 2 * s * sk2 * delta ** 2 * w.p0
+    f_dk_x = kbar_term = 0.0
+    for alpha in (1.0, -1.0):
+        z = 1.0 + ns - alpha * ns * delta * kappa
+        dz = 1.5 * alpha * ns * s * sk2 * delta * kappa
+        c, a = ns * w.p0 ** 2 * z, dlog_p0sq + dz / z
+        fringe = _fringe_mean(alpha, scene, psf)
+        # 1 - alpha (1 - s^2 sigma_k^2/2) kappa, with 1 - kappa kept exact
+        curvature = _fringe_mean(-alpha, scene, psf) + alpha * 0.5 * s * s * sk2 * kappa
+        f_dk_x += c * (a * a * fringe - alpha * a * s * sk2 * kappa + 0.5 * sk2 * curvature)
 
-    f_x = 0.0
-    extra_kbar = 0.0
-    extra_dk = 0.0
-    for cls in ("A", "B"):
-        p0 = two_photon_class_probability(cls, scene, psf)
-        pp = two_photon_class_probability(cls, sp, psf)
-        pm = two_photon_class_probability(cls, sm, psf)
-        f_x += ((pp - pm) / (2.0 * h)) ** 2 / p0
+        def kbar_score_sq(k, alpha=alpha, z=z, dz=dz):
+            kbar = k[:, 0] / math.sqrt(2.0)
+            h = 1.0 + ns - alpha * ns * delta * np.cos(kbar * s)
+            dh = alpha * ns * delta * (s * sk2 * np.cos(kbar * s) + kbar * np.sin(kbar * s))
+            return h / z * (dh / h - dz / z) ** 2
 
-        def score(x, density, cls=cls):
-            f0 = density(x, cls, scene, psf)
-            d = (density(x, cls, sp, psf) - density(x, cls, sm, psf)) / (2.0 * h)
-            return np.where(f0 > 1e-300, d ** 2 / np.where(f0 > 0, f0, 1.0), 0.0)
+        kbar_term += c * fringe * float(envelope_expectation(kbar_score_sq, 1, psf, QuadratureSpec())[0])
 
-        i_kbar, _ = integrate.quad(score, -10.0 * sk, 10.0 * sk, args=(kbar_conditional_density,), limit=400)
-        i_dk, _ = integrate.quad(score, -14.0 * sk, 14.0 * sk, args=(dk_conditional_density,), limit=400)
-        extra_kbar += p0 * i_kbar
-        extra_dk += p0 * i_dk
-
-    unit = sk ** 2
-    f_x /= unit
-    extra_kbar /= unit
-    extra_dk /= unit
-    return HierarchyFisher(
-        f_x=f_x,
-        f_kbar_x=f_x + extra_kbar,
-        f_dk_x=f_x + extra_dk,
-        f_full=f_x + extra_kbar + extra_dk,
-    )
+    f_dk_x, kbar_term = f_dk_x / sk2, kbar_term / sk2
+    return HierarchyFisher(f_x=f_x, f_kbar_x=f_x + kbar_term, f_dk_x=f_dk_x, f_full=f_dk_x + kbar_term)
 
 
 # ---------------------------------------------------------------------------

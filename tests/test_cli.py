@@ -119,6 +119,13 @@ class TestBucketCompare:
             run(tmp_path, "bucket-compare", "--l", "5")
 
 
+class TestGridSpec:
+    @pytest.mark.parametrize("spec", ["log:0.01:8", "1:2:x", "0:1:0"])
+    def test_bad_spec_exits_naming_the_forms(self, tmp_path, spec):
+        with pytest.raises(SystemExit, match="lo:hi:n.*log:lo:hi:n.*v1,v2"):
+            run(tmp_path, "fi-curve", "--s-grid", spec)
+
+
 class TestEstimate:
     def test_schema_summary_and_determinism(self, tmp_path):
         args = ("estimate", "--true-s", "1", "--ns", "1.5", "--frames", "300", "--trials", "2",

@@ -42,7 +42,14 @@ from homsr.coincidence import (
     two_photon_class_probability,
     two_photon_density,
 )
-from homsr.optics import PsfModel, SourceScene, mode_weights, momentum_envelope, psf_overlap_delta
+from homsr.optics import (
+    PsfModel,
+    SourceScene,
+    difference_momentum_envelope,
+    mode_weights,
+    momentum_envelope,
+    psf_overlap_delta,
+)
 from homsr.quadrature import envelope_gh_nodes
 
 PSF = PsfModel()
@@ -384,6 +391,21 @@ class TestConditionalDecomposition:
         assert two_photon_class_probability("B", self.SCENE, PSF) == pytest.approx(
             weights[0] + weights[2], rel=1e-10
         )
+
+
+    @pytest.mark.parametrize("s", [1e-8, 1e-6, 1e-3])
+    def test_antibunched_probability_at_small_separation(self, s):
+        scene = SourceScene(separation=s, brightness=1.5)
+        assert two_photon_class_probability("A", scene, PSF) == pytest.approx(
+            class_weights(2, scene, PSF)[1], rel=1e-12, abs=0.0
+        )
+
+    def test_antibunched_difference_density_limit(self):
+        # g(dk; A) -> C(dk) dk^2 / (2 sigma_k^2) as s -> 0.
+        dk = np.linspace(-3.0, 3.0, 13)
+        limit = difference_momentum_envelope(PSF, dk) * dk ** 2 / (2.0 * PSF.sigma_k ** 2)
+        g = dk_conditional_density(dk, "A", SourceScene(separation=1e-8, brightness=1.5), PSF)
+        np.testing.assert_allclose(g, limit, rtol=1e-12, atol=0.0)
 
 
 class TestClassWeights:

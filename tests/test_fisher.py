@@ -8,6 +8,7 @@ for the exact derivatives.
 """
 
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -187,7 +188,38 @@ class TestHierarchy:
         assert bucket_fisher(scene, PSF, 2) == pytest.approx(h.f_x, rel=1e-4)
 
 
+class TestHierarchyExact:
+    @pytest.mark.parametrize("ns", [0.1, 1.5])
+    @pytest.mark.parametrize("s", [1e-7, 1e-4, 0.01, 1.0, 8.0, 20.0])
+    def test_matches_fisher_L_and_bucket(self, s, ns):
+        scene = SourceScene(separation=s, brightness=ns)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = sampling_hierarchy_fi(scene, PSF)
+        assert h.f_full == pytest.approx(fisher_L(scene, PSF, 2).value, rel=1e-10)
+        assert h.f_x == bucket_fisher(scene, PSF, 2)
+        if s >= 1e-4:
+            assert h.f_full >= h.f_dk_x >= h.f_x
+            assert h.f_full >= h.f_kbar_x >= h.f_x
+
+    def test_zero_separation_rejected(self):
+        with pytest.raises(ValueError, match="s > 0"):
+            sampling_hierarchy_fi(SourceScene(separation=0.0, brightness=1.5), PSF)
+
+
 class TestBucketFisher:
+    @pytest.mark.parametrize("s", [1e-8, 1e-12])
+    @pytest.mark.parametrize("L", [2, 4, 6])
+    def test_keeps_balanced_classes_at_tiny_separation(self, L, s):
+        # The balanced weights are exact down to any s > 0, so the bucket
+        # information reaches the sub-Rayleigh limit of F^(L).
+        scene = SourceScene(separation=s, brightness=1.5)
+        assert bucket_fisher(scene, PSF, L) == pytest.approx(subrayleigh_fisher_order(L // 2, 1.5), rel=1e-12)
+
+    def test_zero_separation_rejected(self):
+        with pytest.raises(ValueError, match="s > 0"):
+            bucket_fisher(SourceScene(separation=0.0, brightness=1.5), PSF, 2)
+
     def test_small_separation_retains_information(self):
         scene = SourceScene(separation=0.02, brightness=1.5)
         for L in (2, 4):
