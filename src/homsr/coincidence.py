@@ -116,6 +116,18 @@ class DetectionOutcome:
             return self.camera_assignment
         return tuple([1] * self.camera_split + [0] * (self.photon_count - self.camera_split))
 
+    @property
+    def canonical_momenta(self) -> tuple:
+        """Momenta in the order :func:`_c1_first`, under which split X has the same density."""
+        if self.camera_assignment is None:
+            return self.momenta
+        return tuple(self.momenta[i] for i in _c1_first(self.camera_assignment))
+
+
+def _c1_first(assignment) -> np.ndarray:
+    """Stable reorder of momentum slots that puts the C1 (Q = 1) slots first (see the module notes)."""
+    return np.argsort(np.asarray(assignment) == 0, kind="stable")
+
 
 def class_label(L: int, X: int) -> str:
     """Outcome class: "B" (bunched), "A" (balanced antibunched), "UA" (unbalanced)."""
@@ -175,18 +187,15 @@ def _xi_coeffs(momenta, s: float) -> list:
 
 
 def _theta_table(L: int, ns: float, delta: float) -> np.ndarray:
-    """Weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j), indexed [X, j] for X = 0..L."""
+    """Weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j), indexed [X, j] for X = 0..L.
+
+    With p0 = 1/(A B) this is the outer product of 1/(X! (L-X)!) and the X-free rest."""
     a_mode = 1.0 + ns * (1.0 + delta)
     b_mode = 1.0 + ns * (1.0 - delta)
-    p0 = 1.0 / (a_mode * b_mode)
-    return np.array([
-        [
-            math.factorial(L - 1 - j) * math.factorial(j) / (math.factorial(X) * math.factorial(L - X))
-            * p0 * ns ** (L - 1) / (2.0 * a_mode ** (L - 1 - j) * b_mode ** j)
-            for j in range(L)
-        ]
-        for X in range(L + 1)
-    ])
+    fact = np.array([math.factorial(i) for i in range(L + 1)], dtype=float)
+    j = np.arange(L)
+    per_j = fact[L - 1 - j] * fact[j] * ns ** (L - 1) / (2.0 * a_mode ** (L - j) * b_mode ** (j + 1))
+    return np.outer(1.0 / (fact * fact[::-1]), per_j)
 
 
 def _theta_table_ds(L: int, scene: SourceScene, psf: PsfModel):
@@ -276,10 +285,8 @@ def coincidence_density_grid(
     ``delta_override`` replaces the PSF overlap (0 gives the
     large-separation asymptotic density).  With ``include_envelope=False``
     the product envelope factor is omitted (useful for quadratures whose
-    weight already contains it).  A camera ``assignment`` is applied as a
-    stable reorder of the momenta that puts its C1 slots first: the density
-    is symmetric under a joint permutation of momenta and camera labels, so
-    the reordered tuple has the canonical split X.
+    weight already contains it).  A camera ``assignment`` is applied as the
+    reorder :func:`_c1_first`.
     """
     k = np.asarray(momenta, dtype=float)
     if k.shape[-1] != L:
@@ -292,7 +299,7 @@ def coincidence_density_grid(
         q = np.asarray(assignment, dtype=int)
         if q.shape != (L,) or not np.isin(q, (0, 1)).all() or int(q.sum()) != X:
             raise ValueError("camera assignment inconsistent with (L, X)")
-        flat = flat[:, np.argsort(q == 0, kind="stable")]
+        flat = flat[:, _c1_first(q)]
     coefs = _theta_table(L, scene.brightness, w.delta)[X : X + 1]
     out = _bracket(flat, scene.separation, [X], coefs)[:, 0]
     if include_envelope:
@@ -322,34 +329,22 @@ def coincidence_density_all_splits(
 
 def coincidence_density(outcome: DetectionOutcome, scene: SourceScene, psf: PsfModel) -> float:
     """Probability density of one frame outcome over ordered momenta in R^L."""
-    return float(
-        coincidence_density_grid(
-            outcome.photon_count,
-            outcome.camera_split,
-            np.asarray(outcome.momenta),
-            scene,
-            psf,
-            assignment=outcome.camera_assignment,
-        )
-    )
+    L, X = outcome.photon_count, outcome.camera_split
+    return float(coincidence_density_grid(L, X, outcome.canonical_momenta, scene, psf))
 
 
 def log_coincidence_density(outcome: DetectionOutcome, scene: SourceScene, psf: PsfModel) -> float:
     """Natural log of :func:`coincidence_density` (-inf at exact zeros)."""
-    k = np.asarray(outcome.momenta)
-    bracket = coincidence_density_grid(
-        outcome.photon_count,
-        outcome.camera_split,
-        k,
-        scene,
-        psf,
-        assignment=outcome.camera_assignment,
-        include_envelope=False,
-    )
-    sk2 = psf.sigma_k ** 2
-    log_env = -np.sum(k ** 2) / (2.0 * sk2) - 0.5 * len(k) * math.log(2.0 * math.pi * sk2)
+    L, X = outcome.photon_count, outcome.camera_split
+    bracket = coincidence_density_grid(L, X, outcome.canonical_momenta, scene, psf, include_envelope=False)
     with np.errstate(divide="ignore"):
-        return float(np.log(bracket) + log_env)
+        return float(np.log(bracket) + _log_envelope(outcome.momenta, psf))
+
+
+def _log_envelope(k, psf: PsfModel) -> float:
+    """Log of the product envelope, summed over every momentum in ``k``."""
+    sk2 = psf.sigma_k ** 2
+    return float(-np.sum(np.square(k)) / (2.0 * sk2) - 0.5 * np.size(k) * math.log(2.0 * math.pi * sk2))
 
 
 # ---------------------------------------------------------------------------
@@ -500,17 +495,8 @@ def subrayleigh_leading_density(P: int, momenta, scene: SourceScene, psf: PsfMod
 
 def asymptotic_density(outcome: DetectionOutcome, scene: SourceScene, psf: PsfModel) -> float:
     """Large-separation density: the exact evaluator with the overlap set to 0."""
-    return float(
-        coincidence_density_grid(
-            outcome.photon_count,
-            outcome.camera_split,
-            np.asarray(outcome.momenta),
-            scene,
-            psf,
-            assignment=outcome.camera_assignment,
-            delta_override=0.0,
-        )
-    )
+    L, X = outcome.photon_count, outcome.camera_split
+    return float(coincidence_density_grid(L, X, outcome.canonical_momenta, scene, psf, delta_override=0.0))
 
 
 def bucket_probability(P: int, scene: SourceScene, psf: PsfModel) -> float:
@@ -563,8 +549,11 @@ def kbar_conditional_density(k_bar, x_class: str, scene: SourceScene, psf: PsfMo
 def dk_conditional_density(delta_k, x_class: str, scene: SourceScene, psf: PsfModel):
     """Normalized conditional density g(dk; X) of the pair momentum difference."""
     alpha = _class_alpha(x_class)
-    num = _fringe(alpha, np.asarray(delta_k, dtype=float) * scene.separation / 2.0)
-    return difference_momentum_envelope(psf, delta_k) * num / _fringe_mean(alpha, scene, psf)
+    dk = np.asarray(delta_k, dtype=float)
+    mean = _fringe_mean(alpha, scene, psf)
+    if mean == 0.0:  # class A at s = 0: the fringe ratio tends to dk^2 / (2 sigma_k^2)
+        return difference_momentum_envelope(psf, dk) * dk ** 2 / (2.0 * psf.sigma_k ** 2)
+    return difference_momentum_envelope(psf, dk) * _fringe(alpha, dk * scene.separation / 2.0) / mean
 
 
 @dataclass(frozen=True)

@@ -11,25 +11,25 @@ truncation the sampler applies — by subtracting N log W(s) with
 W(s) = sum_{L <= l_cap} P(L; s).  This removes the truncation bias that a
 naive unconditioned likelihood would acquire from the discarded thermal
 tail (a few percent of frames at N_s ~ 1.5).
+
+The record is grouped once by photon number L, momenta C1 photons first;
+an evaluation makes one multi-split bracket-kernel call per L, and the
+s-independent log envelope is summed once per record.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .coincidence import (
-    DetectionOutcome,
-    class_weights,
-    coincidence_density_grid,
-    frame_size_distribution,
-)
+from .coincidence import DetectionOutcome, class_weights, coincidence_density_grid, frame_size_distribution
+from .coincidence import _bracket, _log_envelope, _theta_table
 from .fisher import QuadratureSpec, fisher_total
-from .optics import PsfModel, SourceScene, momentum_envelope
+from .optics import PsfModel, SourceScene, mode_weights
 
 __all__ = [
     "ExperimentConfig",
@@ -64,15 +64,11 @@ class ExperimentConfig:
     frame_count: int
     seed: int
     l_cap: int = 12
-    search_interval: tuple = (0.05, 4.0)
     momentum_bin: float | None = None  # optional pixelation of recorded momenta
 
     def __post_init__(self):
         if self.frame_count < 1:
             raise ValueError("frame_count must be >= 1")
-        lo, hi = self.search_interval
-        if not 0 <= lo < hi:
-            raise ValueError("search interval must satisfy 0 <= lo < hi")
         if self.l_cap < 2:
             raise ValueError("l_cap must be >= 2")
 
@@ -178,9 +174,8 @@ class FrameSampler:
         """Draw ``n`` independent frames (order randomized)."""
         l_values = rng.choice(np.arange(1, self.l_cap + 1), size=n, p=self.p_l_given_cap)
         frames = [None] * n
-        order = np.arange(n)
         for L in np.unique(l_values):
-            idx_l = order[l_values == L]
+            idx_l = np.flatnonzero(l_values == L)
             xs = rng.choice(np.arange(L + 1), size=idx_l.size, p=self.x_given_l[L])
             for X in np.unique(xs):
                 idx = idx_l[xs == X]
@@ -209,21 +204,25 @@ def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None =
 
 
 def _group_record(record):
-    groups = {}
+    """``{L: (momenta C1 photons first, splits present, each row's index into splits)}``."""
+    rows, splits = {}, {}
     for outcome in record:
-        key = (outcome.photon_count, outcome.camera_split, outcome.camera_assignment)
-        groups.setdefault(key, []).append(outcome.momenta)
-    return {key: np.asarray(rows) for key, rows in groups.items()}
+        rows.setdefault(outcome.photon_count, []).append(outcome.canonical_momenta)
+        splits.setdefault(outcome.photon_count, []).append(outcome.camera_split)
+    return {L: (np.asarray(rows[L]),) + np.unique(splits[L], return_inverse=True) for L in rows}
 
 
 def _log_likelihood(groups, n_frames, psf, brightness, l_cap, s):
+    """Log-likelihood of the grouped record without its s-independent envelope term."""
     scene = SourceScene(separation=s, brightness=brightness)
+    delta = mode_weights(scene, psf).delta
     total = 0.0
-    for (L, X, assignment), k in groups.items():
-        dens = coincidence_density_grid(L, X, k, scene, psf, assignment=assignment)
-        if np.any(dens <= 0):
+    for L, (k, splits, column) in groups.items():
+        bracket = _bracket(k, s, splits, _theta_table(L, brightness, delta)[splits])
+        bracket = bracket[np.arange(len(k)), column]
+        if np.any(bracket <= 0):
             return -np.inf
-        total += float(np.log(dens).sum())
+        total += float(np.log(bracket).sum())
     norm = frame_size_distribution(l_cap, scene, psf).sum()
     return total - n_frames * math.log(norm)
 
@@ -241,7 +240,9 @@ def mle_separation(
     """Maximum-likelihood separation estimate from a frame record.
 
     The per-source brightness is treated as known; the likelihood is the
-    exact coincidence density conditioned on L <= l_cap.  The scalar search
+    exact coincidence density conditioned on L <= l_cap, so a frame above
+    ``l_cap`` raises ``ValueError``.  It is evaluated per photon number L
+    (see the module notes).  The scalar search
     is a bracketed golden-section/parabolic minimization of the negative
     log-likelihood; a maximum at the interval boundary is flagged.  A record
     whose likelihood is zero across the interval (a zero-density frame)
@@ -250,11 +251,17 @@ def mle_separation(
     if not record:
         raise ValueError("record must be non-empty")
     groups = _group_record(record)
+    if max(groups) > l_cap:
+        raise ValueError(
+            f"record has a frame with L = {max(groups)} photons, above l_cap = {l_cap}: "
+            "the likelihood conditioned on L <= l_cap gives it probability 0"
+        )
     n = len(record)
     lo, hi = search_interval
+    log_env = sum(_log_envelope(k, psf) for k, _, _ in groups.values())
 
     def objective(s):
-        return -_log_likelihood(groups, n, psf, brightness, l_cap, s)
+        return -(log_env + _log_likelihood(groups, n, psf, brightness, l_cap, s))
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-5 * psf.sigma_x})
     if not np.isfinite(res.fun):
@@ -295,14 +302,11 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int, l_max: int | No
 # ---------------------------------------------------------------------------
 
 def record_to_lines(record, psf: PsfModel):
-    """Serialize frames, C1 momenta first in stable order: the density is symmetric
-    under a joint permutation of momenta and camera labels, so this keeps it."""
+    """Serialize frames on their canonical momenta (C1 photons first), which keep the density."""
     sk = psf.sigma_k
     for outcome in record:
-        pairs = list(zip(outcome.assignment, outcome.momenta))
-        momenta = [k for q, k in pairs if q == 1] + [k for q, k in pairs if q == 0]
         cols = [str(outcome.photon_count), str(outcome.camera_split)]
-        cols += [repr(k / sk) for k in momenta]
+        cols += [repr(k / sk) for k in outcome.canonical_momenta]
         yield ",".join(cols)
 
 

@@ -191,6 +191,15 @@ class TestGeneralDensity:
         assert dens > 0
         assert log_coincidence_density(outcome, scene, PSF) == pytest.approx(math.log(dens), rel=1e-12)
 
+    def test_outcome_with_noncanonical_assignment(self):
+        scene = SourceScene(separation=1.3, brightness=1.1)
+        k, q = (0.4, -0.9, 0.2, 1.3), (0, 1, 0, 1)
+        outcome = DetectionOutcome(4, 2, k, camera_assignment=q)
+        assert outcome.canonical_momenta == (-0.9, 1.3, 0.4, 0.2)
+        oracle = density_oracle(4, 2, k, scene, PSF, assignment=q)
+        assert coincidence_density(outcome, scene, PSF) == pytest.approx(oracle, rel=1e-12)
+        assert log_coincidence_density(outcome, scene, PSF) == pytest.approx(math.log(oracle), rel=1e-12)
+
     def test_detection_outcome_validation(self):
         with pytest.raises(ValueError):
             DetectionOutcome(2, 3, (0.0, 0.0))
@@ -406,6 +415,17 @@ class TestConditionalDecomposition:
         limit = difference_momentum_envelope(PSF, dk) * dk ** 2 / (2.0 * PSF.sigma_k ** 2)
         g = dk_conditional_density(dk, "A", SourceScene(separation=1e-8, brightness=1.5), PSF)
         np.testing.assert_allclose(g, limit, rtol=1e-12, atol=0.0)
+
+    def test_antibunched_difference_density_at_zero_separation(self):
+        # At s = 0 the fringe and its mean both vanish; the finite limit is returned.
+        scene = SourceScene(separation=0.0, brightness=1.5)
+        dk = np.linspace(-3.0, 3.0, 13)
+        limit = difference_momentum_envelope(PSF, dk) * dk ** 2 / (2.0 * PSF.sigma_k ** 2)
+        np.testing.assert_allclose(dk_conditional_density(dk, "A", scene, PSF), limit, rtol=1e-12, atol=0.0)
+        g_int, _ = integrate.quad(lambda x: dk_conditional_density(x, "A", scene, PSF), -14, 14, limit=200)
+        assert g_int == pytest.approx(1.0, rel=1e-9)
+        parts = conditional_decomposition(TwoPhotonCoordinates(k_bar=0.2, delta_k=0.9), "A", scene, PSF)
+        assert math.isfinite(parts.g_dk) and parts.g_dk > 0
 
 
 class TestClassWeights:

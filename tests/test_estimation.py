@@ -10,7 +10,14 @@ import math
 import numpy as np
 import pytest
 
-from homsr.coincidence import DetectionOutcome, class_weights, coincidence_density, frame_size_distribution
+import homsr.estimation as estimation
+from homsr.coincidence import (
+    DetectionOutcome,
+    class_weights,
+    coincidence_density,
+    frame_size_distribution,
+    log_coincidence_density,
+)
 from homsr.estimation import (
     ExperimentConfig,
     FrameSampler,
@@ -107,8 +114,6 @@ class TestSimulateExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(SCENE, PSF, frame_count=0, seed=1)
         with pytest.raises(ValueError):
-            ExperimentConfig(SCENE, PSF, frame_count=10, seed=1, search_interval=(2.0, 1.0))
-        with pytest.raises(ValueError):
             ExperimentConfig(SCENE, PSF, frame_count=10, seed=1, l_cap=1)
 
 
@@ -174,6 +179,57 @@ class TestMle:
         record = [DetectionOutcome(1, 0, (0.1,))] * 50 + [DetectionOutcome(2, 1, (0.3, 0.3))]
         with pytest.raises(ValueError, match="zero density"):
             mle_separation(record, PSF, 1.5, compute_crb=False)
+
+    def test_frame_above_l_cap_rejected(self):
+        # The likelihood is conditioned on L <= l_cap, so such a frame has probability 0.
+        record = [DetectionOutcome(1, 0, (0.1,))] * 50 + [DetectionOutcome(13, 6, tuple(np.linspace(-1, 1, 13)))]
+        with pytest.raises(ValueError, match="L = 13.*l_cap = 12"):
+            mle_separation(record, PSF, 1.5, compute_crb=False)
+
+
+class TestLikelihood:
+    """The grouped likelihood against a frame-by-frame sum of public densities."""
+
+    @pytest.fixture(scope="class")
+    def mixed_record(self, record_2000):
+        record = [o for o in record_2000 if o.photon_count <= 6][:300]
+        assert {o.photon_count for o in record} == set(range(1, 7))
+        # one frame with a non-canonical camera assignment (C1 photon last)
+        return record + [DetectionOutcome(3, 1, (0.3, -0.7, 1.1), camera_assignment=(0, 0, 1))]
+
+    def test_curve_matches_framewise_densities(self, mixed_record):
+        l_cap = 12
+        report = mle_separation(mixed_record, PSF, SCENE.brightness, l_cap=l_cap, curve_points=7, compute_crb=False)
+        for s, value in zip(*report.log_likelihood_curve):
+            scene = SourceScene(separation=s, brightness=SCENE.brightness)
+            expected = sum(log_coincidence_density(o, scene, PSF) for o in mixed_record)
+            expected -= len(mixed_record) * math.log(frame_size_distribution(l_cap, scene, PSF).sum())
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_canonical_order_gives_same_estimate(self, mixed_record):
+        last = mixed_record[-1]
+        canonical = mixed_record[:-1] + [DetectionOutcome(3, 1, last.canonical_momenta)]
+        assert canonical[-1].momenta == (1.1, 0.3, -0.7)
+        fits = [mle_separation(r, PSF, SCENE.brightness, compute_crb=False) for r in (mixed_record, canonical)]
+        assert fits[0].s_hat == fits[1].s_hat
+
+    def test_one_kernel_call_per_photon_number(self, mixed_record, monkeypatch):
+        counts = {"evals": 0, "kernel": 0}
+        bracket, log_likelihood = estimation._bracket, estimation._log_likelihood
+
+        def counted_bracket(*args, **kwargs):
+            counts["kernel"] += 1
+            return bracket(*args, **kwargs)
+
+        def counted_log_likelihood(*args, **kwargs):
+            counts["evals"] += 1
+            return log_likelihood(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_bracket", counted_bracket)
+        monkeypatch.setattr(estimation, "_log_likelihood", counted_log_likelihood)
+        mle_separation(mixed_record, PSF, SCENE.brightness, compute_crb=False)
+        assert counts["evals"] > 0
+        assert counts["kernel"] == 6 * counts["evals"]
 
 
 class TestCrb:
