@@ -274,6 +274,8 @@ def cmd_estimate(args):
     true_s, ns = float(params["true_s"]), float(params["ns"])
     frames, trials = int(params["frames"]), int(params["trials"])
     seed, l_cap = int(params["seed"]), int(params["l_cap"])
+    if trials < 2 or frames < 1:
+        raise ValueError(f"needs trials >= 2 and frames >= 1, got trials={trials}, frames={frames}")
     scene = SourceScene(separation=true_s, brightness=ns)
     out = _out_path(args, params, "estimate.csv")
 
@@ -292,7 +294,7 @@ def cmd_estimate(args):
     _write_csv(out, header, rows)
 
     s_hats = np.array(s_hats)
-    variance = float(s_hats.var(ddof=1)) if trials > 1 else float("nan")
+    variance = float(s_hats.var(ddof=1))
     crb = crb_report(scene, psf, frames)
     ratio = variance / crb
     summary = {
@@ -380,7 +382,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        raise SystemExit(f"homsr {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

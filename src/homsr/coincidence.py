@@ -25,11 +25,11 @@ coefficients.  The subset normalization is the one under which the total
 density is correctly normalized; this is verified against the closed-form
 frame-size distribution in the test suite.
 
-One kernel forms the signed sums, in a single forward pass over the photons
-(see :func:`_bracket`); it can carry the exact s-derivative along for the
-Fisher information.  The sums are symmetric under a joint permutation of
-momenta and camera labels, so any camera assignment is evaluated as the
-canonical one (C1 photons first) on reordered momenta.
+One kernel forms the signed sums in a single pass over the photons
+(:func:`_bracket`).  It and the class weights are analytic in s, so one
+pass at complex s gives their exact s-derivative (:func:`_with_s_derivative`).
+The sums are symmetric under a joint permutation of momenta and camera
+labels, so any assignment is evaluated as the canonical one, C1 photons first.
 """
 
 from __future__ import annotations
@@ -77,8 +77,8 @@ __all__ = [
     "class_label",
 ]
 
-# Floats of polynomial state per chunk of the bracket kernel; its
-# temporaries take a few times more.
+# Floats of polynomial state per chunk of the bracket kernel (a complex
+# entry counts two); its temporaries take a few times more.
 _CHUNK_BUDGET = 250_000
 
 
@@ -186,7 +186,7 @@ def _xi_coeffs(momenta, s: float) -> list:
     return coeffs
 
 
-def _theta_table(L: int, ns: float, delta: float) -> np.ndarray:
+def _theta_table(L: int, ns: float, delta) -> np.ndarray:
     """Weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j), indexed [X, j] for X = 0..L.
 
     With p0 = 1/(A B) this is the outer product of 1/(X! (L-X)!) and the X-free rest."""
@@ -198,29 +198,17 @@ def _theta_table(L: int, ns: float, delta: float) -> np.ndarray:
     return np.outer(1.0 / (fact * fact[::-1]), per_j)
 
 
-def _theta_table_ds(L: int, scene: SourceScene, psf: PsfModel):
-    """:func:`_theta_table` at the scene's overlap delta and its exact s-derivative.
+def _with_s_derivative(f, s: float):
+    """(f(s), f'(s)) of an f analytic in s as Re, Im/h of f(s + ih), h = 1e-20 s > 0.
 
-    log Theta-coefficient_j = const - (L-j) log A - (j+1) log B, so its
-    delta-derivative is -(L-j) N_s/A + (j+1) N_s/B (the same for every X),
-    and delta' = -s sigma_k^2 delta.
-    """
-    ns, s = scene.brightness, scene.separation
-    delta = mode_weights(scene, psf).delta
-    j = np.arange(L)
-    dlog = -(L - j) * ns / (1.0 + ns * (1.0 + delta)) + (j + 1) * ns / (1.0 + ns * (1.0 - delta))
-    coefs = _theta_table(L, ns, delta)
-    return coefs, coefs * (dlog * (-s * psf.sigma_k ** 2 * delta))
+    Complex step (Squire & Trapp, SIAM Rev. 40, 110 (1998)): no difference is
+    taken, so nothing cancels, and the O(h^2) error is far below rounding."""
+    h = 1e-20 * s
+    value = f(s + 1j * h)
+    return value.real, value.imag / h
 
 
-def _times_linear(p, x, y):
-    """p(t) (x + t y) for coefficient axis -2, truncated to p's length."""
-    out = p * x
-    out[..., 1:, :] += p[..., :-1, :] * y
-    return out
-
-
-def _bracket(k, s: float, splits, coefs, dcoefs=None):
+def _bracket(k, s, splits, coefs):
     """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``.
 
     ``k`` has shape (N, L) with the C1 photons first; ``splits`` ascends.
@@ -229,44 +217,36 @@ def _bracket(k, s: float, splits, coefs, dcoefs=None):
     and C_X = sum_{i < X} prod_{a != i} f_a.  One pass over the photons
     builds them: the prefix product P <- P f_a, the leave-one-out sum
     D <- D f_a + P, and C_X <- D when a reaches X, times f_a thereafter.
-
-    Given ``dcoefs`` (d_s of ``coefs``) the pass carries the same recurrences
-    in forward-mode d_s, with d_s f_a = (k_a/2)(-sin + t cos), and also
-    returns the exact d_s of the bracket.  Results have shape (N, len(splits)).
+    The pass is analytic in s and ``coefs``, complex if either is (as under
+    :func:`_with_s_derivative`).  Results have shape (N, len(splits)).
     """
     n_rows, L = k.shape
     splits = list(splits)
-    out = np.empty((n_rows, len(splits)))
-    dout = None if dcoefs is None else np.empty_like(out)
-    # z[0] holds values and z[1] (if any) d_s; along axis 1 the polynomials
-    # P, D, then C_X per stored split; coefficients on axis 2, rows on axis 3
-    state = (1 if dout is None else 2, 2 + len(splits), L)
-    chunk = max(1, _CHUNK_BUDGET // math.prod(state))
+    dtype = np.result_type(s, coefs, float)
+    out = np.empty((n_rows, len(splits)), dtype)
+    # polynomials P, D, then C_X per stored split; coefficients; rows
+    state = (2 + len(splits), L)
+    chunk = max(1, _CHUNK_BUDGET // (math.prod(state) * dtype.itemsize // 8))
     for lo in range(0, n_rows, chunk):
         kt = np.ascontiguousarray(k[lo : lo + chunk].T)
         c, sn = np.cos(0.5 * s * kt), np.sin(0.5 * s * kt)
-        z = np.zeros(state + (kt.shape[1],))
-        z[0, 0, 0] = 1.0
+        z = np.zeros(state + (kt.shape[1],), dtype)
+        z[0, 0] = 1.0
         rows = 2
         for a in range(L):
             while rows - 2 < len(splits) and splits[rows - 2] == a:
-                z[:, rows] = z[:, 1]
+                z[rows] = z[1]
                 rows += 1
             v = slice(0, min(a + 2, L))  # degrees stay <= a + 1
-            new = _times_linear(z[:, :rows, v], c[a], sn[a])
-            if dout is not None:
-                new[1] += _times_linear(z[0, :rows, v], -0.5 * kt[a] * sn[a], 0.5 * kt[a] * c[a])
-            new[:, 1] += z[:, 0, v]
-            z[:, :rows, v] = new
-        z[:, rows:] = z[:, 1:2]
-        S = 2.0 * z[:, 2:] - z[:, 1:2]
-        sq = S[0] * S[0]
-        out[lo : lo + chunk] = np.einsum("xjn,xj->nx", sq, coefs)
-        if dout is not None:
-            dout[lo : lo + chunk] = np.einsum("xjn,xj->nx", sq, dcoefs) + 2.0 * np.einsum(
-                "xjn,xj->nx", S[0] * S[1], coefs
-            )
-    return out if dout is None else (out, dout)
+            p = z[:rows, v]
+            new = p * c[a]  # p(t) f_a(t), truncated to p's length
+            new[:, 1:] += p[:, :-1] * sn[a]
+            new[1] += z[0, v]
+            z[:rows, v] = new
+        z[rows:] = z[1:2]
+        S = 2.0 * z[2:] - z[1:2]
+        out[lo : lo + chunk] = np.einsum("xjn,xj->nx", S * S, coefs)
+    return out
 
 
 def coincidence_density_grid(
@@ -647,7 +627,7 @@ def class_weights(
     if L < 1:
         raise ValueError("L must be >= 1")
     if method == "auto":
-        return _closed_form_weights(L, scene, psf)[0]
+        return _closed_form_weights(L, scene.separation, scene.brightness, psf)
     schemes = {"gh": "gauss_hermite_tensor", "mc": "monte_carlo_importance"}
     if method not in schemes:
         raise ValueError("method must be 'auto', 'gh' or 'mc'")
@@ -657,34 +637,22 @@ def class_weights(
     )[0]
 
 
-def _closed_form_weights(L: int, scene: SourceScene, psf: PsfModel):
-    """The exact w(L, X) of :func:`class_weights`, X = 0..L, and its s-derivative.
+def _closed_form_weights(L: int, s, ns: float, psf: PsfModel) -> np.ndarray:
+    """The exact w(L, X) of :func:`class_weights`, X = 0..L, at separation ``s``.
 
-    Each one-photon moment is a function of u = s^2 sigma_k^2/4 with
-    u' = s sigma_k^2/2: a' = exp(-2u) u', b' = -a', (kappa2)' = -kappa2 u'
-    and g' = -expm1(-u) exp(-u) u'; the Theta coefficients bring their own
-    s-derivative (:func:`_theta_table_ds`).
+    Written with ``np.exp``/``np.expm1`` only, so it is analytic in s and
+    :func:`_with_s_derivative` takes its exact s-derivative.
     """
-    u = (scene.separation * psf.sigma_k) ** 2 / 4.0
-    du = scene.separation * psf.sigma_k ** 2 / 2.0
-    a = -math.expm1(-2.0 * u) / 2.0
+    u = (s * psf.sigma_k) ** 2 / 4.0
+    a = -np.expm1(-2.0 * u) / 2.0
     b = 1.0 - a
-    kappa2 = interference_kappa(scene, psf)
-    g = math.expm1(-u) ** 2 / 2.0
-    da = math.exp(-2.0 * u) * du
-    dkappa2 = -kappa2 * du
-    dg = -math.expm1(-u) * kappa2 * du
-    # E[S_j^2] and its s-derivative for j <= L-2, indexed [X, j]
+    kappa2 = np.exp(-u)
+    g = np.expm1(-u) ** 2 / 2.0
+    # E[S_j^2] for j <= L-2, indexed [X, j], then E[S_{L-1}^2] = L a^{L-1}
     j = np.arange(L - 1)
     c = np.array([math.comb(L - 2, i) for i in j], dtype=float)
     c1 = np.array([math.comb(L - 1, i) for i in j]) - c  # C(L-2, j-1), also right at j = 0
     spin = ((2 * np.arange(L + 1) - L) ** 2)[:, None]
-    power = a ** j * b ** (L - 2 - j)
-    dpower = (j * a ** np.maximum(j - 1, 0) * b ** (L - 2 - j) - (L - 2 - j) * a ** j * b ** (L - 3 - j)) * da
     h = L * c * g + L * c1 * b + spin * c * kappa2
-    dh = L * c * dg - L * c1 * da + spin * c * dkappa2
-    # E[S_{L-1}^2] = L a^{L-1}
-    moments = np.hstack([power * h, np.full((L + 1, 1), L * a ** (L - 1))])
-    dmoments = np.hstack([dpower * h + power * dh, np.full((L + 1, 1), L * (L - 1) * a ** max(L - 2, 0) * da)])
-    coefs, dcoefs = _theta_table_ds(L, scene, psf)
-    return (coefs * moments).sum(axis=1), (dcoefs * moments + coefs * dmoments).sum(axis=1)
+    moments = np.hstack([a ** j * b ** (L - 2 - j) * h, np.full((L + 1, 1), L * a ** (L - 1))])
+    return (_theta_table(L, ns, np.exp(-2.0 * u)) * moments).sum(axis=1)  # delta = exp(-2u)

@@ -64,7 +64,6 @@ class ExperimentConfig:
     frame_count: int
     seed: int
     l_cap: int = 12
-    momentum_bin: float | None = None  # optional pixelation of recorded momenta
 
     def __post_init__(self):
         if self.frame_count < 1:
@@ -170,7 +169,7 @@ class FrameSampler:
             f"{rescan + 1} adaptive rescans"
         )
 
-    def sample_record(self, rng: np.random.Generator, n: int, momentum_bin: float | None = None):
+    def sample_record(self, rng: np.random.Generator, n: int):
         """Draw ``n`` independent frames (order randomized)."""
         l_values = rng.choice(np.arange(1, self.l_cap + 1), size=n, p=self.p_l_given_cap)
         frames = [None] * n
@@ -180,8 +179,6 @@ class FrameSampler:
             for X in np.unique(xs):
                 idx = idx_l[xs == X]
                 k = self._sample_momenta(int(L), int(X), idx.size, rng)
-                if momentum_bin is not None:
-                    k = np.round(k / momentum_bin) * momentum_bin
                 for row, frame_i in zip(k, idx):
                     frames[frame_i] = DetectionOutcome(int(L), int(X), tuple(row))
         return frames
@@ -200,7 +197,7 @@ def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None =
     if sampler is None:
         sampler = FrameSampler(config.true_scene, config.psf, l_cap=config.l_cap)
     rng = np.random.default_rng(config.seed)
-    return sampler.sample_record(rng, config.frame_count, momentum_bin=config.momentum_bin)
+    return sampler.sample_record(rng, config.frame_count)
 
 
 def _group_record(record):

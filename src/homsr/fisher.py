@@ -12,9 +12,9 @@ The per-order information is
 
 computed with the envelope factored out (it is s-independent, so only the
 bracket factor is differentiated).  The derivative is exact: the bracket
-kernel of :mod:`homsr.coincidence` carries forward-mode d/ds through its
-single pass over the photons, and the thermal coefficients through
-delta'(s).  The envelope expectation over the L momenta is taken by
+kernel of :mod:`homsr.coincidence` and its thermal coefficients are analytic
+in s, and one pass at complex s gives the value and d/ds together.  The
+envelope expectation over the L momenta is taken by
 :func:`homsr.quadrature.envelope_expectation`: by default tensor
 Gauss-Hermite for L <= 3 and envelope-importance Monte Carlo above.
 No value here takes a finite difference, and that expectation is the only
@@ -28,7 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _theta_table_ds, interference_kappa
+from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _theta_table, _with_s_derivative
+from .coincidence import interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
 from .quadrature import QuadratureSpec, envelope_expectation
 
@@ -72,7 +73,11 @@ class FisherBreakdown:
 
 def _fisher_integrand(L, k, scene, psf):
     """Sum over X of (d_s bracket)^2 / bracket at the momenta ``k`` (N, L)."""
-    g0, deriv = _bracket(k, scene.separation, range(L + 1), *_theta_table_ds(L, scene, psf))
+    def bracket(s):
+        delta = np.exp(-0.5 * (s * psf.sigma_k) ** 2)
+        return _bracket(k, s, range(L + 1), _theta_table(L, scene.brightness, delta))
+
+    g0, deriv = _with_s_derivative(bracket, scene.separation)
     # skip nodes where the density is vanishingly small relative to its
     # scale in that split; (d_s P)^2/P has a finite limit at the zeros, so
     # dropping a measure-zero neighborhood is below integration error.
@@ -128,13 +133,13 @@ def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
 
     Bucket detection records only (L, X); its information is
     sum_X (d_s w(L,X))^2 / w(L,X) over the exact closed-form class weights
-    of :func:`~homsr.coincidence.class_weights`, with d_s w taken
-    analytically from the same one-photon moments; no class is dropped, as
-    the weights carry no cancellation.  Raises ``ValueError`` at s <= 0.
+    of :func:`~homsr.coincidence.class_weights`, with d_s w exact from the
+    same closed form at complex s; no class is dropped, as the weights
+    carry no cancellation.  Raises ``ValueError`` at s <= 0.
     """
     if scene.separation <= 0:
         raise ValueError("bucket_fisher requires s > 0 (use the closed-form limits at s = 0)")
-    w0, deriv = _closed_form_weights(L, scene, psf)
+    w0, deriv = _with_s_derivative(lambda s: _closed_form_weights(L, s, scene.brightness, psf), scene.separation)
     mask = w0 > 0
     return float((deriv[mask] ** 2 / w0[mask]).sum()) / psf.sigma_k ** 2
 

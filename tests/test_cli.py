@@ -142,6 +142,22 @@ class TestEstimate:
         assert out.read_bytes() == first
 
 
+class TestInputErrors:
+    @pytest.mark.parametrize("argv, cause", [
+        (("estimate", "--trials", "1"), "trials=1"),
+        (("estimate", "--frames", "0"), "frames=0"),
+        (("fi-curve", "--s-grid", "0:1:2"), "requires s > 0"),
+        (("fi-curve", "--lmax", "1"), "l_max must be >= 2"),
+        (("bucket-compare", "--s-grid", "0:1:2"), "requires s > 0"),
+        (("fi-vs-ns", "--ns-grid", "0:1:2"), "brightness must be positive"),
+    ])
+    def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
+        with pytest.raises(SystemExit, match=cause) as excinfo:
+            run(tmp_path, *argv)
+        assert excinfo.value.code.startswith(f"homsr {argv[0]}: ")
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestConfigAndOutdir:
     def test_config_merge_and_flag_override(self, tmp_path):
         config = tmp_path / "config.json"

@@ -19,6 +19,10 @@ from scipy import integrate
 
 from homsr.coincidence import (
     DetectionOutcome,
+    _bracket,
+    _closed_form_weights,
+    _theta_table,
+    _with_s_derivative,
     TwoPhotonCoordinates,
     asymptotic_density,
     bucket_probability,
@@ -50,7 +54,7 @@ from homsr.optics import (
     momentum_envelope,
     psf_overlap_delta,
 )
-from homsr.quadrature import envelope_gh_nodes
+from homsr.quadrature import QuadratureSpec, envelope_expectation, envelope_gh_nodes
 
 PSF = PsfModel()
 RNG = np.random.default_rng(20240817)
@@ -456,3 +460,49 @@ class TestClassWeights:
     def test_rejects_empty_frame_size(self, L):
         with pytest.raises(ValueError):
             class_weights(L, SourceScene(1.0, 1.0), PSF)
+
+
+class TestComplexStep:
+    """The s-derivatives taken at complex s, and the real value path beside them."""
+
+    def test_helper_on_a_known_function(self):
+        for s in (1e-8, 0.5, 7.0):
+            value, deriv = _with_s_derivative(lambda z: np.exp(-z * z) * np.sin(3.0 * z), s)
+            assert value == math.exp(-s * s) * math.sin(3.0 * s)
+            assert deriv == pytest.approx(math.exp(-s * s) * (3.0 * math.cos(3.0 * s) - 2.0 * s * math.sin(3.0 * s)),
+                                          rel=1e-14)
+
+    @pytest.mark.parametrize("ns", [0.1, 1.5])
+    @pytest.mark.parametrize("s", [1e-6, 0.01, 1.0, 4.0, 8.0])
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_kernel_derivative_matches_closed_form(self, L, s, ns):
+        # two independent analytic paths to d_s w(L, X): the envelope
+        # expectation of the kernel, and the closed-form class weights
+        def integrated_kernel(s):
+            coefs = _theta_table(L, ns, np.exp(-0.5 * (s * PSF.sigma_k) ** 2))
+            quad = QuadratureSpec(scheme="gauss_hermite_tensor")
+            return envelope_expectation(lambda k: _bracket(k, s, range(L + 1), coefs), L, PSF, quad)[0]
+
+        got = _with_s_derivative(integrated_kernel, s)
+        want = _with_s_derivative(lambda s: _closed_form_weights(L, s, ns, PSF), s)
+        for g, w in zip(got, want):
+            np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
+
+    def test_value_path_stays_real(self):
+        scene = SourceScene(separation=1.0, brightness=1.5)
+        k = RNG.standard_normal((50, 4)) * PSF.sigma_k
+        coefs = _theta_table(4, 1.5, mode_weights(scene, PSF).delta)
+        assert _bracket(k, 1.0, range(5), coefs).dtype == np.float64
+        assert class_weights(4, scene, PSF).dtype == np.float64
+        assert coincidence_density_grid(4, 2, k, scene, PSF).dtype == np.float64
+        assert coincidence_density_all_splits(4, k, scene, PSF).dtype == np.float64
+
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    def test_real_part_of_complex_pass_is_the_real_pass(self, s):
+        for L in range(1, 13):
+            k = RNG.standard_normal((64, L)) * PSF.sigma_k
+            coefs = _theta_table(L, 1.5, psf_overlap_delta(PSF, s))
+            real = _bracket(k, s, range(L + 1), coefs)
+            complex_ = _bracket(k, s + 1e-20j * s, range(L + 1), coefs)
+            assert complex_.dtype == np.complex128
+            assert (np.abs(complex_.real - real) <= 1e-15 * real.max(axis=0)).all()

@@ -81,12 +81,6 @@ class TestSampler:
         )
         assert 0.95 < sampler.truncated_mass < 1.0
 
-    def test_momentum_bin_rounding(self, sampler):
-        record = sampler.sample_record(np.random.default_rng(5), 50, momentum_bin=0.05)
-        for outcome in record:
-            for k in outcome.momenta:
-                assert k / 0.05 == pytest.approx(round(k / 0.05), abs=1e-9)
-
     def test_sample_frame_wrapper(self):
         outcome = sample_frame(SCENE, PSF, np.random.default_rng(0), l_cap=4)
         assert 1 <= outcome.photon_count <= 4
