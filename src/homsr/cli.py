@@ -141,6 +141,8 @@ def cmd_probability_surface(args):
     scene = SourceScene(separation=float(params["s"]), brightness=float(params["ns"]))
     n = int(params["grid"]) if params["grid"] is not None else _SURFACE_GRID_DEFAULT[L]
     params["grid"] = n
+    if n < 2:
+        raise ValueError(f"needs grid >= 2 points per axis, got grid={n}")
     sk = psf.sigma_k
     out = _out_path(args, params, "probability_surface.csv")
 
@@ -276,6 +278,8 @@ def cmd_estimate(args):
     seed, l_cap = int(params["seed"]), int(params["l_cap"])
     if trials < 2 or frames < 1:
         raise ValueError(f"needs trials >= 2 and frames >= 1, got trials={trials}, frames={frames}")
+    if not true_s > 0:
+        raise ValueError(f"needs true_s > 0 (the CRB is taken there), got true_s={true_s!r}")
     scene = SourceScene(separation=true_s, brightness=ns)
     out = _out_path(args, params, "estimate.csv")
 

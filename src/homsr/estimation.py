@@ -95,6 +95,8 @@ class FrameSampler:
     """
 
     def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = 12):
+        if l_cap < 2:
+            raise ValueError("l_cap must be >= 2")
         self.scene = scene
         self.psf = psf
         self.l_cap = l_cap
@@ -245,6 +247,8 @@ def mle_separation(
     whose likelihood is zero across the interval (a zero-density frame)
     raises ``ValueError`` instead of returning a boundary estimate.
     """
+    if l_cap < 2:
+        raise ValueError("l_cap must be >= 2")
     if not record:
         raise ValueError("record must be non-empty")
     groups = _group_record(record)

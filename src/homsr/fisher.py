@@ -16,7 +16,7 @@ kernel of :mod:`homsr.coincidence` and its thermal coefficients are analytic
 in s, and one pass at complex s gives the value and d/ds together.  The
 envelope expectation over the L momenta is taken by
 :func:`homsr.quadrature.envelope_expectation`: by default tensor
-Gauss-Hermite for L <= 3 and envelope-importance Monte Carlo above.
+Gauss-Hermite for L <= 3 and a randomly shifted rank-1 lattice above.
 No value here takes a finite difference, and that expectation is the only
 numeric integration (the two-photon hierarchy uses it in one dimension).
 """
@@ -53,8 +53,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class FisherEstimate:
-    """``stderr`` is the batch-mean standard error under Monte Carlo and the
-    node-refinement difference |Q_n - Q_3n/4| under Gauss-Hermite."""
+    """``stderr`` is the node-refinement difference |Q_n - Q_3n/4| under
+    Gauss-Hermite, the standard error of the shift means under the rank-1
+    lattice, and the standard error of the batch means under Monte Carlo."""
 
     value: float          # in sigma_k^2 units
     stderr: float

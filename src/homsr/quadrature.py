@@ -12,15 +12,25 @@ standard deviation sigma_k).  It serves :func:`homsr.fisher.fisher_L`
 * ``"monte_carlo_importance"``: ``sample_count`` envelope draws in
   ``batch_count`` batches seeded ``[seed, dim, b]``; the error is the
   standard error of the batch means.
-* ``"auto"``: Gauss-Hermite for dim <= 3, Monte Carlo above.
+* ``"rank1_lattice"``: randomly shifted rank-1 lattice rule (randomized
+  quasi-Monte Carlo).  Each of ``batch_count`` uniform shifts, seeded
+  ``[seed, dim, b]``, moves the n points {i z / n}, where n is the largest
+  prime <= ``sample_count // batch_count`` and z is a generating vector from
+  fast component-by-component search (Nuyens & Cools, Math. Comp. 75, 903
+  (2006)).  The points are tent-transformed (Hickernell 2002) and mapped to
+  the envelope by the inverse normal CDF.  The error is the standard error
+  of the shift means (L'Ecuyer & Lemieux 2000).
+* ``"auto"``: Gauss-Hermite for dim <= 3, the lattice above.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .optics import PsfModel
 
@@ -29,7 +39,13 @@ _GH_NODES = {1: 64, 2: 48, 3: 40}
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration controls for :func:`envelope_expectation` (see the module docstring)."""
+    """Integration controls for :func:`envelope_expectation` (see the module docstring).
+
+    Under Monte Carlo ``sample_count`` draws are split into ``batch_count``
+    equal batches.  Under the lattice ``batch_count`` is the number of
+    random shifts, each over the largest prime n <= ``sample_count //
+    batch_count`` points, so at most ``sample_count`` points are used.
+    """
 
     scheme: str = "auto"
     nodes_per_dim: int | None = None
@@ -63,6 +79,57 @@ def envelope_mc_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.Genera
     return rng.standard_normal((count, dim)) * psf.sigma_k
 
 
+@functools.lru_cache(maxsize=None)
+def _largest_prime_at_most(m: int) -> int:
+    for n in range(m, 1, -1):
+        if all(n % p for p in range(2, math.isqrt(n) + 1)):
+            return n
+    raise ValueError(f"a lattice needs a prime number of points per shift, but sample_count // batch_count = {m}")
+
+
+@functools.lru_cache(maxsize=None)
+def lattice_generating_vector(n: int, dim: int) -> np.ndarray:
+    """Generating vector z for an n-point rank-1 lattice in ``dim`` dimensions, n prime.
+
+    Fast component-by-component search: each z_j minimises the P_2 criterion
+    with product weights 0.9^j given z_1 = 1, ..., z_{j-1}.  Ordering both
+    the candidates and the points by powers of a primitive root g makes the
+    table of omega(k z / n) circulant, so each component costs one FFT.
+    """
+    factors = [p for p in range(2, n) if (n - 1) % p == 0 and all(p % q for q in range(2, math.isqrt(p) + 1))]
+    g = next(g for g in range(1, n) if all(pow(g, (n - 1) // p, n) != 1 for p in factors))
+    powers = np.array([pow(g, m, n) for m in range(n - 1)])  # k = g^m over k = 1..n-1
+    x = powers / n
+    omega = 2.0 * np.pi ** 2 * (x * x - x + 1.0 / 6.0)  # 2 pi^2 B_2(x)
+    omega_hat = np.conj(np.fft.fft(omega))
+    z = [1]
+    prod = 1.0 + 0.9 * omega  # product kernel over the chosen components, at k = g^m
+    for j in range(2, dim + 1):
+        # score[i] = sum_m prod[m] omega(g^(m-i)) is the criterion for z = g^(-i)
+        score = np.fft.ifft(np.fft.fft(prod) * omega_hat).real
+        i = int(np.argmin(score))
+        z.append(pow(g, (n - 1 - i) % (n - 1), n))
+        prod *= 1.0 + 0.9 ** j * np.roll(omega, i)
+    z = np.array(z)
+    z.flags.writeable = False  # shared by every caller through the cache
+    return z
+
+
+def envelope_lattice_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.Generator):
+    """One random shift of the n-point lattice, n the largest prime <= ``count`` (equal weights 1/n)."""
+    n = _largest_prime_at_most(count)
+    x = np.outer(np.arange(n), lattice_generating_vector(n, dim) / n)
+    x += rng.random(dim)
+    x -= np.floor(x)
+    x *= 2.0
+    x -= 1.0
+    np.abs(x, out=x)
+    np.subtract(1.0, x, out=x)  # tent transform 1 - |2x - 1|
+    ndtri(x, out=x)
+    x *= psf.sigma_k
+    return x
+
+
 def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     """E_env[f(k)] over ``dim`` envelope momenta; returns ``(value, error, scheme)``.
 
@@ -72,7 +139,7 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     """
     scheme = quad.scheme
     if scheme == "auto":
-        scheme = "gauss_hermite_tensor" if dim <= 3 else "monte_carlo_importance"
+        scheme = "gauss_hermite_tensor" if dim <= 3 else "rank1_lattice"
 
     if scheme == "gauss_hermite_tensor":
         def rule(nodes):
@@ -83,12 +150,12 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
         value = rule(n)
         return value, np.abs(value - rule(int(0.75 * n))), scheme
 
-    if scheme == "monte_carlo_importance":
-        batch = quad.sample_count // quad.batch_count
-        means = np.array([
-            f(envelope_mc_nodes(psf, dim, batch, np.random.default_rng([quad.seed, dim, b]))).mean(axis=0)
-            for b in range(quad.batch_count)
-        ])
-        return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(quad.batch_count), scheme
-
-    raise ValueError(f"unknown quadrature scheme: {quad.scheme}")
+    nodes = {"monte_carlo_importance": envelope_mc_nodes, "rank1_lattice": envelope_lattice_nodes}.get(scheme)
+    if nodes is None:
+        raise ValueError(f"unknown quadrature scheme: {quad.scheme}")
+    batch = quad.sample_count // quad.batch_count
+    means = np.array([
+        f(nodes(psf, dim, batch, np.random.default_rng([quad.seed, dim, b]))).mean(axis=0)
+        for b in range(quad.batch_count)
+    ])
+    return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(quad.batch_count), scheme

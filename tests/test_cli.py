@@ -150,6 +150,12 @@ class TestInputErrors:
         (("fi-curve", "--lmax", "1"), "l_max must be >= 2"),
         (("bucket-compare", "--s-grid", "0:1:2"), "requires s > 0"),
         (("fi-vs-ns", "--ns-grid", "0:1:2"), "brightness must be positive"),
+        (("estimate", "--l-cap", "1", "--trials", "2", "--frames", "10"), "l_cap must be >= 2"),
+        (("estimate", "--true-s", "0", "--trials", "2", "--frames", "50", "--l-cap", "4"), "true_s=0.0"),
+        (("estimate", "--true-s", "-1", "--trials", "2", "--frames", "50", "--l-cap", "4"), "true_s=-1.0"),
+        (("probability-surface", "--grid", "0"), "grid=0"),
+        (("probability-surface", "--grid", "-3"), "grid=-3"),
+        (("probability-surface", "--l", "3", "--grid", "1"), "grid=1"),
     ])
     def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
         with pytest.raises(SystemExit, match=cause) as excinfo:

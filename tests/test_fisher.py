@@ -1,13 +1,16 @@
 """Unit tests for per-order, total, bucket and baseline Fisher informations.
 
 Oracles: the closed-form small- and large-separation limits, agreement
-between the deterministic Gauss-Hermite and Monte Carlo integration paths,
+between the Gauss-Hermite, rank-1 lattice and Monte Carlo integration paths,
 the additive two-photon hierarchy decomposition, adaptive quadrature of
 the unpixelated direct-imaging information, and five-point differences in s
 for the exact derivatives.
 """
 
 import math
+import os
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -15,6 +18,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+import homsr
 from homsr.coincidence import class_weights, coincidence_density_all_splits
 from homsr.fisher import (
     QuadratureSpec,
@@ -125,6 +129,38 @@ class TestFisherL:
             QuadratureSpec(batch_count=1)
         with pytest.raises(ValueError):
             fisher_L(SourceScene(1.0, 1.0), PSF, 2, QuadratureSpec(scheme="simpson"))
+
+
+class TestLatticeFisher:
+    """``"auto"`` integrates L >= 4 on the shifted lattice; MC is the unbiased reference."""
+
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    @pytest.mark.parametrize("L", [4, 5, 6, 7])
+    def test_agrees_with_mc(self, L, s):
+        scene = SourceScene(separation=s, brightness=1.5)
+        lattice = fisher_L(scene, PSF, L, QuadratureSpec(sample_count=50_000))
+        mc = fisher_L(scene, PSF, L, QuadratureSpec(scheme="monte_carlo_importance", sample_count=50_000))
+        assert lattice.scheme == "rank1_lattice"
+        assert abs(lattice.value - mc.value) < 4 * math.hypot(lattice.stderr, mc.stderr)
+
+    @pytest.mark.parametrize("L", [4, 6])
+    def test_even_orders_reach_subrayleigh_limit(self, L):
+        s = 0.01
+        est = fisher_L(SourceScene(separation=s, brightness=1.5), PSF, L)
+        ref = subrayleigh_fisher_order(L // 2, 1.5)
+        assert est.scheme == "rank1_lattice"
+        assert abs(est.value / ref - 1.0) <= 5 * est.stderr / ref + 10 * s * s
+
+    def test_leaves_heavy_scipy_subpackages_unloaded(self):
+        # the lattice maps points through scipy.special.ndtri, not scipy.stats
+        src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
+        probe = (
+            f"import sys; sys.path.insert(0, {src!r}); import homsr; "
+            "homsr.fisher_L(homsr.SourceScene(1, 1.5), homsr.PsfModel(), 4); "
+            "print(','.join(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+        )
+        loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+        assert loaded.stdout.strip() == ""
 
 
 class TestExactIntegrand:

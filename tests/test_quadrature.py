@@ -1,8 +1,10 @@
 """Unit tests for the envelope-expectation integrator.
 
 Oracles: the Gaussian moments E[k^(2p)] = (2p-1)!! sigma_k^(2p), which the
-default Gauss-Hermite rules integrate exactly, and the reproducibility of
-the seeded Monte Carlo batches.
+default Gauss-Hermite rules integrate exactly, the characteristic function
+E[prod_a cos(k_a)] = exp(-dim sigma_k^2 / 2), the projection property of a
+rank-1 lattice, and the reproducibility of the seeded Monte Carlo batches
+and lattice shifts.
 """
 
 import math
@@ -13,11 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsr.optics import PsfModel
-from homsr.quadrature import QuadratureSpec, envelope_expectation
+from homsr.quadrature import QuadratureSpec, envelope_expectation, lattice_generating_vector
 
 PSF = PsfModel()
 GH = QuadratureSpec(scheme="gauss_hermite_tensor")
 MC = QuadratureSpec(scheme="monte_carlo_importance")
+LATTICE = QuadratureSpec(scheme="rank1_lattice")
 
 
 def double_factorial(n):
@@ -39,7 +42,7 @@ def test_gh_integrates_even_monomials_exactly(powers, sigma_x):
     assert error <= 1e-12 * exact
 
 
-@pytest.mark.parametrize("quad", [GH, MC], ids=["gh", "mc"])
+@pytest.mark.parametrize("quad", [GH, MC, LATTICE], ids=["gh", "mc", "lattice"])
 def test_vector_f_matches_scalar_calls(quad):
     def f(k):
         return np.stack([np.cos(k.sum(axis=1)), k[:, 0] ** 2, np.abs(k[:, 1])], axis=1)
@@ -67,7 +70,43 @@ def test_mc_is_reproducible_and_unbiased():
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
 def test_auto_picks_gh_up_to_three_dimensions(dim):
     _, _, scheme = envelope_expectation(lambda k: k[:, 0] ** 2, dim, PSF, QuadratureSpec())
-    assert scheme == ("gauss_hermite_tensor" if dim <= 3 else "monte_carlo_importance")
+    assert scheme == ("gauss_hermite_tensor" if dim <= 3 else "rank1_lattice")
+
+
+@pytest.mark.parametrize("n, dim", [(9973, 7), (1009, 12), (101, 4)])
+def test_lattice_vector_visits_every_point_once_per_axis(n, dim):
+    z = lattice_generating_vector(n, dim)
+    assert z.shape == (dim,) and z[0] == 1
+    assert all(math.gcd(int(zj), n) == 1 for zj in z)
+    for zj in z:
+        assert np.array_equal(np.sort(np.arange(n) * zj % n), np.arange(n))
+
+
+def test_lattice_is_reproducible():
+    def f(k):
+        return np.cos(k).prod(axis=1)
+
+    first = envelope_expectation(f, 5, PSF, LATTICE)
+    assert first == envelope_expectation(f, 5, PSF, LATTICE)
+    assert first[2] == "rank1_lattice"
+
+
+@pytest.mark.parametrize("dim", [4, 5, 6, 7])
+def test_lattice_cosine_product_beats_mc_tenfold(dim):
+    def f(k):
+        return np.cos(k).prod(axis=1)
+
+    exact = math.exp(-0.5 * dim * PSF.sigma_k ** 2)
+    value, error, _ = envelope_expectation(f, dim, PSF, LATTICE)
+    _, mc_error, _ = envelope_expectation(f, dim, PSF, MC)
+    assert 0 < error <= mc_error / 10
+    assert abs(value - exact) < 5 * error
+
+
+def test_lattice_needs_a_prime_per_shift():
+    with pytest.raises(ValueError, match="prime"):
+        envelope_expectation(lambda k: k[:, 0], 4, PSF,
+                             QuadratureSpec(scheme="rank1_lattice", sample_count=10_000, batch_count=10_000))
 
 
 def test_unknown_scheme_rejected():
