@@ -61,6 +61,8 @@ class QuadratureSpec:
             raise ValueError("sample_count must be >= 10^4")
         if self.batch_count < 2:
             raise ValueError("batch_count must be >= 2")
+        if not (math.isfinite(self.relative_error_target) and self.relative_error_target > 0):
+            raise ValueError(f"relative_error_target must be finite and > 0, got {self.relative_error_target!r}")
 
 
 def envelope_gh_nodes(psf: PsfModel, dim: int, nodes_per_dim: int):
@@ -147,6 +149,8 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
             return w @ f(k)
 
         n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
+        if n ** dim > 10 ** 6:  # refused before any node array is built
+            raise ValueError(f"a {n}^{dim} tensor Gauss-Hermite rule needs {n ** dim} nodes, above 10^6; use quad=auto")
         value = rule(n)
         return value, np.abs(value - rule(int(0.75 * n))), scheme
 

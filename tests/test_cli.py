@@ -156,6 +156,7 @@ class TestInputErrors:
         (("probability-surface", "--grid", "0"), "grid=0"),
         (("probability-surface", "--grid", "-3"), "grid=-3"),
         (("probability-surface", "--l", "3", "--grid", "1"), "grid=1"),
+        (("fi-curve", "--quad", "gh", "--lmax", "5", "--s-grid", "1:1:1"), "needs 7962624 nodes.*quad=auto"),
     ])
     def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
         with pytest.raises(SystemExit, match=cause) as excinfo:

@@ -17,12 +17,15 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from homsr import coincidence
 from homsr.coincidence import (
     DetectionOutcome,
     _bracket,
+    _half_angle_trig,
     _closed_form_weights,
     _theta_table,
     _with_s_derivative,
+    _xi_coeffs,
     TwoPhotonCoordinates,
     asymptotic_density,
     bucket_probability,
@@ -506,3 +509,48 @@ class TestComplexStep:
             complex_ = _bracket(k, s + 1e-20j * s, range(L + 1), coefs)
             assert complex_.dtype == np.complex128
             assert (np.abs(complex_.real - real) <= 1e-15 * real.max(axis=0)).all()
+
+
+def oracle_bracket(k, s, splits, coefs):
+    """sum_j coefs[x, j] S_j^2 with S = sum_i sigma_i xi(k without k_i), sigma_i = +1 for i < X."""
+    L = k.shape[1]
+    cols = list(k.T)
+    loo = [np.array([np.broadcast_to(xi, k.shape[:1]) for xi in _xi_coeffs(cols[:i] + cols[i + 1 :], s)])
+           for i in range(L)]  # each (L, N)
+    out = []
+    for x, X in enumerate(splits):
+        S = sum(loo[:X]) - sum(loo[X:]) if X < L else sum(loo)
+        out.append(np.einsum("j,jn->n", coefs[x], S * S))
+    return np.stack(out, axis=1)
+
+
+class TestBracketKernel:
+    """The prefix x suffix kernel against the leave-one-out sums built one photon at a time."""
+
+    @pytest.mark.parametrize("complex_step", [False, True])
+    @pytest.mark.parametrize("L", list(range(1, 13)) + [20])
+    def test_matches_leave_one_out_oracle(self, L, complex_step):
+        s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
+        coefs = _theta_table(L, 1.5, psf_overlap_delta(PSF, 1.3))
+        split_sets = [list(range(L + 1)), [0], [L], [0, L], [L // 2 or 1]]
+        split_sets += [list(np.unique(RNG.integers(0, L + 1, 3))) for _ in range(2)]
+        for splits in split_sets:
+            # row counts 1, chunk - 1 and chunk + 1 under the kernel's own chunk sizing
+            chunk = max(1, coincidence._CHUNK_BYTES // ((2 + len(splits)) * L * (16 if complex_step else 8)))
+            counts = [1, 2, 40] if L == 20 else [1, chunk - 1, chunk + 1]
+            k = RNG.standard_normal((max(counts), L)) * PSF.sigma_k
+            want = oracle_bracket(k, s, splits, coefs[splits])
+            for n in counts:
+                got = _bracket(k[:n], s, splits, coefs[splits])
+                assert got.shape == (n, len(splits)) and got.dtype == np.result_type(s, float)
+                for part in (np.real, np.imag) if complex_step else (np.real,):
+                    # relative to the split's largest value over all the rows drawn
+                    scale = np.abs(part(want)).max(axis=0)
+                    assert (np.abs(part(got) - part(want[:n])) <= 1e-13 * scale).all(), (splits, n, part)
+
+    @pytest.mark.parametrize("s", [1e-8, 0.01, 1.0, 8.0, 40.0])
+    def test_complex_half_angle_trig_is_numpys(self, s):
+        k = RNG.standard_normal((7, 5000)) * PSF.sigma_k
+        z = s * (1 + 1e-20j)
+        c, sn = _half_angle_trig(z, k)
+        assert np.array_equal(c, np.cos(0.5 * z * k)) and np.array_equal(sn, np.sin(0.5 * z * k))

@@ -112,3 +112,19 @@ def test_lattice_needs_a_prime_per_shift():
 def test_unknown_scheme_rejected():
     with pytest.raises(ValueError, match="unknown quadrature scheme"):
         envelope_expectation(lambda k: k[:, 0], 1, PSF, QuadratureSpec(scheme="simpson"))
+
+
+@pytest.mark.parametrize("target", [0.0, -0.05, math.nan, math.inf])
+def test_relative_error_target_must_be_finite_and_positive(target):
+    with pytest.raises(ValueError, match="relative_error_target"):
+        QuadratureSpec(relative_error_target=target)
+
+
+def test_tensor_gh_refuses_a_rule_above_a_million_nodes():
+    def f(k):
+        raise AssertionError("no node may be evaluated")
+
+    with pytest.raises(ValueError, match=r"needs 191102976 nodes, above 10\^6; use quad=auto"):
+        envelope_expectation(f, 6, PSF, GH)
+    value, _, _ = envelope_expectation(lambda k: k[:, 3] ** 2, 4, PSF, GH)  # 24^4 nodes stay allowed
+    assert value == pytest.approx(PSF.sigma_k ** 2, rel=1e-12)
