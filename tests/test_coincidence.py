@@ -21,8 +21,8 @@ from homsr import coincidence
 from homsr.coincidence import (
     DetectionOutcome,
     _bracket,
-    _half_angle_trig,
     _closed_form_weights,
+    _half_angle_trig,
     _theta_table,
     _with_s_derivative,
     _xi_coeffs,
