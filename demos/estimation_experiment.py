@@ -1,6 +1,6 @@
 """Maximum-likelihood separation estimation on synthetic records.
 
-Draws exact frame records from the coincidence model, runs the ML estimator
+Draws frame records from the coincidence model, runs the ML estimator
 per record and compares the trial dispersion against the Cramér-Rao bound.
 A 60-trial study takes a couple of minutes; scale ``TRIALS``/``FRAMES`` for
 tighter statistics.  Run with

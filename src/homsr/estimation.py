@@ -1,10 +1,11 @@
 """Synthetic frame sampling and maximum-likelihood separation estimation.
 
-Frames are drawn exactly from the coincidence model in three stages:
-frame size L from the closed-form thermal distribution (truncated at
-``l_cap``; larger frames are redrawn), camera split X from the exact
-closed-form momentum-integrated class weights, and momenta by rejection
-sampling with the product envelope as proposal.
+Frames are drawn from the coincidence model in three stages: frame size
+L from the closed-form thermal distribution (truncated at ``l_cap``;
+larger frames are redrawn) and camera split X from the closed-form
+momentum-integrated class weights, both exactly, then momenta by rejection
+sampling with the product envelope as proposal, under a probe-scanned bound
+that every proposal is checked against (see :class:`FrameSampler`).
 
 The likelihood used for estimation conditions on L <= l_cap — the same
 truncation the sampler applies — by subtracting N log W(s) with
@@ -20,15 +21,13 @@ s-independent log envelope is summed once per record.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .coincidence import DetectionOutcome, class_weights, coincidence_density_grid, frame_size_distribution
 from .coincidence import _bracket, _log_envelope, _theta_table
-from .fisher import QuadratureSpec, fisher_total
+from .fisher import fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
 
 __all__ = [
@@ -82,16 +81,13 @@ class EstimationReport:
 
 
 class FrameSampler:
-    """Exact sampler of frame outcomes for a fixed scene.
+    """Sampler of frame outcomes for a fixed scene.
 
-    The camera-split law X | L is the exact closed form of
-    :func:`~homsr.coincidence.class_weights`, tabulated once per L.
-    Rejection majorants are cached per (L, X) cell; the majorant is 1.2x
-    the maximum bracket value found on a scan of envelope-distributed probe
-    points (plus the origin).  Every proposal is
-    checked against the majorant; a violation raises the bound and restarts
-    the affected batch, and repeated violations abort with
-    :class:`MajorantError`.
+    L and the camera split X | L (the closed form of
+    :func:`~homsr.coincidence.class_weights`, tabulated once per L) are drawn
+    exactly.  Momenta are rejection-sampled under a per-(L, X) bound found by
+    a probe scan (:meth:`_majorant`), not a proven maximum; every proposal is
+    checked against it (:meth:`_sample_momenta`).
     """
 
     def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = 12):
@@ -114,13 +110,9 @@ class FrameSampler:
         return coincidence_density_grid(L, X, k, self.scene, self.psf, include_envelope=False)
 
     def _majorant(self, L, X):
-        """Initial rejection bound for the bracket factor of one (L, X) cell.
-
-        The bound is ``_MAJORANT_MARGIN`` times the largest bracket value seen
-        on a scan of envelope-distributed probes (plus the origin).  It covers
-        the region Gaussian proposals actually visit; the sampler verifies it
-        against every proposal and tightens it adaptively on a violation.
-        """
+        """Cached rejection bound of one (L, X) cell: ``_MAJORANT_MARGIN`` times the
+        largest bracket value on a scan of envelope-distributed probes (plus the
+        origin), which covers the region Gaussian proposals actually visit."""
         key = (L, X)
         if key not in self._majorants:
             rng = np.random.default_rng([9191, L, X])
@@ -133,43 +125,26 @@ class FrameSampler:
     def _sample_momenta(self, L, X, count, rng):
         """Rejection-sample ``count`` momentum tuples of the (L, X) cell.
 
-        Every proposal is checked against the bound.  If one exceeds it, the
-        bound is raised to cover the observed value and the whole batch is
-        regenerated, so the returned samples were always produced under a
-        bound no proposal violated.  Persistent violations abort with
-        :class:`MajorantError`.
+        Each pass draws blocks of envelope proposals under one bound and keeps
+        the accepted rows.  A proposal above the bound ends the pass: the bound
+        is raised to ``_MAJORANT_MARGIN`` times that value and the pass's rows
+        are dropped, so the returned samples were all drawn under a bound no
+        proposal violated.  A ninth violated pass raises :class:`MajorantError`.
         """
-        out = np.empty((count, L))
         block = max(1024, 4 * count)
-        for rescan in range(9):
+        for _ in range(9):
             bound = self._majorant(L, X)
-            filled = 0
-            attempts = 0
-            warned = False
-            while filled < count:
+            kept = np.empty((0, L))
+            while len(kept) < count:
                 k = rng.standard_normal((block, L)) * self.psf.sigma_k
                 g = self._bracket(L, X, k)
                 if g.max() > bound:
                     self._majorants[(L, X)] = _MAJORANT_MARGIN * float(g.max())
                     break
-                accept = rng.random(block) * bound < g
-                n_acc = int(accept.sum())
-                take = min(n_acc, count - filled)
-                out[filled : filled + take] = k[accept][:take]
-                filled += take
-                attempts += block
-                if not warned and attempts >= 16 * block and filled < 1e-3 * attempts:
-                    warnings.warn(
-                        f"rejection efficiency below 1e-3 for (L={L}, X={X})",
-                        RuntimeWarning,
-                    )
-                    warned = True
+                kept = np.concatenate([kept, k[rng.random(block) * bound < g]])
             else:
-                return out
-        raise MajorantError(
-            f"majorant for (L={L}, X={X}) kept being violated after "
-            f"{rescan + 1} adaptive rescans"
-        )
+                return kept[:count]
+        raise MajorantError(f"majorant for (L={L}, X={X}) was violated in 9 passes in a row")
 
     def sample_record(self, rng: np.random.Generator, n: int):
         """Draw ``n`` independent frames (order randomized)."""
@@ -247,6 +222,8 @@ def mle_separation(
     whose likelihood is zero across the interval (a zero-density frame)
     raises ``ValueError`` instead of returning a boundary estimate.
     """
+    from scipy.optimize import minimize_scalar
+
     if l_cap < 2:
         raise ValueError("l_cap must be >= 2")
     if not record:
@@ -292,9 +269,9 @@ def mle_separation(
     )
 
 
-def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int, l_max: int | None = None, quad: QuadratureSpec | None = None) -> float:
+def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int) -> float:
     """Cramér-Rao bound 1/(N F) in length^2 units for an N-frame record."""
-    breakdown = fisher_total(scene, psf, l_max=l_max, quad=quad)
+    breakdown = fisher_total(scene, psf)
     return 1.0 / (n_frames * breakdown.total * psf.sigma_k ** 2)
 
 

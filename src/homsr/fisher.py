@@ -245,9 +245,10 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     """First-principles pixelated direct-imaging Fisher information.
 
     The camera-plane intensity is the equal mixture of the two displaced
-    PSF intensities; pixel probabilities are exact Gaussian-CDF integrals
-    and the per-photon information sum_i (d_s q_i)^2 / q_i is scaled by
-    N_s photons per frame.  Returned in sigma_k^2 units.
+    PSF intensities.  The pixel masses q_i are exact Gaussian-CDF differences,
+    analytic in s, so one complex step also gives d_s q_i; the per-photon
+    information sum_i (d_s q_i)^2 / q_i is scaled by N_s photons per frame.
+    Returned in sigma_k^2 units.
     """
     from scipy.special import ndtr
 
@@ -257,19 +258,14 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     half_extent = 0.5 * n_pixels * pixel_pitch
     if half_extent < 0.5 * s + 6.0 * sx:
         raise ValueError("pixel grid must extend >= 6 sigma_x beyond each source")
+    if s == 0:
+        return 0.0  # q is even in s, so d_s q = 0 in every pixel
     edges = (np.arange(n_pixels + 1) - n_pixels / 2.0) * pixel_pitch
 
-    def cdf(x, mu):
-        return ndtr((x - mu) / sx)
+    def pixel_masses(sep):
+        return 0.5 * (np.diff(ndtr((edges - sep / 2.0) / sx)) + np.diff(ndtr((edges + sep / 2.0) / sx)))
 
-    def pdf(x, mu):
-        return np.exp(-((x - mu) ** 2) / (2.0 * sx ** 2)) / (sx * math.sqrt(2.0 * math.pi))
-
-    q = 0.5 * (np.diff(cdf(edges, s / 2.0)) + np.diff(cdf(edges, -s / 2.0)))
-    # d/ds of the pixel masses: the +s/2 source shifts right, the -s/2 left.
-    d_plus = -0.5 * (pdf(edges[1:], s / 2.0) - pdf(edges[:-1], s / 2.0))
-    d_minus = 0.5 * (pdf(edges[1:], -s / 2.0) - pdf(edges[:-1], -s / 2.0))
-    dq = 0.5 * (d_plus + d_minus)
+    q, dq = _with_s_derivative(pixel_masses, s)
     mask = q > 1e-300
     per_photon = float((dq[mask] ** 2 / q[mask]).sum())
     return scene.brightness * per_photon / psf.sigma_k ** 2

@@ -96,6 +96,27 @@ class TestSampler:
         assert sampler._majorants[key] > 0
         assert issubclass(MajorantError, RuntimeError)
 
+    def test_majorant_error_after_nine_violated_passes(self):
+        # Every bracket call exceeds every bound before it, so each pass ends
+        # at its first block; the ninth such pass must raise.
+        sampler = FrameSampler(SCENE, PSF, l_cap=3)
+        brackets, passes = [], []
+        majorant = sampler._majorant
+
+        def growing_bracket(L, X, k):  # 10x the previous call, so above any 1.2x bound
+            brackets.append(len(k))
+            return np.full(len(k), 10.0 ** len(brackets))
+
+        def counted_majorant(L, X):
+            passes.append((L, X))
+            return majorant(L, X)
+
+        sampler._bracket, sampler._majorant = growing_bracket, counted_majorant
+        with pytest.raises(MajorantError):
+            sampler._sample_momenta(2, 1, 100, np.random.default_rng(0))
+        assert len(passes) == 9
+        assert len(brackets) == 1 + 9  # the probe scan, then one block per pass
+
 
 class TestSimulateExperiment:
     def test_reproducible_from_config(self):

@@ -303,6 +303,28 @@ class TestDiBaseline:
         fine = di_baseline_fisher(scene, PSF, pixel_pitch=0.01, n_pixels=2800)
         assert fine == pytest.approx(self._unpixelated_oracle(scene, PSF), rel=1e-3)
 
+    @pytest.mark.parametrize("s, pitch, n", [(0.3, 0.5, 200), (1.0, 2.0, 60), (1.0, 5.0, 40), (8.0, 5.0, 40), (0.0, 0.5, 200)])
+    def test_matches_extended_precision_pixel_sum(self, s, pitch, n):
+        # The same pixel sum at 40 digits, with d_s q from the Gaussian pdf.
+        mpmath = pytest.importorskip("mpmath")
+
+        def mass(a, b):  # Gaussian mass on [a, b], from the near tail
+            return mpmath.ncdf(b) - mpmath.ncdf(a) if a + b < 0 else mpmath.ncdf(-a) - mpmath.ncdf(-b)
+
+        with mpmath.workdps(40):
+            sx, half = mpmath.mpf(PSF.sigma_x), mpmath.mpf(s) / 2
+            edges = [(i - mpmath.mpf(n) / 2) * mpmath.mpf(pitch) for i in range(n + 1)]
+            info = mpmath.mpf(0)
+            for lo, hi in zip(edges[:-1], edges[1:]):
+                q = (mass((lo - half) / sx, (hi - half) / sx) + mass((lo + half) / sx, (hi + half) / sx)) / 2
+                dq = (mpmath.npdf((hi + half) / sx) - mpmath.npdf((lo + half) / sx)
+                      - mpmath.npdf((hi - half) / sx) + mpmath.npdf((lo - half) / sx)) / (4 * sx)
+                info += dq ** 2 / q
+            expected = float(info) * 1.5 / PSF.sigma_k ** 2
+        got = di_baseline_fisher(SourceScene(s, 1.5), PSF, pixel_pitch=pitch, n_pixels=n)
+        # at s = 0 the direct image carries no information; the 40-digit sum leaves ~1e-85
+        assert got == pytest.approx(expected, rel=1e-10, abs=1e-30)
+
     def test_coarse_pixels_lose_information(self):
         scene = SourceScene(separation=1.0, brightness=1.5)
         fine = di_baseline_fisher(scene, PSF, pixel_pitch=0.01, n_pixels=2800)

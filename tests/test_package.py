@@ -18,7 +18,7 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
     probe = (
         f"import sys; sys.path.insert(0, {src!r}); import homsr; "
-        "print(','.join(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+        "print(','.join(m for m in ('scipy.integrate', 'scipy.optimize', 'scipy.stats') if m in sys.modules))"
     )
     loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert loaded.stdout.strip() == ""
