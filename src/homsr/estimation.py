@@ -270,7 +270,12 @@ def mle_separation(
 
 
 def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int) -> float:
-    """Cramér-Rao bound 1/(N F) in length^2 units for an N-frame record."""
+    """Cramér-Rao bound 1/(N F) in length^2 units for an N-frame record.
+
+    F is ``fisher_total(scene, psf).total``: the sum of F_L over
+    L <= ``default_l_max(scene)`` (7 at N_s = 1.5).  It is not conditioned on
+    the ``l_cap`` a fit truncates its likelihood at.
+    """
     breakdown = fisher_total(scene, psf)
     return 1.0 / (n_frames * breakdown.total * psf.sigma_k ** 2)
 

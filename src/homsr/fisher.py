@@ -245,10 +245,13 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     """First-principles pixelated direct-imaging Fisher information.
 
     The camera-plane intensity is the equal mixture of the two displaced
-    PSF intensities.  The pixel masses q_i are exact Gaussian-CDF differences,
-    analytic in s, so one complex step also gives d_s q_i; the per-photon
-    information sum_i (d_s q_i)^2 / q_i is scaled by N_s photons per frame.
-    Returned in sigma_k^2 units.
+    PSF intensities.  Each pixel mass q_i is a Gaussian-CDF difference taken
+    from its near tail, and d_s q_i = (g(e_i) - g(e_{i+1})) / (4 sigma_x) at
+    the pixel edges, with g(e) = 2 phi(e/sigma_x) exp(-s^2/(8 sigma_x^2))
+    sinh(e s/(2 sigma_x^2)): the two images' pdf difference without its
+    cancellation at small s, and 0 at s = 0.  The per-photon information
+    sum_i (d_s q_i)^2 / q_i is scaled by N_s photons per frame.  Returned in
+    sigma_k^2 units.
     """
     from scipy.special import ndtr
 
@@ -258,14 +261,17 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     half_extent = 0.5 * n_pixels * pixel_pitch
     if half_extent < 0.5 * s + 6.0 * sx:
         raise ValueError("pixel grid must extend >= 6 sigma_x beyond each source")
-    if s == 0:
-        return 0.0  # q is even in s, so d_s q = 0 in every pixel
     edges = (np.arange(n_pixels + 1) - n_pixels / 2.0) * pixel_pitch
 
-    def pixel_masses(sep):
-        return 0.5 * (np.diff(ndtr((edges - sep / 2.0) / sx)) + np.diff(ndtr((edges + sep / 2.0) / sx)))
+    def mass(shift):  # Gaussian mass of each pixel about the image at +shift, from its near tail
+        a, b = (edges[:-1] - shift) / sx, (edges[1:] - shift) / sx
+        return np.where(a + b < 0, ndtr(b) - ndtr(a), ndtr(-a) - ndtr(-b))
 
-    q, dq = _with_s_derivative(pixel_masses, s)
+    q = 0.5 * (mass(s / 2.0) + mass(-s / 2.0))
+    # g(e) as sign(e) phi((|e| - s/2)/sigma_x) (1 - exp(-|e| s/sigma_x^2)), which cannot overflow
+    g = np.sign(edges) * np.exp(-0.5 * ((np.abs(edges) - s / 2.0) / sx) ** 2) / math.sqrt(2.0 * math.pi)
+    g *= -np.expm1(-np.abs(edges) * s / (sx * sx))
+    dq = (g[:-1] - g[1:]) / (4.0 * sx)
     mask = q > 1e-300
     per_photon = float((dq[mask] ** 2 / q[mask]).sum())
     return scene.brightness * per_photon / psf.sigma_k ** 2

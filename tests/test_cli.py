@@ -11,7 +11,9 @@ import os
 import numpy as np
 import pytest
 
-from homsr.cli import main
+import homsr.cli
+from homsr.cli import build_parser, main
+from homsr.fisher import FisherEstimate
 
 
 def run(tmp_path, *argv):
@@ -91,6 +93,12 @@ class TestFiCurve:
         per_s = [float(r[2]) for r in rows if r[0] == rows[0][0]]
         assert sum(per_s) == pytest.approx(float(rows[0][4]), rel=1e-9)
 
+    def test_one_value_grid(self, tmp_path):
+        code, out = run(tmp_path, "fi-curve", "--s-grid", "0.5", "--lmax", "2")
+        assert code == 0
+        header, rows = read_csv(out)
+        assert [(r[0], r[1]) for r in rows] == [("0.5", "1"), ("0.5", "2")]
+
 
 class TestFiVsNs:
     def test_schema_and_closed_form_column(self, tmp_path):
@@ -117,6 +125,17 @@ class TestBucketCompare:
     def test_l_validation(self, tmp_path):
         with pytest.raises(SystemExit):
             run(tmp_path, "bucket-compare", "--l", "5")
+
+    @pytest.mark.parametrize("strict, expected", [((), 0), (("--strict",), 1)])
+    def test_unconverged_point_fails_only_under_strict(self, tmp_path, monkeypatch, strict, expected):
+        def unconverged(scene, psf, L, quad=None):
+            return FisherEstimate(value=1.0, stderr=0.5, converged=False, scheme="stand-in")
+
+        monkeypatch.setattr(homsr.cli, "fisher_L", unconverged)
+        code, out = run(tmp_path, "bucket-compare", "--s-grid", "0.5,1", *strict)
+        assert code == expected
+        header, rows = read_csv(out)   # the CSV is written either way
+        assert [r[1] for r in rows] == ["1.0", "1.0"]
 
 
 class TestGridSpec:
@@ -164,6 +183,24 @@ class TestInputErrors:
         assert excinfo.value.code.startswith(f"homsr {argv[0]}: ")
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("estimate", {"frames": 300.9}, "frames"),
+        ("probability-surface", {"ns": True}, "ns"),
+        ("probability-surface", {"l": 2.7}, "l"),
+    ])
+    def test_config_value_parsed_like_the_flag(self, tmp_path, command, config, key):
+        # the flag would reject this text, so the config key does too
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        with pytest.raises(SystemExit, match=key) as excinfo:
+            main([command, "--config", str(config_path), "--out", str(tmp_path / "out" / "out.csv")])
+        assert excinfo.value.code.startswith(f"homsr {command}: ")
+        assert list(tmp_path.iterdir()) == [config_path]
+
+    def test_strict_only_where_something_can_be_flagged(self, tmp_path):
+        with pytest.raises(SystemExit):
+            run(tmp_path, "probability-surface", "--grid", "5", "--strict")
+
 
 class TestConfigAndOutdir:
     def test_config_merge_and_flag_override(self, tmp_path):
@@ -180,6 +217,27 @@ class TestConfigAndOutdir:
         assert manifest["parameters"]["s"] == 1.0          # flag wins
         assert manifest["parameters"]["grid"] == 5
 
+    @pytest.mark.parametrize("command", ["probability-surface", "fi-curve", "fi-vs-ns", "bucket-compare", "estimate"])
+    def test_config_keys_are_the_long_options(self, tmp_path, command):
+        parser = build_parser()
+        subparser = next(a for a in parser._actions if a.dest == "command").choices[command]
+        options = {s[2:].replace("-", "_") for a in subparser._actions for s in a.option_strings if s.startswith("--")}
+        keys = options - {"help", "config", "outdir", "strict"}
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(dict.fromkeys(keys)))   # null keeps each default
+        args = parser.parse_args([command, "--config", str(config)])
+        params = homsr.cli._resolve(args, homsr.cli.COMMANDS[command][3])
+        assert set(params) == keys and "out" in keys
+        config.write_text(json.dumps({"strict": True}))
+        with pytest.raises(ValueError, match="unknown config keys"):
+            homsr.cli._resolve(args, homsr.cli.COMMANDS[command][3])
+
+    def test_help_shows_table_defaults(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fi-curve", "--help"])
+        text = " ".join(capsys.readouterr().out.split())
+        assert "(default: log:0.01:8:25)" in text and "(default: auto)" in text and "(default: 1.5)" in text
+
     def test_unknown_config_key_rejected(self, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"sigma": 1.0}))
@@ -187,7 +245,7 @@ class TestConfigAndOutdir:
             main(["probability-surface", "--config", str(config)])
 
     def test_unknown_config_quad_rejected(self, tmp_path):
-        # config values bypass argparse's choices, so fi-curve checks them itself
+        # a config value is checked against the option's choices, as the flag is
         config = tmp_path / "config.json"
         config.write_text(json.dumps({"quad": "simpson"}))
         with pytest.raises(SystemExit, match="auto, gh, mc"):

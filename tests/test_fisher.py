@@ -303,7 +303,11 @@ class TestDiBaseline:
         fine = di_baseline_fisher(scene, PSF, pixel_pitch=0.01, n_pixels=2800)
         assert fine == pytest.approx(self._unpixelated_oracle(scene, PSF), rel=1e-3)
 
-    @pytest.mark.parametrize("s, pitch, n", [(0.3, 0.5, 200), (1.0, 2.0, 60), (1.0, 5.0, 40), (8.0, 5.0, 40), (0.0, 0.5, 200)])
+    @pytest.mark.parametrize("s, pitch, n", [
+        (0.3, 0.5, 200), (1.0, 2.0, 60), (1.0, 5.0, 40), (8.0, 5.0, 40), (0.0, 0.5, 200),
+        # near s = 0 each d_s q_i is a small difference of two image pdfs
+        (1e-6, 0.5, 200), (1e-6, 2.0, 60), (1e-4, 0.5, 200), (1e-4, 5.0, 40),
+    ])
     def test_matches_extended_precision_pixel_sum(self, s, pitch, n):
         # The same pixel sum at 40 digits, with d_s q from the Gaussian pdf.
         mpmath = pytest.importorskip("mpmath")
@@ -323,7 +327,7 @@ class TestDiBaseline:
             expected = float(info) * 1.5 / PSF.sigma_k ** 2
         got = di_baseline_fisher(SourceScene(s, 1.5), PSF, pixel_pitch=pitch, n_pixels=n)
         # at s = 0 the direct image carries no information; the 40-digit sum leaves ~1e-85
-        assert got == pytest.approx(expected, rel=1e-10, abs=1e-30)
+        assert got == pytest.approx(expected, rel=1e-13, abs=1e-30)
 
     def test_coarse_pixels_lose_information(self):
         scene = SourceScene(separation=1.0, brightness=1.5)
