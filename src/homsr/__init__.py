@@ -7,74 +7,9 @@ coincidence densities, per-order and total Fisher informations, synthetic
 detection records, and maximum-likelihood separation estimation.
 """
 
-from .optics import (
-    DetectorGeometry,
-    ModeWeights,
-    PixelValidityReport,
-    PsfModel,
-    SourceScene,
-    difference_momentum_envelope,
-    mean_momentum_envelope,
-    mode_weights,
-    momentum_envelope,
-    psf_overlap_delta,
-    validate_pixel_geometry,
-)
-from .coincidence import (
-    DetectionOutcome,
-    TwoPhotonConditional,
-    TwoPhotonCoordinates,
-    asymptotic_density,
-    bucket_probability,
-    class_label,
-    class_weights,
-    coincidence_density,
-    coincidence_density_all_splits,
-    coincidence_density_grid,
-    conditional_decomposition,
-    dk_conditional_density,
-    four_photon_density,
-    frame_size_distribution,
-    frame_size_probability,
-    interference_kappa,
-    interference_phases,
-    kbar_conditional_density,
-    log_coincidence_density,
-    subrayleigh_leading_density,
-    three_photon_density,
-    trig_xi,
-    two_photon_class_probability,
-    two_photon_density,
-)
-from .fisher import (
-    FisherBreakdown,
-    FisherEstimate,
-    HierarchyFisher,
-    QuadratureSpec,
-    asymptotic_fisher_2p,
-    bucket_fisher,
-    default_l_max,
-    di_baseline_fisher,
-    fisher_L,
-    fisher_total,
-    optimal_brightness,
-    sampling_hierarchy_fi,
-    subrayleigh_fisher_order,
-    subrayleigh_fisher_total,
-)
-from .estimation import (
-    EstimationReport,
-    ExperimentConfig,
-    FrameSampler,
-    MajorantError,
-    crb_report,
-    mle_separation,
-    read_record,
-    record_from_lines,
-    record_to_lines,
-    sample_frame,
-    simulate_experiment,
-    write_record,
-)
+from .optics import *
+from .coincidence import *
+from .fisher import *
+from .estimation import *
 
 __version__ = "0.1.0"

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .coincidence import four_photon_density, three_photon_density, two_photon_density, TwoPhotonCoordinates
-from .estimation import FrameSampler, crb_report, mle_separation
+from .estimation import L_CAP, FrameSampler, crb_report, mle_separation
 from .fisher import QuadratureSpec, bucket_fisher, fisher_L, fisher_total, subrayleigh_fisher_total
 from .optics import PsfModel, SourceScene
 
@@ -289,7 +289,7 @@ COMMANDS = {
         ("frames", int, 5000, "frames per trial"),
         ("trials", int, 20, "number of trials"),
         ("seed", int, 1234, "base RNG seed"),
-        ("l_cap", int, 12, "largest sampled frame size"),
+        ("l_cap", int, L_CAP, "largest sampled frame size"),
         _STRICT, _OUT)),
 }
 

@@ -105,6 +105,8 @@ class DetectionOutcome:
         if len(self.momenta) != L:
             raise ValueError("momenta length must equal photon_count")
         object.__setattr__(self, "momenta", tuple(float(k) for k in self.momenta))
+        if not all(map(math.isfinite, self.momenta)):
+            raise ValueError("momenta must be finite")
         if self.camera_assignment is not None:
             q = tuple(int(v) for v in self.camera_assignment)
             if len(q) != L or any(v not in (0, 1) for v in q) or sum(q) != X:
@@ -278,6 +280,24 @@ def _bracket(k, s, splits, coefs):
     return out
 
 
+def _density(L, splits, momenta, scene, psf, assignment, delta_override, include_envelope):
+    """Density of each canonical split in ``splits`` at ``momenta`` (..., L), reordered by a checked
+    camera ``assignment`` as :func:`_c1_first`; shape (..., len(splits))."""
+    k = np.asarray(momenta, dtype=float)
+    if k.shape[-1] != L:
+        raise ValueError("momenta last axis must have length L")
+    if L < 1:
+        raise ValueError("photon_count must be >= 1")
+    flat = k.reshape(-1, L)
+    if assignment is not None:
+        flat = flat[:, _c1_first(assignment)]
+    w = mode_weights(scene, psf, delta_override=delta_override)
+    out = _bracket(flat, scene.separation, splits, _theta_table(L, scene.brightness, w.delta)[splits])
+    if include_envelope:
+        out = out * np.prod(momentum_envelope(psf, flat), axis=-1)[:, None]
+    return out.reshape(k.shape[:-1] + (len(splits),))
+
+
 def coincidence_density_grid(
     L: int,
     X: int,
@@ -297,23 +317,13 @@ def coincidence_density_grid(
     weight already contains it).  A camera ``assignment`` is applied as the
     reorder :func:`_c1_first`.
     """
-    k = np.asarray(momenta, dtype=float)
-    if k.shape[-1] != L:
-        raise ValueError("momenta last axis must have length L")
-    if L < 1:
-        raise ValueError("photon_count must be >= 1")
-    w = mode_weights(scene, psf, delta_override=delta_override)
-    flat = k.reshape(-1, L)
+    if not 0 <= X <= L:
+        raise ValueError("camera_split must lie in [0, photon_count]")
     if assignment is not None:
-        q = np.asarray(assignment, dtype=int)
-        if q.shape != (L,) or not np.isin(q, (0, 1)).all() or int(q.sum()) != X:
+        assignment = np.asarray(assignment, dtype=int)
+        if assignment.shape != (L,) or not np.isin(assignment, (0, 1)).all() or int(assignment.sum()) != X:
             raise ValueError("camera assignment inconsistent with (L, X)")
-        flat = flat[:, _c1_first(q)]
-    coefs = _theta_table(L, scene.brightness, w.delta)[X : X + 1]
-    out = _bracket(flat, scene.separation, [X], coefs)[:, 0]
-    if include_envelope:
-        out = out * np.prod(momentum_envelope(psf, flat), axis=-1)
-    return out.reshape(k.shape[:-1])
+    return _density(L, [X], momenta, scene, psf, assignment, delta_override, include_envelope)[..., 0]
 
 
 def coincidence_density_all_splits(
@@ -325,15 +335,7 @@ def coincidence_density_all_splits(
     include_envelope: bool = True,
 ):
     """Density for every canonical split X = 0..L at once; shape (..., L+1)."""
-    k = np.asarray(momenta, dtype=float)
-    if k.shape[-1] != L:
-        raise ValueError("momenta last axis must have length L")
-    w = mode_weights(scene, psf, delta_override=delta_override)
-    flat = k.reshape(-1, L)
-    out = _bracket(flat, scene.separation, np.arange(L + 1), _theta_table(L, scene.brightness, w.delta))
-    if include_envelope:
-        out = out * np.prod(momentum_envelope(psf, flat), axis=-1)[:, None]
-    return out.reshape(k.shape[:-1] + (L + 1,))
+    return _density(L, np.arange(L + 1), momenta, scene, psf, None, delta_override, include_envelope)
 
 
 def coincidence_density(outcome: DetectionOutcome, scene: SourceScene, psf: PsfModel) -> float:
@@ -508,23 +510,20 @@ def asymptotic_density(outcome: DetectionOutcome, scene: SourceScene, psf: PsfMo
     return float(coincidence_density_grid(L, X, outcome.canonical_momenta, scene, psf, delta_override=0.0))
 
 
+def _subrayleigh_coefficient(P: int, ns: float) -> float:
+    """binom(2P, P) / (2 (2P-1)) * (N_s/(1+2N_s))^{2P-1}: the small-s balanced weight and F^(2P)."""
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    a = ns / (1.0 + 2.0 * ns)
+    return math.comb(2 * P, P) / (2.0 * (2 * P - 1)) * a ** (2 * P - 1)
+
+
 def bucket_probability(P: int, scene: SourceScene, psf: PsfModel) -> float:
     """Leading small-s momentum-integrated probability of balanced antibunching.
 
     binom(2P, P) / (2 (2P-1)) * (N_s/(1+2N_s))^{2P-1} * s^2 sigma_k^2 / 4.
     """
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    ns, s = scene.brightness, scene.separation
-    a = ns / (1.0 + 2.0 * ns)
-    return (
-        math.comb(2 * P, P)
-        / (2.0 * (2 * P - 1))
-        * a ** (2 * P - 1)
-        * s ** 2
-        * psf.sigma_k ** 2
-        / 4.0
-    )
+    return _subrayleigh_coefficient(P, scene.brightness) * scene.separation ** 2 * psf.sigma_k ** 2 / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -599,26 +598,25 @@ def conditional_decomposition(
 def frame_size_probability(
     L: int, scene: SourceScene, psf: PsfModel, delta_override: float | None = None
 ) -> float:
-    """Exact probability that a frame contains L photons in total.
-
-    P(L) = p0 * sum_{m+n = L-1} r_plus^m r_minus^n (thermal double geometric
-    series), summed term by term: every term is positive, so no digits are
-    lost as delta -> 0, where r_plus and r_minus merge.
-    """
+    """Exact probability that a frame contains L photons in total (see :func:`frame_size_distribution`)."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    w = mode_weights(scene, psf, delta_override=delta_override)
-    m = np.arange(L)
-    return w.p0 * float(np.sum(w.r_plus ** m * w.r_minus ** (L - 1 - m)))
+    return float(frame_size_distribution(L, scene, psf, delta_override=delta_override)[-1])
 
 
 def frame_size_distribution(
     l_max: int, scene: SourceScene, psf: PsfModel, delta_override: float | None = None
 ) -> np.ndarray:
-    """Array of frame-size probabilities for L = 1..l_max (index 0 -> L=1)."""
-    return np.array(
-        [frame_size_probability(L, scene, psf, delta_override=delta_override) for L in range(1, l_max + 1)]
-    )
+    """Array of frame-size probabilities for L = 1..l_max (index 0 -> L=1).
+
+    P(L) = p0 * sum_{m+n = L-1} r_plus^m r_minus^n (thermal double geometric
+    series), summed term by term: every term is positive, so no digits are
+    lost as delta -> 0, where r_plus and r_minus merge.
+    """
+    w = mode_weights(scene, psf, delta_override=delta_override)
+    m = np.arange(l_max)
+    terms = (w.r_plus ** m[:L] * w.r_minus ** (L - 1 - m[:L]) for L in range(1, l_max + 1))
+    return np.array([w.p0 * float(np.sum(t)) for t in terms])
 
 
 def class_weights(

@@ -46,6 +46,9 @@ __all__ = [
 ]
 
 
+# Default largest frame size L that the sampler draws and the likelihood conditions on.
+L_CAP = 12
+
 # Envelope probes per (L, X) cell in the initial majorant scan, and the
 # factor by which every majorant exceeds the largest bracket value seen.
 _MAJORANT_SCAN = 32_768
@@ -62,7 +65,7 @@ class ExperimentConfig:
     psf: PsfModel
     frame_count: int
     seed: int
-    l_cap: int = 12
+    l_cap: int = L_CAP
 
     def __post_init__(self):
         if self.frame_count < 1:
@@ -90,7 +93,7 @@ class FrameSampler:
     checked against it (:meth:`_sample_momenta`).
     """
 
-    def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = 12):
+    def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = L_CAP):
         if l_cap < 2:
             raise ValueError("l_cap must be >= 2")
         self.scene = scene
@@ -164,7 +167,7 @@ class FrameSampler:
         return self.sample_record(rng, 1)[0]
 
 
-def sample_frame(scene: SourceScene, psf: PsfModel, rng: np.random.Generator, l_cap: int = 12) -> DetectionOutcome:
+def sample_frame(scene: SourceScene, psf: PsfModel, rng: np.random.Generator, l_cap: int = L_CAP) -> DetectionOutcome:
     """One-shot convenience wrapper around :class:`FrameSampler`."""
     return FrameSampler(scene, psf, l_cap=l_cap).sample_frame(rng)
 
@@ -206,7 +209,7 @@ def mle_separation(
     psf: PsfModel,
     brightness: float,
     search_interval=(0.05, 4.0),
-    l_cap: int = 12,
+    l_cap: int = L_CAP,
     true_separation: float | None = None,
     curve_points: int = 0,
     compute_crb: bool = True,
@@ -276,6 +279,8 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int) -> float:
     L <= ``default_l_max(scene)`` (7 at N_s = 1.5).  It is not conditioned on
     the ``l_cap`` a fit truncates its likelihood at.
     """
+    if n_frames < 1:
+        raise ValueError("n_frames must be >= 1")
     breakdown = fisher_total(scene, psf)
     return 1.0 / (n_frames * breakdown.total * psf.sigma_k ** 2)
 

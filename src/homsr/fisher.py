@@ -28,8 +28,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _theta_table, _with_s_derivative
-from .coincidence import interference_kappa
+from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient, _theta_table
+from .coincidence import _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
 from .quadrature import QuadratureSpec, envelope_expectation
 
@@ -151,10 +151,7 @@ def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
 
 def subrayleigh_fisher_order(P: int, ns: float) -> float:
     """Small-separation limit of F^(2P) in sigma_k^2 units."""
-    if P < 1:
-        raise ValueError("P must be >= 1")
-    a = ns / (1.0 + 2.0 * ns)
-    return math.comb(2 * P, P) / (2.0 * (2 * P - 1)) * a ** (2 * P - 1)
+    return _subrayleigh_coefficient(P, ns)
 
 
 def subrayleigh_fisher_total(ns: float) -> float:

@@ -46,8 +46,8 @@ class PsfModel:
     sigma_x: float = 1.0
 
     def __post_init__(self) -> None:
-        if not self.sigma_x > 0:
-            raise ValueError("sigma_x must be positive")
+        if not 0 < self.sigma_x < math.inf:
+            raise ValueError("sigma_x must be positive and finite")
 
     @property
     def sigma_k(self) -> float:
@@ -82,10 +82,10 @@ class SourceScene:
     centroid: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.separation < 0:
-            raise ValueError("separation must be non-negative")
-        if not self.brightness > 0:
-            raise ValueError("brightness must be positive")
+        if not 0 <= self.separation < math.inf:
+            raise ValueError("separation must be non-negative and finite")
+        if not 0 < self.brightness < math.inf:
+            raise ValueError("brightness must be positive and finite")
         if self.centroid != 0.0:
             raise ValueError("centroid is fixed at 0 in this model")
 

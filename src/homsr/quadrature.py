@@ -3,8 +3,9 @@
 :func:`envelope_expectation` takes E_env[f(k)] over ``dim`` momenta drawn
 from the product envelope prod_m |phi(k_m)|^2 (isotropic Gaussian, per-axis
 standard deviation sigma_k).  It serves :func:`homsr.fisher.fisher_L`
-(dim = L) and the ``"gh"``/``"mc"`` cross-checks of
-:func:`homsr.coincidence.class_weights`.  Schemes (:class:`QuadratureSpec`):
+(dim = L), :func:`homsr.fisher.sampling_hierarchy_fi` (dim = 1) and the
+``"gh"``/``"mc"`` cross-checks of :func:`homsr.coincidence.class_weights`.
+Schemes (:class:`QuadratureSpec`):
 
 * ``"gauss_hermite_tensor"``: tensor Gauss-Hermite, ``nodes_per_dim`` per
   axis (default 64, 48, 40 for dim 1, 2, 3, else 24); the error is the

@@ -176,6 +176,9 @@ class TestInputErrors:
         (("probability-surface", "--grid", "-3"), "grid=-3"),
         (("probability-surface", "--l", "3", "--grid", "1"), "grid=1"),
         (("fi-curve", "--quad", "gh", "--lmax", "5", "--s-grid", "1:1:1"), "needs 7962624 nodes.*quad=auto"),
+        (("probability-surface", "--s", "nan", "--grid", "3"), "separation must be non-negative and finite"),
+        (("fi-vs-ns", "--s", "inf", "--ns-grid", "1", "--lmax", "2"), "separation must be non-negative and finite"),
+        (("bucket-compare", "--ns", "inf", "--s-grid", "1"), "brightness must be positive and finite"),
     ])
     def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
         with pytest.raises(SystemExit, match=cause) as excinfo:

@@ -184,6 +184,12 @@ class TestGeneralDensity:
                 d, coincidence_density_grid(3, 3 - X, k, scene, PSF, assignment=mirror), rtol=1e-13
             )
 
+    @pytest.mark.parametrize("X", [3, -1])
+    def test_split_outside_frame_rejected(self, X):
+        k = RNG.standard_normal((4, 2)) * PSF.sigma_k
+        with pytest.raises(ValueError, match=r"camera_split must lie in \[0, photon_count\]"):
+            coincidence_density_grid(2, X, k, SourceScene(1.0, 1.5), PSF)
+
     def test_hom_dip(self):
         # Two identical photons never antibunch: the X=1 density vanishes
         # at k1 = k2 for any separation and brightness.
@@ -216,6 +222,11 @@ class TestGeneralDensity:
             DetectionOutcome(2, 1, (0.0, 0.0), camera_assignment=(1, 1))
         outcome = DetectionOutcome(3, 1, (0.0, 0.1, 0.2))
         assert outcome.assignment == (1, 0, 0)
+
+    @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+    def test_detection_outcome_rejects_non_finite_momenta(self, k):
+        with pytest.raises(ValueError, match="momenta must be finite"):
+            DetectionOutcome(2, 1, (k, 0.5))
 
     def test_class_label(self):
         assert class_label(3, 0) == "B" and class_label(3, 3) == "B"

@@ -155,6 +155,11 @@ class TestRecordIO:
             coincidence_density(outcome, SCENE, PSF), rel=1e-12
         )
 
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
+    def test_non_finite_momentum_rejected(self, text):
+        with pytest.raises(ValueError, match="momenta must be finite"):
+            record_from_lines([f"2,1,{text},0.5"], PSF)
+
     def test_blank_lines_ignored(self):
         lines = ["", "1,0,0.5", "   "]
         record = record_from_lines(lines, PSF)
@@ -253,3 +258,10 @@ class TestCrb:
         four = crb_report(SCENE, PSF, 4000)
         assert one == pytest.approx(4.0 * four, rel=1e-12)
         assert one > 0
+
+    @pytest.mark.parametrize("n_frames", [0, -5])
+    def test_rejects_fewer_than_one_frame(self, n_frames, monkeypatch):
+        # raised before the Fisher sum is taken
+        monkeypatch.setattr(estimation, "fisher_total", None)
+        with pytest.raises(ValueError, match="n_frames must be >= 1"):
+            crb_report(SCENE, PSF, n_frames)

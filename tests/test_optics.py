@@ -54,6 +54,11 @@ class TestPsfModel:
         with pytest.raises(ValueError):
             PsfModel(sigma_x=0.0)
 
+    @pytest.mark.parametrize("sigma_x", [math.nan, math.inf])
+    def test_non_finite_sigma_x(self, sigma_x):
+        with pytest.raises(ValueError, match="sigma_x must be positive and finite"):
+            PsfModel(sigma_x=sigma_x)
+
 
 class TestOverlap:
     @pytest.mark.parametrize("s", [0.0, 0.3, 1.0, 4.0])
@@ -100,6 +105,13 @@ class TestSourceScene:
             SourceScene(separation=1.0, brightness=0.0)
         with pytest.raises(ValueError):
             SourceScene(separation=1.0, brightness=1.0, centroid=0.5)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters(self, value):
+        with pytest.raises(ValueError, match="separation must be non-negative and finite"):
+            SourceScene(separation=value, brightness=1.0)
+        with pytest.raises(ValueError, match="brightness must be positive and finite"):
+            SourceScene(separation=1.0, brightness=value)
 
 
 class TestModeWeights:

@@ -1,4 +1,8 @@
-"""Package-level tests: what ``import homsr`` loads.
+"""Package-level tests: what ``import homsr`` loads and exports.
+
+``homsr`` republishes the ``__all__`` of its four modules by star import,
+so those lists must not overlap: a later module would silently shadow an
+earlier module's name.
 
 ``import homsr`` dominates the set-up time and peak memory of the short
 CLI runs, so the heavy scipy subpackages the library does not use must
@@ -11,6 +15,9 @@ import subprocess
 import sys
 
 import homsr
+from homsr import coincidence, estimation, fisher, optics
+
+MODULES = (optics, coincidence, fisher, estimation)
 
 
 def test_import_leaves_heavy_scipy_subpackages_unloaded():
@@ -22,3 +29,14 @@ def test_import_leaves_heavy_scipy_subpackages_unloaded():
     )
     loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     assert loaded.stdout.strip() == ""
+
+
+def test_module_exports_are_disjoint():
+    names = [name for module in MODULES for name in module.__all__]
+    assert len(names) == len(set(names))
+
+
+def test_package_republishes_each_module_export():
+    for module in MODULES:
+        for name in module.__all__:
+            assert getattr(homsr, name) is getattr(module, name), f"{module.__name__}.{name}"
