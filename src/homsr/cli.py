@@ -48,7 +48,6 @@ from .fisher import QuadratureSpec, bucket_fisher, fisher_L, fisher_total, subra
 from .optics import PsfModel, SourceScene
 
 _SURFACE_GRID_DEFAULT = {2: 61, 3: 21, 4: 11}
-_SURFACE_CLASSES = {2: ("A", "B"), 3: ("B", "UA"), 4: ("B", "A", "UA")}
 _QUAD_SCHEMES = {"auto": "auto", "gh": "gauss_hermite_tensor", "mc": "monte_carlo_importance"}
 _UNCONVERGED = "unconverged Fisher estimates present"
 
@@ -147,8 +146,6 @@ def cmd_probability_surface(params):
     n = params["grid"] = _SURFACE_GRID_DEFAULT[L] if params["grid"] is None else params["grid"]
     if n < 2:
         raise ValueError(f"needs grid >= 2 points per axis, got grid={n}")
-    if x_class not in _SURFACE_CLASSES[L]:
-        raise ValueError(f"{L}-photon class must be one of {_SURFACE_CLASSES[L]}")
     sk = psf.sigma_k
 
     if L == 2:
@@ -261,7 +258,7 @@ _OUT = ("out", str, None, "output CSV path (default: the CSV name below, in --ou
 COMMANDS = {
     "probability-surface": (cmd_probability_surface, "coincidence-density surface over a momentum grid",
                             "probability_surface.csv", (
-        ("l", tuple(_SURFACE_CLASSES), 2, "photon number L"),
+        ("l", (2, 3, 4), 2, "photon number L"),
         ("x_class", str.upper, "B", "outcome class: B, A or UA (A needs L = 2 or 4, UA needs L >= 3)"),
         ("s", float, 5.0, "separation in sigma_x units"),
         _NS,

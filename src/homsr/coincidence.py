@@ -35,6 +35,7 @@ labels, so any assignment is evaluated as the canonical one, C1 photons first.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -88,7 +89,8 @@ class DetectionOutcome:
     """One frame's detection record.
 
     ``camera_assignment`` lists Q_i (1 for camera C1) per momentum slot; if
-    omitted, the canonical assignment (first X momenta in C1) is used.
+    omitted, the canonical assignment (first X momenta in C1) is used.  The
+    counts must be integers (``operator.index``) and are stored as ``int``.
     """
 
     photon_count: int
@@ -97,21 +99,16 @@ class DetectionOutcome:
     camera_assignment: tuple | None = None
 
     def __post_init__(self):
-        L, X = self.photon_count, self.camera_split
-        if L < 1:
-            raise ValueError("photon_count must be >= 1 (reference photon always present)")
-        if not 0 <= X <= L:
-            raise ValueError("camera_split must lie in [0, photon_count]")
+        L, X, q = _checked_frame(self.photon_count, self.camera_split, self.camera_assignment)
         if len(self.momenta) != L:
             raise ValueError("momenta length must equal photon_count")
-        object.__setattr__(self, "momenta", tuple(float(k) for k in self.momenta))
-        if not all(map(math.isfinite, self.momenta)):
+        momenta = tuple(map(float, self.momenta))
+        if not all(map(math.isfinite, momenta)):
             raise ValueError("momenta must be finite")
-        if self.camera_assignment is not None:
-            q = tuple(int(v) for v in self.camera_assignment)
-            if len(q) != L or any(v not in (0, 1) for v in q) or sum(q) != X:
-                raise ValueError("camera_assignment inconsistent with (L, X)")
-            object.__setattr__(self, "camera_assignment", q)
+        object.__setattr__(self, "photon_count", L)
+        object.__setattr__(self, "camera_split", X)
+        object.__setattr__(self, "momenta", momenta)
+        object.__setattr__(self, "camera_assignment", q)
 
     @property
     def assignment(self) -> tuple:
@@ -125,6 +122,20 @@ class DetectionOutcome:
         if self.camera_assignment is None:
             return self.momenta
         return tuple(self.momenta[i] for i in _c1_first(self.camera_assignment))
+
+
+def _checked_frame(L, X, assignment):
+    """(L, X, assignment) as ints, checked: L >= 1, 0 <= X <= L and X of the L slots in C1."""
+    L, X = operator.index(L), operator.index(X)
+    if L < 1:
+        raise ValueError("photon_count must be >= 1 (reference photon always present)")
+    if not 0 <= X <= L:
+        raise ValueError("camera_split must lie in [0, photon_count]")
+    if assignment is not None:
+        assignment = tuple(int(v) for v in assignment)
+        if len(assignment) != L or any(v not in (0, 1) for v in assignment) or sum(assignment) != X:
+            raise ValueError("camera assignment inconsistent with (L, X)")
+    return L, X, assignment
 
 
 def _c1_first(assignment) -> np.ndarray:
@@ -286,8 +297,6 @@ def _density(L, splits, momenta, scene, psf, assignment, delta_override, include
     k = np.asarray(momenta, dtype=float)
     if k.shape[-1] != L:
         raise ValueError("momenta last axis must have length L")
-    if L < 1:
-        raise ValueError("photon_count must be >= 1")
     flat = k.reshape(-1, L)
     if assignment is not None:
         flat = flat[:, _c1_first(assignment)]
@@ -317,12 +326,7 @@ def coincidence_density_grid(
     weight already contains it).  A camera ``assignment`` is applied as the
     reorder :func:`_c1_first`.
     """
-    if not 0 <= X <= L:
-        raise ValueError("camera_split must lie in [0, photon_count]")
-    if assignment is not None:
-        assignment = np.asarray(assignment, dtype=int)
-        if assignment.shape != (L,) or not np.isin(assignment, (0, 1)).all() or int(assignment.sum()) != X:
-            raise ValueError("camera assignment inconsistent with (L, X)")
+    L, X, assignment = _checked_frame(L, X, assignment)
     return _density(L, [X], momenta, scene, psf, assignment, delta_override, include_envelope)[..., 0]
 
 
@@ -335,6 +339,7 @@ def coincidence_density_all_splits(
     include_envelope: bool = True,
 ):
     """Density for every canonical split X = 0..L at once; shape (..., L+1)."""
+    L = _checked_frame(L, 0, None)[0]
     return _density(L, np.arange(L + 1), momenta, scene, psf, None, delta_override, include_envelope)
 
 
@@ -377,14 +382,21 @@ class TwoPhotonCoordinates:
         return self.k_bar + 0.5 * self.delta_k, self.k_bar - 0.5 * self.delta_k
 
 
-_TWO_PHOTON_ALPHA = {"B": 1.0, "A": -1.0}
+# Outcome classes by (L, class): the camera signs of photons 2..L relative to photon 1,
+# and the class factor, the mirror multiplicity over 2 X! (L-X)!.
+_CLASSES = {
+    (2, "B"): ((1.0,), 1 / 2), (2, "A"): ((-1.0,), 1 / 2),
+    (3, "B"): ((1.0, 1.0), 1 / 6), (3, "UA"): ((1.0, -1.0), 1 / 2),
+    (4, "B"): ((1.0, 1.0, 1.0), 1 / 24), (4, "A"): ((1.0, -1.0, -1.0), 1 / 8), (4, "UA"): ((-1.0, -1.0, -1.0), 1 / 6),
+}
 
 
-def _class_alpha(x_class: str) -> float:
+def _class_entry(L: int, x_class: str) -> tuple:
+    """(signs, factor) of ``x_class`` at order L; a ValueError names that order's classes."""
     try:
-        return _TWO_PHOTON_ALPHA[x_class.upper()]
+        return _CLASSES[L, x_class.upper()]
     except KeyError:
-        raise ValueError("two-photon class must be 'A' or 'B'") from None
+        raise ValueError(f"{L}-photon class must be one of {', '.join(c for n, c in _CLASSES if n == L)}") from None
 
 
 def _fringe(alpha: float, u):
@@ -406,7 +418,7 @@ def two_photon_density(coords: TwoPhotonCoordinates, x_class: str, scene: Source
     antibunched X = 1 outcome.  The Jacobian of (k1,k2) -> (Kbar, dk) is 1,
     so values are directly comparable with the ordered-pair density.
     """
-    alpha = _class_alpha(x_class)
+    (alpha,), _ = _class_entry(2, x_class)  # alpha: the camera sign of photon 2
     w = mode_weights(scene, psf)
     ns, s = scene.brightness, scene.separation
     kbar = np.asarray(coords.k_bar, dtype=float)
@@ -421,20 +433,22 @@ def two_photon_density(coords: TwoPhotonCoordinates, x_class: str, scene: Source
     )
 
 
-_THREE_PHOTON_CLASSES = {"B": ((1.0, 1.0), 1.0 / 6.0), "UA": ((1.0, -1.0), 1.0 / 2.0)}
-_FOUR_PHOTON_CLASSES = {
-    "B": ((1.0, 1.0, 1.0), 1.0 / 24.0),
-    "A": ((1.0, -1.0, -1.0), 1.0 / 8.0),
-    "UA": ((-1.0, -1.0, -1.0), 1.0 / 6.0),
-}
+def _low_order_density(momenta: tuple, x_class: str, scene: SourceScene, psf: PsfModel):
+    """Class density from the written-out leave-one-out sums, independent of :func:`_bracket`.
 
-
-def _low_order_density(momenta: tuple, lams: tuple, xi_big: list, s: float, psf: PsfModel):
-    """Envelope times sum_j xi_big[j] (sum_i lam_i xi_j(momenta without k_i))^2, lam_0 = 1."""
-    leave_one_out = [_xi_coeffs(momenta[:i] + momenta[i + 1 :], s) for i in range(len(momenta))]
-    signed = [sum(lam * xi[j] for lam, xi in zip((1.0,) + lams, leave_one_out)) for j in range(len(xi_big))]
+    factor * envelope * sum_j w_j (sum_i lam_i xi_j(momenta without k_i))^2, with the class's
+    signs lam_i (lam_1 = 1) and w_j = j! (L-1-j)! N_s^{L-1} / (A^{L-j} B^{j+1}), A, B = 1 + N_s (1 +- delta).
+    """
+    L = len(momenta)
+    signs, factor = _class_entry(L, x_class)
+    ns, s, delta = scene.brightness, scene.separation, mode_weights(scene, psf).delta
+    a_mode, b_mode = 1.0 + ns * (1.0 + delta), 1.0 + ns * (1.0 - delta)
+    f = math.factorial
+    weights = [f(j) * f(L - 1 - j) * ns ** (L - 1) / (a_mode ** (L - j) * b_mode ** (j + 1)) for j in range(L)]
+    leave_one_out = [_xi_coeffs(momenta[:i] + momenta[i + 1 :], s) for i in range(L)]
+    signed = [sum(lam * c[j] for lam, c in zip((1.0,) + signs, leave_one_out)) for j in range(L)]
     env = math.prod(momentum_envelope(psf, k) for k in momenta)
-    return env * sum(x * sj ** 2 for x, sj in zip(xi_big, signed))
+    return factor * env * sum(w * sj ** 2 for w, sj in zip(weights, signed))
 
 
 def three_photon_density(k1, k2, k3, x_class: str, scene: SourceScene, psf: PsfModel):
@@ -444,20 +458,7 @@ def three_photon_density(k1, k2, k3, x_class: str, scene: SourceScene, psf: PsfM
     (2-1 split, X in {1,2}).  For "UA" the convention is that the *third*
     momentum argument is the lone photon.
     """
-    try:
-        lams, f_factor = _THREE_PHOTON_CLASSES[x_class.upper()]
-    except KeyError:
-        raise ValueError("three-photon class must be 'B' or 'UA'") from None
-    w = mode_weights(scene, psf)
-    ns, s = scene.brightness, scene.separation
-    a_mode = 1.0 + ns * (1.0 + w.delta)
-    b_mode = 1.0 + ns * (1.0 - w.delta)
-    xi_big = [
-        2.0 * w.p0 * ns ** 2 / a_mode ** 2,
-        w.p0 ** 2 * ns ** 2,
-        2.0 * w.p0 * ns ** 2 / b_mode ** 2,
-    ]
-    return f_factor * _low_order_density((k1, k2, k3), lams, xi_big, s, psf)
+    return _low_order_density((k1, k2, k3), x_class, scene, psf)
 
 
 def four_photon_density(k1, k2, k3, k4, x_class: str, scene: SourceScene, psf: PsfModel):
@@ -467,21 +468,7 @@ def four_photon_density(k1, k2, k3, k4, x_class: str, scene: SourceScene, psf: P
     at small separation — verified numerically in the test suite), "UA"
     (3-1 split; the *first* momentum argument is the lone photon).
     """
-    try:
-        lams, f_factor = _FOUR_PHOTON_CLASSES[x_class.upper()]
-    except KeyError:
-        raise ValueError("four-photon class must be 'B', 'A' or 'UA'") from None
-    w = mode_weights(scene, psf)
-    ns, s = scene.brightness, scene.separation
-    a_mode = 1.0 + ns * (1.0 + w.delta)
-    b_mode = 1.0 + ns * (1.0 - w.delta)
-    xi_big = [
-        6.0 * w.p0 * ns ** 3 / a_mode ** 3,
-        2.0 * w.p0 ** 2 * ns ** 3 / a_mode,
-        2.0 * w.p0 ** 2 * ns ** 3 / b_mode,
-        6.0 * w.p0 * ns ** 3 / b_mode ** 3,
-    ]
-    return f_factor * _low_order_density((k1, k2, k3, k4), lams, xi_big, s, psf)
+    return _low_order_density((k1, k2, k3, k4), x_class, scene, psf)
 
 
 def subrayleigh_leading_density(P: int, momenta, scene: SourceScene, psf: PsfModel):
@@ -491,17 +478,13 @@ def subrayleigh_leading_density(P: int, momenta, scene: SourceScene, psf: PsfMod
     (k_1+..+k_P - k_{P+1}-..-k_{2P})^2 s^2/4``; its ratio to the exact
     balanced density tends to 1 as s -> 0.
     """
-    if P < 1:
-        raise ValueError("P must be >= 1")
+    coeff = _subrayleigh_coefficient(P, scene.brightness) / (2 * P)
     k = np.asarray(momenta, dtype=float)
     if k.shape[-1] != 2 * P:
         raise ValueError("need 2P momenta")
-    ns, s = scene.brightness, scene.separation
-    a = ns / (1.0 + 2.0 * ns)
-    coeff = math.factorial(2 * P - 2) / (2.0 * math.factorial(P) ** 2) * a ** (2 * P - 1)
     diff = k[..., :P].sum(axis=-1) - k[..., P:].sum(axis=-1)
     env = np.prod(momentum_envelope(psf, k), axis=-1)
-    return coeff * env * diff ** 2 * s ** 2 / 4.0
+    return coeff * env * diff ** 2 * scene.separation ** 2 / 4.0
 
 
 def asymptotic_density(outcome: DetectionOutcome, scene: SourceScene, psf: PsfModel) -> float:
@@ -537,7 +520,7 @@ def interference_kappa(scene: SourceScene, psf: PsfModel) -> float:
 
 def two_photon_class_probability(x_class: str, scene: SourceScene, psf: PsfModel) -> float:
     """Momentum-integrated probability P(X) of a two-photon class ("A" or "B")."""
-    alpha = _class_alpha(x_class)
+    (alpha,), _ = _class_entry(2, x_class)
     w = mode_weights(scene, psf)
     ns = scene.brightness
     kappa = interference_kappa(scene, psf)
@@ -546,7 +529,7 @@ def two_photon_class_probability(x_class: str, scene: SourceScene, psf: PsfModel
 
 def kbar_conditional_density(k_bar, x_class: str, scene: SourceScene, psf: PsfModel):
     """Normalized conditional density f(Kbar; X) of the pair mean momentum."""
-    alpha = _class_alpha(x_class)
+    (alpha,), _ = _class_entry(2, x_class)
     w = mode_weights(scene, psf)
     ns, s = scene.brightness, scene.separation
     kappa = interference_kappa(scene, psf)
@@ -556,7 +539,7 @@ def kbar_conditional_density(k_bar, x_class: str, scene: SourceScene, psf: PsfMo
 
 def dk_conditional_density(delta_k, x_class: str, scene: SourceScene, psf: PsfModel):
     """Normalized conditional density g(dk; X) of the pair momentum difference."""
-    alpha = _class_alpha(x_class)
+    (alpha,), _ = _class_entry(2, x_class)
     dk = np.asarray(delta_k, dtype=float)
     mean = _fringe_mean(alpha, scene, psf)
     if mean == 0.0:  # class A at s = 0: the fringe ratio tends to dk^2 / (2 sigma_k^2)

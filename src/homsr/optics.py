@@ -46,8 +46,10 @@ class PsfModel:
     sigma_x: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.sigma_x < math.inf:
-            raise ValueError("sigma_x must be positive and finite")
+        sx = float(self.sigma_x) if 0 < self.sigma_x < math.inf else math.nan
+        sk = 1.0 / (2.0 * sx)  # the envelopes divide by sigma_x^2 and sigma_k^2: neither may over- or underflow
+        if not (0 < sx * sx < math.inf and 0 < sk * sk < math.inf):
+            raise ValueError("sigma_x must be positive and finite, with sigma_x^2 and sigma_k^2 in float range")
 
     @property
     def sigma_k(self) -> float:

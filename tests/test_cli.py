@@ -179,6 +179,7 @@ class TestInputErrors:
         (("probability-surface", "--s", "nan", "--grid", "3"), "separation must be non-negative and finite"),
         (("fi-vs-ns", "--s", "inf", "--ns-grid", "1", "--lmax", "2"), "separation must be non-negative and finite"),
         (("bucket-compare", "--ns", "inf", "--s-grid", "1"), "brightness must be positive and finite"),
+        (("probability-surface", "--l", "3", "--x-class", "A"), "3-photon class must be"),
     ])
     def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
         with pytest.raises(SystemExit, match=cause) as excinfo:

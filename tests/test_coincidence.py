@@ -223,6 +223,11 @@ class TestGeneralDensity:
         outcome = DetectionOutcome(3, 1, (0.0, 0.1, 0.2))
         assert outcome.assignment == (1, 0, 0)
 
+    @pytest.mark.parametrize("L, X", [(2, 1.0), (2.0, 1), (np.float64(2), 1)])
+    def test_detection_outcome_rejects_non_integer_counts(self, L, X):
+        with pytest.raises(TypeError):
+            DetectionOutcome(L, X, (0.1, 0.4))
+
     @pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
     def test_detection_outcome_rejects_non_finite_momenta(self, k):
         with pytest.raises(ValueError, match="momenta must be finite"):
@@ -314,12 +319,34 @@ class TestSpecializedForms:
 
     def test_invalid_class_names(self):
         scene = SourceScene(1.0, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2-photon class must be one of B, A$"):
             two_photon_density(TwoPhotonCoordinates(0.0, 0.0), "UA", scene, PSF)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="3-photon class must be one of B, UA$"):
             three_photon_density(0.1, 0.2, 0.3, "A", scene, PSF)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="4-photon class must be one of B, A, UA$"):
             four_photon_density(0.1, 0.2, 0.3, 0.4, "Z", scene, PSF)
+
+    @pytest.mark.parametrize("scene", SCENES)
+    def test_two_photon_class_entries(self, scene):
+        # The leave-one-out evaluator at L = 2 reproduces the (Kbar, dk) closed form.  Fixed
+        # momenta: a draw from the module RNG would shift every later test's draws.
+        k = np.array([0.37, -0.81]) * PSF.sigma_k
+        coords = TwoPhotonCoordinates.from_momenta(*k)
+        for x_class in ("A", "B"):
+            assert coincidence._low_order_density(tuple(k), x_class, scene, PSF) == pytest.approx(
+                two_photon_density(coords, x_class, scene, PSF), rel=1e-12
+            )
+
+    def test_low_order_forms_do_not_use_the_kernel(self, monkeypatch):
+        # The specialised forms are an independent check of the bracket kernel only if they avoid it.
+        def forbidden(*args, **kwargs):
+            raise AssertionError("kernel called")
+
+        for name in ("_bracket", "_theta_table", "_density"):
+            monkeypatch.setattr(coincidence, name, forbidden)
+        scene = SourceScene(1.3, 1.5)
+        assert three_photon_density(0.1, 0.2, 0.3, "UA", scene, PSF) > 0
+        assert four_photon_density(0.1, 0.2, 0.3, 0.4, "A", scene, PSF) > 0
 
     def test_coordinates_roundtrip(self):
         coords = TwoPhotonCoordinates.from_momenta(0.7, -0.2)

@@ -148,6 +148,13 @@ class TestRecordIO:
         # momenta serialized in sigma_k units
         assert float(fields[2]) == pytest.approx(0.25 / PSF.sigma_k)
 
+    def test_numpy_integer_counts_roundtrip(self):
+        outcome = DetectionOutcome(np.int64(3), np.int64(1), (0.3, -0.7, 1.1))
+        assert type(outcome.photon_count) is int and type(outcome.camera_split) is int
+        (line,) = list(record_to_lines([outcome], PSF))
+        assert line.startswith("3,1,")
+        assert record_from_lines([line], PSF) == [outcome]
+
     def test_roundtrip_keeps_camera_assignment(self):
         outcome = DetectionOutcome(3, 1, (0.3, -0.7, 1.1), camera_assignment=(0, 0, 1))
         (back,) = record_from_lines(record_to_lines([outcome], PSF), PSF)

@@ -54,7 +54,8 @@ class TestPsfModel:
         with pytest.raises(ValueError):
             PsfModel(sigma_x=0.0)
 
-    @pytest.mark.parametrize("sigma_x", [math.nan, math.inf])
+    # 1e-320 and 1e-160 overflow sigma_k^2 = 1/(4 sigma_x^2); 1e200 and 1e160 overflow sigma_x^2
+    @pytest.mark.parametrize("sigma_x", [math.nan, math.inf, 1e-320, 1e200, 1e-160, 1e160])
     def test_non_finite_sigma_x(self, sigma_x):
         with pytest.raises(ValueError, match="sigma_x must be positive and finite"):
             PsfModel(sigma_x=sigma_x)
