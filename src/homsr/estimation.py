@@ -13,15 +13,17 @@ W(s) = sum_{L <= l_cap} P(L; s).  This removes the truncation bias that a
 naive unconditioned likelihood would acquire from the discarded thermal
 tail (a few percent of frames at N_s ~ 1.5).
 
-The record is grouped once by photon number L, momenta C1 photons first;
-an evaluation makes one multi-split bracket-kernel call per L, and the
-s-independent log envelope is summed once per record.
+A record is a :class:`FrameRecord` of per-L arrays, which the sampler fills
+and the likelihood reads; an evaluation makes one multi-split bracket-kernel
+call per L, and the s-independent log envelope is summed once per record.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +35,7 @@ from .optics import PsfModel, SourceScene, mode_weights
 __all__ = [
     "ExperimentConfig",
     "EstimationReport",
+    "FrameRecord",
     "FrameSampler",
     "MajorantError",
     "sample_frame",
@@ -81,10 +84,55 @@ class EstimationReport:
     bias: float | None
     boundary_flag: bool
     log_likelihood_curve: tuple | None   # (s_grid, log-likelihood values)
+    objective_evals: int | None = None   # likelihood evaluations the optimiser made
+
+
+class FrameRecord(Sequence):
+    """Frames grouped by photon number L: ``groups[L] = (positions, splits, momenta)``.
+
+    Each row's frame index, its split X and its momenta (n_L, L), C1 photons
+    first, with L in order of its first frame; the arrays are made read-only.
+    The record reads as the list of its :class:`~homsr.coincidence.DetectionOutcome`s.
+    """
+
+    def __init__(self, groups):
+        self.groups = dict(sorted(groups.items(), key=lambda item: item[1][0][0]))
+        for a in (a for arrays in self.groups.values() for a in arrays):
+            a.flags.writeable = False
+
+    @classmethod
+    def from_outcomes(cls, outcomes):
+        """Group outcomes by L on their canonical momenta; the record iterates as ``outcomes``."""
+        outcomes = list(outcomes)
+        sizes = np.array([o.photon_count for o in outcomes])
+        record = cls({L: (np.flatnonzero(sizes == L),
+                          np.array([o.camera_split for o in outcomes if o.photon_count == L]),
+                          np.array([o.canonical_momenta for o in outcomes if o.photon_count == L], dtype=float))
+                      for L in set(sizes.tolist())})
+        record._frames = outcomes
+        return record
+
+    @cached_property
+    def _frames(self):
+        """The outcomes in frame order, built once on first use."""
+        frames = [None] * len(self)
+        for L, (positions, splits, momenta) in self.groups.items():
+            for i, X, row in zip(positions.tolist(), splits.tolist(), momenta.tolist()):
+                frames[i] = DetectionOutcome(L, X, tuple(row))
+        return frames
+
+    def __len__(self):
+        return sum(len(positions) for positions, _, _ in self.groups.values())
+
+    def __getitem__(self, index):
+        return self._frames[index]
+
+    def __eq__(self, other):
+        return isinstance(other, FrameRecord) and self._frames == other._frames
 
 
 class FrameSampler:
-    """Sampler of frame outcomes for a fixed scene.
+    """Sampler of frame records (:class:`FrameRecord`) for a fixed scene.
 
     L and the camera split X | L (the closed form of
     :func:`~homsr.coincidence.class_weights`, tabulated once per L) are drawn
@@ -149,19 +197,19 @@ class FrameSampler:
                 return kept[:count]
         raise MajorantError(f"majorant for (L={L}, X={X}) was violated in 9 passes in a row")
 
-    def sample_record(self, rng: np.random.Generator, n: int):
-        """Draw ``n`` independent frames (order randomized)."""
+    def sample_record(self, rng: np.random.Generator, n: int) -> FrameRecord:
+        """Draw a :class:`FrameRecord` of ``n`` independent frames (order randomized)."""
         l_values = rng.choice(np.arange(1, self.l_cap + 1), size=n, p=self.p_l_given_cap)
-        frames = [None] * n
-        for L in np.unique(l_values):
-            idx_l = np.flatnonzero(l_values == L)
-            xs = rng.choice(np.arange(L + 1), size=idx_l.size, p=self.x_given_l[L])
-            for X in np.unique(xs):
-                idx = idx_l[xs == X]
-                k = self._sample_momenta(int(L), int(X), idx.size, rng)
-                for row, frame_i in zip(k, idx):
-                    frames[frame_i] = DetectionOutcome(int(L), int(X), tuple(row))
-        return frames
+        groups = {}
+        for L in np.unique(l_values).tolist():
+            positions = np.flatnonzero(l_values == L)
+            xs = rng.choice(np.arange(L + 1), size=positions.size, p=self.x_given_l[L])
+            momenta = np.empty((positions.size, L))
+            for X in np.unique(xs).tolist():
+                cell = xs == X
+                momenta[cell] = self._sample_momenta(L, X, int(cell.sum()), rng)
+            groups[L] = (positions, xs, momenta)
+        return FrameRecord(groups)
 
     def sample_frame(self, rng: np.random.Generator) -> DetectionOutcome:
         return self.sample_record(rng, 1)[0]
@@ -178,15 +226,6 @@ def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None =
         sampler = FrameSampler(config.true_scene, config.psf, l_cap=config.l_cap)
     rng = np.random.default_rng(config.seed)
     return sampler.sample_record(rng, config.frame_count)
-
-
-def _group_record(record):
-    """``{L: (momenta C1 photons first, splits present, each row's index into splits)}``."""
-    rows, splits = {}, {}
-    for outcome in record:
-        rows.setdefault(outcome.photon_count, []).append(outcome.canonical_momenta)
-        splits.setdefault(outcome.photon_count, []).append(outcome.camera_split)
-    return {L: (np.asarray(rows[L]),) + np.unique(splits[L], return_inverse=True) for L in rows}
 
 
 def _log_likelihood(groups, n_frames, psf, brightness, l_cap, s):
@@ -216,29 +255,32 @@ def mle_separation(
 ) -> EstimationReport:
     """Maximum-likelihood separation estimate from a frame record.
 
-    The per-source brightness is treated as known; the likelihood is the
-    exact coincidence density conditioned on L <= l_cap, so a frame above
-    ``l_cap`` raises ``ValueError``.  It is evaluated per photon number L
-    (see the module notes).  The scalar search
-    is a bracketed golden-section/parabolic minimization of the negative
-    log-likelihood; a maximum at the interval boundary is flagged.  A record
-    whose likelihood is zero across the interval (a zero-density frame)
-    raises ``ValueError`` instead of returning a boundary estimate.
+    ``record`` is a :class:`FrameRecord` or a sequence of outcomes, and the
+    per-source brightness is known.  The likelihood is the exact coincidence
+    density conditioned on L <= l_cap, so a frame above ``l_cap`` raises
+    ``ValueError``.  Bounded Brent search minimizes the negative
+    log-likelihood on ``search_interval`` (0 < lo < hi < inf) and flags a
+    maximum at its boundary.  A record whose likelihood is zero across the
+    interval (a zero-density frame) raises ``ValueError`` instead.
     """
     from scipy.optimize import minimize_scalar
 
     if l_cap < 2:
         raise ValueError("l_cap must be >= 2")
+    lo, hi = search_interval
+    if not 0 < lo < hi < math.inf:
+        raise ValueError(f"search_interval must satisfy 0 < lo < hi < inf, got {search_interval!r}")
+    if not isinstance(record, FrameRecord):
+        record = FrameRecord.from_outcomes(record)
     if not record:
         raise ValueError("record must be non-empty")
-    groups = _group_record(record)
-    if max(groups) > l_cap:
+    if max(record.groups) > l_cap:
         raise ValueError(
-            f"record has a frame with L = {max(groups)} photons, above l_cap = {l_cap}: "
+            f"record has a frame with L = {max(record.groups)} photons, above l_cap = {l_cap}: "
             "the likelihood conditioned on L <= l_cap gives it probability 0"
         )
     n = len(record)
-    lo, hi = search_interval
+    groups = {L: (k, *np.unique(xs, return_inverse=True)) for L, (_, xs, k) in record.groups.items()}
     log_env = sum(_log_envelope(k, psf) for k, _, _ in groups.values())
 
     def objective(s):
@@ -269,6 +311,7 @@ def mle_separation(
         bias=bias,
         boundary_flag=boundary,
         log_likelihood_curve=curve,
+        objective_evals=int(res.nfev),
     )
 
 

@@ -20,6 +20,7 @@ from homsr.coincidence import (
 )
 from homsr.estimation import (
     ExperimentConfig,
+    FrameRecord,
     FrameSampler,
     MajorantError,
     crb_report,
@@ -118,6 +119,44 @@ class TestSampler:
         assert len(brackets) == 1 + 9  # the probe scan, then one block per pass
 
 
+class TestFrameRecord:
+    def test_reads_as_outcomes_built_from_columns(self, record_2000):
+        frames = [None] * len(record_2000)
+        for L, (positions, splits, momenta) in record_2000.groups.items():
+            assert momenta.shape == (len(positions), L) and splits.shape == positions.shape
+            for i, X, row in zip(positions, splits, momenta):
+                frames[i] = DetectionOutcome(L, X, tuple(row))
+        assert list(record_2000) == frames
+        assert record_2000[0] == frames[0] and record_2000[-1] == frames[-1]
+        assert record_2000[:10] == frames[:10]
+        firsts = [positions[0] for positions, _, _ in record_2000.groups.values()]
+        assert firsts == sorted(firsts)  # groups in order of their first frame
+
+    def test_seeds_give_unequal_records(self, sampler):
+        a, b = (sampler.sample_record(np.random.default_rng(seed), 40) for seed in (1, 2))
+        assert a != b
+
+    def test_columns_read_only(self, record_2000):
+        for arrays in record_2000.groups.values():
+            assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            record_2000.groups[1][2][0, 0] = 0.0
+
+    def test_fit_matches_outcome_list(self, record_2000):
+        fits = [mle_separation(r, PSF, SCENE.brightness, compute_crb=False) for r in (record_2000, list(record_2000))]
+        assert fits[0].s_hat == fits[1].s_hat
+
+    def test_lines_match_outcome_list(self, record_2000):
+        assert list(record_to_lines(record_2000, PSF)) == list(record_to_lines(list(record_2000), PSF))
+
+    def test_from_outcomes_groups_canonical_momenta(self):
+        outcomes = [DetectionOutcome(1, 0, (0.1,)),
+                    DetectionOutcome(3, 1, (0.3, -0.7, 1.1), camera_assignment=(0, 0, 1))]
+        record = FrameRecord.from_outcomes(outcomes)
+        assert list(record) == outcomes
+        assert record.groups[3][2].tolist() == [[1.1, 0.3, -0.7]]
+
+
 class TestSimulateExperiment:
     def test_reproducible_from_config(self):
         config = ExperimentConfig(SCENE, PSF, frame_count=30, seed=99, l_cap=5)
@@ -197,6 +236,15 @@ class TestMle:
         # curve maximum sits at the grid point nearest the estimate
         assert abs(grid[np.argmax(values)] - report.s_hat) <= (grid[1] - grid[0])
 
+    @pytest.mark.parametrize(
+        "interval", [(-1.0, 4.0), (0.0, 4.0), (3.0, 1.0), (1.0, 1.0), (0.05, math.inf), (math.nan, 4.0)]
+    )
+    def test_bad_search_interval_rejected(self, interval, record_2000, monkeypatch):
+        # raised before the likelihood is evaluated
+        monkeypatch.setattr(estimation, "_log_likelihood", None)
+        with pytest.raises(ValueError, match="search_interval"):
+            mle_separation(record_2000, PSF, 1.5, search_interval=interval, compute_crb=False)
+
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
             mle_separation([], PSF, 1.5)
@@ -254,9 +302,10 @@ class TestLikelihood:
 
         monkeypatch.setattr(estimation, "_bracket", counted_bracket)
         monkeypatch.setattr(estimation, "_log_likelihood", counted_log_likelihood)
-        mle_separation(mixed_record, PSF, SCENE.brightness, compute_crb=False)
+        report = mle_separation(mixed_record, PSF, SCENE.brightness, compute_crb=False)
         assert counts["evals"] > 0
         assert counts["kernel"] == 6 * counts["evals"]
+        assert report.objective_evals == counts["evals"]
 
 
 class TestCrb:
