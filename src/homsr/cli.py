@@ -253,6 +253,8 @@ _GRID = "grid spec: lo:hi:n, log:lo:hi:n, or v1,v2,... (one value is a one-point
 _NS = ("ns", float, 1.5, "brightness per source")
 _STRICT = ("strict", bool, False, "exit 1 after writing the files if any result is flagged")
 _OUT = ("out", str, None, "output CSV path (default: the CSV name below, in --outdir)")
+_LMAX = ("lmax", int, None, "largest photon order summed into F_total (default: min(7, ceil(4 ns + 2)) at each ns); "
+         "orders above it are left out: at ns = 1.5, about 23 %% of the L <= 24 sum at s = 1 and 36 %% at s = 8")
 
 # Each subcommand is (run, help, default CSV name, options).
 COMMANDS = {
@@ -267,13 +269,13 @@ COMMANDS = {
     "fi-curve": (cmd_fi_curve, "Fisher information vs separation", "fi_curve.csv", (
         _NS,
         ("s_grid", str, "log:0.01:8:25", _GRID),
-        ("lmax", int, None, "largest photon order (default: min(7, ceil(4 ns + 2)))"),
+        _LMAX,
         ("quad", tuple(_QUAD_SCHEMES), "auto", "quadrature scheme"),
         _STRICT, _OUT)),
     "fi-vs-ns": (cmd_fi_vs_ns, "Fisher information vs brightness", "fi_vs_ns.csv", (
         ("s", float, 0.01, "separation in sigma_x units"),
         ("ns_grid", str, "0.01:5:25", _GRID),
-        ("lmax", int, None, "largest photon order (default: min(7, ceil(4 ns + 2)) at each ns)"),
+        _LMAX,
         _STRICT, _OUT)),
     "bucket-compare": (cmd_bucket_compare, "resolved vs bucket Fisher information", "bucket_compare.csv", (
         ("l", (2, 3, 4), 2, "photon order"),

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
@@ -99,16 +99,9 @@ class DetectionOutcome:
     camera_assignment: tuple | None = None
 
     def __post_init__(self):
-        L, X, q = _checked_frame(self.photon_count, self.camera_split, self.camera_assignment)
-        if len(self.momenta) != L:
-            raise ValueError("momenta length must equal photon_count")
-        momenta = tuple(map(float, self.momenta))
-        if not all(map(math.isfinite, momenta)):
-            raise ValueError("momenta must be finite")
-        object.__setattr__(self, "photon_count", L)
-        object.__setattr__(self, "camera_split", X)
-        object.__setattr__(self, "momenta", momenta)
-        object.__setattr__(self, "camera_assignment", q)
+        row = _checked_row(self.photon_count, self.camera_split, self.momenta, self.camera_assignment)
+        for field, value in zip(fields(self), row):
+            object.__setattr__(self, field.name, value)
 
     @property
     def assignment(self) -> tuple:
@@ -136,6 +129,17 @@ def _checked_frame(L, X, assignment):
         if len(assignment) != L or any(v not in (0, 1) for v in assignment) or sum(assignment) != X:
             raise ValueError("camera assignment inconsistent with (L, X)")
     return L, X, assignment
+
+
+def _checked_row(L, X, momenta, assignment=None):
+    """(L, X, momenta, assignment) of a :class:`DetectionOutcome` or record line, checked: L finite floats."""
+    L, X, assignment = _checked_frame(L, X, assignment)
+    if len(momenta) != L:
+        raise ValueError("momenta length must equal photon_count")
+    momenta = tuple(map(float, momenta))
+    if not all(map(math.isfinite, momenta)):
+        raise ValueError("momenta must be finite")
+    return L, X, momenta, assignment
 
 
 def _c1_first(assignment) -> np.ndarray:

@@ -13,9 +13,9 @@ W(s) = sum_{L <= l_cap} P(L; s).  This removes the truncation bias that a
 naive unconditioned likelihood would acquire from the discarded thermal
 tail (a few percent of frames at N_s ~ 1.5).
 
-A record is a :class:`FrameRecord` of per-L arrays, which the sampler fills
-and the likelihood reads; an evaluation makes one multi-split bracket-kernel
-call per L, and the s-independent log envelope is summed once per record.
+The one record type is :class:`FrameRecord` (``==`` means equal outcome
+lists): the sampler fills it, :func:`read_record` returns it equal to the
+record written, and the likelihood reads it with one kernel call per L.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from functools import cached_property
 import numpy as np
 
 from .coincidence import DetectionOutcome, class_weights, coincidence_density_grid, frame_size_distribution
-from .coincidence import _bracket, _log_envelope, _theta_table
+from .coincidence import _bracket, _checked_row, _log_envelope, _theta_table
 from .fisher import fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
 
@@ -92,7 +92,7 @@ class FrameRecord(Sequence):
 
     Each row's frame index, its split X and its momenta (n_L, L), C1 photons
     first, with L in order of its first frame; the arrays are made read-only.
-    The record reads as the list of its :class:`~homsr.coincidence.DetectionOutcome`s.
+    The record reads, and compares with ``==``, as the list of its :class:`~homsr.coincidence.DetectionOutcome`s.
     """
 
     def __init__(self, groups):
@@ -101,25 +101,34 @@ class FrameRecord(Sequence):
             a.flags.writeable = False
 
     @classmethod
+    def _from_rows(cls, rows):
+        """The record of ``(L, X, momenta)`` rows in frame order, grouped by L in one pass."""
+        columns = {}
+        for i, (L, X, k) in enumerate(rows):
+            for column, value in zip(columns.setdefault(L, ([], [], [])), (i, X, k)):
+                column.append(value)
+        return cls({L: (np.array(p), np.array(x), np.array(k, dtype=float)) for L, (p, x, k) in columns.items()})
+
+    @classmethod
     def from_outcomes(cls, outcomes):
         """Group outcomes by L on their canonical momenta; the record iterates as ``outcomes``."""
         outcomes = list(outcomes)
-        sizes = np.array([o.photon_count for o in outcomes])
-        record = cls({L: (np.flatnonzero(sizes == L),
-                          np.array([o.camera_split for o in outcomes if o.photon_count == L]),
-                          np.array([o.canonical_momenta for o in outcomes if o.photon_count == L], dtype=float))
-                      for L in set(sizes.tolist())})
+        record = cls._from_rows((o.photon_count, o.camera_split, o.canonical_momenta) for o in outcomes)
         record._frames = outcomes
         return record
+
+    def _in_frame_order(self, make, unit=1.0):
+        """``make(L, X, momenta / unit as a list)`` of every frame, in frame order."""
+        made = [None] * len(self)
+        for L, (positions, splits, momenta) in self.groups.items():
+            for i, X, row in zip(positions.tolist(), splits.tolist(), (momenta / unit).tolist()):
+                made[i] = make(L, X, row)
+        return made
 
     @cached_property
     def _frames(self):
         """The outcomes in frame order, built once on first use."""
-        frames = [None] * len(self)
-        for L, (positions, splits, momenta) in self.groups.items():
-            for i, X, row in zip(positions.tolist(), splits.tolist(), momenta.tolist()):
-                frames[i] = DetectionOutcome(L, X, tuple(row))
-        return frames
+        return self._in_frame_order(lambda L, X, row: DetectionOutcome(L, X, tuple(row)))
 
     def __len__(self):
         return sum(len(positions) for positions, _, _ in self.groups.values())
@@ -127,8 +136,8 @@ class FrameRecord(Sequence):
     def __getitem__(self, index):
         return self._frames[index]
 
-    def __eq__(self, other):
-        return isinstance(other, FrameRecord) and self._frames == other._frames
+    def __eq__(self, other):  # outcomes, not columns: the columns drop camera assignments
+        return self._frames == list(other) if isinstance(other, (FrameRecord, list)) else NotImplemented
 
 
 class FrameSampler:
@@ -151,10 +160,8 @@ class FrameSampler:
         p_l = frame_size_distribution(l_cap, scene, psf)
         self.truncated_mass = float(p_l.sum())
         self.p_l_given_cap = p_l / self.truncated_mass
-        self.x_given_l = {}
-        for L in range(1, l_cap + 1):
-            w = class_weights(L, scene, psf)
-            self.x_given_l[L] = w / w.sum()
+        weights = {L: class_weights(L, scene, psf) for L in range(1, l_cap + 1)}
+        self.x_given_l = {L: w / w.sum() for L, w in weights.items()}
         self._majorants: dict = {}
 
     def _bracket(self, L, X, k):
@@ -211,13 +218,10 @@ class FrameSampler:
             groups[L] = (positions, xs, momenta)
         return FrameRecord(groups)
 
-    def sample_frame(self, rng: np.random.Generator) -> DetectionOutcome:
-        return self.sample_record(rng, 1)[0]
-
 
 def sample_frame(scene: SourceScene, psf: PsfModel, rng: np.random.Generator, l_cap: int = L_CAP) -> DetectionOutcome:
     """One-shot convenience wrapper around :class:`FrameSampler`."""
-    return FrameSampler(scene, psf, l_cap=l_cap).sample_frame(rng)
+    return FrameSampler(scene, psf, l_cap=l_cap).sample_record(rng, 1)[0]
 
 
 def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None = None):
@@ -333,34 +337,25 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int) -> float:
 # ---------------------------------------------------------------------------
 
 def record_to_lines(record, psf: PsfModel):
-    """Serialize frames on their canonical momenta (C1 photons first), which keep the density."""
-    sk = psf.sigma_k
-    for outcome in record:
-        cols = [str(outcome.photon_count), str(outcome.camera_split)]
-        cols += [repr(k / sk) for k in outcome.canonical_momenta]
-        yield ",".join(cols)
+    """Serialize a :class:`FrameRecord` or outcome sequence on canonical momenta (C1 photons first)."""
+    if not isinstance(record, FrameRecord):
+        record = FrameRecord.from_outcomes(record)
+    yield from record._in_frame_order(lambda L, X, row: ",".join([str(L), str(X), *map(repr, row)]), psf.sigma_k)
 
 
-def record_from_lines(lines, psf: PsfModel):
+def record_from_lines(lines, psf: PsfModel) -> FrameRecord:
+    """The :class:`FrameRecord` of the lines (blank ones skipped); a malformed line raises ``ValueError``."""
     sk = psf.sigma_k
-    record = []
-    for line in lines:
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        L, X = int(parts[0]), int(parts[1])
-        momenta = tuple(float(p) * sk for p in parts[2:])
-        record.append(DetectionOutcome(L, X, momenta))
-    return record
+    parts = (line.split(",") for line in map(str.strip, lines) if line)
+    return FrameRecord._from_rows(_checked_row(int(L), int(X), [float(k) * sk for k in ks])[:3]
+                                  for L, X, *ks in parts)
 
 
 def write_record(path, record, psf: PsfModel):
     with open(path, "w") as fh:
-        for line in record_to_lines(record, psf):
-            fh.write(line + "\n")
+        fh.writelines(line + "\n" for line in record_to_lines(record, psf))
 
 
-def read_record(path, psf: PsfModel):
+def read_record(path, psf: PsfModel) -> FrameRecord:
     with open(path) as fh:
         return record_from_lines(fh, psf)

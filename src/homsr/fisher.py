@@ -102,7 +102,7 @@ def fisher_L(scene: SourceScene, psf: PsfModel, L: int, quad: QuadratureSpec | N
 
 
 def default_l_max(scene: SourceScene) -> int:
-    """Truncation order adequate for the thermal tail: min(7, ceil(2(2N_s+1)))."""
+    """min(7, ceil(2(2N_s+1))), short of the thermal tail: see :func:`fisher_total` for what it drops."""
     return min(7, math.ceil(2.0 * (2.0 * scene.brightness + 1.0)))
 
 
@@ -112,14 +112,13 @@ def fisher_total(
     l_max: int | None = None,
     quad: QuadratureSpec | None = None,
 ) -> FisherBreakdown:
-    """Truncated total Fisher information sum_{L <= l_max} F^(L), sigma_k^2 units."""
+    """Truncated total Fisher information sum_{L <= l_max} F^(L), sigma_k^2 units.  The default l_max stops
+    at L <= 7, which at N_s = 1.5 drops about 23 % of sum_{L<=24} F^(L) at s = 1 and 36 % at s = 8."""
     if l_max is None:
         l_max = default_l_max(scene)
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
-    per_L = {}
-    for L in range(1, l_max + 1):
-        per_L[L] = fisher_L(scene, psf, L, quad)
+    per_L = {L: fisher_L(scene, psf, L, quad) for L in range(1, l_max + 1)}
     total = sum(e.value for e in per_L.values())
     total_stderr = math.sqrt(sum(e.stderr ** 2 for e in per_L.values()))
     refs = {

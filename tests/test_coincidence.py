@@ -60,7 +60,12 @@ from homsr.optics import (
 from homsr.quadrature import QuadratureSpec, envelope_expectation, envelope_gh_nodes
 
 PSF = PsfModel()
-RNG = np.random.default_rng(20240817)
+
+
+@pytest.fixture
+def rng(request):
+    """A generator seeded from the test's node id, so a test draws the same inputs alone as in a full run."""
+    return np.random.default_rng(list(request.node.nodeid.encode()))
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +108,8 @@ def density_oracle(L, X, k, scene, psf, assignment=None):
 
 class TestTrigXi:
     @pytest.mark.parametrize("n,j", [(2, 0), (3, 1), (4, 2), (5, 5), (5, 3)])
-    def test_against_permutation_enumeration(self, n, j):
-        k = RNG.standard_normal(n)
+    def test_against_permutation_enumeration(self, n, j, rng):
+        k = rng.standard_normal(n)
         s = 1.7
         c = np.cos(k * s / 2.0)
         sn = np.sin(k * s / 2.0)
@@ -115,8 +120,8 @@ class TestTrigXi:
         )
         assert trig_xi(j, k, s) == pytest.approx(oracle, rel=1e-12)
 
-    def test_equals_weighted_subset_sum(self):
-        k = RNG.standard_normal(4)
+    def test_equals_weighted_subset_sum(self, rng):
+        k = rng.standard_normal(4)
         s = 0.9
         assert trig_xi(2, k, s) == pytest.approx(
             math.factorial(2) * math.factorial(2) * xi_hat_oracle(2, k, s), rel=1e-13
@@ -145,34 +150,34 @@ class TestInterferencePhases:
 
 class TestGeneralDensity:
     @pytest.mark.parametrize("L", [2, 3, 4, 5])
-    def test_against_enumeration_oracle(self, L):
+    def test_against_enumeration_oracle(self, L, rng):
         scene = SourceScene(separation=1.4, brightness=1.5)
         for X in range(L + 1):
-            k = RNG.standard_normal(L) * PSF.sigma_k
+            k = rng.standard_normal(L) * PSF.sigma_k
             assert coincidence_density_grid(L, X, k, scene, PSF) == pytest.approx(
                 density_oracle(L, X, k, scene, PSF), rel=1e-12
             )
 
-    def test_noncanonical_assignment(self):
+    def test_noncanonical_assignment(self, rng):
         scene = SourceScene(separation=2.0, brightness=0.8)
-        k = RNG.standard_normal(4) * PSF.sigma_k
+        k = rng.standard_normal(4) * PSF.sigma_k
         q = (0, 1, 0, 1)
         assert coincidence_density_grid(4, 2, k, scene, PSF, assignment=q) == pytest.approx(
             density_oracle(4, 2, k, scene, PSF, assignment=q), rel=1e-12
         )
 
-    def test_all_splits_matches_per_split(self):
+    def test_all_splits_matches_per_split(self, rng):
         scene = SourceScene(separation=1.0, brightness=1.5)
-        k = RNG.standard_normal((7, 3)) * PSF.sigma_k
+        k = rng.standard_normal((7, 3)) * PSF.sigma_k
         stacked = coincidence_density_all_splits(3, k, scene, PSF)
         for X in range(4):
             np.testing.assert_allclose(
                 stacked[:, X], coincidence_density_grid(3, X, k, scene, PSF), rtol=1e-13
             )
 
-    def test_parity_and_mirror_symmetry(self):
+    def test_parity_and_mirror_symmetry(self, rng):
         scene = SourceScene(separation=1.2, brightness=1.5)
-        k = RNG.standard_normal((5, 3)) * PSF.sigma_k
+        k = rng.standard_normal((5, 3)) * PSF.sigma_k
         for X in range(4):
             assignment = tuple([1] * X + [0] * (3 - X))
             mirror = tuple(1 - q for q in assignment)
@@ -185,8 +190,8 @@ class TestGeneralDensity:
             )
 
     @pytest.mark.parametrize("X", [3, -1])
-    def test_split_outside_frame_rejected(self, X):
-        k = RNG.standard_normal((4, 2)) * PSF.sigma_k
+    def test_split_outside_frame_rejected(self, X, rng):
+        k = rng.standard_normal((4, 2)) * PSF.sigma_k
         with pytest.raises(ValueError, match=r"camera_split must lie in \[0, photon_count\]"):
             coincidence_density_grid(2, X, k, SourceScene(1.0, 1.5), PSF)
 
@@ -287,8 +292,8 @@ class TestSpecializedForms:
     SCENES = [SourceScene(0.3, 0.5), SourceScene(1.3, 1.5), SourceScene(4.0, 2.5)]
 
     @pytest.mark.parametrize("scene", SCENES)
-    def test_two_photon(self, scene):
-        k = RNG.standard_normal(2) * PSF.sigma_k
+    def test_two_photon(self, scene, rng):
+        k = rng.standard_normal(2) * PSF.sigma_k
         coords = TwoPhotonCoordinates.from_momenta(*k)
         bunched = coincidence_density_grid(2, 0, k, scene, PSF) + coincidence_density_grid(2, 2, k, scene, PSF)
         assert two_photon_density(coords, "B", scene, PSF) == pytest.approx(bunched, rel=1e-12)
@@ -297,8 +302,8 @@ class TestSpecializedForms:
         )
 
     @pytest.mark.parametrize("scene", SCENES)
-    def test_three_photon(self, scene):
-        k = RNG.standard_normal(3) * PSF.sigma_k
+    def test_three_photon(self, scene, rng):
+        k = rng.standard_normal(3) * PSF.sigma_k
         bunched = coincidence_density_grid(3, 0, k, scene, PSF) + coincidence_density_grid(3, 3, k, scene, PSF)
         assert three_photon_density(*k, "B", scene, PSF) == pytest.approx(bunched, rel=1e-12)
         # The unbalanced class sums the mirror pair X in {1, 2} with the
@@ -307,8 +312,8 @@ class TestSpecializedForms:
         assert three_photon_density(*k, "UA", scene, PSF) == pytest.approx(mirrored, rel=1e-12)
 
     @pytest.mark.parametrize("scene", SCENES)
-    def test_four_photon(self, scene):
-        k = RNG.standard_normal(4) * PSF.sigma_k
+    def test_four_photon(self, scene, rng):
+        k = rng.standard_normal(4) * PSF.sigma_k
         bunched = coincidence_density_grid(4, 0, k, scene, PSF) + coincidence_density_grid(4, 4, k, scene, PSF)
         assert four_photon_density(*k, "B", scene, PSF) == pytest.approx(bunched, rel=1e-12)
         assert four_photon_density(*k, "A", scene, PSF) == pytest.approx(
@@ -328,8 +333,7 @@ class TestSpecializedForms:
 
     @pytest.mark.parametrize("scene", SCENES)
     def test_two_photon_class_entries(self, scene):
-        # The leave-one-out evaluator at L = 2 reproduces the (Kbar, dk) closed form.  Fixed
-        # momenta: a draw from the module RNG would shift every later test's draws.
+        # The leave-one-out evaluator at L = 2 reproduces the (Kbar, dk) closed form at fixed momenta.
         k = np.array([0.37, -0.81]) * PSF.sigma_k
         coords = TwoPhotonCoordinates.from_momenta(*k)
         for x_class in ("A", "B"):
@@ -355,16 +359,31 @@ class TestSpecializedForms:
 
 class TestSmallSeparationLimits:
     @pytest.mark.parametrize("P", [1, 2])
-    def test_leading_density_ratio(self, P):
-        k = RNG.standard_normal(2 * P) * PSF.sigma_k
-        ratios = []
-        for s in (1e-2, 1e-3):
+    def test_leading_density_ratio(self, P, rng):
+        # The leading term (k_1+..+k_P - k_{P+1}-..-k_{2P})^2 s^2 vanishes where that difference
+        # does, so its relative tolerance holds only at |difference| >= c sigma_k.  Nearer the zero
+        # the error is held to the tolerance times the leading density at |difference| = c sigma_k.
+        # With c = 1.5, none of 200,000 envelope draws per P fails either check.
+        c = 1.5
+        k = rng.standard_normal(2 * P) * PSF.sigma_k
+        diff = k[:P].sum() - k[P:].sum()
+        for s, tol in ((1e-2, 5e-3), (1e-3, 5e-5)):
             scene = SourceScene(separation=s, brightness=1.5)
             exact = coincidence_density_grid(2 * P, P, k, scene, PSF)
             lead = subrayleigh_leading_density(P, k, scene, PSF)
-            ratios.append(lead / exact)
-        assert ratios[0] == pytest.approx(1.0, abs=5e-3)
-        assert ratios[1] == pytest.approx(1.0, abs=5e-5)
+            if abs(diff) >= c * PSF.sigma_k:
+                assert lead / exact == pytest.approx(1.0, abs=tol)
+            else:
+                assert abs(lead - exact) <= tol * lead * (c * PSF.sigma_k / diff) ** 2
+
+    def test_leading_density_near_its_zero(self):
+        # |difference| = 0.01 sigma_k: the ratio misses 5e-3, the bound at c = 1.5 holds.
+        k = np.array([0.8, -0.3, 0.45, 0.04]) * PSF.sigma_k
+        scene = SourceScene(separation=1e-2, brightness=1.5)
+        exact = coincidence_density_grid(4, 2, k, scene, PSF)
+        lead = subrayleigh_leading_density(2, k, scene, PSF)
+        assert abs(lead / exact - 1.0) > 5e-3
+        assert abs(lead - exact) <= 5e-3 * lead * (1.5 / 0.01) ** 2
 
     def test_balanced_four_photon_vanishes_quadratically(self):
         # The balanced 2-2 outcome opens as s^2 (extended HOM suppression).
@@ -529,9 +548,9 @@ class TestComplexStep:
         for g, w in zip(got, want):
             np.testing.assert_allclose(g, w, rtol=0, atol=1e-12 * np.abs(w).max())
 
-    def test_value_path_stays_real(self):
+    def test_value_path_stays_real(self, rng):
         scene = SourceScene(separation=1.0, brightness=1.5)
-        k = RNG.standard_normal((50, 4)) * PSF.sigma_k
+        k = rng.standard_normal((50, 4)) * PSF.sigma_k
         coefs = _theta_table(4, 1.5, mode_weights(scene, PSF).delta)
         assert _bracket(k, 1.0, range(5), coefs).dtype == np.float64
         assert class_weights(4, scene, PSF).dtype == np.float64
@@ -539,9 +558,9 @@ class TestComplexStep:
         assert coincidence_density_all_splits(4, k, scene, PSF).dtype == np.float64
 
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
-    def test_real_part_of_complex_pass_is_the_real_pass(self, s):
+    def test_real_part_of_complex_pass_is_the_real_pass(self, s, rng):
         for L in range(1, 13):
-            k = RNG.standard_normal((64, L)) * PSF.sigma_k
+            k = rng.standard_normal((64, L)) * PSF.sigma_k
             coefs = _theta_table(L, 1.5, psf_overlap_delta(PSF, s))
             real = _bracket(k, s, range(L + 1), coefs)
             complex_ = _bracket(k, s + 1e-20j * s, range(L + 1), coefs)
@@ -567,16 +586,16 @@ class TestBracketKernel:
 
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("L", list(range(1, 13)) + [20])
-    def test_matches_leave_one_out_oracle(self, L, complex_step):
+    def test_matches_leave_one_out_oracle(self, L, complex_step, rng):
         s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
         coefs = _theta_table(L, 1.5, psf_overlap_delta(PSF, 1.3))
         split_sets = [list(range(L + 1)), [0], [L], [0, L], [L // 2 or 1]]
-        split_sets += [list(np.unique(RNG.integers(0, L + 1, 3))) for _ in range(2)]
+        split_sets += [list(np.unique(rng.integers(0, L + 1, 3))) for _ in range(2)]
         for splits in split_sets:
             # row counts 1, chunk - 1 and chunk + 1 under the kernel's own chunk sizing
             chunk = max(1, coincidence._CHUNK_BYTES // ((2 + len(splits)) * L * (16 if complex_step else 8)))
             counts = [1, 2, 40] if L == 20 else [1, chunk - 1, chunk + 1]
-            k = RNG.standard_normal((max(counts), L)) * PSF.sigma_k
+            k = rng.standard_normal((max(counts), L)) * PSF.sigma_k
             want = oracle_bracket(k, s, splits, coefs[splits])
             for n in counts:
                 got = _bracket(k[:n], s, splits, coefs[splits])
@@ -587,8 +606,8 @@ class TestBracketKernel:
                     assert (np.abs(part(got) - part(want[:n])) <= 1e-13 * scale).all(), (splits, n, part)
 
     @pytest.mark.parametrize("s", [1e-8, 0.01, 1.0, 8.0, 40.0])
-    def test_complex_half_angle_trig_is_numpys(self, s):
-        k = RNG.standard_normal((7, 5000)) * PSF.sigma_k
+    def test_complex_half_angle_trig_is_numpys(self, s, rng):
+        k = rng.standard_normal((7, 5000)) * PSF.sigma_k
         z = s * (1 + 1e-20j)
         c, sn = _half_angle_trig(z, k)
         assert np.array_equal(c, np.cos(0.5 * z * k)) and np.array_equal(sn, np.sin(0.5 * z * k))

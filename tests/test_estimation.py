@@ -178,6 +178,23 @@ class TestRecordIO:
         write_record(path, subset, PSF)
         back = read_record(path, PSF)
         assert back == subset
+        write_record(path, record_2000, PSF)
+        back = read_record(path, PSF)
+        assert isinstance(back, FrameRecord)
+        assert back == record_2000
+        fits = [mle_separation(r, PSF, SCENE.brightness, compute_crb=False) for r in (record_2000, back)]
+        assert fits[1].s_hat == fits[0].s_hat
+
+    def test_sample_write_read_fit_builds_no_outcome(self, sampler, tmp_path, monkeypatch):
+        def forbidden(self):
+            raise AssertionError("DetectionOutcome built")
+
+        monkeypatch.setattr(DetectionOutcome, "__post_init__", forbidden)
+        path = tmp_path / "record.csv"
+        record = sampler.sample_record(np.random.default_rng(5), 300)
+        write_record(path, record, PSF)
+        fits = [mle_separation(r, PSF, SCENE.brightness, compute_crb=False) for r in (record, read_record(path, PSF))]
+        assert fits[1].s_hat == fits[0].s_hat
 
     def test_line_format(self):
         outcome = DetectionOutcome(2, 1, (0.25, -0.5))
@@ -201,10 +218,16 @@ class TestRecordIO:
             coincidence_density(outcome, SCENE, PSF), rel=1e-12
         )
 
-    @pytest.mark.parametrize("text", ["nan", "inf", "-inf"])
-    def test_non_finite_momentum_rejected(self, text):
-        with pytest.raises(ValueError, match="momenta must be finite"):
-            record_from_lines([f"2,1,{text},0.5"], PSF)
+    @pytest.mark.parametrize("line, message", [
+        *(pytest.param(f"2,1,{text},0.5", "momenta must be finite", id=text) for text in ("nan", "inf", "-inf")),
+        pytest.param("3,1,0.1,0.5", "momenta length must equal photon_count", id="too-few-momenta"),
+        pytest.param("2,3,0.1,0.5", r"camera_split must lie in \[0, photon_count\]", id="split-above-L"),
+        pytest.param("0,0", "photon_count must be >= 1", id="L-zero"),
+        pytest.param("2.0,1,0.1,0.5", "invalid literal for int", id="L-not-integer"),
+    ])
+    def test_non_finite_momentum_rejected(self, line, message):
+        with pytest.raises(ValueError, match=message):
+            record_from_lines([line], PSF)
 
     def test_blank_lines_ignored(self):
         lines = ["", "1,0,0.5", "   "]

@@ -1,0 +1,296 @@
+"""Identity battery: one SHA-256 per family of homsr outputs.
+
+    python tools/identity.py                  # digests of this checkout
+    python tools/identity.py --against DIR    # and of the checkout at DIR
+
+Use it to back a claim that a refactor leaves every output bit-identical:
+run it with ``--against`` a second checkout of the parent commit (``git
+worktree add ../parent HEAD~1``, say).  For each family whose digest differs
+it prints the largest relative difference and the item where it occurs.
+
+Each checkout runs in its own process with its ``src`` first on
+``sys.path``; both run at once.  The families are densities (every split,
+with a camera assignment, with ``delta_override``, without the envelope, and
+the 2-, 3- and 4-photon closed forms), all-splits densities, the frame-size
+law, class weights by each method, bucket and sub-Rayleigh values,
+``fisher_total`` at fixed s and l_max, three 5000-frame records (frames,
+majorants, written lines, ŝ of the record and of its read-back copy, and
+likelihood curves), and the outputs of the CLI runs in ``tests/test_cli.py``
+with their temporary paths normalised.  It takes about 30 s on 2 vCPU.
+
+This is not a test: pinned digests would turn every intended numeric change
+into a test edit.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import pickle
+import re
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+SCENES = ((0.01, 1.5), (1.0, 1.5), (4.0, 0.5), (8.0, 3.0))
+# (s, N_s, l_cap) of the sampled records; the first is the `homsr estimate` default.
+RECORDS = ((1.0, 1.5, 12), (0.3, 1.5, 8), (2.0, 4.0, 8))
+RECORD_FRAMES = 5000
+CLI_RUNS = (
+    ("probability-surface", "--l", "2", "--x-class", "A", "--s", "5", "--grid", "13"),
+    ("probability-surface", "--l", "2", "--x-class", "B", "--s", "20.0", "--grid", "241"),
+    ("probability-surface", "--l", "4", "--x-class", "UA", "--s", "1", "--grid", "5"),
+    ("probability-surface", "--l", "2", "--x-class", "B", "--grid", "5"),
+    ("probability-surface", "--config", "{config}", "--s", "1.0", "--x-class", "B"),
+    ("fi-curve", "--ns", "1.5", "--s-grid", "0.05,1", "--lmax", "3", "--strict"),
+    ("fi-curve", "--s-grid", "0.5", "--lmax", "2"),
+    ("fi-vs-ns", "--s", "0.01", "--ns-grid", "1.0,1.5", "--lmax", "2"),
+    ("bucket-compare", "--l", "2", "--s-grid", "0.02,8", "--ns", "1.5"),
+    ("bucket-compare", "--l", "2", "--s-grid", "0.5,1", "--ns", "1.0"),
+    ("estimate", "--true-s", "1", "--ns", "1.5", "--frames", "300", "--trials", "2", "--seed", "7", "--l-cap", "6"),
+    ("estimate", "--trials", "1"),
+    ("fi-curve", "--lmax", "1"),
+    ("fi-curve", "--s-grid", "0:1:2"),
+    ("fi-curve", "--quad", "gh", "--lmax", "5", "--s-grid", "1:1:1"),
+    ("probability-surface", "--l", "3", "--x-class", "A"),
+)
+
+
+def _densities(families, psf, rng):
+    from homsr import coincidence as c
+    from homsr.optics import SourceScene
+
+    dens, splits, law = families["densities"], families["all_splits"], families["frame_size_law"]
+    for s, ns in SCENES:
+        scene = SourceScene(s, ns)
+        law[f"s={s} ns={ns}"] = c.frame_size_distribution(30, scene, psf)
+        law[f"s={s} ns={ns} delta=0"] = c.frame_size_distribution(30, scene, psf, delta_override=0.0)
+        for L in (1, 2, 3, 4, 5, 7, 12):
+            k = rng.standard_normal((64, L)) * psf.sigma_k
+            splits[f"s={s} ns={ns} L={L}"] = c.coincidence_density_all_splits(L, k, scene, psf)
+            splits[f"s={s} ns={ns} L={L} delta=0.3"] = c.coincidence_density_all_splits(
+                L, k, scene, psf, delta_override=0.3)
+            for X in range(L + 1):
+                key = f"s={s} ns={ns} L={L} X={X}"
+                dens[key] = c.coincidence_density_grid(L, X, k, scene, psf)
+                dens[key + " rolled assignment"] = c.coincidence_density_grid(
+                    L, X, k, scene, psf, assignment=tuple(np.roll([1] * X + [0] * (L - X), 1)))
+                dens[key + " delta=0"] = c.coincidence_density_grid(L, X, k, scene, psf, delta_override=0.0)
+                dens[key + " no envelope"] = c.coincidence_density_grid(L, X, k, scene, psf, include_envelope=False)
+        k = rng.standard_normal((4, 64)) * psf.sigma_k
+        for x_class in ("A", "B"):
+            coords = c.TwoPhotonCoordinates.from_momenta(k[0], k[1])
+            dens[f"s={s} ns={ns} two-photon {x_class}"] = c.two_photon_density(coords, x_class, scene, psf)
+            dens[f"s={s} ns={ns} four-photon {x_class}"] = c.four_photon_density(*k, x_class, scene, psf)
+        for x_class in ("B", "UA"):
+            dens[f"s={s} ns={ns} three-photon {x_class}"] = c.three_photon_density(*k[:3], x_class, scene, psf)
+
+
+def _weights_and_limits(families, psf):
+    from homsr import coincidence as c
+    from homsr import fisher as f
+    from homsr.optics import SourceScene
+
+    limits = families["bucket_subrayleigh"]
+    for s, ns in SCENES:
+        scene = SourceScene(s, ns)
+        for L in range(1, 13):
+            families["class_weights.auto"][f"s={s} ns={ns} L={L}"] = c.class_weights(L, scene, psf)
+        for L in (1, 2, 3):
+            families["class_weights.gh"][f"s={s} ns={ns} L={L}"] = c.class_weights(L, scene, psf, method="gh")
+        for L in (2, 4):
+            families["class_weights.mc"][f"s={s} ns={ns} L={L}"] = c.class_weights(
+                L, scene, psf, method="mc", sample_count=20_000)
+        key = f"s={s} ns={ns}"
+        limits[key + " bucket_fisher"] = np.array([f.bucket_fisher(scene, psf, L) for L in (2, 3, 4)])
+        limits[key + " bucket_probability"] = np.array([c.bucket_probability(P, scene, psf) for P in (1, 2, 3)])
+        limits[key + " two_photon_class"] = np.array(
+            [c.two_photon_class_probability(x, scene, psf) for x in ("A", "B")] + [c.interference_kappa(scene, psf)])
+        k = np.linspace(-2.0, 2.0, 40).reshape(10, 4) * psf.sigma_k
+        limits[key + " leading density"] = c.subrayleigh_leading_density(2, k, scene, psf)
+    for ns in (0.1, 0.5, 1.5, 5.0):
+        limits[f"ns={ns} orders, total, asymptotic"] = np.array(
+            [f.subrayleigh_fisher_order(P, ns) for P in (1, 2, 3, 4)]
+            + [f.subrayleigh_fisher_total(ns), f.asymptotic_fisher_2p(ns)])
+
+
+def _fisher(families, psf):
+    from homsr import fisher as f
+    from homsr.optics import SourceScene
+
+    for s, ns, l_max in ((1.0, 1.5, 5), (0.05, 1.5, 3)):
+        breakdown = f.fisher_total(SourceScene(s, ns), psf, l_max=l_max)
+        rows = [(e.value, e.stderr) for _, e in sorted(breakdown.per_L.items())]
+        families["fisher_total"][f"s={s} ns={ns} l_max={l_max}"] = np.array(
+            rows + [(breakdown.total, breakdown.total_stderr)])
+
+
+def _records(families, psf, tmp):
+    from homsr import estimation as e
+    from homsr.optics import SourceScene
+
+    for i, (s, ns, l_cap) in enumerate(RECORDS):
+        key = f"s={s} ns={ns} l_cap={l_cap}"
+        sampler = e.FrameSampler(SourceScene(s, ns), psf, l_cap=l_cap)
+        record = sampler.sample_record(np.random.default_rng([20261018, i]), RECORD_FRAMES)
+        frames = [(o.photon_count, o.camera_split, o.canonical_momenta) for o in record]
+        families["records.frames"][key + " L, X"] = np.array([f[:2] for f in frames])
+        families["records.frames"][key + " momenta"] = np.concatenate([f[2] for f in frames])
+        families["records.majorants"][key] = np.array([(*cell, m) for cell, m in sorted(sampler._majorants.items())])
+        lines = list(e.record_to_lines(record, psf))
+        families["records.lines"][key] = "\n".join(lines)
+        path = os.path.join(tmp, f"record{i}.csv")
+        e.write_record(path, record, psf)
+        back = e.read_record(path, psf)
+        families["records.lines"][key + " read back"] = "\n".join(e.record_to_lines(back, psf))
+        for label, r in (("", record), (" read back", back)):
+            report = e.mle_separation(r, psf, ns, l_cap=l_cap, curve_points=9, compute_crb=False)
+            families["records.s_hat"][key + label] = np.array(report.s_hat)
+            if hasattr(report, "objective_evals"):
+                families["records.s_hat"][key + label + " evaluations"] = np.array(report.objective_evals)
+            families["records.curves"][key + label] = np.array(report.log_likelihood_curve)
+
+
+def _cli(families, tmp):
+    from homsr.cli import main
+
+    config = os.path.join(tmp, "config.json")
+    with open(config, "w") as fh:
+        json.dump({"ns": 0.5, "s": 3.0, "grid": 5}, fh)
+    for n, argv in enumerate(CLI_RUNS):
+        out = os.path.join(tmp, f"cli{n}", "out.csv")
+        argv = [a.format(config=config) for a in argv] + ["--out", out]
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        text = [f"exit: {code}", stderr.getvalue()]
+        for suffix in ("", ".manifest.json", ".summary.json"):
+            if os.path.exists(out + suffix):
+                text.append(Path(out + suffix).read_text())
+        families["cli"][" ".join(argv[:-2]).replace(tmp, "<tmp>")] = "\n".join(text).replace(tmp, "<tmp>")
+
+
+def collect(tree):
+    """{family: {item: array or str}} of the homsr under ``tree/src``."""
+    sys.path.insert(0, str(Path(tree) / "src"))
+    import homsr
+    from homsr.optics import PsfModel
+
+    if not Path(homsr.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
+        raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
+    names = ("densities", "all_splits", "frame_size_law", "class_weights.auto", "class_weights.gh",
+             "class_weights.mc", "bucket_subrayleigh", "fisher_total", "records.frames", "records.majorants",
+             "records.lines", "records.s_hat", "records.curves", "cli")
+    families = {name: {} for name in names}
+    psf = PsfModel()
+    with tempfile.TemporaryDirectory() as tmp:
+        _densities(families, psf, np.random.default_rng(20261018))
+        _weights_and_limits(families, psf)
+        _fisher(families, psf)
+        _records(families, psf, tmp)
+        _cli(families, tmp)
+    return families
+
+
+def digest(items):
+    h = hashlib.sha256()
+    for key, value in items.items():
+        h.update(key.encode() + b"\0")
+        if isinstance(value, str):
+            h.update(b"str\0" + value.encode())
+        else:
+            value = np.ascontiguousarray(value)
+            h.update(f"{value.dtype.str}{value.shape}\0".encode() + value.tobytes())
+    return h.hexdigest()
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
+
+
+def _numbers(value):
+    if isinstance(value, str):
+        return np.array([float(t) for t in _NUMBER.findall(value)]), _NUMBER.sub("#", value)
+    return np.asarray(value, dtype=float).ravel(), None
+
+
+def largest_difference(a, b):
+    """(relative difference, item) of the worst item of two families, or a note on what differs."""
+    if list(a) != list(b):
+        return f"items differ: {sorted(set(a) ^ set(b))[:3]}"
+    worst = (0.0, None)
+    for key in a:
+        (x, xt), (y, yt) = _numbers(a[key]), _numbers(b[key])
+        if x.shape != y.shape or xt != yt:
+            return f"{key}: shape or text differs"
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
+        rel = np.where(x == y, 0.0, rel)
+        if rel.size and np.nanmax(rel) > worst[0]:
+            worst = (float(np.nanmax(rel)), key)
+    return worst
+
+
+def run_trees(trees):
+    """Collect each tree in a child process, all at once; returns their families and seconds."""
+    with tempfile.TemporaryDirectory() as tmp:
+        jobs = []
+        for n, tree in enumerate(trees):
+            dump = os.path.join(tmp, f"{n}.pickle")
+            argv = [sys.executable, __file__, "--collect", str(tree), "--dump", dump]
+            jobs.append((dump, time.perf_counter(), subprocess.Popen(argv, cwd=tmp)))
+        results = []
+        for dump, start, job in jobs:
+            if job.wait():
+                raise SystemExit(f"collecting {trees[len(results)]} failed with exit code {job.returncode}")
+            with open(dump, "rb") as fh:
+                results.append((pickle.load(fh), time.perf_counter() - start))
+    return results
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", metavar="DIR", help="a second checkout to compare with")
+    parser.add_argument("--collect", metavar="DIR", help=argparse.SUPPRESS)
+    parser.add_argument("--dump", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.collect:
+        families = collect(args.collect)
+        with open(args.dump, "wb") as fh:
+            pickle.dump(families, fh)
+        return 0
+
+    trees = [Path(__file__).resolve().parents[1]] + ([Path(args.against).resolve()] if args.against else [])
+    results = run_trees(trees)
+    for tree, (_, seconds) in zip(trees, results):
+        print(f"# {tree}: {seconds:.1f} s")
+    ours = results[0][0]
+    differing = 0
+    for name, items in ours.items():
+        line = f"{name:20s} {len(items):4d} items  {digest(items)}"
+        if args.against:
+            theirs = results[1][0].get(name, {})
+            if digest(theirs) == digest(items):
+                line += "  identical"
+            else:
+                differing += 1
+                worst = largest_difference(items, theirs)
+                line += f"  DIFFERS: {worst if isinstance(worst, str) else f'max rel {worst[0]:.3g} at {worst[1]}'}"
+        print(line)
+    if args.against:
+        print(f"{differing} of {len(ours)} families differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
