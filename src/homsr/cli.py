@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .coincidence import four_photon_density, three_photon_density, two_photon_density, TwoPhotonCoordinates
 from .estimation import L_CAP, FrameSampler, crb_report, mle_separation
-from .fisher import QuadratureSpec, bucket_fisher, fisher_L, fisher_total, subrayleigh_fisher_total
+from .fisher import QuadratureSpec, bucket_fisher, fisher_L, fisher_total
 from .optics import PsfModel, SourceScene
 
 _SURFACE_GRID_DEFAULT = {2: 61, 3: 21, 4: 11}
@@ -147,24 +147,15 @@ def cmd_probability_surface(params):
     if n < 2:
         raise ValueError(f"needs grid >= 2 points per axis, got grid={n}")
     sk = psf.sigma_k
-
+    half_widths = (3.0, 6.0) if L == 2 else (3.0,) * L  # L = 2 is on (Kbar, dk), the difference twice as wide
+    ks = [g.ravel() for g in np.meshgrid(*(np.linspace(-h, h, n) * sk for h in half_widths), indexing="ij")]
     if L == 2:
-        kbar = np.linspace(-3.0, 3.0, n) * sk
-        dk = np.linspace(-6.0, 6.0, n) * sk
-        header = ("kbar", "dk", "density")
-        rows = []
-        for kb in kbar:
-            dens = two_photon_density(TwoPhotonCoordinates(k_bar=kb, delta_k=dk), x_class, scene, psf)
-            rows.extend((kb / sk, d / sk, v) for d, v in zip(dk, dens))
+        names, dens = ("kbar", "dk"), two_photon_density(TwoPhotonCoordinates(*ks), x_class, scene, psf)
     else:
-        axis = np.linspace(-3.0, 3.0, n) * sk
-        grids = np.meshgrid(*([axis] * L), indexing="ij")
-        ks = [g.ravel() for g in grids]
-        density_fn = three_photon_density if L == 3 else four_photon_density
-        dens = density_fn(*ks, x_class, scene, psf)
-        header = tuple(f"k{i + 1}" for i in range(L)) + ("density",)
-        rows = (tuple(k[i] / sk for k in ks) + (dens[i],) for i in range(axis.size ** L))
-    return header, rows, None, None
+        names = tuple(f"k{i + 1}" for i in range(L))
+        dens = (three_photon_density if L == 3 else four_photon_density)(*ks, x_class, scene, psf)
+    rows = (tuple(k[i] / sk for k in ks) + (dens[i],) for i in range(dens.size))
+    return names + ("density",), rows, None, None
 
 
 def _fisher_sweep(spec, scene_at, lmax, quad=None):
@@ -187,7 +178,7 @@ def cmd_fi_curve(params):
 def cmd_fi_vs_ns(params):
     s = params["s"]
     points, problem = _fisher_sweep(params["ns_grid"], lambda ns: SourceScene(s, ns), params["lmax"])
-    rows = [(ns, L, est.value, b.total, subrayleigh_fisher_total(float(ns))) for ns, L, est, b in points]
+    rows = [(ns, L, est.value, b.total, b.closed_form_refs["subrayleigh_total"]) for ns, L, est, b in points]
     return ("ns", "L", "F_L", "F_total", "closed_form_total"), rows, problem, None
 
 
@@ -221,7 +212,7 @@ def cmd_estimate(params):
     s_hats = np.array([row[1] for row in rows])
     boundary_count = sum(row[2] for row in rows)
     variance = float(s_hats.var(ddof=1))
-    crb = crb_report(scene, psf, frames)
+    crb = crb_report(scene, psf, frames, l_cap)
     ratio = variance / crb
     summary = {
         "trials": trials,
@@ -232,6 +223,7 @@ def cmd_estimate(params):
         "mean": float(s_hats.mean()),
         "variance": variance,
         "crb": crb,
+        "crb_l_cap": l_cap,
         "bias": float(s_hats.mean() - true_s),
         "variance_over_crb": ratio,
         "saturation_pass": bool(0.8 <= ratio <= 1.3),

@@ -597,13 +597,12 @@ def frame_size_distribution(
     """Array of frame-size probabilities for L = 1..l_max (index 0 -> L=1).
 
     P(L) = p0 * sum_{m+n = L-1} r_plus^m r_minus^n (thermal double geometric
-    series), summed term by term: every term is positive, so no digits are
-    lost as delta -> 0, where r_plus and r_minus merge.
+    series), a convolution of positive terms: no digits are lost as
+    delta -> 0, where r_plus and r_minus merge.
     """
     w = mode_weights(scene, psf, delta_override=delta_override)
-    m = np.arange(l_max)
-    terms = (w.r_plus ** m[:L] * w.r_minus ** (L - 1 - m[:L]) for L in range(1, l_max + 1))
-    return np.array([w.p0 * float(np.sum(t)) for t in terms])
+    m = np.arange(max(l_max, 1))  # np.convolve rejects empty input; [:l_max] is empty at l_max <= 0
+    return w.p0 * np.convolve(w.r_plus ** m, w.r_minus ** m)[:l_max]
 
 
 def class_weights(

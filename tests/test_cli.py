@@ -139,7 +139,7 @@ class TestBucketCompare:
 
 
 class TestGridSpec:
-    @pytest.mark.parametrize("spec", ["log:0.01:8", "1:2:x", "0:1:0"])
+    @pytest.mark.parametrize("spec", ["log:0.01:8", "1:2:x", "0:1:0", "1,inf"])
     def test_bad_spec_exits_naming_the_forms(self, tmp_path, spec):
         with pytest.raises(SystemExit, match="lo:hi:n.*log:lo:hi:n.*v1,v2"):
             run(tmp_path, "fi-curve", "--s-grid", spec)
@@ -159,6 +159,13 @@ class TestEstimate:
         assert set(summary) >= {"mean", "variance", "crb", "bias", "variance_over_crb", "saturation_pass"}
         code, out = run(tmp_path, *args)
         assert out.read_bytes() == first
+
+    def test_crb_is_taken_at_the_fitted_l_cap(self, tmp_path, monkeypatch):
+        calls = []
+        monkeypatch.setattr(homsr.cli, "crb_report", lambda *args: calls.append(args) or 1e-3)
+        code, _ = run(tmp_path, "estimate", "--frames", "50", "--trials", "2", "--l-cap", "4")
+        assert code == 0 and len(calls) == 1 and calls[0][3] == 4
+        assert json.loads((tmp_path / "out.csv.summary.json").read_text())["crb_l_cap"] == 4
 
 
 class TestInputErrors:

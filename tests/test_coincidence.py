@@ -228,6 +228,9 @@ class TestGeneralDensity:
         outcome = DetectionOutcome(3, 1, (0.0, 0.1, 0.2))
         assert outcome.assignment == (1, 0, 0)
 
+    def test_explicit_assignment_is_returned(self):
+        assert DetectionOutcome(3, 1, (0.0, 0.1, 0.2), camera_assignment=(0, 1, 0)).assignment == (0, 1, 0)
+
     @pytest.mark.parametrize("L, X", [(2, 1.0), (2.0, 1), (np.float64(2), 1)])
     def test_detection_outcome_rejects_non_integer_counts(self, L, X):
         with pytest.raises(TypeError):
@@ -611,3 +614,16 @@ class TestBracketKernel:
         z = s * (1 + 1e-20j)
         c, sn = _half_angle_trig(z, k)
         assert np.array_equal(c, np.cos(0.5 * z * k)) and np.array_equal(sn, np.sin(0.5 * z * k))
+
+
+class TestArgumentErrors:
+    @pytest.mark.parametrize("call, message", [
+        pytest.param(lambda scene: coincidence_density_grid(3, 1, np.zeros((4, 2)), scene, PSF),
+                     "momenta last axis must have length L", id="grid-axis-not-L"),
+        pytest.param(lambda scene: subrayleigh_leading_density(2, np.zeros((4, 3)), scene, PSF),
+                     "need 2P momenta", id="leading-density-not-2P"),
+        pytest.param(lambda scene: frame_size_probability(0, scene, PSF), "L must be >= 1", id="frame-size-L-zero"),
+    ])
+    def test_rejected(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(SourceScene(1.0, 1.5))

@@ -32,6 +32,7 @@ from homsr.estimation import (
     simulate_experiment,
     write_record,
 )
+from homsr.fisher import QuadratureSpec, fisher_L
 from homsr.optics import PsfModel, SourceScene
 
 PSF = PsfModel()
@@ -156,6 +157,10 @@ class TestFrameRecord:
         assert list(record) == outcomes
         assert record.groups[3][2].tolist() == [[1.1, 0.3, -0.7]]
 
+    def test_group_without_rows_rejected(self):
+        with pytest.raises(ValueError, match="group L = 2 has no rows"):
+            FrameRecord({2: (np.array([], int), np.array([], int), np.empty((0, 2)))})
+
 
 class TestSimulateExperiment:
     def test_reproducible_from_config(self):
@@ -229,6 +234,12 @@ class TestRecordIO:
         with pytest.raises(ValueError, match=message):
             record_from_lines([line], PSF)
 
+    def test_error_names_line_number_and_text(self, tmp_path):
+        path = tmp_path / "record.csv"
+        path.write_text("1,0,0.5\n\n1,0,0.5\n2.0,1,0.1,0.5\n")  # line numbers count the blank line
+        with pytest.raises(ValueError, match=r"line 4 '2\.0,1,0\.1,0\.5': invalid literal for int"):
+            read_record(path, PSF)
+
     def test_blank_lines_ignored(self):
         lines = ["", "1,0,0.5", "   "]
         record = record_from_lines(lines, PSF)
@@ -267,6 +278,11 @@ class TestMle:
         monkeypatch.setattr(estimation, "_log_likelihood", None)
         with pytest.raises(ValueError, match="search_interval"):
             mle_separation(record_2000, PSF, 1.5, search_interval=interval, compute_crb=False)
+
+    def test_l_cap_below_two_rejected(self, record_2000, monkeypatch):
+        monkeypatch.setattr(estimation, "_log_likelihood", None)
+        with pytest.raises(ValueError, match="l_cap must be >= 2"):
+            mle_separation(record_2000, PSF, 1.5, l_cap=1, compute_crb=False)
 
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
@@ -344,3 +360,28 @@ class TestCrb:
         monkeypatch.setattr(estimation, "fisher_total", None)
         with pytest.raises(ValueError, match="n_frames must be >= 1"):
             crb_report(SCENE, PSF, n_frames)
+
+    def test_rejects_l_cap_below_two(self, monkeypatch):
+        monkeypatch.setattr(estimation, "fisher_total", None)
+        with pytest.raises(ValueError, match="l_cap must be >= 2"):
+            crb_report(SCENE, PSF, 1000, l_cap=1)
+
+    def test_conditioned_on_l_cap(self):
+        # F = sum_{L <= 7} F_L / W - (W'/W)^2 / sigma_k^2 at crb_report's spec, with W = sum_{L <= 7} P(L)
+        # and W' by central difference of the frame-size law
+        f_sum = sum(fisher_L(SCENE, PSF, L, QuadratureSpec(sample_count=20_000)).value for L in range(1, 8))
+
+        def mass(s):
+            return frame_size_distribution(7, SourceScene(s, SCENE.brightness), PSF).sum()
+
+        h = 1e-5
+        w, dw = mass(SCENE.separation), (mass(SCENE.separation + h) - mass(SCENE.separation - h)) / (2 * h)
+        info = f_sum / w - (dw / w) ** 2 / PSF.sigma_k ** 2
+        assert crb_report(SCENE, PSF, 1000, l_cap=7) == pytest.approx(1.0 / (1000 * info * PSF.sigma_k ** 2), rel=1e-10)
+
+    def test_fit_passes_its_l_cap(self, record_2000, monkeypatch):
+        calls = []
+        monkeypatch.setattr(estimation, "crb_report", lambda *args: calls.append(args) or 1e-3)
+        record = [outcome for outcome in record_2000 if outcome.photon_count <= 5]
+        assert mle_separation(record, PSF, 1.5, l_cap=5).crb == 1e-3
+        assert len(calls) == 1 and calls[0][2:] == (len(record), 5)

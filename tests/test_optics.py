@@ -158,6 +158,11 @@ class TestDetectorGeometry:
         assert report.status == "fail" and not report.passed
         assert validate_pixel_geometry(geom, 0.0).status == "unconstrained"
 
+    def test_negative_separation_rejected(self):
+        geom = DetectorGeometry(far_field_distance=1.0, longitudinal_wavenumber=1.0, pixel_pitch=0.05)
+        with pytest.raises(ValueError, match="separation must be non-negative"):
+            validate_pixel_geometry(geom, -1.0)
+
     def test_ratio_formula(self):
         geom = DetectorGeometry(far_field_distance=0.5, longitudinal_wavenumber=100.0, pixel_pitch=1e-4)
         report = validate_pixel_geometry(geom, 2.0)

@@ -13,10 +13,14 @@ Each checkout runs in its own process with its ``src`` first on
 with a camera assignment, with ``delta_override``, without the envelope, and
 the 2-, 3- and 4-photon closed forms), all-splits densities, the frame-size
 law, class weights by each method, bucket and sub-Rayleigh values,
-``fisher_total`` at fixed s and l_max, three 5000-frame records (frames,
+``fisher_total`` at fixed s and l_max, ``crb_report`` at the ``homsr
+estimate`` scene with l_cap 12 and 6, the two-photon sampling hierarchy and
+the pixelated direct-imaging baseline, three 5000-frame records (frames,
 majorants, written lines, ŝ of the record and of its read-back copy, and
 likelihood curves), and the outputs of the CLI runs in ``tests/test_cli.py``
-with their temporary paths normalised.  It takes about 30 s on 2 vCPU.
+with their temporary paths normalised.  A parameter that an older checkout
+lacks (``l_cap`` of ``crb_report``) is passed only where the signature has
+it.  It takes about 30 s on 2 vCPU.
 
 This is not a test: pinned digests would turn every intended numeric change
 into a test edit.
@@ -27,6 +31,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -44,6 +49,8 @@ SCENES = ((0.01, 1.5), (1.0, 1.5), (4.0, 0.5), (8.0, 3.0))
 # (s, N_s, l_cap) of the sampled records; the first is the `homsr estimate` default.
 RECORDS = ((1.0, 1.5, 12), (0.3, 1.5, 8), (2.0, 4.0, 8))
 RECORD_FRAMES = 5000
+# (pixel pitch, pixel count) of the direct-imaging baseline: both reach >= 6 sigma_x past the sources at s <= 8.
+PIXEL_GRIDS = ((0.1, 400), (0.5, 64))
 CLI_RUNS = (
     ("probability-surface", "--l", "2", "--x-class", "A", "--s", "5", "--grid", "13"),
     ("probability-surface", "--l", "2", "--x-class", "B", "--s", "20.0", "--grid", "241"),
@@ -133,6 +140,24 @@ def _fisher(families, psf):
             rows + [(breakdown.total, breakdown.total_stderr)])
 
 
+def _crb_and_baselines(families, psf):
+    from homsr import estimation as e
+    from homsr import fisher as f
+    from homsr.optics import SourceScene
+
+    takes_l_cap = "l_cap" in inspect.signature(e.crb_report).parameters
+    for l_cap in (12, 6):
+        kwargs = {"l_cap": l_cap} if takes_l_cap else {}
+        families["crb"][f"s=1.0 ns=1.5 frames=5000 l_cap={l_cap}"] = np.array(
+            e.crb_report(SourceScene(1.0, 1.5), psf, 5000, **kwargs))
+    for s, ns in SCENES:
+        scene = SourceScene(s, ns)
+        h = f.sampling_hierarchy_fi(scene, psf)
+        families["hierarchy"][f"s={s} ns={ns}"] = np.array([h.f_x, h.f_kbar_x, h.f_dk_x, h.f_full])
+        families["di_baseline"][f"s={s} ns={ns}"] = np.array(
+            [f.di_baseline_fisher(scene, psf, pitch, n) for pitch, n in PIXEL_GRIDS])
+
+
 def _records(families, psf, tmp):
     from homsr import estimation as e
     from homsr.optics import SourceScene
@@ -190,14 +215,15 @@ def collect(tree):
     if not Path(homsr.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
     names = ("densities", "all_splits", "frame_size_law", "class_weights.auto", "class_weights.gh",
-             "class_weights.mc", "bucket_subrayleigh", "fisher_total", "records.frames", "records.majorants",
-             "records.lines", "records.s_hat", "records.curves", "cli")
+             "class_weights.mc", "bucket_subrayleigh", "fisher_total", "crb", "hierarchy", "di_baseline",
+             "records.frames", "records.majorants", "records.lines", "records.s_hat", "records.curves", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
     with tempfile.TemporaryDirectory() as tmp:
         _densities(families, psf, np.random.default_rng(20261018))
         _weights_and_limits(families, psf)
         _fisher(families, psf)
+        _crb_and_baselines(families, psf)
         _records(families, psf, tmp)
         _cli(families, tmp)
     return families
