@@ -44,7 +44,7 @@ import numpy as np
 from . import __version__
 from .coincidence import four_photon_density, three_photon_density, two_photon_density, TwoPhotonCoordinates
 from .estimation import L_CAP, FrameSampler, crb_report, mle_separation
-from .fisher import QuadratureSpec, bucket_fisher, fisher_L, fisher_total
+from .fisher import QuadratureSpec, bucket_fisher, default_l_max, fisher_L, fisher_total
 from .optics import PsfModel, SourceScene
 
 _SURFACE_GRID_DEFAULT = {2: 61, 3: 21, 4: 11}
@@ -170,6 +170,10 @@ def _fisher_sweep(spec, scene_at, lmax, quad=None):
 
 def cmd_fi_curve(params):
     ns, quad = params["ns"], QuadratureSpec(scheme=_QUAD_SCHEMES[params["quad"]])
+    lmax = params["lmax"] if params["lmax"] is not None else default_l_max(SourceScene(1.0, ns))
+    if params["quad"] == "gh" and lmax >= 5:  # refused before any order is computed
+        raise ValueError(f"--quad gh needs {24 ** lmax} nodes at L = {lmax}, above 10^6; "
+                         "use --lmax <= 4 or --quad=auto")
     points, problem = _fisher_sweep(params["s_grid"], lambda s: SourceScene(s, ns), params["lmax"], quad)
     rows = [(s, L, est.value, est.stderr, b.total, est.converged) for s, L, est, b in points]
     return ("s", "L", "F_L", "F_L_stderr", "F_total", "converged"), rows, problem, None

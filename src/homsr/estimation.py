@@ -4,8 +4,9 @@ Frames are drawn from the coincidence model in three stages: frame size
 L from the closed-form thermal distribution (truncated at ``l_cap``;
 larger frames are redrawn) and camera split X from the closed-form
 momentum-integrated class weights, both exactly, then momenta by rejection
-sampling with the product envelope as proposal, under a probe-scanned bound
-that every proposal is checked against (see :class:`FrameSampler`).
+sampling with the product envelope as proposal, under a bound from one probe
+scan per L that every proposal is checked against, in blocks sized by the
+bound's exact acceptance w(L, X)/bound (see :class:`FrameSampler`).
 
 The likelihood used for estimation conditions on L <= l_cap — the same
 truncation the sampler applies — by subtracting N log W(s) with
@@ -30,7 +31,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .coincidence import DetectionOutcome, class_weights, coincidence_density_grid, frame_size_distribution
+from .coincidence import DetectionOutcome, class_weights, coincidence_density_all_splits, coincidence_density_grid
+from .coincidence import frame_size_distribution
 from .coincidence import _bracket, _checked_row, _closed_form_weights, _log_envelope, _theta_table, _with_s_derivative
 from .fisher import QuadratureSpec, fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
@@ -55,10 +57,13 @@ __all__ = [
 # Default largest frame size L that the sampler draws and the likelihood conditions on.
 L_CAP = 12
 
-# Envelope probes per (L, X) cell in the initial majorant scan, and the
-# factor by which every majorant exceeds the largest bracket value seen.
+# Envelope probes in the one majorant scan per L (all its splits at once),
+# and the factor by which every majorant exceeds the largest bracket value seen.
 _MAJORANT_SCAN = 32_768
 _MAJORANT_MARGIN = 1.2
+# Proposals added to every block's expected need, and the most one block draws.
+_BLOCK_FLOOR = 16
+_BLOCK_CAP = 32_768
 
 
 class MajorantError(RuntimeError):
@@ -152,8 +157,10 @@ class FrameSampler:
     L and the camera split X | L (the closed form of
     :func:`~homsr.coincidence.class_weights`, tabulated once per L) are drawn
     exactly.  Momenta are rejection-sampled under a per-(L, X) bound found by
-    a probe scan (:meth:`_majorant`), not a proven maximum; every proposal is
-    checked against it (:meth:`_sample_momenta`).
+    one probe scan per L (:meth:`_majorant`), not a proven maximum; every
+    proposal is checked against it, and blocks are sized by the bound's exact
+    acceptance (:meth:`_sample_momenta`).  ``cell_counts[(L, X)]`` counts the
+    proposals drawn, the rows accepted and the violated passes of each cell.
     """
 
     def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = L_CAP):
@@ -166,46 +173,66 @@ class FrameSampler:
         p_l = frame_size_distribution(l_cap, scene, psf)
         self.truncated_mass = float(p_l.sum())
         self.p_l_given_cap = p_l / self.truncated_mass
-        weights = {L: class_weights(L, scene, psf) for L in range(1, l_cap + 1)}
-        self.x_given_l = {L: w / w.sum() for L, w in weights.items()}
+        self._weights = {L: class_weights(L, scene, psf) for L in range(1, l_cap + 1)}
+        self.x_given_l = {L: w / w.sum() for L, w in self._weights.items()}
         self._majorants: dict = {}
+        self.cell_counts: dict = {}
 
     def _bracket(self, L, X, k):
+        """The bracket of split X at each row of ``k``; of every split, shape (N, L + 1), at ``X=None``."""
+        if X is None:
+            return coincidence_density_all_splits(L, k, self.scene, self.psf, include_envelope=False)
         return coincidence_density_grid(L, X, k, self.scene, self.psf, include_envelope=False)
 
     def _majorant(self, L, X):
-        """Cached rejection bound of one (L, X) cell: ``_MAJORANT_MARGIN`` times the
-        largest bracket value on a scan of envelope-distributed probes (plus the
-        origin), which covers the region Gaussian proposals actually visit."""
-        key = (L, X)
-        if key not in self._majorants:
-            rng = np.random.default_rng([9191, L, X])
+        """Cached rejection bound of one (L, X) cell.
+
+        A miss scans every split of that L in one bracket call, on
+        ``_MAJORANT_SCAN`` envelope-distributed probes (plus the origin), which
+        cover the region Gaussian proposals actually visit.  As g_{L-X} at the
+        reversed momenta is g_X, splits X and L - X share the bound
+        ``_MAJORANT_MARGIN`` times max(peak_X, peak_{L-X}), the largest value
+        on twice the probes.
+        """
+        if (L, X) not in self._majorants:
+            rng = np.random.default_rng([9191, L])
             probes = rng.standard_normal((_MAJORANT_SCAN, L)) * self.psf.sigma_k
             probes[0] = 0.0
-            peak = float(self._bracket(L, X, probes).max())
-            self._majorants[key] = _MAJORANT_MARGIN * peak
-        return self._majorants[key]
+            peak = np.max(self._bracket(L, None, probes), axis=0)
+            bounds = np.broadcast_to(_MAJORANT_MARGIN * np.maximum(peak, np.flip(peak)), L + 1)
+            self._majorants.update({(L, x): bound for x, bound in enumerate(bounds.tolist())})
+        return self._majorants[(L, X)]
 
     def _sample_momenta(self, L, X, count, rng):
         """Rejection-sample ``count`` momentum tuples of the (L, X) cell.
 
-        Each pass draws blocks of envelope proposals under one bound and keeps
-        the accepted rows.  A proposal above the bound ends the pass: the bound
-        is raised to ``_MAJORANT_MARGIN`` times that value and the pass's rows
-        are dropped, so the returned samples were all drawn under a bound no
-        proposal violated.  A ninth violated pass raises :class:`MajorantError`.
+        A proposal is accepted with probability g/bound, so a bound's exact
+        acceptance is w(L, X)/bound, with w the closed-form class weight.  Each
+        block draws the remaining count times bound/w plus ``_BLOCK_FLOOR``
+        proposals, at most ``_BLOCK_CAP``.  Each pass draws blocks under one
+        bound and keeps the accepted rows.  A proposal above the bound ends the
+        pass: the bound is raised to ``_MAJORANT_MARGIN`` times that value and
+        the pass's rows are dropped, so the returned samples were all drawn
+        under a bound no proposal violated.  A ninth violated pass raises
+        :class:`MajorantError`.
         """
-        block = max(1024, 4 * count)
+        counts = self.cell_counts.setdefault((L, X), dict.fromkeys(("proposals", "accepted", "violated"), 0))
+        weight = self._weights[L][X]
         for _ in range(9):
             bound = self._majorant(L, X)
             kept = np.empty((0, L))
             while len(kept) < count:
+                block = int(min(_BLOCK_CAP, np.ceil((count - len(kept)) * bound / weight) + _BLOCK_FLOOR))
                 k = rng.standard_normal((block, L)) * self.psf.sigma_k
                 g = self._bracket(L, X, k)
+                counts["proposals"] += block
                 if g.max() > bound:
                     self._majorants[(L, X)] = _MAJORANT_MARGIN * float(g.max())
+                    counts["violated"] += 1
                     break
-                kept = np.concatenate([kept, k[rng.random(block) * bound < g]])
+                accepted = k[rng.random(block) * bound < g]
+                counts["accepted"] += len(accepted)
+                kept = np.concatenate([kept, accepted])
             else:
                 return kept[:count]
         raise MajorantError(f"majorant for (L={L}, X={X}) was violated in 9 passes in a row")

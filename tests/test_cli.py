@@ -99,6 +99,17 @@ class TestFiCurve:
         header, rows = read_csv(out)
         assert [(r[0], r[1]) for r in rows] == [("0.5", "1"), ("0.5", "2")]
 
+    @pytest.mark.parametrize("argv", [("--lmax", "5"), ("--ns", "1.5")])
+    def test_gh_refused_before_any_order(self, tmp_path, monkeypatch, argv):
+        # at L >= 5 the tensor rule is above its node limit, so the sweep must not start
+        def never(*args, **kwargs):
+            raise AssertionError("fisher_total called")
+
+        monkeypatch.setattr(homsr.cli, "fisher_total", never)
+        with pytest.raises(SystemExit, match=r"--lmax <= 4 or --quad=auto"):
+            run(tmp_path, "fi-curve", "--quad", "gh", "--s-grid", "1", *argv)
+        assert not (tmp_path / "out.csv").exists()
+
 
 class TestFiVsNs:
     def test_schema_and_closed_form_column(self, tmp_path):

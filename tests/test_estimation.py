@@ -120,6 +120,91 @@ class TestSampler:
         assert len(brackets) == 1 + 9  # the probe scan, then one block per pass
 
 
+def recorded_brackets(sampler):
+    """Wrap ``sampler._bracket`` so each call's (L, X, momenta, result) is appended to the returned list."""
+    calls, bracket = [], sampler._bracket
+
+    def recorded(L, X, k):
+        calls.append((L, X, k, bracket(L, X, k)))
+        return calls[-1][3]
+
+    sampler._bracket = recorded
+    return calls
+
+
+class TestMajorantScanAndBlocks:
+    """One probe scan bounds every split of an L; blocks are sized by the exact acceptance w/bound."""
+
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    def test_bracket_mirror_identity(self, s):
+        # g_{L-X} at the reversed momenta is g_X, which lets one scan bound splits X and L - X alike
+        sampler = FrameSampler(SourceScene(s, 1.5), PSF)
+        for L in range(1, 13):
+            k = np.random.default_rng([L, 17]).standard_normal((400, L)) * PSF.sigma_k
+            g = sampler._bracket(L, None, k)
+            mirrored = sampler._bracket(L, None, k[:, ::-1])[:, ::-1]
+            assert g.shape == (400, L + 1)
+            assert np.all(np.abs(mirrored - g) <= 1e-13 * g.max(axis=0))
+
+    @pytest.mark.parametrize("L", [1, 4, 7, 12])
+    def test_one_scan_fills_every_split(self, L):
+        sampler = FrameSampler(SCENE, PSF)
+        calls = recorded_brackets(sampler)
+        sampler._majorant(L, L // 2)
+        assert len(calls) == 1 and calls[0][1] is None
+        assert sorted(sampler._majorants) == [(L, X) for X in range(L + 1)]
+        peak = calls[0][3].max(axis=0)
+        for X in range(L + 1):
+            assert sampler._majorant(L, X) == sampler._majorant(L, L - X)
+            assert sampler._majorant(L, X) >= 1.2 * max(peak[X], peak[L - X])
+        assert len(calls) == 1
+
+    def test_proposals_per_frame_at_s_1(self):
+        # the bounds alone need about 5.1 proposals per frame here
+        sampler = FrameSampler(SCENE, PSF)
+        calls = recorded_brackets(sampler)
+        record = sampler.sample_record(np.random.default_rng(23), 5000)
+        proposals = sum(len(k) for _, X, k, _ in calls if X is not None)
+        assert len(record) == 5000
+        assert proposals <= 7 * 5000
+
+    def test_blocks_capped_at_s_8(self, monkeypatch):
+        # bound/w reaches 2e3 at s = 8, so a cell's expected need is well above a small cap
+        cap = 2048
+        monkeypatch.setattr(estimation, "_BLOCK_CAP", cap)
+        sampler = FrameSampler(SourceScene(8.0, 1.5), PSF)
+        calls = recorded_brackets(sampler)
+        record = sampler.sample_record(np.random.default_rng(29), 5000)
+        blocks = [len(k) for _, X, k, _ in calls if X is not None]
+        assert len(record) == 5000
+        assert max(blocks) == cap
+
+    def test_cell_counts(self):
+        sampler = FrameSampler(SCENE, PSF, l_cap=6)
+        calls = recorded_brackets(sampler)
+        record = sampler.sample_record(np.random.default_rng(31), 3000)
+        drawn = {}
+        for L, X, k, _ in calls:
+            if X is not None:
+                drawn[(L, X)] = drawn.get((L, X), 0) + len(k)
+        frames = {}
+        for L, (_, splits, _) in record.groups.items():
+            for X, n in zip(*np.unique(splits, return_counts=True)):
+                frames[(L, int(X))] = int(n)
+        assert sorted(sampler.cell_counts) == sorted(frames)
+        for cell, counts in sampler.cell_counts.items():
+            assert counts["proposals"] == drawn[cell]
+            assert frames[cell] <= counts["accepted"] <= counts["proposals"]
+            assert counts["violated"] == 0
+
+    def test_cell_counts_record_violated_passes(self):
+        sampler = FrameSampler(SCENE, PSF, l_cap=3)
+        sampler._majorant(2, 1)
+        sampler._majorants[(2, 1)] *= 1e-3
+        assert sampler._sample_momenta(2, 1, 200, np.random.default_rng(37)).shape == (200, 2)
+        assert sampler.cell_counts[(2, 1)]["violated"] >= 1
+
+
 class TestFrameRecord:
     def test_reads_as_outcomes_built_from_columns(self, record_2000):
         frames = [None] * len(record_2000)
