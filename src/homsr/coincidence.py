@@ -34,6 +34,7 @@ labels, so any assignment is evaluated as the canonical one, C1 photons first.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
@@ -231,14 +232,20 @@ def _half_angle_trig(s, kt):
     and sinh of k u/2 and k v/2, a third of the cost of numpy's complex ones
     and, at the step of :func:`_with_s_derivative`, bit-identical to them."""
     x = (0.5 * np.real(s)) * kt
-    if not np.iscomplexobj(s):
+    if isinstance(s, float) or not np.iscomplexobj(s):  # the first test spares a float s a slower second
         return np.cos(x), np.sin(x)
     y = (0.5 * np.imag(s)) * kt
     cos_x, sin_x, cosh_y, sinh_y = np.cos(x), np.sin(x), np.cosh(y), np.sinh(y)
-    return cos_x * cosh_y - 1j * (sin_x * sinh_y), sin_x * cosh_y + 1j * (cos_x * sinh_y)
+    c, sn = np.empty((2,) + kt.shape, complex)
+    np.multiply(cos_x, cosh_y, out=c.real)
+    np.multiply(sin_x, sinh_y, out=c.imag)
+    np.negative(c.imag, out=c.imag)
+    np.multiply(sin_x, cosh_y, out=sn.real)
+    np.multiply(cos_x, sinh_y, out=sn.imag)
+    return c, sn
 
 
-def _bracket(k, s, splits, coefs):
+def _bracket(k, s, splits, coefs, orders=None):
     """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``.
 
     ``k`` has shape (N, L) with the C1 photons first; ``splits`` strictly
@@ -251,48 +258,82 @@ def _bracket(k, s, splits, coefs):
     S_0 = -D and S_L = D need neither.  The passes are analytic in s and
     ``coefs``, complex if either is (as under :func:`_with_s_derivative`).
     Results have shape (N, len(splits)).
+
+    Several photon numbers share one pass: given ``orders``, ascending L <=
+    k.shape[1], ``splits`` and ``coefs`` hold one entry per order, and order L
+    is the bracket of the first L columns of ``k``.  The prefix pass is the
+    same for every order, so the trig and (P, D) run once over all columns;
+    each order takes its D_X and, once the pass has reached photon L, its D
+    and runs its own backward pass.  The results of the orders are
+    concatenated along the columns, and the one-order call is this with
+    ``orders = (k.shape[1],)``.
     """
-    n_rows, L = k.shape
-    dtype = np.result_type(s, coefs, float)
-    out = np.empty((n_rows, len(splits)), dtype)
-    at = {int(X): x for x, X in enumerate(splits) if 0 < X < L}  # inner split X -> x
-    chunk = max(1, _CHUNK_BYTES // ((2 + len(splits)) * L * dtype.itemsize))
+    n_rows, width = k.shape
+    if orders is None:
+        orders, splits, coefs = (width,), (splits,), (coefs,)
+    dtype = np.result_type(s, *coefs, float)
+    plan, col, inner, widest = {}, 0, {}, 0  # order L -> (its columns of out, inner X -> x, x of X = 0 and L, coefs)
+    for L, xs, cf in zip(orders, splits, coefs):
+        xs = xs.tolist() if isinstance(xs, np.ndarray) else list(xs)  # ints compare far faster than numpy scalars
+        at = {X: x for x, X in enumerate(xs) if 0 < X < L}
+        plan[L] = (col, col + len(xs), at, [x for x, X in enumerate(xs) if X in (0, L)], cf)
+        inner.update(at)
+        col, widest = col + len(xs), max(widest, len(xs) * L)
+    inner = dict(zip(inner, itertools.accumulate(inner, initial=0)))  # inner X -> first row of its 2 D_X
+    out = np.empty((n_rows, col), dtype)
+    # bytes per row: (P, D) and the S of one order, as the orders' backward passes run one at a time
+    chunk = max(1, _CHUNK_BYTES // ((2 * width + widest) * dtype.itemsize))
     for lo in range(0, n_rows, chunk):
         kt = np.ascontiguousarray(k[lo : lo + chunk].T)
         c, sn = _half_angle_trig(s, kt)
-        z, z_new = np.zeros((2, 2, L, kt.shape[1]), dtype)  # (P, D), twice
-        tmp = np.empty_like(z)
-        S = np.empty((len(splits), L, kt.shape[1]), dtype)
-        z[0, :2], z[1, 0] = (c[0], sn[0])[:L], 1.0  # after photon 0: P = f_0, D = 1
-        for a in range(1, L):
-            if a in at:
-                np.multiply(z[1, :a], 2.0, S[at[a], :a])  # 2 D_X, kept until C_X is formed
-            m = min(a + 2, L)  # degrees stay <= a + 1
+        z, z_new = np.zeros((2, 2, width, kt.shape[1]), dtype)  # (P, D), twice
+        work = np.empty((2 * width + sum(inner), kt.shape[1]), dtype)  # one allocation: fewer page faults
+        tmp, twice = work[: 2 * width].reshape(z.shape), work[2 * width :]
+        twice_d = {X: twice[row : row + X] for X, row in inner.items()}  # 2 D_X, kept until C_X is formed
+        z[0, :2], z[1, 0] = (c[0], sn[0])[:width], 1.0  # after photon 0: P = f_0, D = 1
+        for a in range(1, width + 1):
+            if a in plan:  # the pass has reached photon L = a: D is order a's
+                first, end, at, ends, cf = plan[a]
+                # z_new[0] and tmp[0] are free until the next step, which overwrites whatever the
+                # backward pass leaves below index a; above it, the pass leaves zeros, as the step needs
+                order = _bracket_order(z[1, :a], twice_d, c, sn, at, ends, cf, z_new[0], tmp[0])
+                out[lo : lo + chunk, first:end] = order
+            if a == width:
+                break
+            if a in twice_d:
+                np.multiply(z[1, :a], 2.0, twice_d[a])
+            m = min(a + 2, width)  # degrees stay <= a + 1
             np.multiply(z[:, :m], c[a], z_new[:, :m])  # (P, D) f_a, truncated
             np.multiply(z[:, : m - 1], sn[a], tmp[:, : m - 1])
             z_new[:, 1:m] += tmp[:, : m - 1]
             z_new[1, :m] += z[0, :m]
             z, z_new = z_new, z
-        d = z[1]
-        S[[x for x, X in enumerate(splits) if X in (0, L)]] = d  # S_0 = -D and S_L = D square alike
-        suf, tmp = z_new[0], tmp[0]
-        suf[:2], suf[2:] = (c[L - 1], sn[L - 1])[:L], 0.0  # Suf_{L-1} = f_{L-1}
-        for a in range(L - 1, min(at, default=L) - 1, -1):
-            m = L - a + 1  # Suf_a has degree L - a
-            if a < L - 1:
-                np.multiply(suf[: m - 1], sn[a], tmp[: m - 1])
-                suf[: m - 1] *= c[a]
-                suf[1:m] += tmp[: m - 1]
-            if a in at:  # S_X = 2 D_X Suf_X - D, summing the outer product over the shorter factor
-                Sx = S[at[a]]
-                short, long = (Sx[:a], suf[:m]) if a <= m else (suf[:m], Sx[:a])
-                outer = short[:, None] * long
-                np.negative(d, Sx)
-                for j in range(len(short)):
-                    Sx[j : j + len(long)] += outer[j]
-        S *= S
-        out[lo : lo + chunk] = np.matmul(coefs[:, None, :], S)[:, 0].T
     return out
+
+
+def _bracket_order(d, twice_d, c, sn, at, ends, coefs, suf, tmp):
+    """The bracket of one order L = len(d) at the rows of a chunk, one column per row of ``coefs``: the
+    backward pass of :func:`_bracket`, from the order's leave-one-out sum ``d`` and the prefix pass's 2 D_X
+    at its inner splits ``at`` (split X -> row x), in the scratch rows ``suf`` and ``tmp``."""
+    L = len(d)
+    S = np.empty((len(coefs), L, d.shape[1]), d.dtype)
+    S[ends] = d  # S_0 = -D and S_L = D square alike
+    suf[:2], suf[2:] = (c[L - 1], sn[L - 1])[:L], 0.0  # Suf_{L-1} = f_{L-1}
+    for a in range(L - 1, min(at, default=L) - 1, -1):
+        m = L - a + 1  # Suf_a has degree L - a
+        if a < L - 1:
+            np.multiply(suf[: m - 1], sn[a], tmp[: m - 1])
+            suf[: m - 1] *= c[a]
+            suf[1:m] += tmp[: m - 1]
+        if a in at:  # S_X = 2 D_X Suf_X - D, summing the outer product over the shorter factor
+            Sx = S[at[a]]
+            short, long = (twice_d[a], suf[:m]) if a <= m else (suf[:m], twice_d[a])
+            outer = short[:, None] * long
+            np.negative(d, Sx)
+            for j in range(len(short)):
+                Sx[j : j + len(long)] += outer[j]
+    S *= S
+    return np.matmul(coefs[:, None, :], S)[:, 0].T
 
 
 def _density(L, splits, momenta, scene, psf, assignment, delta_override, include_envelope):

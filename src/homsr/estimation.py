@@ -14,8 +14,8 @@ W(s) = sum_{L <= l_cap} P(L; s).  This removes the truncation bias that a
 naive unconditioned likelihood would acquire from the discarded thermal
 tail (a few percent of frames at N_s ~ 1.5).  :func:`crb_report` is the
 Cramér-Rao bound of this fitted model: L <= l_cap, conditioned on the cap,
-orders L >= 4 on a 20k-point lattice (L <= 3 on Gauss-Hermite), relative
-standard error about 1.5e-3 at s = 1, N_s = 1.5.
+orders L >= 4 on one shared 20k-point lattice (L <= 3 on Gauss-Hermite),
+relative standard error about 2.7e-3 at s = 1, N_s = 1.5.
 
 The one record type is :class:`FrameRecord` (``==`` means equal outcome
 lists): the sampler fills it, :func:`read_record` returns it equal to the
@@ -93,6 +93,7 @@ class EstimationReport:
     boundary_flag: bool
     log_likelihood_curve: tuple | None   # (s_grid, log-likelihood values)
     objective_evals: int | None = None   # likelihood evaluations the optimiser made
+    optimizer_success: bool | None = None  # the optimiser's own convergence flag
 
 
 class FrameRecord(Sequence):
@@ -349,6 +350,7 @@ def mle_separation(
         boundary_flag=boundary,
         log_likelihood_curve=curve,
         objective_evals=int(res.nfev),
+        optimizer_success=bool(res.success),
     )
 
 
@@ -357,8 +359,9 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int, l_cap: int = L_
 
     F is the information per frame of the model :func:`mle_separation` fits, L <= ``l_cap`` conditioned
     on that cap: sum_{L <= l_cap} F_L / W - (W'/W)^2 / sigma_k^2, with W = sum_{L <= l_cap} P(L) and W'
-    exact.  The F_L come from one :func:`~homsr.fisher.fisher_total` call, L >= 4 on a 20k-point lattice
-    (L <= 3 on Gauss-Hermite); the relative standard error of F is about 1.5e-3 at s = 1, N_s = 1.5.
+    exact.  The F_L come from one :func:`~homsr.fisher.fisher_total` call, L >= 4 on one shared 20k-point
+    lattice (L <= 3 on Gauss-Hermite); the relative standard error of F is about 2.7e-3 at s = 1, N_s = 1.5
+    (the orders' errors correlate on shared nodes, so it is larger than with a lattice per order).
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")

@@ -19,6 +19,14 @@ envelope expectation over the L momenta is taken by
 Gauss-Hermite for L <= 3 and a randomly shifted rank-1 lattice above.
 No value here takes a finite difference, and that expectation is the only
 numeric integration (the two-photon hierarchy uses it in one dimension).
+
+The lattice and Monte Carlo node sets are nested across dimension, so
+:func:`fisher_total` integrates every order on those schemes in one
+expectation of dim l_max: one kernel pass per chunk of nodes gives all
+of them, each order on the first L momenta, which are the nodes of its own
+:func:`fisher_L` call.  Because those orders share nodes, their errors
+correlate, and ``total_stderr`` is the error of their summed integrand
+rather than a quadrature sum over orders.
 """
 
 from __future__ import annotations
@@ -31,7 +39,7 @@ import numpy as np
 from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient, _theta_table
 from .coincidence import _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
-from .quadrature import QuadratureSpec, envelope_expectation
+from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme, rule_points
 
 __all__ = [
     "QuadratureSpec",
@@ -55,12 +63,15 @@ __all__ = [
 class FisherEstimate:
     """``stderr`` is the node-refinement difference |Q_n - Q_3n/4| under
     Gauss-Hermite, the standard error of the shift means under the rank-1
-    lattice, and the standard error of the batch means under Monte Carlo."""
+    lattice, and the standard error of the batch means under Monte Carlo.
+    ``points`` is the integrand rows the order used
+    (:func:`~homsr.quadrature.rule_points`)."""
 
     value: float          # in sigma_k^2 units
     stderr: float
     converged: bool
     scheme: str
+    points: int | None = None
 
 
 @dataclass(frozen=True)
@@ -73,32 +84,61 @@ class FisherBreakdown:
 
 
 def _fisher_integrand(L, k, scene, psf):
-    """Sum over X of (d_s bracket)^2 / bracket at the momenta ``k`` (N, L)."""
+    """Sum over X of (d_s bracket)^2 / bracket at the momenta ``k``, shape (N,) for one order L.
+
+    ``L`` may be a tuple of ascending orders instead: each is taken on the
+    first L columns of ``k`` from one :func:`~homsr.coincidence._bracket`
+    pass, and the result has one column per order.
+    """
+    orders = (L,) if np.ndim(L) == 0 else tuple(L)
+
     def bracket(s):
         delta = np.exp(-0.5 * (s * psf.sigma_k) ** 2)
-        return _bracket(k, s, range(L + 1), _theta_table(L, scene.brightness, delta))
+        coefs = [_theta_table(n, scene.brightness, delta) for n in orders]
+        return _bracket(k, s, [range(n + 1) for n in orders], coefs, orders)
 
     g0, deriv = _with_s_derivative(bracket, scene.separation)
     # skip nodes where the density is vanishingly small relative to its
     # scale in that split; (d_s P)^2/P has a finite limit at the zeros, so
     # dropping a measure-zero neighborhood is below integration error.
-    floor = 1e-15 * g0.max(axis=0, keepdims=True)
-    contrib = np.where(g0 > floor, deriv ** 2 / np.where(g0 > 0, g0, 1.0), 0.0)
-    return contrib.sum(axis=1)
+    kept = g0 > 1e-15 * g0.max(axis=0, keepdims=True)
+    contrib = np.divide(np.square(deriv, out=deriv), g0, out=np.zeros(g0.shape), where=kept)
+    ends = np.cumsum([n + 1 for n in orders])
+    per_order = [contrib[:, end - n - 1 : end].sum(axis=1) for n, end in zip(orders, ends)]
+    return per_order[0] if np.ndim(L) == 0 else np.column_stack(per_order)
+
+
+def _fisher_orders(scene, psf, orders, quad):
+    """({L: FisherEstimate}, standard error of their sum) from one envelope expectation of dim max(orders).
+
+    With several orders the integrand carries their sum as a last column, so
+    the error of the sum sees how orders that share nodes correlate.
+    """
+    if scene.separation <= 0:
+        raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
+
+    def integrand(k):
+        if len(orders) == 1:
+            return _fisher_integrand(orders[0], k, scene, psf)
+        columns = list(_fisher_integrand(orders, k, scene, psf).T)
+        # column-major, so that each column's mean sums as that of a 1-D integrand
+        return np.array(columns + [sum(columns)]).T
+
+    unit = psf.sigma_k ** 2
+    values, stderrs, scheme = envelope_expectation(integrand, orders[-1], psf, quad)
+    values, stderrs = np.atleast_1d(values) / unit, np.atleast_1d(stderrs) / unit
+    estimates = {}
+    for L, value, stderr in zip(orders, values.tolist(), stderrs.tolist()):
+        converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
+        estimates[L] = FisherEstimate(value, stderr, converged, scheme, rule_points(quad, L))
+    return estimates, float(stderrs[-1])
 
 
 def fisher_L(scene: SourceScene, psf: PsfModel, L: int, quad: QuadratureSpec | None = None) -> FisherEstimate:
     """Per-order Fisher information F^(L)(s) in sigma_k^2 units."""
     if L < 1:
         raise ValueError("L must be >= 1")
-    if scene.separation <= 0:
-        raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
-    quad = quad or QuadratureSpec()
-    unit = psf.sigma_k ** 2
-    value, stderr, scheme = envelope_expectation(lambda k: _fisher_integrand(L, k, scene, psf), L, psf, quad)
-    value, stderr = float(value) / unit, float(stderr) / unit
-    converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
-    return FisherEstimate(value, stderr, converged, scheme)
+    return _fisher_orders(scene, psf, (L,), quad or QuadratureSpec())[0][L]
 
 
 def default_l_max(scene: SourceScene) -> int:
@@ -113,19 +153,35 @@ def fisher_total(
     quad: QuadratureSpec | None = None,
 ) -> FisherBreakdown:
     """Truncated total Fisher information sum_{L <= l_max} F^(L), sigma_k^2 units.  The default l_max stops
-    at L <= 7, which at N_s = 1.5 drops about 23 % of sum_{L<=24} F^(L) at s = 1 and 36 % at s = 8."""
+    at L <= 7, which at N_s = 1.5 drops about 23 % of sum_{L<=24} F^(L) at s = 1 and 36 % at s = 8.
+
+    The orders whose scheme resolves to the lattice or Monte Carlo (L >= 4 under "auto") are integrated
+    together, in one envelope expectation of dim l_max: their node sets are nested, so each order sees
+    exactly the nodes of its own :func:`fisher_L` call, and one kernel pass serves them all.  Each
+    Gauss-Hermite order is one :func:`fisher_L` call.  ``total`` is the sum of the ``per_L`` values.
+    ``total_stderr`` combines in quadrature the Gauss-Hermite errors and the standard error of the shift
+    (or batch) means of the jointly integrated orders' summed integrand, which, unlike a quadrature sum
+    of their errors, counts how orders on shared nodes correlate.
+    """
     if l_max is None:
         l_max = default_l_max(scene)
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
-    per_L = {L: fisher_L(scene, psf, L, quad) for L in range(1, l_max + 1)}
+    quad = quad or QuadratureSpec()
+    joint = tuple(L for L in range(1, l_max + 1) if resolved_scheme(quad, L) != "gauss_hermite_tensor")
+    per_L = {L: fisher_L(scene, psf, L, quad) for L in range(1, l_max + 1) if L not in joint}
+    variance = sum(e.stderr ** 2 for e in per_L.values())
+    if joint:
+        estimates, joint_stderr = _fisher_orders(scene, psf, joint, quad)
+        per_L = dict(sorted({**per_L, **estimates}.items()))
+        variance += joint_stderr ** 2
     total = sum(e.value for e in per_L.values())
-    total_stderr = math.sqrt(sum(e.stderr ** 2 for e in per_L.values()))
     refs = {
         "subrayleigh_total": subrayleigh_fisher_total(scene.brightness),
         "asymptotic_two_photon": asymptotic_fisher_2p(scene.brightness),
     }
-    return FisherBreakdown(per_L=per_L, total=total, total_stderr=total_stderr, l_max=l_max, closed_form_refs=refs)
+    return FisherBreakdown(per_L=per_L, total=total, total_stderr=math.sqrt(variance), l_max=l_max,
+                           closed_form_refs=refs)
 
 
 def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:

@@ -3,25 +3,33 @@
 :func:`envelope_expectation` takes E_env[f(k)] over ``dim`` momenta drawn
 from the product envelope prod_m |phi(k_m)|^2 (isotropic Gaussian, per-axis
 standard deviation sigma_k).  It serves :func:`homsr.fisher.fisher_L`
-(dim = L), :func:`homsr.fisher.sampling_hierarchy_fi` (dim = 1) and the
-``"gh"``/``"mc"`` cross-checks of :func:`homsr.coincidence.class_weights`.
-Schemes (:class:`QuadratureSpec`):
+(dim = L), :func:`homsr.fisher.fisher_total` (dim = l_max, every order on
+the lattice or Monte Carlo at once), :func:`homsr.fisher.sampling_hierarchy_fi`
+(dim = 1) and the ``"gh"``/``"mc"`` cross-checks of
+:func:`homsr.coincidence.class_weights`.  Schemes (:class:`QuadratureSpec`):
 
 * ``"gauss_hermite_tensor"``: tensor Gauss-Hermite, ``nodes_per_dim`` per
   axis (default 64, 48, 40 for dim 1, 2, 3, else 24); the error is the
   node-refinement difference from the rule with int(3n/4) nodes per axis.
 * ``"monte_carlo_importance"``: ``sample_count`` envelope draws in
-  ``batch_count`` batches seeded ``[seed, dim, b]``; the error is the
-  standard error of the batch means.
+  ``batch_count`` batches, batch b seeded ``[seed, b]`` and drawn one
+  coordinate at a time; the error is the standard error of the batch means.
 * ``"rank1_lattice"``: randomly shifted rank-1 lattice rule (randomized
   quasi-Monte Carlo).  Each of ``batch_count`` uniform shifts, seeded
-  ``[seed, dim, b]``, moves the n points {i z / n}, where n is the largest
+  ``[seed, b]``, moves the n points {i z / n}, where n is the largest
   prime <= ``sample_count // batch_count`` and z is a generating vector from
   fast component-by-component search (Nuyens & Cools, Math. Comp. 75, 903
   (2006)).  The points are tent-transformed (Hickernell 2002) and mapped to
   the envelope by the inverse normal CDF.  The error is the standard error
   of the shift means (L'Ecuyer & Lemieux 2000).
 * ``"auto"``: Gauss-Hermite for dim <= 3, the lattice above.
+
+The two random rules are nested across dimension: with the same seed, the
+dim-m node set is the first m columns of the dim-D node set for every
+m <= D.  The seed does not depend on dim, the first m of D uniform or normal
+draws are the m draws, and component-by-component search fixes z_1..z_m
+before it looks at z_{m+1}.  So one dim-D call can integrate functions of
+fewer momenta on exactly the nodes their own calls would use.
 """
 
 from __future__ import annotations
@@ -78,8 +86,8 @@ def envelope_gh_nodes(psf: PsfModel, dim: int, nodes_per_dim: int):
 
 
 def envelope_mc_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.Generator):
-    """Draw ``count`` iid samples of the product envelope (equal weights 1/count)."""
-    return rng.standard_normal((count, dim)) * psf.sigma_k
+    """Draw ``count`` iid samples of the product envelope (equal weights 1/count), one coordinate at a time."""
+    return (rng.standard_normal((dim, count)) * psf.sigma_k).T
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,6 +141,29 @@ def envelope_lattice_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.G
     return x
 
 
+def resolved_scheme(quad: QuadratureSpec, dim: int) -> str:
+    """The scheme :func:`envelope_expectation` runs over ``dim`` momenta, with "auto" resolved."""
+    if quad.scheme == "auto":
+        return "gauss_hermite_tensor" if dim <= 3 else "rank1_lattice"
+    return quad.scheme
+
+
+def rule_points(quad: QuadratureSpec, dim: int) -> int:
+    """Integrand rows :func:`envelope_expectation` evaluates over ``dim`` momenta.
+
+    n^dim + int(3n/4)^dim for Gauss-Hermite (the rule and its refinement
+    check), n x ``batch_count`` for the lattice, n the prime per shift, and
+    ``batch_count`` x (``sample_count // batch_count``) for Monte Carlo.
+    """
+    if resolved_scheme(quad, dim) == "gauss_hermite_tensor":
+        n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
+        return n ** dim + int(0.75 * n) ** dim
+    batch = quad.sample_count // quad.batch_count
+    if resolved_scheme(quad, dim) == "rank1_lattice":
+        batch = _largest_prime_at_most(batch)
+    return batch * quad.batch_count
+
+
 def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     """E_env[f(k)] over ``dim`` envelope momenta; returns ``(value, error, scheme)``.
 
@@ -140,10 +171,7 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     and error have the trailing shape, and ``scheme`` is the one used after
     resolving "auto".
     """
-    scheme = quad.scheme
-    if scheme == "auto":
-        scheme = "gauss_hermite_tensor" if dim <= 3 else "rank1_lattice"
-
+    scheme = resolved_scheme(quad, dim)
     if scheme == "gauss_hermite_tensor":
         def rule(nodes):
             k, w = envelope_gh_nodes(psf, dim, nodes)
@@ -160,7 +188,7 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
         raise ValueError(f"unknown quadrature scheme: {quad.scheme}")
     batch = quad.sample_count // quad.batch_count
     means = np.array([
-        f(nodes(psf, dim, batch, np.random.default_rng([quad.seed, dim, b]))).mean(axis=0)
+        f(nodes(psf, dim, batch, np.random.default_rng([quad.seed, b]))).mean(axis=0)
         for b in range(quad.batch_count)
     ])
     return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(quad.batch_count), scheme

@@ -608,6 +608,25 @@ class TestBracketKernel:
                     scale = np.abs(part(want)).max(axis=0)
                     assert (np.abs(part(got) - part(want[:n])) <= 1e-13 * scale).all(), (splits, n, part)
 
+    @pytest.mark.parametrize("complex_step", [False, True])
+    def test_orders_in_one_pass_match_one_order_calls(self, complex_step, rng):
+        # several photon numbers from one prefix pass over the widest k, each on its first L columns
+        s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
+        for width in range(1, 13):
+            k = rng.standard_normal((500, width)) * PSF.sigma_k
+            orders = sorted({width, *rng.integers(1, width + 1, 3).tolist()})
+            splits = [list(range(L + 1)) if L % 2 else sorted({0, L, *rng.integers(0, L + 1, 2).tolist()})
+                      for L in orders]
+            coefs = [_theta_table(L, 1.5, psf_overlap_delta(PSF, 1.3))[x] for L, x in zip(orders, splits)]
+            got = _bracket(k, s, splits, coefs, orders)
+            assert got.shape == (500, sum(map(len, splits))) and got.dtype == np.result_type(s, float)
+            ends = np.cumsum([len(x) for x in splits])
+            for L, x, c, end in zip(orders, splits, coefs, ends):
+                want = _bracket(k[:, :L], s, x, c)
+                for part in (np.real, np.imag) if complex_step else (np.real,):
+                    scale = np.abs(part(want)).max(axis=0)
+                    assert (np.abs(part(got[:, end - len(x) : end]) - part(want)) <= 1e-14 * scale).all(), (L, x)
+
     @pytest.mark.parametrize("s", [1e-8, 0.01, 1.0, 8.0, 40.0])
     def test_complex_half_angle_trig_is_numpys(self, s, rng):
         k = rng.standard_normal((7, 5000)) * PSF.sigma_k

@@ -19,6 +19,7 @@ from homsr.coincidence import (
     log_coincidence_density,
 )
 from homsr.estimation import (
+    EstimationReport,
     ExperimentConfig,
     FrameRecord,
     FrameSampler,
@@ -430,6 +431,11 @@ class TestLikelihood:
         assert counts["evals"] > 0
         assert counts["kernel"] == 6 * counts["evals"]
         assert report.objective_evals == counts["evals"]
+
+    def test_reports_the_optimiser_status(self, mixed_record):
+        report = mle_separation(mixed_record, PSF, SCENE.brightness, compute_crb=False)
+        assert report.optimizer_success is True
+        assert EstimationReport(1.0, None, None, False, None).optimizer_success is None
 
 
 class TestCrb:

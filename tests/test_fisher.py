@@ -35,7 +35,7 @@ from homsr.fisher import (
     subrayleigh_fisher_total,
 )
 from homsr.optics import PsfModel, SourceScene
-from homsr.quadrature import envelope_mc_nodes
+from homsr.quadrature import envelope_lattice_nodes, envelope_mc_nodes
 
 PSF = PsfModel()
 
@@ -206,6 +206,43 @@ class TestFisherTotal:
     def test_validation(self):
         with pytest.raises(ValueError):
             fisher_total(SourceScene(1.0, 1.0), PSF, l_max=1)
+
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    @pytest.mark.parametrize("scheme", ["auto", "rank1_lattice", "monte_carlo_importance"])
+    def test_per_order_equals_fisher_L(self, scheme, s):
+        # the orders integrated together see exactly the nodes of their own calls
+        scene, quad = SourceScene(separation=s, brightness=1.5), QuadratureSpec(scheme=scheme, sample_count=20_000)
+        breakdown = fisher_total(scene, PSF, l_max=7, quad=quad)
+        for L in range(1, 8):
+            alone, joint = fisher_L(scene, PSF, L, quad), breakdown.per_L[L]
+            assert joint.value == pytest.approx(alone.value, rel=1e-12, abs=0)
+            assert joint.stderr == pytest.approx(alone.stderr, rel=1e-12, abs=0)
+            assert (joint.scheme, joint.points, joint.converged) == (alone.scheme, alone.points, alone.converged)
+        assert breakdown.total == sum(e.value for e in breakdown.per_L.values())
+
+    @pytest.mark.parametrize("scheme", ["auto", "rank1_lattice"])
+    def test_total_stderr_is_the_shift_error_of_the_summed_integrand(self, scheme):
+        scene, quad = SourceScene(separation=1.0, brightness=1.5), QuadratureSpec(scheme=scheme, sample_count=20_000)
+        breakdown = fisher_total(scene, PSF, l_max=6, quad=quad)
+        joint = [L for L, e in breakdown.per_L.items() if e.scheme == "rank1_lattice"]
+        totals = []
+        for b in range(quad.batch_count):
+            rng = np.random.default_rng([quad.seed, b])
+            k = envelope_lattice_nodes(PSF, 6, quad.sample_count // quad.batch_count, rng)
+            totals.append(sum(_fisher_integrand(L, k[:, :L], scene, PSF).mean() for L in joint))
+        shift_error = np.std(totals, ddof=1) / math.sqrt(quad.batch_count) / PSF.sigma_k ** 2
+        others = sum(e.stderr ** 2 for L, e in breakdown.per_L.items() if L not in joint)
+        assert breakdown.total_stderr == pytest.approx(math.sqrt(shift_error ** 2 + others), rel=1e-9)
+        # shared nodes correlate the orders' errors, so the sum's error is not their quadrature sum
+        assert breakdown.total_stderr != pytest.approx(math.sqrt(sum(e.stderr ** 2 for e in breakdown.per_L.values())),
+                                                       rel=1e-3)
+
+    def test_points_are_the_rows_each_order_used(self):
+        breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=5, quad=QuadratureSpec(sample_count=20_000))
+        gh = {1: 64 + 48, 2: 48 ** 2 + 36 ** 2, 3: 40 ** 3 + 30 ** 3}
+        assert {L: e.points for L, e in breakdown.per_L.items()} == {**gh, 4: 20 * 997, 5: 20 * 997}
+        mc = fisher_L(SourceScene(1.0, 1.5), PSF, 4, QuadratureSpec(scheme="monte_carlo_importance"))
+        assert mc.points == 200_000
 
 
 class TestHierarchy:

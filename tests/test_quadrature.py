@@ -3,8 +3,8 @@
 Oracles: the Gaussian moments E[k^(2p)] = (2p-1)!! sigma_k^(2p), which the
 default Gauss-Hermite rules integrate exactly, the characteristic function
 E[prod_a cos(k_a)] = exp(-dim sigma_k^2 / 2), the projection property of a
-rank-1 lattice, and the reproducibility of the seeded Monte Carlo batches
-and lattice shifts.
+rank-1 lattice, the reproducibility of the seeded Monte Carlo batches
+and lattice shifts, and the nesting of both random rules across dimension.
 """
 
 import math
@@ -15,7 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homsr.optics import PsfModel
-from homsr.quadrature import QuadratureSpec, envelope_expectation, lattice_generating_vector
+from homsr.quadrature import (
+    QuadratureSpec,
+    envelope_expectation,
+    envelope_lattice_nodes,
+    envelope_mc_nodes,
+    lattice_generating_vector,
+    rule_points,
+)
 
 PSF = PsfModel()
 GH = QuadratureSpec(scheme="gauss_hermite_tensor")
@@ -101,6 +108,35 @@ def test_lattice_cosine_product_beats_mc_tenfold(dim):
     _, mc_error, _ = envelope_expectation(f, dim, PSF, MC)
     assert 0 < error <= mc_error / 10
     assert abs(value - exact) < 5 * error
+
+
+@pytest.mark.parametrize("nodes, count", [(envelope_lattice_nodes, 1000), (envelope_mc_nodes, 1000)],
+                         ids=["lattice", "mc"])
+def test_random_rules_nest_across_dimension(nodes, count):
+    # one seed serves every dim, so a dim-12 call holds each smaller call's nodes in its first columns
+    wide = nodes(PSF, 12, count, np.random.default_rng([5, 3]))
+    for m in range(1, 13):
+        narrow = nodes(PSF, m, count, np.random.default_rng([5, 3]))
+        assert narrow.shape == wide[:, :m].shape and (narrow == wide[:, :m]).all()
+
+
+@pytest.mark.parametrize("quad, dim, points", [
+    (GH, 2, 48 ** 2 + 36 ** 2),
+    (QuadratureSpec(nodes_per_dim=10), 3, 10 ** 3 + 7 ** 3),
+    (LATTICE, 5, 20 * 9973),
+    (QuadratureSpec(sample_count=20_000), 4, 20 * 997),
+    (MC, 5, 200_000),
+    (QuadratureSpec(scheme="monte_carlo_importance", sample_count=10_001, batch_count=7), 3, 7 * 1428),
+])
+def test_rule_points_counts_the_integrand_rows(quad, dim, points):
+    rows = []
+
+    def f(k):
+        rows.append(len(k))
+        return k[:, 0]
+
+    envelope_expectation(f, dim, PSF, quad)
+    assert rule_points(quad, dim) == sum(rows) == points
 
 
 def test_lattice_needs_a_prime_per_shift():

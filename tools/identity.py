@@ -13,7 +13,9 @@ Each checkout runs in its own process with its ``src`` first on
 with a camera assignment, with ``delta_override``, without the envelope, and
 the 2-, 3- and 4-photon closed forms), all-splits densities, the frame-size
 law, class weights by each method, bucket and sub-Rayleigh values,
-``fisher_total`` at fixed s and l_max, ``crb_report`` at the ``homsr
+``fisher_total`` at fixed s and l_max, ``fisher_L`` of each order alone at
+those scenes and at one with l_max 7 (so that a change in how orders share
+nodes shows per order, not only in the sum), ``crb_report`` at the ``homsr
 estimate`` scene with l_cap 12 and 6, the two-photon sampling hierarchy and
 the pixelated direct-imaging baseline, three 5000-frame records (frames,
 majorants, written lines, ŝ of the record and of its read-back copy, and
@@ -46,6 +48,8 @@ from pathlib import Path
 import numpy as np
 
 SCENES = ((0.01, 1.5), (1.0, 1.5), (4.0, 0.5), (8.0, 3.0))
+# (s, N_s, l_max) of the fisher_total items; the fisher_L items take each order alone at these and at l_max 7.
+FISHER_SCENES = ((1.0, 1.5, 5), (0.05, 1.5, 3))
 # (s, N_s, l_cap) of the sampled records; the first is the `homsr estimate` default.
 RECORDS = ((1.0, 1.5, 12), (0.3, 1.5, 8), (2.0, 4.0, 8))
 RECORD_FRAMES = 5000
@@ -133,11 +137,15 @@ def _fisher(families, psf):
     from homsr import fisher as f
     from homsr.optics import SourceScene
 
-    for s, ns, l_max in ((1.0, 1.5, 5), (0.05, 1.5, 3)):
+    for s, ns, l_max in FISHER_SCENES:
         breakdown = f.fisher_total(SourceScene(s, ns), psf, l_max=l_max)
         rows = [(e.value, e.stderr) for _, e in sorted(breakdown.per_L.items())]
         families["fisher_total"][f"s={s} ns={ns} l_max={l_max}"] = np.array(
             rows + [(breakdown.total, breakdown.total_stderr)])
+    for s, ns, l_max in FISHER_SCENES + ((4.0, 1.5, 7),):
+        for L in range(1, l_max + 1):
+            estimate = f.fisher_L(SourceScene(s, ns), psf, L)
+            families["fisher_L"][f"s={s} ns={ns} L={L}"] = np.array([estimate.value, estimate.stderr])
 
 
 def _crb_and_baselines(families, psf):
@@ -215,7 +223,7 @@ def collect(tree):
     if not Path(homsr.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
     names = ("densities", "all_splits", "frame_size_law", "class_weights.auto", "class_weights.gh",
-             "class_weights.mc", "bucket_subrayleigh", "fisher_total", "crb", "hierarchy", "di_baseline",
+             "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "crb", "hierarchy", "di_baseline",
              "records.frames", "records.majorants", "records.lines", "records.s_hat", "records.curves", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
