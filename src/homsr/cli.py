@@ -43,7 +43,7 @@ import numpy as np
 
 from . import __version__
 from .coincidence import four_photon_density, three_photon_density, two_photon_density, TwoPhotonCoordinates
-from .estimation import L_CAP, FrameSampler, crb_report, mle_separation
+from .estimation import L_CAP, SEARCH_INTERVAL, FrameSampler, crb_report, mle_separation
 from .fisher import QuadratureSpec, bucket_fisher, default_l_max, fisher_L, fisher_total
 from .optics import PsfModel, SourceScene
 
@@ -201,8 +201,9 @@ def cmd_estimate(params):
     seed, l_cap = params["seed"], params["l_cap"]
     if trials < 2 or frames < 1:
         raise ValueError(f"needs trials >= 2 and frames >= 1, got trials={trials}, frames={frames}")
-    if not true_s > 0:
-        raise ValueError(f"needs true_s > 0 (the CRB is taken there), got true_s={true_s!r}")
+    lo, hi = SEARCH_INTERVAL
+    if not lo < true_s < hi:  # outside, every trial's estimate lands on the fit's boundary
+        raise ValueError(f"needs true_s inside the fit's search interval {lo} < s < {hi}, got true_s={true_s!r}")
     psf = PsfModel()
     scene = SourceScene(separation=true_s, brightness=ns)
     sampler = FrameSampler(scene, psf, l_cap=l_cap)
@@ -279,7 +280,7 @@ COMMANDS = {
         _NS,
         _STRICT, _OUT)),
     "estimate": (cmd_estimate, "ML estimation / CRB saturation study", "estimate.csv", (
-        ("true_s", float, 1.0, "true separation"),
+        ("true_s", float, 1.0, "true separation, inside the fit's search interval {} < s < {}".format(*SEARCH_INTERVAL)),
         _NS,
         ("frames", int, 5000, "frames per trial"),
         ("trials", int, 20, "number of trials"),

@@ -26,8 +26,10 @@ density is correctly normalized; this is verified against the closed-form
 frame-size distribution in the test suite.
 
 One kernel forms the signed sums from prefix and suffix products over the
-photons (:func:`_bracket`).  It and the class weights are analytic in s, so
-one pass at complex s gives their exact s-derivative (:func:`_with_s_derivative`).
+photons (:func:`_bracket`), or, where each row needs only its own (L, X),
+from one forward pass over rows of mixed L.  It and the class weights are
+analytic in s, so one pass at complex s gives their exact s-derivative
+(:func:`_with_s_derivative`).
 The sums are symmetric under a joint permutation of momenta and camera
 labels, so any assignment is evaluated as the canonical one, C1 photons first.
 """
@@ -205,16 +207,25 @@ def _xi_coeffs(momenta, s: float) -> list:
     return coeffs
 
 
-def _theta_table(L: int, ns: float, delta) -> np.ndarray:
-    """Weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j), indexed [X, j] for X = 0..L.
+def _theta_tables(l_max: int, ns: float, delta) -> np.ndarray:
+    """Weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j), indexed [L, X, j] for L, X <= l_max and j < l_max,
+    zero unless X <= L and j < L.
 
-    With p0 = 1/(A B) this is the outer product of 1/(X! (L-X)!) and the X-free rest."""
+    With p0 = 1/(A B) each L's table is the outer product of 1/(X! (L-X)!) and the X-free rest."""
     a_mode = 1.0 + ns * (1.0 + delta)
     b_mode = 1.0 + ns * (1.0 - delta)
-    fact = np.array([math.factorial(i) for i in range(L + 1)], dtype=float)
-    j = np.arange(L)
-    per_j = fact[L - 1 - j] * fact[j] * ns ** (L - 1) / (2.0 * a_mode ** (L - j) * b_mode ** (j + 1))
-    return np.outer(1.0 / (fact * fact[::-1]), per_j)
+    fact = np.array([math.factorial(i) for i in range(l_max + 1)], dtype=float)
+    L, X, j = np.arange(l_max + 1)[:, None], np.arange(l_max + 1), np.arange(l_max)
+    ns_power = np.array([ns ** (n - 1) for n in range(l_max + 1)])[:, None]
+    per_j = fact[np.maximum(L - 1 - j, 0)] * fact[j] * ns_power / (2.0 * a_mode ** np.maximum(L - j, 0) * b_mode ** (j + 1))
+    per_x = 1.0 / (fact[X] * fact[np.maximum(L - X, 0)])
+    inside = (X <= L)[:, :, None] & (j < L)[:, None, :]
+    return np.where(inside, per_x[:, :, None] * per_j[:, None, :], 0.0)
+
+
+def _theta_table(L: int, ns: float, delta) -> np.ndarray:
+    """The [X, j] table of one L, X = 0..L and j < L, from :func:`_theta_tables`."""
+    return _theta_tables(L, ns, delta)[L, : L + 1, :L].copy()
 
 
 def _with_s_derivative(f, s: float):
@@ -245,7 +256,7 @@ def _half_angle_trig(s, kt):
     return c, sn
 
 
-def _bracket(k, s, splits, coefs, orders=None):
+def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``.
 
     ``k`` has shape (N, L) with the C1 photons first; ``splits`` strictly
@@ -267,7 +278,21 @@ def _bracket(k, s, splits, coefs, orders=None):
     and runs its own backward pass.  The results of the orders are
     concatenated along the columns, and the one-order call is this with
     ``orders = (k.shape[1],)``.
+
+    Given ``lengths``, each row is one frame at its own photon number and
+    split, and the result has shape (N,): row i is the bracket of split
+    ``splits[i]`` on the first ``lengths[i]`` columns of ``k`` (the rest
+    zero padding), weighted by its own coefficient row ``coefs[i, :lengths[i]]``.
+    Rows must come in descending L (see :func:`_bracket_rows`).
+
+    Which form: a list of splits where every row needs the same splits of one
+    L (densities, the sampler's proposals and majorant scans); ``orders``
+    where it needs them at several L on shared nodes (Fisher integrands);
+    ``lengths`` where each row needs only its own (L, X) (the likelihood: a
+    record of mixed L is one call, and no other split is formed).
     """
+    if lengths is not None:
+        return _bracket_rows(k, s, splits, coefs, lengths)
     n_rows, width = k.shape
     if orders is None:
         orders, splits, coefs = (width,), (splits,), (coefs,)
@@ -334,6 +359,59 @@ def _bracket_order(d, twice_d, c, sn, at, ends, coefs, suf, tmp):
                 Sx[j : j + len(long)] += outer[j]
     S *= S
     return np.matmul(coefs[:, None, :], S)[:, 0].T
+
+
+def _bracket_rows(k, s, xs, coefs, lengths):
+    """The per-row form of :func:`_bracket`: row i at its own L = lengths[i] and X = xs[i], shape (N,).
+
+    C_X enters only through S = 2 C_X - D, so one forward pass carries (P, S):
+    before the pass reaches X, C_X = 0 and S = -D follows D <- D f_a + P as
+    S <- S f_a - P; where it reaches X, C_X takes D, so S = -D becomes D; after,
+    C_X <- C_X f_a keeps S <- S f_a - P.  The sign change is folded into S's
+    factor -f_X (at X = L it would only flip S, which is squared).  As L
+    descends, the rows still running at photon a (L > a) are a prefix, and
+    each step works on that prefix only; the rows of L = a end there, read
+    against their own coefs.
+    """
+    lengths, xs = np.asarray(lengths), np.asarray(xs)
+    n_rows, width = k.shape
+    if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1 or lengths[0] > width):
+        raise ValueError("per-row bracket needs rows in descending photon number, 1 <= L <= k.shape[1]")
+    dtype = np.result_type(s, coefs, float)
+    out = np.empty(n_rows, dtype)
+    chunk = max(1, _CHUNK_BYTES // (2 * width * dtype.itemsize))  # bytes per row: (P, S)
+    for lo in range(0, n_rows, chunk):
+        kc, xc = k[lo : lo + chunk], xs[lo : lo + chunk]
+        n = len(kc)
+        # running[a]: the rows with L > a, a prefix of the chunk; photon a's factors are taken on those only
+        running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
+        first = list(itertools.accumulate(running[:width], initial=0))
+        trig = _half_angle_trig(s, np.concatenate([kc[:r, a] for a, r in enumerate(running[:width])]))
+        sign = np.ones((2, first[-1]))  # [P, S] of each photon and running row; S's is -1 at X
+        sign[1] -= 2.0 * (np.concatenate([xc[:r] for r in running[:width]]) == np.repeat(range(width), running[:width]))
+        factors = np.stack(trig)[:, None] * sign  # [cos, sin][P, S]
+        # (P, S), twice, not zeroed: each step writes every coefficient that the next one reads
+        z, z_new = np.empty((2, 2, width, n), dtype)
+        tmp = np.empty((2, width, n), dtype)
+        z[:, :2] = 0.0
+        z[0, :2], z[1, 0] = (trig[0][:n], trig[1][:n])[:width], -1.0  # after photon 0: P = f_0, S = -D = -1
+        for a in range(1, width + 1):
+            r, end = running[a], running[a - 1]
+            if end > r:  # the rows of L = a end here
+                S = z[1, :a, r:end]
+                out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, coefs[lo + r : lo + end, :a])
+            if r == 0:
+                break
+            c, sn = factors[:, :, None, first[a] : first[a] + r]
+            v = min(a + 1, width)  # coefficients of P, of degree a (S has degree a - 1), truncated
+            if v < width:  # the new top coefficient, P_a sin_a (S's is 0)
+                np.multiply(z[:, v - 1, :r], sn[:, 0], z_new[:, v, :r])
+            np.multiply(z[:, :v, :r], c, z_new[:, :v, :r])  # (P, S) f_a, truncated
+            np.multiply(z[:, : v - 1, :r], sn, tmp[:, : v - 1, :r])
+            z_new[:, 1:v, :r] += tmp[:, : v - 1, :r]
+            z_new[1, :v, :r] -= z[0, :v, :r]
+            z, z_new = z_new, z
+    return out
 
 
 def _density(L, splits, momenta, scene, psf, assignment, delta_override, include_envelope):

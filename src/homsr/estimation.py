@@ -19,7 +19,9 @@ relative standard error about 2.7e-3 at s = 1, N_s = 1.5.
 
 The one record type is :class:`FrameRecord` (``==`` means equal outcome
 lists): the sampler fills it, :func:`read_record` returns it equal to the
-record written, and the likelihood reads it with one kernel call per L.
+record written, and the likelihood lays its frames out once per fit as
+zero-padded rows in descending L, which one kernel call per evaluation
+reads, each row at its own (L, X).
 """
 
 from __future__ import annotations
@@ -31,9 +33,9 @@ from functools import cached_property
 
 import numpy as np
 
-from .coincidence import DetectionOutcome, class_weights, coincidence_density_all_splits, coincidence_density_grid
-from .coincidence import frame_size_distribution
-from .coincidence import _bracket, _checked_row, _closed_form_weights, _log_envelope, _theta_table, _with_s_derivative
+from .coincidence import DetectionOutcome, class_weights, frame_size_distribution
+from .coincidence import _bracket, _checked_row, _closed_form_weights, _log_envelope, _theta_table, _theta_tables
+from .coincidence import _with_s_derivative
 from .fisher import QuadratureSpec, fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
 
@@ -56,6 +58,8 @@ __all__ = [
 
 # Default largest frame size L that the sampler draws and the likelihood conditions on.
 L_CAP = 12
+# Default interval (lo, hi) of separations on which mle_separation maximizes the likelihood.
+SEARCH_INTERVAL = (0.05, 4.0)
 
 # Envelope probes in the one majorant scan per L (all its splits at once),
 # and the factor by which every majorant exceeds the largest bracket value seen.
@@ -175,6 +179,8 @@ class FrameSampler:
         self.truncated_mass = float(p_l.sum())
         self.p_l_given_cap = p_l / self.truncated_mass
         self._weights = {L: class_weights(L, scene, psf) for L in range(1, l_cap + 1)}
+        delta = mode_weights(scene, psf).delta
+        self._theta = {L: _theta_table(L, scene.brightness, delta) for L in range(1, l_cap + 1)}
         self.x_given_l = {L: w / w.sum() for L, w in self._weights.items()}
         self._majorants: dict = {}
         self.cell_counts: dict = {}
@@ -182,8 +188,8 @@ class FrameSampler:
     def _bracket(self, L, X, k):
         """The bracket of split X at each row of ``k``; of every split, shape (N, L + 1), at ``X=None``."""
         if X is None:
-            return coincidence_density_all_splits(L, k, self.scene, self.psf, include_envelope=False)
-        return coincidence_density_grid(L, X, k, self.scene, self.psf, include_envelope=False)
+            return _bracket(k, self.scene.separation, range(L + 1), self._theta[L])
+        return _bracket(k, self.scene.separation, [X], self._theta[L][X : X + 1])[:, 0]
 
     def _majorant(self, L, X):
         """Cached rejection bound of one (L, X) cell.
@@ -266,26 +272,31 @@ def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None =
     return sampler.sample_record(rng, config.frame_count)
 
 
-def _log_likelihood(groups, n_frames, psf, brightness, l_cap, s):
-    """Log-likelihood of the grouped record without its s-independent envelope term."""
+def _likelihood_rows(record):
+    """(momenta, L, X) of the record's rows for the per-row kernel: rows in descending L, momenta zero-padded."""
+    order = sorted(record.groups, reverse=True)
+    _, xs, momenta = zip(*(record.groups[L] for L in order))
+    k = np.concatenate([np.pad(m, ((0, 0), (0, order[0] - L))) for L, m in zip(order, momenta)])
+    return k, np.repeat(order, [len(x) for x in xs]), np.concatenate(xs)
+
+
+def _log_likelihood(rows, n_frames, psf, brightness, l_cap, s):
+    """Log-likelihood of the record's rows (:func:`_likelihood_rows`) without its s-independent envelope term."""
+    k, lengths, xs = rows
     scene = SourceScene(separation=s, brightness=brightness)
     delta = mode_weights(scene, psf).delta
-    total = 0.0
-    for L, (k, splits, column) in groups.items():
-        bracket = _bracket(k, s, splits, _theta_table(L, brightness, delta)[splits])
-        bracket = bracket[np.arange(len(k)), column]
-        if np.any(bracket <= 0):
-            return -np.inf
-        total += float(np.log(bracket).sum())
+    bracket = _bracket(k, s, xs, _theta_tables(k.shape[1], brightness, delta)[lengths, xs], lengths=lengths)
+    if np.any(bracket <= 0):
+        return -np.inf
     norm = frame_size_distribution(l_cap, scene, psf).sum()
-    return total - n_frames * math.log(norm)
+    return float(np.log(bracket).sum()) - n_frames * math.log(norm)
 
 
 def mle_separation(
     record,
     psf: PsfModel,
     brightness: float,
-    search_interval=(0.05, 4.0),
+    search_interval=SEARCH_INTERVAL,
     l_cap: int = L_CAP,
     true_separation: float | None = None,
     curve_points: int = 0,
@@ -318,11 +329,11 @@ def mle_separation(
             "the likelihood conditioned on L <= l_cap gives it probability 0"
         )
     n = len(record)
-    groups = {L: (k, *np.unique(xs, return_inverse=True)) for L, (_, xs, k) in record.groups.items()}
-    log_env = sum(_log_envelope(k, psf) for k, _, _ in groups.values())
+    rows = _likelihood_rows(record)
+    log_env = sum(_log_envelope(k, psf) for _, _, k in record.groups.values())
 
     def objective(s):
-        return -(log_env + _log_likelihood(groups, n, psf, brightness, l_cap, s))
+        return -(log_env + _log_likelihood(rows, n, psf, brightness, l_cap, s))
 
     res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-5 * psf.sigma_x})
     if not np.isfinite(res.fun):

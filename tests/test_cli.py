@@ -198,6 +198,7 @@ class TestInputErrors:
         (("fi-vs-ns", "--s", "inf", "--ns-grid", "1", "--lmax", "2"), "separation must be non-negative and finite"),
         (("bucket-compare", "--ns", "inf", "--s-grid", "1"), "brightness must be positive and finite"),
         (("probability-surface", "--l", "3", "--x-class", "A"), "3-photon class must be"),
+        (("estimate", "--true-s", "5", "--trials", "2", "--frames", "200"), r"search interval 0\.05 < s < 4\.0, got true_s=5\.0"),
     ])
     def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
         with pytest.raises(SystemExit, match=cause) as excinfo:

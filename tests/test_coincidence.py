@@ -24,6 +24,7 @@ from homsr.coincidence import (
     _closed_form_weights,
     _half_angle_trig,
     _theta_table,
+    _theta_tables,
     _with_s_derivative,
     _xi_coeffs,
     TwoPhotonCoordinates,
@@ -626,6 +627,34 @@ class TestBracketKernel:
                 for part in (np.real, np.imag) if complex_step else (np.real,):
                     scale = np.abs(part(want)).max(axis=0)
                     assert (np.abs(part(got[:, end - len(x) : end]) - part(want)) <= 1e-14 * scale).all(), (L, x)
+
+    @pytest.mark.parametrize("complex_step", [False, True])
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    def test_per_row_form_matches_all_splits_kernel(self, s, complex_step, rng):
+        # every row at its own L = 1..12 and random X in one call, rows in descending L, zero-padded
+        s = s * (1 + 1e-20j) if complex_step else s
+        delta = psf_overlap_delta(PSF, 1.3)
+        chunk = max(1, coincidence._CHUNK_BYTES // (2 * 12 * (16 if complex_step else 8)))
+        for n in (1, chunk - 1, chunk + 1):
+            lengths = np.sort(rng.integers(1, 13, n))[::-1]
+            lengths[0] = 12
+            xs = rng.integers(0, lengths + 1)
+            k = rng.standard_normal((n, 12)) * PSF.sigma_k * (np.arange(12) < lengths[:, None])
+            got = _bracket(k, s, xs, _theta_tables(12, 1.5, delta)[lengths, xs], lengths=lengths)
+            assert got.shape == (n,) and got.dtype == np.result_type(s, float)
+            for L in np.unique(lengths):
+                rows = np.flatnonzero(lengths == L)
+                want = _bracket(k[rows, :L], s, range(L + 1), _theta_table(L, 1.5, delta))
+                for part in (np.real, np.imag) if complex_step else (np.real,):
+                    # relative to the split's largest value over the rows of this L
+                    scale = np.abs(part(want)).max(axis=0)[xs[rows]]
+                    error = np.abs(part(got[rows]) - part(want[np.arange(len(rows)), xs[rows]]))
+                    assert (error <= 1e-13 * scale).all(), (n, L, part)
+
+    @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [4, 2]])
+    def test_per_row_form_needs_descending_photon_numbers_within_k(self, lengths):
+        with pytest.raises(ValueError, match="descending photon number"):
+            _bracket(np.zeros((2, 3)), 1.0, np.array([0, 0]), np.ones((2, 3)), lengths=np.array(lengths))
 
     @pytest.mark.parametrize("s", [1e-8, 0.01, 1.0, 8.0, 40.0])
     def test_complex_half_angle_trig_is_numpys(self, s, rng):
