@@ -25,11 +25,11 @@ coefficients.  The subset normalization is the one under which the total
 density is correctly normalized; this is verified against the closed-form
 frame-size distribution in the test suite.
 
-One kernel forms the signed sums from prefix and suffix products over the
-photons (:func:`_bracket`), or, where each row needs only its own (L, X),
-from one forward pass over rows of mixed L.  It and the class weights are
-analytic in s, so one pass at complex s gives their exact s-derivative
-(:func:`_with_s_derivative`).
+One kernel forms the signed sums (:func:`_bracket`): for one photon number
+from prefix and suffix products, and for several (on shared nodes, or one
+(L, X) per row) from one forward recurrence that reads order L at photon L.
+It and the class weights are analytic in s, so one pass at complex s gives
+their exact s-derivative (:func:`_with_s_derivative`).
 The sums are symmetric under a joint permutation of momenta and camera
 labels, so any assignment is evaluated as the canonical one, C1 photons first.
 """
@@ -81,9 +81,10 @@ __all__ = [
     "class_label",
 ]
 
-# Bytes of (P, D, S) state per chunk of the bracket kernel: large enough to
-# spread numpy's per-call cost, small enough that the working set stays in a
-# 2 MB L2 cache (1 MiB was fastest for L = 4..20 on a 2-vCPU Xeon).
+# Bytes per chunk of the bracket kernel, as each form counts its rows: large
+# enough to spread numpy's per-call cost, small enough for a 2 MB L2 cache.
+# 1 MiB was fastest for one order at L = 4..20 on a 2-vCPU Xeon; for the forward
+# pass's orders 4..7 to 4..24, 2 MiB was 0-13 % faster and 512 KiB 3-15 % slower.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -257,159 +258,134 @@ def _half_angle_trig(s, kt):
 
 
 def _bracket(k, s, splits, coefs, orders=None, lengths=None):
-    """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``.
+    """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``, shape (N, len(splits)).
 
     ``k`` has shape (N, L) with the C1 photons first; ``splits`` strictly
     ascends.  With f_a(t) = cos(k_a s/2) + t sin(k_a s/2), the signed sums are
     the coefficients of S(t) = 2 C_X(t) - D(t), where D = sum_i prod_{a != i} f_a
     and C_X = sum_{i < X} prod_{a != i} f_a.  A forward pass carries the prefix
     product P <- P f_a and the leave-one-out sum D <- D f_a + P, keeping D_X at
-    each inner split 0 < X < L; a backward pass builds the suffix product
+    each inner split 0 < X < L; a backward pass then builds the suffix product
     Suf_X = prod_{a >= X} f_a, so C_X = D_X Suf_X is one polynomial product.
-    S_0 = -D and S_L = D need neither.  The passes are analytic in s and
+    S_0 = -D and S_L = D need neither.  Every form is analytic in s and
     ``coefs``, complex if either is (as under :func:`_with_s_derivative`).
-    Results have shape (N, len(splits)).
 
-    Several photon numbers share one pass: given ``orders``, ascending L <=
-    k.shape[1], ``splits`` and ``coefs`` hold one entry per order, and order L
-    is the bracket of the first L columns of ``k``.  The prefix pass is the
-    same for every order, so the trig and (P, D) run once over all columns;
-    each order takes its D_X and, once the pass has reached photon L, its D
-    and runs its own backward pass.  The results of the orders are
-    concatenated along the columns, and the one-order call is this with
-    ``orders = (k.shape[1],)``.
-
-    Given ``lengths``, each row is one frame at its own photon number and
-    split, and the result has shape (N,): row i is the bracket of split
-    ``splits[i]`` on the first ``lengths[i]`` columns of ``k`` (the rest
-    zero padding), weighted by its own coefficient row ``coefs[i, :lengths[i]]``.
-    Rows must come in descending L (see :func:`_bracket_rows`).
-
-    Which form: a list of splits where every row needs the same splits of one
-    L (densities, the sampler's proposals and majorant scans); ``orders``
-    where it needs them at several L on shared nodes (Fisher integrands);
-    ``lengths`` where each row needs only its own (L, X) (the likelihood: a
-    record of mixed L is one call, and no other split is formed).
+    Given ``orders`` (ascending L <= k.shape[1], one entry of ``splits`` and
+    ``coefs`` each), order L is on the first L columns of ``k``, its columns
+    after the previous order's.  Given ``lengths``, row i of the (N,) result is
+    split ``splits[i]`` on its first ``lengths[i]`` columns (the rest zero
+    padding) under ``coefs[i, :lengths[i]]``, rows in descending L.  Both read
+    order L at photon L of one forward pass (:func:`_bracket_forward`: Fisher
+    integrands, the likelihood); one order (densities, class weights, sampler
+    proposals and majorant scans) runs prefix x suffix, 1.0-2.5x faster there.
     """
-    if lengths is not None:
-        return _bracket_rows(k, s, splits, coefs, lengths)
-    n_rows, width = k.shape
-    if orders is None:
-        orders, splits, coefs = (width,), (splits,), (coefs,)
-    dtype = np.result_type(s, *coefs, float)
-    plan, col, inner, widest = {}, 0, {}, 0  # order L -> (its columns of out, inner X -> x, x of X = 0 and L, coefs)
-    for L, xs, cf in zip(orders, splits, coefs):
-        xs = xs.tolist() if isinstance(xs, np.ndarray) else list(xs)  # ints compare far faster than numpy scalars
-        at = {X: x for x, X in enumerate(xs) if 0 < X < L}
-        plan[L] = (col, col + len(xs), at, [x for x, X in enumerate(xs) if X in (0, L)], cf)
-        inner.update(at)
-        col, widest = col + len(xs), max(widest, len(xs) * L)
-    inner = dict(zip(inner, itertools.accumulate(inner, initial=0)))  # inner X -> first row of its 2 D_X
-    out = np.empty((n_rows, col), dtype)
-    # bytes per row: (P, D) and the S of one order, as the orders' backward passes run one at a time
-    chunk = max(1, _CHUNK_BYTES // ((2 * width + widest) * dtype.itemsize))
+    if orders is not None or lengths is not None:
+        return _bracket_forward(k, s, splits, coefs, orders, lengths)
+    n_rows, L = k.shape
+    xs = splits.tolist() if isinstance(splits, np.ndarray) else list(splits)  # ints compare far faster than numpy scalars
+    at = {X: x for x, X in enumerate(xs) if 0 < X < L}  # inner split X -> its column
+    dtype = np.result_type(s, coefs, float)
+    out = np.empty((n_rows, len(xs)), dtype)
+    chunk = max(1, _CHUNK_BYTES // ((2 + len(xs)) * L * dtype.itemsize))  # bytes per row: (P, D) and every S
+    # one allocation for every chunk (fewer page faults): (P, D) twice and scratch, every S, 2 D_X at inner X
+    work = np.empty(((6 + len(xs)) * L + sum(at), min(chunk, n_rows)), dtype)
     for lo in range(0, n_rows, chunk):
         kt = np.ascontiguousarray(k[lo : lo + chunk].T)
         c, sn = _half_angle_trig(s, kt)
-        z, z_new = np.zeros((2, 2, width, kt.shape[1]), dtype)  # (P, D), twice
-        work = np.empty((2 * width + sum(inner), kt.shape[1]), dtype)  # one allocation: fewer page faults
-        tmp, twice = work[: 2 * width].reshape(z.shape), work[2 * width :]
-        twice_d = {X: twice[row : row + X] for X, row in inner.items()}  # 2 D_X, kept until C_X is formed
-        z[0, :2], z[1, 0] = (c[0], sn[0])[:width], 1.0  # after photon 0: P = f_0, D = 1
-        for a in range(1, width + 1):
-            if a in plan:  # the pass has reached photon L = a: D is order a's
-                first, end, at, ends, cf = plan[a]
-                # z_new[0] and tmp[0] are free until the next step, which overwrites whatever the
-                # backward pass leaves below index a; above it, the pass leaves zeros, as the step needs
-                order = _bracket_order(z[1, :a], twice_d, c, sn, at, ends, cf, z_new[0], tmp[0])
-                out[lo : lo + chunk, first:end] = order
-            if a == width:
-                break
-            if a in twice_d:
+        w = work[:, : kt.shape[1]]
+        w[: 4 * L] = 0.0  # (P, D), twice: each step reads one coefficient above the last it wrote
+        (z, z_new, tmp), S = w[: 6 * L].reshape(3, 2, L, -1), w[6 * L : (6 + len(xs)) * L].reshape(len(xs), L, -1)
+        twice_d = {X: w[row : row + X] for X, row in zip(at, itertools.accumulate(at, initial=(6 + len(xs)) * L))}
+        z[0, :2], z[1, 0] = (c[0], sn[0])[:L], 1.0  # after photon 0: P = f_0, D = 1
+        for a in range(1, L):
+            if a in twice_d:  # 2 D_X, kept until C_X is formed
                 np.multiply(z[1, :a], 2.0, twice_d[a])
-            m = min(a + 2, width)  # degrees stay <= a + 1
+            m = min(a + 2, L)  # degrees stay <= a + 1
             np.multiply(z[:, :m], c[a], z_new[:, :m])  # (P, D) f_a, truncated
             np.multiply(z[:, : m - 1], sn[a], tmp[:, : m - 1])
             z_new[:, 1:m] += tmp[:, : m - 1]
             z_new[1, :m] += z[0, :m]
             z, z_new = z_new, z
+        d, suf, tmp = z[1], z_new[0], tmp[0]  # the backward pass reuses the free rows
+        S[[x for x, X in enumerate(xs) if X in (0, L)]] = d  # S_0 = -D and S_L = D square alike
+        suf[:2], suf[2:] = (c[L - 1], sn[L - 1])[:L], 0.0  # Suf_{L-1} = f_{L-1}
+        for a in range(L - 1, min(at, default=L) - 1, -1):
+            m = L - a + 1  # Suf_a has degree L - a
+            if a < L - 1:
+                np.multiply(suf[: m - 1], sn[a], tmp[: m - 1])
+                suf[: m - 1] *= c[a]
+                suf[1:m] += tmp[: m - 1]
+            if a in at:  # S_X = 2 D_X Suf_X - D, summing the outer product over the shorter factor
+                Sx = S[at[a]]
+                short, long = (twice_d[a], suf[:m]) if a <= m else (suf[:m], twice_d[a])
+                outer = short[:, None] * long
+                np.negative(d, Sx)
+                for j in range(len(short)):
+                    Sx[j : j + len(long)] += outer[j]
+        S *= S
+        out[lo : lo + chunk] = np.matmul(coefs[:, None, :], S)[:, 0].T
     return out
 
 
-def _bracket_order(d, twice_d, c, sn, at, ends, coefs, suf, tmp):
-    """The bracket of one order L = len(d) at the rows of a chunk, one column per row of ``coefs``: the
-    backward pass of :func:`_bracket`, from the order's leave-one-out sum ``d`` and the prefix pass's 2 D_X
-    at its inner splits ``at`` (split X -> row x), in the scratch rows ``suf`` and ``tmp``."""
-    L = len(d)
-    S = np.empty((len(coefs), L, d.shape[1]), d.dtype)
-    S[ends] = d  # S_0 = -D and S_L = D square alike
-    suf[:2], suf[2:] = (c[L - 1], sn[L - 1])[:L], 0.0  # Suf_{L-1} = f_{L-1}
-    for a in range(L - 1, min(at, default=L) - 1, -1):
-        m = L - a + 1  # Suf_a has degree L - a
-        if a < L - 1:
-            np.multiply(suf[: m - 1], sn[a], tmp[: m - 1])
-            suf[: m - 1] *= c[a]
-            suf[1:m] += tmp[: m - 1]
-        if a in at:  # S_X = 2 D_X Suf_X - D, summing the outer product over the shorter factor
-            Sx = S[at[a]]
-            short, long = (twice_d[a], suf[:m]) if a <= m else (suf[:m], twice_d[a])
-            outer = short[:, None] * long
-            np.negative(d, Sx)
-            for j in range(len(short)):
-                Sx[j : j + len(long)] += outer[j]
-    S *= S
-    return np.matmul(coefs[:, None, :], S)[:, 0].T
+def _bracket_forward(k, s, splits, coefs, orders, lengths):
+    """The ``orders`` and ``lengths`` forms of :func:`_bracket`: one forward pass carries P and S = 2 C_X - D.
 
-
-def _bracket_rows(k, s, xs, coefs, lengths):
-    """The per-row form of :func:`_bracket`: row i at its own L = lengths[i] and X = xs[i], shape (N,).
-
-    C_X enters only through S = 2 C_X - D, so one forward pass carries (P, S):
-    before the pass reaches X, C_X = 0 and S = -D follows D <- D f_a + P as
-    S <- S f_a - P; where it reaches X, C_X takes D, so S = -D becomes D; after,
-    C_X <- C_X f_a keeps S <- S f_a - P.  The sign change is folded into S's
-    factor -f_X (at X = L it would only flip S, which is squared).  As L
-    descends, the rows still running at photon a (L > a) are a prefix, and
-    each step works on that prefix only; the rows of L = a end there, read
-    against their own coefs.
+    Photon a takes S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X.
+    Given ``lengths``, a row has one slot, stored as -S_X until the pass
+    reaches X, where a factor -f_X flips it, so every step subtracts P; the
+    rows still running at photon a (L > a) are a prefix of the chunk, and the
+    rows of L = a are read there.  Given ``orders``, the slots are shared:
+    after photon a - 1 every S_X with X >= a is D, so slot a stands for them
+    all, and photon a splits it into X = a (- P) and a new top slot (+ P).
     """
-    lengths, xs = np.asarray(lengths), np.asarray(xs)
-    n_rows, width = k.shape
-    if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1 or lengths[0] > width):
-        raise ValueError("per-row bracket needs rows in descending photon number, 1 <= L <= k.shape[1]")
-    dtype = np.result_type(s, coefs, float)
-    out = np.empty(n_rows, dtype)
-    chunk = max(1, _CHUNK_BYTES // (2 * width * dtype.itemsize))  # bytes per row: (P, S)
+    n_rows, shared = len(k), lengths is None
+    if shared:  # every row runs to the last order; order L -> (its columns of out, its slots' rows of z, its coefs)
+        k, lengths, ends = k[:, : orders[-1]], np.full(n_rows, orders[-1]), np.cumsum([len(x) for x in splits])
+        reads = {L: (slice(e - len(x), e), 1 + np.asarray(x), cf) for L, x, e, cf in zip(orders, splits, ends, coefs)}
+        dtype = np.result_type(s, *coefs, float)
+    else:
+        lengths, xs, dtype = np.asarray(lengths), np.asarray(splits), np.result_type(s, coefs, float)
+        if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1 or lengths[0] > k.shape[1]):
+            raise ValueError("per-row bracket needs rows in descending photon number, 1 <= L <= k.shape[1]")
+    out = np.empty((n_rows, ends[-1]) if shared else n_rows, dtype)
+    width, slots = k.shape[1], (k.shape[1] + 1 if shared else 1)
+    chunk = max(1, _CHUNK_BYTES // ((1 + slots) * width * dtype.itemsize))  # bytes per row: one (P, S) state
     for lo in range(0, n_rows, chunk):
-        kc, xc = k[lo : lo + chunk], xs[lo : lo + chunk]
-        n = len(kc)
+        n = min(chunk, n_rows - lo)
         # running[a]: the rows with L > a, a prefix of the chunk; photon a's factors are taken on those only
         running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
         first = list(itertools.accumulate(running[:width], initial=0))
-        trig = _half_angle_trig(s, np.concatenate([kc[:r, a] for a, r in enumerate(running[:width])]))
-        sign = np.ones((2, first[-1]))  # [P, S] of each photon and running row; S's is -1 at X
-        sign[1] -= 2.0 * (np.concatenate([xc[:r] for r in running[:width]]) == np.repeat(range(width), running[:width]))
-        factors = np.stack(trig)[:, None] * sign  # [cos, sin][P, S]
-        # (P, S), twice, not zeroed: each step writes every coefficient that the next one reads
-        z, z_new = np.empty((2, 2, width, n), dtype)
-        tmp = np.empty((2, width, n), dtype)
-        z[:, :2] = 0.0
-        z[0, :2], z[1, 0] = (trig[0][:n], trig[1][:n])[:width], -1.0  # after photon 0: P = f_0, S = -D = -1
+        trig = _half_angle_trig(s, np.concatenate([k[lo : lo + r, a] for a, r in enumerate(running[:width])]))
+        factors = np.stack(trig)[:, None]  # [cos, sin][P, S] of each photon and running row
+        if not shared:  # a row's S takes -f at its X
+            at_x = np.concatenate([xs[lo : lo + r] == a for a, r in enumerate(running[:width])])
+            factors = factors * np.where(at_x, [[1.0], [-1.0]], 1.0)
+        # (P, S of each slot) twice and scratch, not zeroed: each step writes every coefficient the next one reads
+        z, z_new, tmp = np.empty((3, 1 + slots, width, n), dtype)
+        z[:, :2] = 0.0  # after photon 0: P = f_0, S_0 = -D = -1 (per row, -S_X = -1 too), S_X = D = 1 for X > 0
+        z[0, :2], z[1, 0], z[2:3, 0] = (trig[0][:n], trig[1][:n])[:width], -1.0, 1.0
         for a in range(1, width + 1):
             r, end = running[a], running[a - 1]
-            if end > r:  # the rows of L = a end here
+            if shared and a in reads:
+                cols, rows, cf = reads[a]
+                out[lo : lo + n, cols] = np.matmul(cf[:, None, :], np.square(z[rows, :a]))[:, 0].T
+            elif not shared and end > r:  # the rows of L = a end here
                 S = z[1, :a, r:end]
                 out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, coefs[lo + r : lo + end, :a])
             if r == 0:
                 break
+            h = a + 2 if shared else 2  # rows of z in use: P and the slots
             c, sn = factors[:, :, None, first[a] : first[a] + r]
             v = min(a + 1, width)  # coefficients of P, of degree a (S has degree a - 1), truncated
             if v < width:  # the new top coefficient, P_a sin_a (S's is 0)
-                np.multiply(z[:, v - 1, :r], sn[:, 0], z_new[:, v, :r])
-            np.multiply(z[:, :v, :r], c, z_new[:, :v, :r])  # (P, S) f_a, truncated
-            np.multiply(z[:, : v - 1, :r], sn, tmp[:, : v - 1, :r])
-            z_new[:, 1:v, :r] += tmp[:, : v - 1, :r]
-            z_new[1, :v, :r] -= z[0, :v, :r]
+                np.multiply(z[:h, v - 1 : v, :r], sn, z_new[:h, v : v + 1, :r])
+            np.multiply(z[:h, :v, :r], c, z_new[:h, :v, :r])  # (P, S) f_a, truncated
+            np.multiply(z[:h, : v - 1, :r], sn, tmp[:h, : v - 1, :r])
+            z_new[:h, 1:v, :r] += tmp[:h, : v - 1, :r]
+            if shared:  # the new top slot, X > a: S f_a + P
+                z_new[h, : v + 1] = z_new[h - 1, : v + 1]
+                z_new[h, :v] += z[0, :v]
+            z_new[1:h, :v, :r] -= z[0, :v, :r]
             z, z_new = z_new, z
     return out
 

@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .coincidence import DetectionOutcome, class_weights, frame_size_distribution
-from .coincidence import _bracket, _checked_row, _closed_form_weights, _log_envelope, _theta_table, _theta_tables
+from .coincidence import _bracket, _checked_row, _closed_form_weights, _log_envelope, _theta_tables
 from .coincidence import _with_s_derivative
 from .fisher import QuadratureSpec, fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
@@ -180,7 +180,8 @@ class FrameSampler:
         self.p_l_given_cap = p_l / self.truncated_mass
         self._weights = {L: class_weights(L, scene, psf) for L in range(1, l_cap + 1)}
         delta = mode_weights(scene, psf).delta
-        self._theta = {L: _theta_table(L, scene.brightness, delta) for L in range(1, l_cap + 1)}
+        tables = _theta_tables(l_cap, scene.brightness, delta)
+        self._theta = {L: tables[L, : L + 1, :L] for L in range(1, l_cap + 1)}
         self.x_given_l = {L: w / w.sum() for L, w in self._weights.items()}
         self._majorants: dict = {}
         self.cell_counts: dict = {}

@@ -22,21 +22,22 @@ numeric integration (the two-photon hierarchy uses it in one dimension).
 
 The lattice and Monte Carlo node sets are nested across dimension, so
 :func:`fisher_total` integrates every order on those schemes in one
-expectation of dim l_max: one kernel pass per chunk of nodes gives all
-of them, each order on the first L momenta, which are the nodes of its own
-:func:`fisher_L` call.  Because those orders share nodes, their errors
-correlate, and ``total_stderr`` is the error of their summed integrand
-rather than a quadrature sum over orders.
+expectation of dim l_max: one forward kernel pass per chunk of nodes gives
+all of them, reading order L at photon L, on the first L momenta, which are
+the nodes of its own :func:`fisher_L` call.  Because those orders share
+nodes, their errors correlate, and ``total_stderr`` is the error of their
+summed integrand rather than a quadrature sum over orders.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient, _theta_table
+from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient, _theta_tables
 from .coincidence import _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
 from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme, rule_points
@@ -94,8 +95,8 @@ def _fisher_integrand(L, k, scene, psf):
 
     def bracket(s):
         delta = np.exp(-0.5 * (s * psf.sigma_k) ** 2)
-        coefs = [_theta_table(n, scene.brightness, delta) for n in orders]
-        return _bracket(k, s, [range(n + 1) for n in orders], coefs, orders)
+        tables = _theta_tables(orders[-1], scene.brightness, delta)
+        return _bracket(k, s, [range(n + 1) for n in orders], [tables[n, : n + 1, :n] for n in orders], orders)
 
     g0, deriv = _with_s_derivative(bracket, scene.separation)
     # skip nodes where the density is vanishingly small relative to its
@@ -191,8 +192,10 @@ def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
     sum_X (d_s w(L,X))^2 / w(L,X) over the exact closed-form class weights
     of :func:`~homsr.coincidence.class_weights`, with d_s w exact from the
     same closed form at complex s; no class is dropped, as the weights
-    carry no cancellation.  Raises ``ValueError`` at s <= 0.
+    carry no cancellation.  Raises ``ValueError`` at s <= 0 or L < 1.
     """
+    if L < 1:
+        raise ValueError("L must be >= 1")
     if scene.separation <= 0:
         raise ValueError("bucket_fisher requires s > 0 (use the closed-form limits at s = 0)")
     w0, deriv = _with_s_derivative(lambda s: _closed_form_weights(L, s, scene.brightness, psf), scene.separation)
@@ -307,7 +310,7 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     """
     from scipy.special import ndtr
 
-    if pixel_pitch <= 0 or n_pixels < 2:
+    if pixel_pitch <= 0 or operator.index(n_pixels) < 2:  # a float count would build ceil(n) pixels off centre
         raise ValueError("need positive pixel pitch and at least 2 pixels")
     s, sx = scene.separation, psf.sigma_x
     half_extent = 0.5 * n_pixels * pixel_pitch

@@ -651,6 +651,62 @@ class TestBracketKernel:
                     error = np.abs(part(got[rows]) - part(want[np.arange(len(rows)), xs[rows]]))
                     assert (error <= 1e-13 * scale).all(), (n, L, part)
 
+    @pytest.mark.parametrize("complex_step", [False, True])
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    @pytest.mark.parametrize("width", [13, 16, 20, 24])
+    def test_orders_at_high_photon_numbers_match_one_order_calls(self, width, s, complex_step, rng):
+        # the widths of Fisher sums past L = 12, at the bound of the leave-one-out oracle test
+        z = s * (1 + 1e-20j) if complex_step else s
+        k = rng.standard_normal((300, width)) * PSF.sigma_k
+        orders = sorted({1, 4, width // 2, width - 1, width})
+        coefs = [_theta_table(L, 1.5, psf_overlap_delta(PSF, s)) for L in orders]
+        got = _bracket(k, z, [range(L + 1) for L in orders], coefs, orders)
+        assert got.shape == (300, sum(orders) + len(orders))
+        for L, c, end in zip(orders, coefs, np.cumsum([L + 1 for L in orders])):
+            want = _bracket(k[:, :L], z, range(L + 1), c)
+            for part in (np.real, np.imag) if complex_step else (np.real,):
+                scale = np.abs(part(want)).max(axis=0)
+                assert (np.abs(part(got[:, end - L - 1 : end]) - part(want)) <= 1e-13 * scale).all(), (L, part)
+
+    @pytest.mark.parametrize("complex_step", [False, True])
+    def test_every_form_across_chunk_edges(self, complex_step, monkeypatch, rng):
+        # a chunk of a few rows, counted by the trig taken once per chunk, so that every form
+        # starts and ends its passes at several chunk edges whatever its bytes per row
+        monkeypatch.setattr(coincidence, "_CHUNK_BYTES", 2048)
+        chunks, trig = [], coincidence._half_angle_trig
+        monkeypatch.setattr(coincidence, "_half_angle_trig", lambda s, kt: chunks.append(kt.shape) or trig(s, kt))
+        s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
+        delta = psf_overlap_delta(PSF, 1.3)
+        k = rng.standard_normal((45, 9)) * PSF.sigma_k
+
+        def bracket(*args, **kwargs):
+            chunks.clear()
+            got = _bracket(*args, **kwargs)
+            assert len(chunks) >= 3
+            return got
+
+        def check(got, want, scale):  # relative to each split's largest value in ``scale``
+            for part in (np.real, np.imag) if complex_step else (np.real,):
+                assert (np.abs(part(got) - part(want)) <= 1e-13 * np.abs(part(scale)).max(axis=0)).all(), part
+
+        splits = [0, 3, 4, 9]  # one order, a split subset
+        coefs = _theta_table(9, 1.5, delta)[splits]
+        want = oracle_bracket(k, s, splits, coefs)
+        check(bracket(k, s, splits, coefs), want, want)
+        orders, splits = (2, 5, 9), [[0, 1, 2], [1, 4], list(range(10))]
+        coefs = [_theta_table(L, 1.5, delta)[x] for L, x in zip(orders, splits)]
+        want = np.hstack([oracle_bracket(k[:, :L], s, x, c) for L, x, c in zip(orders, splits, coefs)])
+        check(bracket(k, s, splits, coefs, orders), want, want)
+        lengths = np.sort(rng.integers(1, 10, 45))[::-1]
+        lengths[0] = 9
+        xs = rng.integers(0, lengths + 1)
+        got = bracket(k * (np.arange(9) < lengths[:, None]), s, xs, _theta_tables(9, 1.5, delta)[lengths, xs],
+                      lengths=lengths)
+        for L in np.unique(lengths):
+            rows = np.flatnonzero(lengths == L)
+            want = oracle_bracket(k[rows, :L], s, range(L + 1), _theta_table(L, 1.5, delta))
+            check(got[rows], want[np.arange(len(rows)), xs[rows]], want[:, xs[rows]])
+
     @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [4, 2]])
     def test_per_row_form_needs_descending_photon_numbers_within_k(self, lengths):
         with pytest.raises(ValueError, match="descending photon number"):

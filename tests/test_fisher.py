@@ -293,6 +293,11 @@ class TestBucketFisher:
         with pytest.raises(ValueError, match="s > 0"):
             bucket_fisher(SourceScene(separation=0.0, brightness=1.5), PSF, 2)
 
+    @pytest.mark.parametrize("L", [0, -1])
+    def test_order_below_one_rejected(self, L):
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            bucket_fisher(SourceScene(separation=1.0, brightness=1.5), PSF, L)
+
     def test_small_separation_retains_information(self):
         scene = SourceScene(separation=0.02, brightness=1.5)
         for L in (2, 4):
@@ -384,3 +389,10 @@ class TestDiBaseline:
             di_baseline_fisher(SourceScene(1.0, 1.0), PSF, pixel_pitch=0.1, n_pixels=20)
         with pytest.raises(ValueError):
             di_baseline_fisher(SourceScene(1.0, 1.0), PSF, pixel_pitch=0.0, n_pixels=100)
+
+    def test_pixel_count_must_be_an_integer(self):
+        # a float count would build ceil(n) pixels, centred a quarter pitch off
+        with pytest.raises(TypeError):
+            di_baseline_fisher(SourceScene(1.0, 1.5), PSF, pixel_pitch=0.1, n_pixels=400.5)
+        assert di_baseline_fisher(SourceScene(1.0, 1.5), PSF, 0.1, np.int64(400)) == di_baseline_fisher(
+            SourceScene(1.0, 1.5), PSF, 0.1, 400)

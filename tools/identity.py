@@ -12,17 +12,20 @@ Each checkout runs in its own process with its ``src`` first on
 ``sys.path``; both run at once.  The families are densities (every split,
 with a camera assignment, with ``delta_override``, without the envelope, and
 the 2-, 3- and 4-photon closed forms), all-splits densities, the frame-size
-law, class weights by each method, bucket and sub-Rayleigh values,
-``fisher_total`` at fixed s and l_max, ``fisher_L`` of each order alone at
-those scenes and at one with l_max 7 (so that a change in how orders share
-nodes shows per order, not only in the sum), ``crb_report`` at the ``homsr
-estimate`` scene with l_cap 12 and 6, the two-photon sampling hierarchy and
-the pixelated direct-imaging baseline, three 5000-frame records (frames,
-majorants, written lines, ŝ of the record and of its read-back copy, and
-likelihood curves), and the outputs of the CLI runs in ``tests/test_cli.py``
-with their temporary paths normalised.  A parameter that an older checkout
-lacks (``l_cap`` of ``crb_report``) is passed only where the signature has
-it.  It takes about 30 s on 2 vCPU.
+law, the bracket kernel in each call shape (one order with every split, one
+split, several orders, one split per row) at real and complex-step s, so
+that a kernel change is seen before integration, class weights by each
+method, bucket and sub-Rayleigh values, ``fisher_total`` at fixed s and
+l_max, ``fisher_L`` of each order alone at those scenes and at one with
+l_max 7 (so that a change in how orders share nodes shows per order, not
+only in the sum), ``crb_report`` at the ``homsr estimate`` scene with l_cap
+12 and 6, the two-photon sampling hierarchy and the pixelated direct-imaging
+baseline, three 5000-frame records (frames, majorants, written lines, ŝ of
+the record and of its read-back copy, and likelihood curves), and the
+outputs of the CLI runs in ``tests/test_cli.py`` with their temporary paths
+normalised.  A parameter that an older checkout lacks (``l_cap`` of
+``crb_report``) is passed only where the signature has it.  It takes about
+30 s on 2 vCPU.
 
 This is not a test: pinned digests would turn every intended numeric change
 into a test edit.
@@ -103,6 +106,27 @@ def _densities(families, psf, rng):
             dens[f"s={s} ns={ns} four-photon {x_class}"] = c.four_photon_density(*k, x_class, scene, psf)
         for x_class in ("B", "UA"):
             dens[f"s={s} ns={ns} three-photon {x_class}"] = c.three_photon_density(*k[:3], x_class, scene, psf)
+
+
+def _kernel(families, psf, rng):
+    from homsr import coincidence as c
+
+    k = rng.standard_normal((200, 12)) * psf.sigma_k
+    lengths = np.sort(rng.integers(1, 13, len(k)))[::-1]
+    xs = rng.integers(0, lengths + 1)
+    padded = k * (np.arange(12) < lengths[:, None])
+    orders = (1, 4, 7, 12)
+    for s in (0.01, 1.0, 8.0):
+        for step, z in (("real", s), ("complex step", s * (1 + 1e-20j))):
+            tables = c._theta_tables(12, 1.5, np.exp(-0.5 * (z * psf.sigma_k) ** 2))
+            got = {f"orders {orders}": c._bracket(
+                k, z, [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders)}
+            got["one split per row"] = c._bracket(padded, z, xs, tables[lengths, xs], lengths=lengths)
+            for L in (1, 2, 4, 7, 12):
+                got[f"L={L} every split"] = c._bracket(k[:, :L], z, range(L + 1), tables[L, : L + 1, :L])
+                got[f"L={L} X={L // 2}"] = c._bracket(k[:, :L], z, [L // 2], tables[L, L // 2 : L // 2 + 1, :L])
+            for name, value in got.items():  # real and imaginary parts apart, so both are compared
+                families["kernel"][f"s={s} {step} {name}"] = np.stack([value.real, value.imag])
 
 
 def _weights_and_limits(families, psf):
@@ -222,13 +246,14 @@ def collect(tree):
 
     if not Path(homsr.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
-    names = ("densities", "all_splits", "frame_size_law", "class_weights.auto", "class_weights.gh",
+    names = ("densities", "all_splits", "frame_size_law", "kernel", "class_weights.auto", "class_weights.gh",
              "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "crb", "hierarchy", "di_baseline",
              "records.frames", "records.majorants", "records.lines", "records.s_hat", "records.curves", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
     with tempfile.TemporaryDirectory() as tmp:
         _densities(families, psf, np.random.default_rng(20261018))
+        _kernel(families, psf, np.random.default_rng(20261019))
         _weights_and_limits(families, psf)
         _fisher(families, psf)
         _crb_and_baselines(families, psf)
