@@ -144,8 +144,8 @@ def cmd_probability_surface(params):
     psf = PsfModel()
     scene = SourceScene(separation=params["s"], brightness=params["ns"])
     n = params["grid"] = _SURFACE_GRID_DEFAULT[L] if params["grid"] is None else params["grid"]
-    if n < 2:
-        raise ValueError(f"needs grid >= 2 points per axis, got grid={n}")
+    if n < 2 or n ** L > 10 ** 6:  # refused before any grid is built; 10^6 points bound a tensor GH rule too
+        raise ValueError(f"needs grid >= 2 points per axis and grid^L <= 10^6 points, got grid={n}, grid^L = {n ** L}")
     sk = psf.sigma_k
     half_widths = (3.0, 6.0) if L == 2 else (3.0,) * L  # L = 2 is on (Kbar, dk), the difference twice as wide
     ks = [g.ravel() for g in np.meshgrid(*(np.linspace(-h, h, n) * sk for h in half_widths), indexing="ij")]

@@ -240,21 +240,21 @@ def _with_s_derivative(f, s: float):
 
 
 def _half_angle_trig(s, kt):
-    """cos and sin of k s/2; at complex s = u + iv from the real cos, sin, cosh
-    and sinh of k u/2 and k v/2, a third of the cost of numpy's complex ones
-    and, at the step of :func:`_with_s_derivative`, bit-identical to them."""
+    """[cos, sin] of x = k s/2, stacked.  A complex s must be the step s + ih of :func:`_with_s_derivative`:
+    then y = k h/2 is so small that cos(x + iy) = cos x - iy sin x and sin(x + iy) = sin x + iy cos x hold
+    to the last bit, and so does the result against numpy's complex cos and sin, at a third of their cost."""
+    step = not isinstance(s, float) and np.iscomplexobj(s)  # the first test spares a float s a slower second
+    if step and abs(np.imag(s)) > 1e-15 * abs(np.real(s)):  # y could leave the range where those hold
+        raise ValueError(f"complex s must be a complex step s + ih with h <= 1e-15 s, got {s!r}")
+    trig = np.empty((2,) + kt.shape, complex if step else float)
     x = (0.5 * np.real(s)) * kt
-    if isinstance(s, float) or not np.iscomplexobj(s):  # the first test spares a float s a slower second
-        return np.cos(x), np.sin(x)
-    y = (0.5 * np.imag(s)) * kt
-    cos_x, sin_x, cosh_y, sinh_y = np.cos(x), np.sin(x), np.cosh(y), np.sinh(y)
-    c, sn = np.empty((2,) + kt.shape, complex)
-    np.multiply(cos_x, cosh_y, out=c.real)
-    np.multiply(sin_x, sinh_y, out=c.imag)
-    np.negative(c.imag, out=c.imag)
-    np.multiply(sin_x, cosh_y, out=sn.real)
-    np.multiply(cos_x, sinh_y, out=sn.imag)
-    return c, sn
+    np.cos(x, out=trig[0].real)
+    np.sin(x, out=trig[1].real)
+    if step:
+        y = (0.5 * np.imag(s)) * kt
+        np.multiply(trig[1].real, -y, out=trig[0].imag)
+        np.multiply(trig[0].real, y, out=trig[1].imag)
+    return trig
 
 
 def _bracket(k, s, splits, coefs, orders=None, lengths=None):
@@ -268,7 +268,7 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     each inner split 0 < X < L; a backward pass then builds the suffix product
     Suf_X = prod_{a >= X} f_a, so C_X = D_X Suf_X is one polynomial product.
     S_0 = -D and S_L = D need neither.  Every form is analytic in s and
-    ``coefs``, complex if either is (as under :func:`_with_s_derivative`).
+    ``coefs`` and complex if either is, s only at the step of :func:`_with_s_derivative`.
 
     Given ``orders`` (ascending L <= k.shape[1], one entry of ``splits`` and
     ``coefs`` each), order L is on the first L columns of ``k``, its columns
@@ -356,7 +356,7 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
         running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
         first = list(itertools.accumulate(running[:width], initial=0))
         trig = _half_angle_trig(s, np.concatenate([k[lo : lo + r, a] for a, r in enumerate(running[:width])]))
-        factors = np.stack(trig)[:, None]  # [cos, sin][P, S] of each photon and running row
+        factors = trig[:, None]  # [cos, sin][P, S] of each photon and running row
         if not shared:  # a row's S takes -f at its X
             at_x = np.concatenate([xs[lo : lo + r] == a for a, r in enumerate(running[:width])])
             factors = factors * np.where(at_x, [[1.0], [-1.0]], 1.0)

@@ -40,7 +40,7 @@ import numpy as np
 from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient, _theta_tables
 from .coincidence import _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
-from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme, rule_points
+from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme
 
 __all__ = [
     "QuadratureSpec",
@@ -65,8 +65,8 @@ class FisherEstimate:
     """``stderr`` is the node-refinement difference |Q_n - Q_3n/4| under
     Gauss-Hermite, the standard error of the shift means under the rank-1
     lattice, and the standard error of the batch means under Monte Carlo.
-    ``points`` is the integrand rows the order used
-    (:func:`~homsr.quadrature.rule_points`)."""
+    ``points`` is the integrand rows the order used, counted as the
+    integrand receives them; orders integrated together share one count."""
 
     value: float          # in sigma_k^2 units
     stderr: float
@@ -118,7 +118,10 @@ def _fisher_orders(scene, psf, orders, quad):
     if scene.separation <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
 
+    rows = []  # integrand rows per call: the one count of a rule's points
+
     def integrand(k):
+        rows.append(len(k))
         if len(orders) == 1:
             return _fisher_integrand(orders[0], k, scene, psf)
         columns = list(_fisher_integrand(orders, k, scene, psf).T)
@@ -131,7 +134,7 @@ def _fisher_orders(scene, psf, orders, quad):
     estimates = {}
     for L, value, stderr in zip(orders, values.tolist(), stderrs.tolist()):
         converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
-        estimates[L] = FisherEstimate(value, stderr, converged, scheme, rule_points(quad, L))
+        estimates[L] = FisherEstimate(value, stderr, converged, scheme, sum(rows))
     return estimates, float(stderrs[-1])
 
 
@@ -156,13 +159,10 @@ def fisher_total(
     """Truncated total Fisher information sum_{L <= l_max} F^(L), sigma_k^2 units.  The default l_max stops
     at L <= 7, which at N_s = 1.5 drops about 23 % of sum_{L<=24} F^(L) at s = 1 and 36 % at s = 8.
 
-    The orders whose scheme resolves to the lattice or Monte Carlo (L >= 4 under "auto") are integrated
-    together, in one envelope expectation of dim l_max: their node sets are nested, so each order sees
-    exactly the nodes of its own :func:`fisher_L` call, and one kernel pass serves them all.  Each
-    Gauss-Hermite order is one :func:`fisher_L` call.  ``total`` is the sum of the ``per_L`` values.
-    ``total_stderr`` combines in quadrature the Gauss-Hermite errors and the standard error of the shift
-    (or batch) means of the jointly integrated orders' summed integrand, which, unlike a quadrature sum
-    of their errors, counts how orders on shared nodes correlate.
+    One envelope expectation per node set: each Gauss-Hermite order alone, and the orders on the lattice
+    or Monte Carlo (L >= 4 under "auto") together at dim l_max, as the module docstring describes.
+    ``total`` is the sum of the ``per_L`` values; ``total_stderr`` combines the node sets' errors in
+    quadrature, the joint set's being the standard error of the shift (or batch) means of its summed integrand.
     """
     if l_max is None:
         l_max = default_l_max(scene)
@@ -170,12 +170,12 @@ def fisher_total(
         raise ValueError("l_max must be >= 2")
     quad = quad or QuadratureSpec()
     joint = tuple(L for L in range(1, l_max + 1) if resolved_scheme(quad, L) != "gauss_hermite_tensor")
-    per_L = {L: fisher_L(scene, psf, L, quad) for L in range(1, l_max + 1) if L not in joint}
-    variance = sum(e.stderr ** 2 for e in per_L.values())
-    if joint:
-        estimates, joint_stderr = _fisher_orders(scene, psf, joint, quad)
-        per_L = dict(sorted({**per_L, **estimates}.items()))
-        variance += joint_stderr ** 2
+    node_sets = [(L,) for L in range(1, l_max + 1) if L not in joint] + ([joint] if joint else [])
+    per_L, variance = {}, 0.0
+    for orders in node_sets:  # in ascending L: the Gauss-Hermite orders are those below the joint ones
+        estimates, stderr = _fisher_orders(scene, psf, orders, quad)
+        per_L.update(estimates)
+        variance += stderr ** 2
     total = sum(e.value for e in per_L.values())
     refs = {
         "subrayleigh_total": subrayleigh_fisher_total(scene.brightness),
@@ -224,7 +224,7 @@ def asymptotic_fisher_2p(ns: float) -> float:
 
 def optimal_brightness(L: int) -> float:
     """Brightness maximizing the large-separation F^(L): (L-1)/2."""
-    if L < 2:
+    if operator.index(L) < 2:
         raise ValueError("L must be >= 2")
     return (L - 1) / 2.0
 
@@ -302,9 +302,10 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     The camera-plane intensity is the equal mixture of the two displaced
     PSF intensities.  Each pixel mass q_i is a Gaussian-CDF difference taken
     from its near tail, and d_s q_i = (g(e_i) - g(e_{i+1})) / (4 sigma_x) at
-    the pixel edges, with g(e) = 2 phi(e/sigma_x) exp(-s^2/(8 sigma_x^2))
-    sinh(e s/(2 sigma_x^2)): the two images' pdf difference without its
-    cancellation at small s, and 0 at s = 0.  The per-photon information
+    the pixel edges, with g(e) = phi((e - s/2)/sigma_x) - phi((e + s/2)/sigma_x)
+    the two images' pdf difference, taken as sign(e) phi((|e| - s/2)/sigma_x)
+    (1 - exp(-|e| s/sigma_x^2)): it does not cancel at small s, is 0 at s = 0
+    and cannot overflow at large |e| s.  The per-photon information
     sum_i (d_s q_i)^2 / q_i is scaled by N_s photons per frame.  Returned in
     sigma_k^2 units.
     """
@@ -323,7 +324,6 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
         return np.where(a + b < 0, ndtr(b) - ndtr(a), ndtr(-a) - ndtr(-b))
 
     q = 0.5 * (mass(s / 2.0) + mass(-s / 2.0))
-    # g(e) as sign(e) phi((|e| - s/2)/sigma_x) (1 - exp(-|e| s/sigma_x^2)), which cannot overflow
     g = np.sign(edges) * np.exp(-0.5 * ((np.abs(edges) - s / 2.0) / sx) ** 2) / math.sqrt(2.0 * math.pi)
     g *= -np.expm1(-np.abs(edges) * s / (sx * sx))
     dq = (g[:-1] - g[1:]) / (4.0 * sx)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,11 +65,11 @@ class QuadratureSpec:
     batch_count: int = 20
 
     def __post_init__(self):
-        if self.nodes_per_dim is not None and self.nodes_per_dim < 8:
+        if self.nodes_per_dim is not None and operator.index(self.nodes_per_dim) < 8:
             raise ValueError("nodes_per_dim must be >= 8")
-        if self.sample_count < 10_000:
+        if operator.index(self.sample_count) < 10_000:
             raise ValueError("sample_count must be >= 10^4")
-        if self.batch_count < 2:
+        if operator.index(self.batch_count) < 2:
             raise ValueError("batch_count must be >= 2")
         if not (math.isfinite(self.relative_error_target) and self.relative_error_target > 0):
             raise ValueError(f"relative_error_target must be finite and > 0, got {self.relative_error_target!r}")
@@ -146,22 +147,6 @@ def resolved_scheme(quad: QuadratureSpec, dim: int) -> str:
     if quad.scheme == "auto":
         return "gauss_hermite_tensor" if dim <= 3 else "rank1_lattice"
     return quad.scheme
-
-
-def rule_points(quad: QuadratureSpec, dim: int) -> int:
-    """Integrand rows :func:`envelope_expectation` evaluates over ``dim`` momenta.
-
-    n^dim + int(3n/4)^dim for Gauss-Hermite (the rule and its refinement
-    check), n x ``batch_count`` for the lattice, n the prime per shift, and
-    ``batch_count`` x (``sample_count // batch_count``) for Monte Carlo.
-    """
-    if resolved_scheme(quad, dim) == "gauss_hermite_tensor":
-        n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
-        return n ** dim + int(0.75 * n) ** dim
-    batch = quad.sample_count // quad.batch_count
-    if resolved_scheme(quad, dim) == "rank1_lattice":
-        batch = _largest_prime_at_most(batch)
-    return batch * quad.batch_count
 
 
 def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):

@@ -193,6 +193,7 @@ class TestInputErrors:
         (("probability-surface", "--grid", "0"), "grid=0"),
         (("probability-surface", "--grid", "-3"), "grid=-3"),
         (("probability-surface", "--l", "3", "--grid", "1"), "grid=1"),
+        (("probability-surface", "--l", "4", "--grid", "100"), r"grid=100, grid\^L = 100000000"),
         (("fi-curve", "--quad", "gh", "--lmax", "5", "--s-grid", "1:1:1"), "needs 7962624 nodes.*quad=auto"),
         (("probability-surface", "--s", "nan", "--grid", "3"), "separation must be non-negative and finite"),
         (("fi-vs-ns", "--s", "inf", "--ns-grid", "1", "--lmax", "2"), "separation must be non-negative and finite"),

@@ -719,6 +719,11 @@ class TestBracketKernel:
         c, sn = _half_angle_trig(z, k)
         assert np.array_equal(c, np.cos(0.5 * z * k)) and np.array_equal(sn, np.sin(0.5 * z * k))
 
+    def test_half_angle_trig_refuses_a_complex_s_off_the_step(self, rng):
+        # the real-trig identity holds only where cosh and sinh of the imaginary half-angle round to 1 and y
+        with pytest.raises(ValueError, match="complex step"):
+            _half_angle_trig(1 + 1e-3j, rng.standard_normal((3, 10)))
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("call, message", [

@@ -81,6 +81,10 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             optimal_brightness(1)
 
+    def test_optimal_brightness_refuses_a_float_order(self):
+        with pytest.raises(TypeError, match="integer"):
+            optimal_brightness(2.5)
+
 
 class TestFisherL:
     def test_two_photon_small_separation(self):
@@ -243,6 +247,9 @@ class TestFisherTotal:
         assert {L: e.points for L, e in breakdown.per_L.items()} == {**gh, 4: 20 * 997, 5: 20 * 997}
         mc = fisher_L(SourceScene(1.0, 1.5), PSF, 4, QuadratureSpec(scheme="monte_carlo_importance"))
         assert mc.points == 200_000
+        uneven = QuadratureSpec(scheme="monte_carlo_importance", sample_count=10_001, batch_count=7)
+        breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=4, quad=uneven)
+        assert {L: e.points for L, e in breakdown.per_L.items()} == dict.fromkeys(range(1, 5), 7 * 1428)
 
 
 class TestHierarchy:

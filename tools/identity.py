@@ -6,7 +6,8 @@
 Use it to back a claim that a refactor leaves every output bit-identical:
 run it with ``--against`` a second checkout of the parent commit (``git
 worktree add ../parent HEAD~1``, say).  For each family whose digest differs
-it prints the largest relative difference and the item where it occurs.
+it prints the item whose largest |difference|, over that item's largest
+magnitude (complex values compared as such), is greatest, and that ratio.
 
 Each checkout runs in its own process with its ``src`` first on
 ``sys.path``; both run at once.  The families are densities (every split,
@@ -278,13 +279,16 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|nan|inf)")
 
 
 def _numbers(value):
+    """An item's numbers as a flat complex array, and for text the text around them."""
     if isinstance(value, str):
-        return np.array([float(t) for t in _NUMBER.findall(value)]), _NUMBER.sub("#", value)
-    return np.asarray(value, dtype=float).ravel(), None
+        return np.array([float(t) for t in _NUMBER.findall(value)], dtype=complex), _NUMBER.sub("#", value)
+    return np.asarray(value, dtype=complex).ravel(), None
 
 
 def largest_difference(a, b):
-    """(relative difference, item) of the worst item of two families, or a note on what differs."""
+    """(largest |difference| over largest magnitude, item) of the worst item of two families, or a note on
+    what differs.  Each item is scaled as a whole, so an entry at rounding level beside larger ones (an error
+    estimate next to its value) cannot set the reported difference alone."""
     if list(a) != list(b):
         return f"items differ: {sorted(set(a) ^ set(b))[:3]}"
     worst = (0.0, None)
@@ -292,11 +296,12 @@ def largest_difference(a, b):
         (x, xt), (y, yt) = _numbers(a[key]), _numbers(b[key])
         if x.shape != y.shape or xt != yt:
             return f"{key}: shape or text differs"
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rel = np.abs(x - y) / np.maximum(np.abs(x), np.abs(y))
-        rel = np.where(x == y, 0.0, rel)
-        if rel.size and np.nanmax(rel) > worst[0]:
-            worst = (float(np.nanmax(rel)), key)
+        both = np.concatenate([x, y])
+        with np.errstate(divide="ignore", invalid="ignore"):  # inf - inf (equal, as x == y says) and a zero scale
+            delta = np.fmax.reduce(np.where(x == y, 0.0, np.abs(x - y)), initial=0.0)  # fmax skips NaN
+            rel = delta / np.abs(both[np.isfinite(both)]).max(initial=0.0)
+        if rel > worst[0]:
+            worst = (float(rel), key)
     return worst
 
 
