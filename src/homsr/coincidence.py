@@ -276,8 +276,8 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     split ``splits[i]`` on its first ``lengths[i]`` columns (the rest zero
     padding) under ``coefs[i, :lengths[i]]``, rows in descending L.  Both read
     order L at photon L of one forward pass (:func:`_bracket_forward`: Fisher
-    integrands, the likelihood); one order (densities, class weights, sampler
-    proposals and majorant scans) runs prefix x suffix, 1.0-2.5x faster there.
+    integrands, the likelihood, sampler proposals); one order at given splits
+    (densities, class weights, majorant scans) runs prefix x suffix.
     """
     if orders is not None or lengths is not None:
         return _bracket_forward(k, s, splits, coefs, orders, lengths)
@@ -331,8 +331,8 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
     """The ``orders`` and ``lengths`` forms of :func:`_bracket`: one forward pass carries P and S = 2 C_X - D.
 
     Photon a takes S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X.
-    Given ``lengths``, a row has one slot, stored as -S_X until the pass
-    reaches X, where a factor -f_X flips it, so every step subtracts P; the
+    Given ``lengths``, a row has one slot, stored as -S_X until photon X,
+    whose step it enters negated (exactly), so every step subtracts P; the
     rows still running at photon a (L > a) are a prefix of the chunk, and the
     rows of L = a are read there.  Given ``orders``, the slots are shared:
     after photon a - 1 every S_X with X >= a is D, so slot a stands for them
@@ -349,17 +349,15 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
             raise ValueError("per-row bracket needs rows in descending photon number, 1 <= L <= k.shape[1]")
     out = np.empty((n_rows, ends[-1]) if shared else n_rows, dtype)
     width, slots = k.shape[1], (k.shape[1] + 1 if shared else 1)
-    chunk = max(1, _CHUNK_BYTES // ((1 + slots) * width * dtype.itemsize))  # bytes per row: one (P, S) state
+    # words per row: one (P, S) state; per row, its (P, S) to its own L in each of z, z_new and tmp
+    words = (1 + slots) * width if shared else 6 * int(lengths.sum()) // max(1, n_rows) or 1
+    chunk = max(1, _CHUNK_BYTES // (words * dtype.itemsize))
     for lo in range(0, n_rows, chunk):
         n = min(chunk, n_rows - lo)
         # running[a]: the rows with L > a, a prefix of the chunk; photon a's factors are taken on those only
         running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
         first = list(itertools.accumulate(running[:width], initial=0))
         trig = _half_angle_trig(s, np.concatenate([k[lo : lo + r, a] for a, r in enumerate(running[:width])]))
-        factors = trig[:, None]  # [cos, sin][P, S] of each photon and running row
-        if not shared:  # a row's S takes -f at its X
-            at_x = np.concatenate([xs[lo : lo + r] == a for a, r in enumerate(running[:width])])
-            factors = factors * np.where(at_x, [[1.0], [-1.0]], 1.0)
         # (P, S of each slot) twice and scratch, not zeroed: each step writes every coefficient the next one reads
         z, z_new, tmp = np.empty((3, 1 + slots, width, n), dtype)
         z[:, :2] = 0.0  # after photon 0: P = f_0, S_0 = -D = -1 (per row, -S_X = -1 too), S_X = D = 1 for X > 0
@@ -375,7 +373,9 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
             if r == 0:
                 break
             h = a + 2 if shared else 2  # rows of z in use: P and the slots
-            c, sn = factors[:, :, None, first[a] : first[a] + r]
+            if not shared:  # the rows with X = a turn their stored -S_X into S_X
+                z[1, :a, np.flatnonzero(xs[lo : lo + r] == a)] *= -1.0
+            c, sn = trig[:, None, None, first[a] : first[a] + r]
             v = min(a + 1, width)  # coefficients of P, of degree a (S has degree a - 1), truncated
             if v < width:  # the new top coefficient, P_a sin_a (S's is 0)
                 np.multiply(z[:h, v - 1 : v, :r], sn, z_new[:h, v : v + 1, :r])

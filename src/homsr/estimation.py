@@ -4,9 +4,10 @@ Frames are drawn from the coincidence model in three stages: frame size
 L from the closed-form thermal distribution (truncated at ``l_cap``;
 larger frames are redrawn) and camera split X from the closed-form
 momentum-integrated class weights, both exactly, then momenta by rejection
-sampling with the product envelope as proposal, under a bound from one probe
-scan per L that every proposal is checked against, in blocks sized by the
-bound's exact acceptance w(L, X)/bound (see :class:`FrameSampler`).
+sampling with the product envelope as proposal, in rounds per L: one
+per-row kernel call checks a round's proposals, for every (L, X) cell still
+short, against the cell's bound from one probe scan per L, in blocks sized
+by the bound's exact acceptance w(L, X)/bound (see :class:`FrameSampler`).
 
 The likelihood used for estimation conditions on L <= l_cap — the same
 truncation the sampler applies — by subtracting N log W(s) with
@@ -27,6 +28,7 @@ reads, each row at its own (L, X).
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -74,6 +76,13 @@ class MajorantError(RuntimeError):
     """Raised when the rejection sampler observes a density above its majorant."""
 
 
+def _count(name, value, least):
+    """``value`` as an int (``operator.index``: a float raises TypeError); below ``least``, a ValueError naming it."""
+    if operator.index(value) < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     true_scene: SourceScene
@@ -83,10 +92,8 @@ class ExperimentConfig:
     l_cap: int = L_CAP
 
     def __post_init__(self):
-        if self.frame_count < 1:
-            raise ValueError("frame_count must be >= 1")
-        if self.l_cap < 2:
-            raise ValueError("l_cap must be >= 2")
+        _count("frame_count", self.frame_count, 1)
+        _count("l_cap", self.l_cap, 2)
 
 
 @dataclass(frozen=True)
@@ -159,38 +166,32 @@ class FrameRecord(Sequence):
 class FrameSampler:
     """Sampler of frame records (:class:`FrameRecord`) for a fixed scene.
 
-    L and the camera split X | L (the closed form of
-    :func:`~homsr.coincidence.class_weights`, tabulated once per L) are drawn
-    exactly.  Momenta are rejection-sampled under a per-(L, X) bound found by
-    one probe scan per L (:meth:`_majorant`), not a proven maximum; every
-    proposal is checked against it, and blocks are sized by the bound's exact
-    acceptance (:meth:`_sample_momenta`).  ``cell_counts[(L, X)]`` counts the
-    proposals drawn, the rows accepted and the violated passes of each cell.
+    L and the camera split X | L (the closed form of :func:`~homsr.coincidence.class_weights`, tabulated once
+    per L) are drawn exactly.  Momenta are rejection-sampled in rounds per L (:meth:`_sample_momenta`), each
+    round one per-row bracket call for every (L, X) cell still short, under a per-cell bound found by one probe
+    scan per L (:meth:`_majorant`), not a proven maximum; every proposal is checked against its cell's bound.
+    ``cell_counts[(L, X)]`` counts the proposals drawn, the rows accepted and the violated passes of each cell.
     """
 
     def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = L_CAP):
-        if l_cap < 2:
-            raise ValueError("l_cap must be >= 2")
-        self.scene = scene
-        self.psf = psf
-        self.l_cap = l_cap
+        l_cap = _count("l_cap", l_cap, 2)
+        self.scene, self.psf, self.l_cap = scene, psf, l_cap
 
         p_l = frame_size_distribution(l_cap, scene, psf)
         self.truncated_mass = float(p_l.sum())
         self.p_l_given_cap = p_l / self.truncated_mass
         self._weights = {L: class_weights(L, scene, psf) for L in range(1, l_cap + 1)}
-        delta = mode_weights(scene, psf).delta
-        tables = _theta_tables(l_cap, scene.brightness, delta)
+        tables = _theta_tables(l_cap, scene.brightness, mode_weights(scene, psf).delta)
         self._theta = {L: tables[L, : L + 1, :L] for L in range(1, l_cap + 1)}
         self.x_given_l = {L: w / w.sum() for L, w in self._weights.items()}
-        self._majorants: dict = {}
-        self.cell_counts: dict = {}
+        self._majorants, self.cell_counts = {}, {}
 
     def _bracket(self, L, X, k):
-        """The bracket of split X at each row of ``k``; of every split, shape (N, L + 1), at ``X=None``."""
+        """The bracket of each row of ``k`` at split X, an int or one per row; at ``X=None``, of every split (N, L + 1)."""
         if X is None:
             return _bracket(k, self.scene.separation, range(L + 1), self._theta[L])
-        return _bracket(k, self.scene.separation, [X], self._theta[L][X : X + 1])[:, 0]
+        xs = np.broadcast_to(X, len(k))
+        return _bracket(k, self.scene.separation, xs, np.take(self._theta[L], xs, axis=0), lengths=np.full(len(k), L))
 
     def _majorant(self, L, X):
         """Cached rejection bound of one (L, X) cell.
@@ -212,50 +213,50 @@ class FrameSampler:
         return self._majorants[(L, X)]
 
     def _sample_momenta(self, L, X, count, rng):
-        """Rejection-sample ``count`` momentum tuples of the (L, X) cell.
+        """Rejection-sample ``count`` momentum tuples of cell (L, X), or of each cell of arrays X and count, in rounds.
 
-        A proposal is accepted with probability g/bound, so a bound's exact
-        acceptance is w(L, X)/bound, with w the closed-form class weight.  Each
-        block draws the remaining count times bound/w plus ``_BLOCK_FLOOR``
-        proposals, at most ``_BLOCK_CAP``.  Each pass draws blocks under one
-        bound and keeps the accepted rows.  A proposal above the bound ends the
-        pass: the bound is raised to ``_MAJORANT_MARGIN`` times that value and
-        the pass's rows are dropped, so the returned samples were all drawn
-        under a bound no proposal violated.  A ninth violated pass raises
-        :class:`MajorantError`.
+        A proposal is accepted with probability g/bound, so a bound's exact acceptance is w(L, X)/bound, with w
+        the closed-form class weight.  Each round draws, for every cell still short, its remaining count times
+        bound/w plus ``_BLOCK_FLOOR`` proposals, at most ``_BLOCK_CAP`` in all, in one per-row bracket call.  A
+        cell's pass keeps its accepted rows under one bound; a proposal above it ends the pass, raises the bound to
+        ``_MAJORANT_MARGIN`` times that value and drops the pass's rows, so every returned row was drawn under a
+        bound no proposal of its cell violated.  A cell's ninth violated pass raises :class:`MajorantError`.
+        Returns (sum of counts, L) momenta, cell after cell.
         """
-        counts = self.cell_counts.setdefault((L, X), dict.fromkeys(("proposals", "accepted", "violated"), 0))
-        weight = self._weights[L][X]
-        for _ in range(9):
-            bound = self._majorant(L, X)
-            kept = np.empty((0, L))
-            while len(kept) < count:
-                block = int(min(_BLOCK_CAP, np.ceil((count - len(kept)) * bound / weight) + _BLOCK_FLOOR))
-                k = rng.standard_normal((block, L)) * self.psf.sigma_k
-                g = self._bracket(L, X, k)
-                counts["proposals"] += block
-                if g.max() > bound:
-                    self._majorants[(L, X)] = _MAJORANT_MARGIN * float(g.max())
-                    counts["violated"] += 1
-                    break
-                accepted = k[rng.random(block) * bound < g]
-                counts["accepted"] += len(accepted)
-                kept = np.concatenate([kept, accepted])
-            else:
-                return kept[:count]
-        raise MajorantError(f"majorant for (L={L}, X={X}) was violated in 9 passes in a row")
+        cells, want = np.atleast_1d(X).tolist(), np.atleast_1d(count)
+        tallies = [self.cell_counts.setdefault((L, x), {"proposals": 0, "accepted": 0, "violated": 0}) for x in cells]
+        bounds, before = np.array([self._majorant(L, x) for x in cells]), [t["violated"] for t in tallies]
+        kept = [np.empty((0, L)) for _ in cells]
+        while np.any(short := (have := np.array([len(rows) for rows in kept])) < want):
+            need = np.where(short, np.ceil((want - have) * bounds / self._weights[L][cells]) + _BLOCK_FLOOR, 0)
+            ends = np.minimum(np.cumsum(need), _BLOCK_CAP).astype(int)  # the cap cuts the last cells' blocks
+            blocks = np.diff(ends, prepend=0)
+            k = rng.standard_normal((ends[-1], L)) * self.psf.sigma_k
+            g = self._bracket(L, np.repeat(cells, blocks), k)
+            accept = rng.random(ends[-1]) * np.repeat(bounds, blocks) < g
+            for i, (lo, hi) in enumerate(zip((ends - blocks).tolist(), ends.tolist())):
+                tallies[i]["proposals"] += hi - lo
+                if (peak := g[lo:hi].max(initial=-np.inf)) > bounds[i]:  # a cell the cap left out has no rows
+                    self._majorants[(L, cells[i])] = _MAJORANT_MARGIN * float(peak)
+                    tallies[i]["violated"] += 1
+                    if tallies[i]["violated"] - before[i] == 9:  # this call's ninth violated pass of the cell
+                        raise MajorantError(f"majorant for (L={L}, X={cells[i]}) was violated in 9 passes in a row")
+                    bounds[i], kept[i] = self._majorant(L, cells[i]), kept[i][:0]
+                    continue
+                tallies[i]["accepted"] += int(accept[lo:hi].sum())
+                kept[i] = np.concatenate([kept[i], k[lo:hi][accept[lo:hi]]])
+        return np.concatenate([rows[:n] for rows, n in zip(kept, want.tolist())])
 
     def sample_record(self, rng: np.random.Generator, n: int) -> FrameRecord:
         """Draw a :class:`FrameRecord` of ``n`` independent frames (order randomized)."""
+        _count("n", n, 0)
         l_values = rng.choice(np.arange(1, self.l_cap + 1), size=n, p=self.p_l_given_cap)
         groups = {}
         for L in np.unique(l_values).tolist():
             positions = np.flatnonzero(l_values == L)
             xs = rng.choice(np.arange(L + 1), size=positions.size, p=self.x_given_l[L])
-            momenta = np.empty((positions.size, L))
-            for X in np.unique(xs).tolist():
-                cell = xs == X
-                momenta[cell] = self._sample_momenta(L, X, int(cell.sum()), rng)
+            momenta = np.empty((positions.size, L))  # _sample_momenta returns them cell after cell
+            momenta[np.argsort(xs, kind="stable")] = self._sample_momenta(L, *np.unique(xs, return_counts=True), rng)
             groups[L] = (positions, xs, momenta)
         return FrameRecord(groups)
 
@@ -269,8 +270,7 @@ def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None =
     """Generate the frame record of one experiment, reproducible from the seed."""
     if sampler is None:
         sampler = FrameSampler(config.true_scene, config.psf, l_cap=config.l_cap)
-    rng = np.random.default_rng(config.seed)
-    return sampler.sample_record(rng, config.frame_count)
+    return sampler.sample_record(np.random.default_rng(config.seed), config.frame_count)
 
 
 def _likelihood_rows(record):
@@ -315,8 +315,7 @@ def mle_separation(
     """
     from scipy.optimize import minimize_scalar
 
-    if l_cap < 2:
-        raise ValueError("l_cap must be >= 2")
+    _count("l_cap", l_cap, 2)
     lo, hi = search_interval
     if not 0 < lo < hi < math.inf:
         raise ValueError(f"search_interval must satisfy 0 < lo < hi < inf, got {search_interval!r}")
@@ -375,10 +374,8 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int, l_cap: int = L_
     lattice (L <= 3 on Gauss-Hermite); the relative standard error of F is about 2.7e-3 at s = 1, N_s = 1.5
     (the orders' errors correlate on shared nodes, so it is larger than with a lattice per order).
     """
-    if n_frames < 1:
-        raise ValueError("n_frames must be >= 1")
-    if l_cap < 2:
-        raise ValueError("l_cap must be >= 2")
+    _count("n_frames", n_frames, 1)
+    _count("l_cap", l_cap, 2)
     breakdown = fisher_total(scene, psf, l_max=l_cap, quad=QuadratureSpec(sample_count=20_000))
     w, dw = _with_s_derivative(lambda s: sum(_closed_form_weights(L, s, scene.brightness, psf).sum()
                                              for L in range(1, l_cap + 1)), scene.separation)

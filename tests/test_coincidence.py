@@ -653,6 +653,25 @@ class TestBracketKernel:
 
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    def test_per_row_form_on_one_order_matches_single_split_calls(self, s, complex_step, rng):
+        # the sampler's call shape: rows of one L, each at its own X, against one prefix x suffix call per split
+        z = s * (1 + 1e-20j) if complex_step else s
+        delta = psf_overlap_delta(PSF, s)
+        for L in range(1, 13):
+            k = rng.standard_normal((3000, L)) * PSF.sigma_k
+            xs = rng.integers(0, L + 1, len(k))
+            coefs = _theta_table(L, 1.5, delta)
+            got = _bracket(k, z, xs, coefs[xs], lengths=np.full(len(k), L))
+            assert got.shape == (len(k),) and got.dtype == np.result_type(z, float)
+            for X in range(L + 1):
+                rows = xs == X
+                want = _bracket(k[rows], z, [X], coefs[X : X + 1])[:, 0]
+                for part in (np.real, np.imag) if complex_step else (np.real,):
+                    scale = np.abs(part(want)).max()  # the split's largest value
+                    assert (np.abs(part(got[rows]) - part(want)) <= 1e-13 * scale).all(), (L, X, part)
+
+    @pytest.mark.parametrize("complex_step", [False, True])
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     @pytest.mark.parametrize("width", [13, 16, 20, 24])
     def test_orders_at_high_photon_numbers_match_one_order_calls(self, width, s, complex_step, rng):
         # the widths of Fisher sums past L = 12, at the bound of the leave-one-out oracle test

@@ -5,6 +5,7 @@ frequencies, exact serialization round-trips, and the Cramér-Rao bound for
 the estimator's dispersion on a short synthetic record.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -83,6 +84,14 @@ class TestSampler:
             frame_size_distribution(sampler.l_cap, SCENE, PSF).sum(), rel=1e-12
         )
         assert 0.95 < sampler.truncated_mass < 1.0
+
+    def test_l_cap_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            FrameSampler(SCENE, PSF, l_cap=2.5)
+
+    def test_negative_frame_count_names_n(self, sampler):
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            sampler.sample_record(np.random.default_rng(0), -1)
 
     def test_sample_frame_wrapper(self):
         outcome = sample_frame(SCENE, PSF, np.random.default_rng(0), l_cap=4)
@@ -186,8 +195,9 @@ class TestMajorantScanAndBlocks:
         record = sampler.sample_record(np.random.default_rng(31), 3000)
         drawn = {}
         for L, X, k, _ in calls:
-            if X is not None:
-                drawn[(L, X)] = drawn.get((L, X), 0) + len(k)
+            if X is not None:  # one split per row
+                for x, n in zip(*np.unique(X, return_counts=True)):
+                    drawn[(L, int(x))] = drawn.get((L, int(x)), 0) + int(n)
         frames = {}
         for L, (_, splits, _) in record.groups.items():
             for X, n in zip(*np.unique(splits, return_counts=True)):
@@ -204,6 +214,60 @@ class TestMajorantScanAndBlocks:
         sampler._majorants[(2, 1)] *= 1e-3
         assert sampler._sample_momenta(2, 1, 200, np.random.default_rng(37)).shape == (200, 2)
         assert sampler.cell_counts[(2, 1)]["violated"] >= 1
+
+    def test_one_proposal_call_per_photon_number_and_round(self):
+        # every cell of an L shares one per-row call per round, each row at its own split
+        sampler = FrameSampler(SCENE, PSF)
+        for L in range(1, sampler.l_cap + 1):  # warm: every bound scanned
+            sampler._majorant(L, 0)
+        calls = recorded_brackets(sampler)
+        record = sampler.sample_record(np.random.default_rng(23), 5000)
+        proposals = [(L, X) for L, X, _, _ in calls if X is not None]
+        assert len(record) == 5000
+        assert len(proposals) <= 24
+        assert all(np.ndim(X) == 1 for _, X in proposals)
+
+
+class TestCellDensities:
+    """Each (L, X) cell of a sampled record follows its own density g_X, not a neighbour's."""
+
+    S = 4.0
+    FRAMES = 400_000
+    ENVELOPE_DRAWS = 1_000_000
+
+    @staticmethod
+    def fringes(k, s):
+        """sum_{a < b} b^2 cos(s (k_a - k_b)/2): pair fringes, deeper across cameras, weighted to the last photons."""
+        return sum(b * b * np.cos(s * (k[:, a] - k[:, b]) / 2) for a, b in itertools.combinations(range(k.shape[1]), 2))
+
+    @pytest.fixture(scope="class")
+    def sampled(self):
+        sampler = FrameSampler(SourceScene(self.S, 1.5), PSF, l_cap=5)
+        return sampler, sampler.sample_record(np.random.default_rng(41), self.FRAMES)
+
+    @pytest.mark.parametrize("L", [3, 5])
+    def test_cell_means_match_their_own_density(self, sampled, L):
+        sampler, record = sampled
+        # E_env[h g_X] / E_env[g_X] by ratio estimation over envelope draws, with its delta-method standard error
+        sums, draws = 0.0, 4
+        for b in range(draws):
+            k = np.random.default_rng([43, L, b]).standard_normal((self.ENVELOPE_DRAWS // draws, L)) * PSF.sigma_k
+            g, h = sampler._bracket(L, None, k), self.fringes(k, self.S)[:, None]
+            sums = sums + np.array([g.sum(0), (h * g).sum(0), (h * g * g).sum(0), (h * h * g * g).sum(0), (g * g).sum(0)])
+        n = self.ENVELOPE_DRAWS
+        mean_g, mean_hg, hgg, hhgg, gg = sums / n
+        want = mean_hg / mean_g
+        # var of (h - want) g / E[g] over the draws
+        want_se = np.sqrt((hhgg - 2 * want * hgg + want ** 2 * gg) / mean_g ** 2 / n)
+        _, splits, momenta = record.groups[L]
+        got = [self.fringes(momenta[splits == X], self.S) for X in range(L + 1)]
+        mean = np.array([h.mean() for h in got])
+        se = np.array([h.std(ddof=1) / math.sqrt(len(h)) for h in got])
+        for X in range(L + 1):
+            assert abs(mean[X] - want[X]) < 4 * math.hypot(se[X], want_se[X]), (L, X, mean[X], want[X])
+        # the statistic tells each cell from its neighbours and from its mirror (g_0 = g_L, so 0 and L are one density)
+        for a, b in {(X, X + 1) for X in range(L)} | {(X, L - X) for X in range(1, L) if 2 * X != L}:
+            assert abs(want[a] - want[b]) > 10 * math.hypot(se[a], se[b]), (L, a, b)
 
 
 class TestFrameRecord:
@@ -260,6 +324,10 @@ class TestSimulateExperiment:
             ExperimentConfig(SCENE, PSF, frame_count=0, seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(SCENE, PSF, frame_count=10, seed=1, l_cap=1)
+
+    def test_frame_count_must_be_an_integer(self):
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            ExperimentConfig(SCENE, PSF, frame_count=10.5, seed=1)
 
 
 class TestRecordIO:
@@ -370,6 +438,11 @@ class TestMle:
         with pytest.raises(ValueError, match="l_cap must be >= 2"):
             mle_separation(record_2000, PSF, 1.5, l_cap=1, compute_crb=False)
 
+    def test_l_cap_must_be_an_integer(self, record_2000, monkeypatch):
+        monkeypatch.setattr(estimation, "_log_likelihood", None)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            mle_separation(record_2000, PSF, 1.5, l_cap=4.5, compute_crb=False)
+
     def test_empty_record_rejected(self):
         with pytest.raises(ValueError):
             mle_separation([], PSF, 1.5)
@@ -451,6 +524,11 @@ class TestCrb:
         monkeypatch.setattr(estimation, "fisher_total", None)
         with pytest.raises(ValueError, match="n_frames must be >= 1"):
             crb_report(SCENE, PSF, n_frames)
+
+    def test_frame_count_must_be_an_integer(self, monkeypatch):
+        monkeypatch.setattr(estimation, "fisher_total", None)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            crb_report(SCENE, PSF, 100.5)
 
     def test_rejects_l_cap_below_two(self, monkeypatch):
         monkeypatch.setattr(estimation, "fisher_total", None)

@@ -14,19 +14,19 @@ Each checkout runs in its own process with its ``src`` first on
 with a camera assignment, with ``delta_override``, without the envelope, and
 the 2-, 3- and 4-photon closed forms), all-splits densities, the frame-size
 law, the bracket kernel in each call shape (one order with every split, one
-split, several orders, one split per row) at real and complex-step s, so
-that a kernel change is seen before integration, class weights by each
-method, bucket and sub-Rayleigh values, ``fisher_total`` at fixed s and
-l_max, ``fisher_L`` of each order alone at those scenes and at one with
-l_max 7 (so that a change in how orders share nodes shows per order, not
-only in the sum), ``crb_report`` at the ``homsr estimate`` scene with l_cap
-12 and 6, the two-photon sampling hierarchy and the pixelated direct-imaging
-baseline, three 5000-frame records (frames, majorants, written lines, ŝ of
-the record and of its read-back copy, and likelihood curves), and the
-outputs of the CLI runs in ``tests/test_cli.py`` with their temporary paths
-normalised.  A parameter that an older checkout lacks (``l_cap`` of
-``crb_report``) is passed only where the signature has it.  It takes about
-30 s on 2 vCPU.
+split, several orders, one split per row, one order with one split per row)
+at real and complex-step s, so that a kernel change is seen before
+integration, class weights by each method, bucket and sub-Rayleigh values,
+``fisher_total`` at fixed s and l_max, ``fisher_L`` of each order alone at
+those scenes and at one with l_max 7 (so that a change in how orders share
+nodes shows per order, not only in the sum), ``crb_report`` at the
+``homsr estimate`` scene with l_cap 12 and 6, the two-photon sampling
+hierarchy and the pixelated direct-imaging baseline, three 5000-frame
+records (frames, majorants, written lines, ŝ of the record and of its
+read-back copy, and likelihood curves), and the outputs of the CLI runs in
+``tests/test_cli.py`` with their temporary paths normalised.  A parameter
+that an older checkout lacks (``l_cap`` of ``crb_report``) is passed only
+where the signature has it.  It takes about 30 s on 2 vCPU.
 
 This is not a test: pinned digests would turn every intended numeric change
 into a test edit.
@@ -117,12 +117,14 @@ def _kernel(families, psf, rng):
     xs = rng.integers(0, lengths + 1)
     padded = k * (np.arange(12) < lengths[:, None])
     orders = (1, 4, 7, 12)
+    xs7 = np.arange(len(k)) % 8  # the sampler's call shape: one L, every split mixed
     for s in (0.01, 1.0, 8.0):
         for step, z in (("real", s), ("complex step", s * (1 + 1e-20j))):
             tables = c._theta_tables(12, 1.5, np.exp(-0.5 * (z * psf.sigma_k) ** 2))
             got = {f"orders {orders}": c._bracket(
                 k, z, [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders)}
             got["one split per row"] = c._bracket(padded, z, xs, tables[lengths, xs], lengths=lengths)
+            got["L=7, one split per row"] = c._bracket(k[:, :7], z, xs7, tables[7, xs7, :7], lengths=np.full(len(k), 7))
             for L in (1, 2, 4, 7, 12):
                 got[f"L={L} every split"] = c._bracket(k[:, :L], z, range(L + 1), tables[L, : L + 1, :L])
                 got[f"L={L} X={L // 2}"] = c._bracket(k[:, :L], z, [L // 2], tables[L, L // 2 : L // 2 + 1, :L])
