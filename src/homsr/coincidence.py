@@ -81,10 +81,9 @@ __all__ = [
     "class_label",
 ]
 
-# Bytes per chunk of the bracket kernel, as each form counts its rows: large
-# enough to spread numpy's per-call cost, small enough for a 2 MB L2 cache.
-# 1 MiB was fastest for one order at L = 4..20 on a 2-vCPU Xeon; for the forward
-# pass's orders 4..7 to 4..24, 2 MiB was 0-13 % faster and 512 KiB 3-15 % slower.
+# Bytes per chunk of the bracket kernel, its rows times the bytes per row each form counts: large enough to
+# spread numpy's per-call cost, small enough for a 2 MB L2 cache.  1 MiB was fastest for one order at L = 4..20
+# on a 2-vCPU Xeon; for the forward pass's orders 4..7 to 4..24, 2 MiB was 0-13 % faster, 512 KiB 3-15 % slower.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -270,14 +269,13 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     S_0 = -D and S_L = D need neither.  Every form is analytic in s and
     ``coefs`` and complex if either is, s only at the step of :func:`_with_s_derivative`.
 
-    Given ``orders`` (ascending L <= k.shape[1], one entry of ``splits`` and
-    ``coefs`` each), order L is on the first L columns of ``k``, its columns
-    after the previous order's.  Given ``lengths``, row i of the (N,) result is
-    split ``splits[i]`` on its first ``lengths[i]`` columns (the rest zero
-    padding) under ``coefs[i, :lengths[i]]``, rows in descending L.  Both read
-    order L at photon L of one forward pass (:func:`_bracket_forward`: Fisher
-    integrands, the likelihood, sampler proposals); one order at given splits
-    (densities, class weights, majorant scans) runs prefix x suffix.
+    Given ``orders`` (ascending L <= k.shape[1], one entry of ``splits`` and ``coefs`` each), order L is
+    on the first L columns of ``k``, its columns after the previous order's.  Given ``lengths``, row i of
+    the (N,) result is split ``splits[i]`` on its first ``lengths[i]`` columns (the rest zero padding)
+    under ``coefs[i, :lengths[i]]``, rows in descending L.  Both read order L at photon L of one forward
+    pass (:func:`_bracket_forward`: Fisher integrands, the likelihood, sampler proposals); there the
+    orders' X = 0 reads the top slot, X = L, and each read squares its runs of slots in scratch.  One
+    order at given splits (densities, class weights, majorant scans) runs prefix x suffix.
     """
     if orders is not None or lengths is not None:
         return _bracket_forward(k, s, splits, coefs, orders, lengths)
@@ -287,7 +285,7 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     dtype = np.result_type(s, coefs, float)
     out = np.empty((n_rows, len(xs)), dtype)
     chunk = max(1, _CHUNK_BYTES // ((2 + len(xs)) * L * dtype.itemsize))  # bytes per row: (P, D) and every S
-    # one allocation for every chunk (fewer page faults): (P, D) twice and scratch, every S, 2 D_X at inner X
+    # one for every chunk: fewer page faults: (P, D) twice and scratch, every S, 2 D_X at inner X
     work = np.empty(((6 + len(xs)) * L + sum(at), min(chunk, n_rows)), dtype)
     for lo in range(0, n_rows, chunk):
         kt = np.ascontiguousarray(k[lo : lo + chunk].T)
@@ -330,28 +328,32 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
 def _bracket_forward(k, s, splits, coefs, orders, lengths):
     """The ``orders`` and ``lengths`` forms of :func:`_bracket`: one forward pass carries P and S = 2 C_X - D.
 
-    Photon a takes S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X.
-    Given ``lengths``, a row has one slot, stored as -S_X until photon X,
-    whose step it enters negated (exactly), so every step subtracts P; the
-    rows still running at photon a (L > a) are a prefix of the chunk, and the
-    rows of L = a are read there.  Given ``orders``, the slots are shared:
-    after photon a - 1 every S_X with X >= a is D, so slot a stands for them
-    all, and photon a splits it into X = a (- P) and a new top slot (+ P).
+    Photon a takes S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X.  Given ``lengths``, a row has
+    one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every step subtracts P;
+    the rows still running at photon a (L > a) are a prefix of the chunk, and the rows of L = a are read there.
+    Given ``orders``, the slots X >= 1 are shared: after photon a - 1 every S_X with X >= a is D, so slot a
+    stands for them all, and photon a splits it into X = a (- P) and a new top slot (+ P).  S_0 = -D, the top
+    slot negated (exactly), is not carried: X = 0 reads the top slot, which squares alike.  A read squares its
+    runs of slots, in split order, into the scratch, free until photon a's step, contiguous for matmul.
     """
     n_rows, shared = len(k), lengths is None
-    if shared:  # every row runs to the last order; order L -> (its columns of out, its slots' rows of z, its coefs)
+    if shared:  # every row runs to the last order
         k, lengths, ends = k[:, : orders[-1]], np.full(n_rows, orders[-1]), np.cumsum([len(x) for x in splits])
-        reads = {L: (slice(e - len(x), e), 1 + np.asarray(x), cf) for L, x, e, cf in zip(orders, splits, ends, coefs)}
+        reads = {}  # order L -> (its columns of out, (position, first slot, count) of each run it reads, its coefs)
+        for L, x, e, cf in zip(orders, splits, ends, coefs):  # X = 0 reads the top slot, X = L
+            runs = [list(g) for _, g in itertools.groupby(enumerate(X or L for X in x), lambda p: p[1] - p[0])]
+            reads[L] = slice(e - len(x), e), [(g[0][0], g[0][1], len(g)) for g in runs], cf
         dtype = np.result_type(s, *coefs, float)
     else:
         lengths, xs, dtype = np.asarray(lengths), np.asarray(splits), np.result_type(s, coefs, float)
         if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1 or lengths[0] > k.shape[1]):
             raise ValueError("per-row bracket needs rows in descending photon number, 1 <= L <= k.shape[1]")
     out = np.empty((n_rows, ends[-1]) if shared else n_rows, dtype)
-    width, slots = k.shape[1], (k.shape[1] + 1 if shared else 1)
+    width, slots = k.shape[1], (k.shape[1] if shared else 1)
     # words per row: one (P, S) state; per row, its (P, S) to its own L in each of z, z_new and tmp
     words = (1 + slots) * width if shared else 6 * int(lengths.sum()) // max(1, n_rows) or 1
     chunk = max(1, _CHUNK_BYTES // (words * dtype.itemsize))
+    buf = np.empty(3 * (1 + slots) * width * min(chunk, n_rows), dtype)  # one for every chunk: fewer page faults
     for lo in range(0, n_rows, chunk):
         n = min(chunk, n_rows - lo)
         # running[a]: the rows with L > a, a prefix of the chunk; photon a's factors are taken on those only
@@ -359,20 +361,23 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
         first = list(itertools.accumulate(running[:width], initial=0))
         trig = _half_angle_trig(s, np.concatenate([k[lo : lo + r, a] for a, r in enumerate(running[:width])]))
         # (P, S of each slot) twice and scratch, not zeroed: each step writes every coefficient the next one reads
-        z, z_new, tmp = np.empty((3, 1 + slots, width, n), dtype)
-        z[:, :2] = 0.0  # after photon 0: P = f_0, S_0 = -D = -1 (per row, -S_X = -1 too), S_X = D = 1 for X > 0
-        z[0, :2], z[1, 0], z[2:3, 0] = (trig[0][:n], trig[1][:n])[:width], -1.0, 1.0
+        z, z_new, tmp = buf[: 3 * (1 + slots) * width * n].reshape(3, 1 + slots, width, n)
+        z[:2, :2] = 0.0  # after photon 0: P = f_0, and S_X = D = 1 for X > 0 (per row, stored -S_X = -1)
+        z[0, :2], z[1, 0] = (trig[0][:n], trig[1][:n])[:width], (1.0 if shared else -1.0)
         for a in range(1, width + 1):
             r, end = running[a], running[a - 1]
             if shared and a in reads:
-                cols, rows, cf = reads[a]
-                out[lo : lo + n, cols] = np.matmul(cf[:, None, :], np.square(z[rows, :a]))[:, 0].T
+                cols, runs, cf = reads[a]
+                sq = tmp.reshape(-1)[: len(cf) * a * n].reshape(len(cf), a, n)
+                for at, X, m in runs:
+                    np.square(z[X : X + m, :a], out=sq[at : at + m])
+                out[lo : lo + n, cols] = np.matmul(cf[:, None, :], sq)[:, 0].T
             elif not shared and end > r:  # the rows of L = a end here
                 S = z[1, :a, r:end]
                 out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, coefs[lo + r : lo + end, :a])
             if r == 0:
                 break
-            h = a + 2 if shared else 2  # rows of z in use: P and the slots
+            h = a + 1 if shared else 2  # rows of z in use: P and the slots
             if not shared:  # the rows with X = a turn their stored -S_X into S_X
                 z[1, :a, np.flatnonzero(xs[lo : lo + r] == a)] *= -1.0
             c, sn = trig[:, None, None, first[a] : first[a] + r]

@@ -78,16 +78,16 @@ class QuadratureSpec:
 def envelope_gh_nodes(psf: PsfModel, dim: int, nodes_per_dim: int):
     """Tensor Gauss-Hermite rule for E_env[f] = sum_i w_i f(k_i).
 
-    Returns ``(k, w)`` with ``k`` of shape ``(nodes_per_dim**dim, dim)``.
+    Returns ``(k, w)`` with ``k`` of shape ``(nodes_per_dim**dim, dim)``, column-major.
     """
     x, wx = np.polynomial.hermite.hermgauss(nodes_per_dim)
-    k = np.stack(np.meshgrid(*([np.sqrt(2.0) * psf.sigma_k * x] * dim), indexing="ij"), axis=-1)
+    k = np.stack(np.meshgrid(*([np.sqrt(2.0) * psf.sigma_k * x] * dim), indexing="ij"))
     w = np.prod(np.meshgrid(*([wx / np.sqrt(np.pi)] * dim), indexing="ij"), axis=0)
-    return k.reshape(-1, dim), w.ravel()
+    return k.reshape(dim, -1).T, w.ravel()
 
 
 def envelope_mc_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.Generator):
-    """Draw ``count`` iid samples of the product envelope (equal weights 1/count), one coordinate at a time."""
+    """``count`` iid envelope draws, column-major (count, dim), weights 1/count, one coordinate at a time."""
     return (rng.standard_normal((dim, count)) * psf.sigma_k).T
 
 
@@ -128,9 +128,9 @@ def lattice_generating_vector(n: int, dim: int) -> np.ndarray:
 
 
 def envelope_lattice_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.Generator):
-    """One random shift of the n-point lattice, n the largest prime <= ``count`` (equal weights 1/n)."""
+    """One randomly shifted n-point lattice, column-major (n, dim), n the largest prime <= ``count`` (weights 1/n)."""
     n = _largest_prime_at_most(count)
-    x = np.outer(np.arange(n), lattice_generating_vector(n, dim) / n)
+    x = np.outer(lattice_generating_vector(n, dim) / n, np.arange(n)).T
     x += rng.random(dim)
     x -= np.floor(x)
     x *= 2.0
@@ -152,9 +152,9 @@ def resolved_scheme(quad: QuadratureSpec, dim: int) -> str:
 def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     """E_env[f(k)] over ``dim`` envelope momenta; returns ``(value, error, scheme)``.
 
-    ``f`` maps momenta of shape (N, dim) to values of shape (N, ...); value
-    and error have the trailing shape, and ``scheme`` is the one used after
-    resolving "auto".
+    ``f`` maps momenta of shape (N, dim), column-major, to values of shape
+    (N, ...); value and error have the trailing shape, and ``scheme`` is the
+    one used after resolving "auto".
     """
     scheme = resolved_scheme(quad, dim)
     if scheme == "gauss_hermite_tensor":

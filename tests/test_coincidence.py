@@ -629,15 +629,39 @@ class TestBracketKernel:
                     assert (np.abs(part(got[:, end - len(x) : end]) - part(want)) <= 1e-14 * scale).all(), (L, x)
 
     @pytest.mark.parametrize("complex_step", [False, True])
+    @pytest.mark.parametrize("subset", [lambda L: {0}, lambda L: {L}, lambda L: {0, L}, lambda L: {0, 1, L}],
+                             ids=["{0}", "{L}", "{0, L}", "{0, 1, L}"])
+    def test_orders_reading_the_top_slot_match_one_order_calls(self, subset, complex_step, rng):
+        # S_0 = -D is not carried: X = 0 squares the top slot, as X = L does, alone or beside other splits
+        s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
+        delta = psf_overlap_delta(PSF, 1.3)
+        for width in range(1, 8):
+            k = rng.standard_normal((300, width)) * PSF.sigma_k
+            orders = list(range(1, width + 1))
+            splits = [sorted(subset(L)) for L in orders]
+            coefs = [_theta_table(L, 1.5, delta)[x] for L, x in zip(orders, splits)]
+            got = _bracket(k, s, splits, coefs, orders)
+            for L, x, c, end in zip(orders, splits, coefs, np.cumsum([len(x) for x in splits])):
+                want = _bracket(k[:, :L], s, x, c)
+                for part in (np.real, np.imag) if complex_step else (np.real,):
+                    scale = np.abs(part(want)).max(axis=0)  # each split's largest value
+                    assert (np.abs(part(got[:, end - len(x) : end]) - part(want)) <= 1e-13 * scale).all(), (L, x)
+
+    @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     def test_per_row_form_matches_all_splits_kernel(self, s, complex_step, rng):
         # every row at its own L = 1..12 and random X in one call, rows in descending L, zero-padded
         s = s * (1 + 1e-20j) if complex_step else s
         delta = psf_overlap_delta(PSF, 1.3)
-        chunk = max(1, coincidence._CHUNK_BYTES // (2 * 12 * (16 if complex_step else 8)))
-        for n in (1, chunk - 1, chunk + 1):
-            lengths = np.sort(rng.integers(1, 13, n))[::-1]
-            lengths[0] = 12
+        # the first n of one draw of L; row counts 1 and one row either side of a chunk edge under the
+        # kernel's per-row chunk sizing, 6 sum(L) / n words per row
+        pool = rng.integers(1, 13, 8000)
+        pool[0] = 12
+        counts = np.arange(1, len(pool) + 1)
+        words = np.maximum(6 * np.cumsum(pool) // counts, 1)
+        chunk = np.maximum(1, coincidence._CHUNK_BYTES // (words * (16 if complex_step else 8)))
+        for n in (1, counts[counts == chunk - 1][0], counts[counts == chunk + 1][0]):
+            lengths = np.sort(pool[:n])[::-1]
             xs = rng.integers(0, lengths + 1)
             k = rng.standard_normal((n, 12)) * PSF.sigma_k * (np.arange(12) < lengths[:, None])
             got = _bracket(k, s, xs, _theta_tables(12, 1.5, delta)[lengths, xs], lengths=lengths)

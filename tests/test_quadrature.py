@@ -132,6 +132,7 @@ def test_rule_points_counts_the_integrand_rows(quad, dim, points):
 
     def f(k):
         rows.append(len(k))
+        assert k.flags.f_contiguous  # column-major: each momentum's column contiguous, as the kernel reads them
         return k[:, 0]
 
     envelope_expectation(f, dim, PSF, quad)

@@ -14,7 +14,8 @@ Each checkout runs in its own process with its ``src`` first on
 with a camera assignment, with ``delta_override``, without the envelope, and
 the 2-, 3- and 4-photon closed forms), all-splits densities, the frame-size
 law, the bracket kernel in each call shape (one order with every split, one
-split, several orders, one split per row, one order with one split per row)
+split, several orders with every split or with split subsets, one split per
+row, one order with one split per row)
 at real and complex-step s, so that a kernel change is seen before
 integration, class weights by each method, bucket and sub-Rayleigh values,
 ``fisher_total`` at fixed s and l_max, ``fisher_L`` of each order alone at
@@ -117,12 +118,15 @@ def _kernel(families, psf, rng):
     xs = rng.integers(0, lengths + 1)
     padded = k * (np.arange(12) < lengths[:, None])
     orders = (1, 4, 7, 12)
+    sub_orders, sub_splits = (2, 5, 9), ([0, 2], [1, 4], list(range(10)))  # split subsets, some reading X = 0
     xs7 = np.arange(len(k)) % 8  # the sampler's call shape: one L, every split mixed
     for s in (0.01, 1.0, 8.0):
         for step, z in (("real", s), ("complex step", s * (1 + 1e-20j))):
             tables = c._theta_tables(12, 1.5, np.exp(-0.5 * (z * psf.sigma_k) ** 2))
             got = {f"orders {orders}": c._bracket(
                 k, z, [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders)}
+            got[f"orders {sub_orders} at splits {sub_splits}"] = c._bracket(
+                k[:, :9], z, sub_splits, [tables[L, x, :L] for L, x in zip(sub_orders, sub_splits)], sub_orders)
             got["one split per row"] = c._bracket(padded, z, xs, tables[lengths, xs], lengths=lengths)
             got["L=7, one split per row"] = c._bracket(k[:, :7], z, xs7, tables[7, xs7, :7], lengths=np.full(len(k), 7))
             for L in (1, 2, 4, 7, 12):
