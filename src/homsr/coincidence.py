@@ -235,6 +235,9 @@ def _with_s_derivative(f, s: float):
     taken, so nothing cancels, and the O(h^2) error is far below rounding."""
     h = 1e-20 * s
     value = f(s + 1j * h)
+    if isinstance(value, np.ndarray):  # the derivative takes the imaginary half's memory: no new array
+        value.imag /= h
+        return value.real, value.imag
     return value.real, value.imag / h
 
 
@@ -334,7 +337,9 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
     Given ``orders``, the slots X >= 1 are shared: after photon a - 1 every S_X with X >= a is D, so slot a
     stands for them all, and photon a splits it into X = a (- P) and a new top slot (+ P).  S_0 = -D, the top
     slot negated (exactly), is not carried: X = 0 reads the top slot, which squares alike.  A read squares its
-    runs of slots, in split order, into the scratch, free until photon a's step, contiguous for matmul.
+    runs of slots, in split order, into the scratch, free until photon a's step, scales them by the coefficients
+    and sums over j one slice at a time, without BLAS: each row's value then depends on its momenta alone, not
+    on its place in the chunk, the row count or BLAS's threads.
     """
     n_rows, shared = len(k), lengths is None
     if shared:  # every row runs to the last order
@@ -342,7 +347,7 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
         reads = {}  # order L -> (its columns of out, (position, first slot, count) of each run it reads, its coefs)
         for L, x, e, cf in zip(orders, splits, ends, coefs):  # X = 0 reads the top slot, X = L
             runs = [list(g) for _, g in itertools.groupby(enumerate(X or L for X in x), lambda p: p[1] - p[0])]
-            reads[L] = slice(e - len(x), e), [(g[0][0], g[0][1], len(g)) for g in runs], cf
+            reads[L] = slice(e - len(x), e), [(g[0][0], g[0][1], len(g)) for g in runs], np.asarray(cf).T[..., None]
         dtype = np.result_type(s, *coefs, float)
     else:
         lengths, xs, dtype = np.asarray(lengths), np.asarray(splits), np.result_type(s, coefs, float)
@@ -368,10 +373,13 @@ def _bracket_forward(k, s, splits, coefs, orders, lengths):
             r, end = running[a], running[a - 1]
             if shared and a in reads:
                 cols, runs, cf = reads[a]
-                sq = tmp.reshape(-1)[: len(cf) * a * n].reshape(len(cf), a, n)
+                sq = tmp.reshape(-1)[: a * cf.shape[1] * n].reshape(a, cf.shape[1], n)  # [j, split, row]
                 for at, X, m in runs:
-                    np.square(z[X : X + m, :a], out=sq[at : at + m])
-                out[lo : lo + n, cols] = np.matmul(cf[:, None, :], sq)[:, 0].T
+                    np.square(z[X : X + m, :a].transpose(1, 0, 2), out=sq[:, at : at + m])
+                sq *= cf
+                for j in range(1, a):  # one order of sums for every row, where a matmul's depends on BLAS
+                    sq[0] += sq[j]
+                out[lo : lo + n, cols] = sq[0].T
             elif not shared and end > r:  # the rows of L = a end here
                 S = z[1, :a, r:end]
                 out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, coefs[lo + r : lo + end, :a])

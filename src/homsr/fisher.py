@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient, _theta_tables
-from .coincidence import _with_s_derivative, interference_kappa
+from .coincidence import _CHUNK_BYTES, _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient
+from .coincidence import _theta_tables, _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
 from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme
 
@@ -89,24 +89,47 @@ def _fisher_integrand(L, k, scene, psf):
 
     ``L`` may be a tuple of ascending orders instead: each is taken on the
     first L columns of ``k`` from one :func:`~homsr.coincidence._bracket`
-    pass, and the result has one column per order.
+    pass, and the result has one column per order.  Rows go through in
+    blocks of two kernel chunks, so a block's values and derivatives stay
+    small; a row's result does not depend on the blocks.
     """
     orders = (L,) if np.ndim(L) == 0 else tuple(L)
+    splits, coefs = [range(n + 1) for n in orders], {}
 
-    def bracket(s):
-        delta = np.exp(-0.5 * (s * psf.sigma_k) ** 2)
-        tables = _theta_tables(orders[-1], scene.brightness, delta)
-        return _bracket(k, s, [range(n + 1) for n in orders], [tables[n, : n + 1, :n] for n in orders], orders)
+    def bracket(rows, s):  # the orders' coefficients at s are built once per call
+        if s not in coefs:
+            tables = _theta_tables(orders[-1], scene.brightness, np.exp(-0.5 * (s * psf.sigma_k) ** 2))
+            coefs[s] = [tables[n, : n + 1, :n] for n in orders]
+        return _bracket(k[rows], s, splits, coefs[s], orders)
 
-    g0, deriv = _with_s_derivative(bracket, scene.separation)
+    out = np.empty((len(k), len(orders)))
+    # rows per block: two chunks of the kernel's orders form, whose (P, S) state is (1 + L) L complex words a row
+    block = 2 * max(1, _CHUNK_BYTES // ((1 + orders[-1]) * orders[-1] * 16))
+    blocks = [slice(lo, lo + block) for lo in range(0, len(k), block)]
+    ranges = [_fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, out[rows]) for rows in blocks]
+    top = np.max([high for high, _ in ranges], axis=0)
+    for rows, (high, low) in zip(blocks, ranges):
+        if np.any((low <= 1e-15 * top) & (high < top)):  # the call's floor drops values the block's kept
+            _fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, out[rows], top)
+    return out[:, 0] if np.ndim(L) == 0 else out
+
+
+def _fisher_rows(bracket, s, orders, out, top=None):
+    """One block of :func:`_fisher_integrand` from its ``bracket`` of s, written to ``out``; returns each
+    split's largest and smallest bracket.  Values at or below 1e-15 of their split's largest, over the block
+    or ``top``, are dropped."""
+    g0, contrib = _with_s_derivative(bracket, s)
+    high = g0.max(axis=0)
     # skip nodes where the density is vanishingly small relative to its
     # scale in that split; (d_s P)^2/P has a finite limit at the zeros, so
     # dropping a measure-zero neighborhood is below integration error.
-    kept = g0 > 1e-15 * g0.max(axis=0, keepdims=True)
-    contrib = np.divide(np.square(deriv, out=deriv), g0, out=np.zeros(g0.shape), where=kept)
-    ends = np.cumsum([n + 1 for n in orders])
-    per_order = [contrib[:, end - n - 1 : end].sum(axis=1) for n, end in zip(orders, ends)]
-    return per_order[0] if np.ndim(L) == 0 else np.column_stack(per_order)
+    kept = g0 > 1e-15 * (high if top is None else top)
+    np.square(contrib, out=contrib)
+    np.divide(contrib, g0, out=contrib, where=kept)
+    contrib[~kept] = 0.0
+    for i, end in enumerate(np.cumsum([n + 1 for n in orders])):
+        out[:, i] = contrib[:, end - orders[i] - 1 : end].sum(axis=1)
+    return high, g0.min(axis=0)
 
 
 def _fisher_orders(scene, psf, orders, quad):

@@ -30,6 +30,13 @@ m <= D.  The seed does not depend on dim, the first m of D uniform or normal
 draws are the m draws, and component-by-component search fixes z_1..z_m
 before it looks at z_{m+1}.  So one dim-D call can integrate functions of
 fewer momenta on exactly the nodes their own calls would use.
+
+The random rules' batches (shifts) are independent, so they run on
+min(usable CPUs, ``batch_count``) threads: the calling thread and helpers
+from one pool that a forked child does not inherit.  Each batch draws its
+own nodes from its own seed and its mean is kept in batch order, and
+:func:`homsr.coincidence._bracket` gives a row the same bits wherever it
+sits in a call, so no result depends on the number of threads.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +54,49 @@ from scipy.special import ndtri
 from .optics import PsfModel
 
 _GH_NODES = {1: 64, 2: 48, 3: 40}
+
+_pool = None  # threads that help the calling thread through the batches, started by the first call that needs them
+_helper = threading.local()  # ``busy`` is set on the pool's threads
+
+
+def _drop_pool():
+    global _pool
+    _pool = None  # a forked child has none of the parent's threads; its first call starts its own
+
+
+os.register_at_fork(after_in_child=_drop_pool)
+
+
+def _each_batch(run, count: int) -> list:
+    """[run(b) for b in range(count)] on min(usable CPUs, count) threads: the calling one and pool helpers.
+
+    Each thread takes the next b when it finishes one.  Serial on one CPU and on a helper, whose nested call
+    would otherwise wait on its own pool.  An exception is raised once every thread has stopped.
+    """
+    global _pool
+    cpus = len(os.sched_getaffinity(0))
+    helpers = min(cpus, count) - 1
+    if helpers < 1 or getattr(_helper, "busy", False):
+        return [run(b) for b in range(count)]
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor  # here, not at import: it loads logging, ~4 ms
+
+        _pool = ThreadPoolExecutor(cpus - 1, "homsr-batch", initializer=setattr, initargs=(_helper, "busy", True))
+    results, todo = [None] * count, iter(range(count))
+
+    def drain():
+        for b in todo:  # next() on a range iterator is atomic under the GIL: each b goes to one thread
+            results[b] = run(b)
+
+    running = [_pool.submit(drain) for _ in range(helpers)]
+    try:
+        drain()
+    finally:
+        for _ in todo:  # after an error here, hand out no more batches
+            pass
+        for future in running:
+            future.result()
+    return results
 
 
 @dataclass(frozen=True)
@@ -154,7 +206,10 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
 
     ``f`` maps momenta of shape (N, dim), column-major, to values of shape
     (N, ...); value and error have the trailing shape, and ``scheme`` is the
-    one used after resolving "auto".
+    one used after resolving "auto".  Under the random rules ``f`` is called
+    once per batch, from several threads at once when more than one CPU is
+    usable; the result is the same on one thread as on many if ``f``'s rows
+    depend only on their own momenta.
     """
     scheme = resolved_scheme(quad, dim)
     if scheme == "gauss_hermite_tensor":
@@ -172,8 +227,9 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     if nodes is None:
         raise ValueError(f"unknown quadrature scheme: {quad.scheme}")
     batch = quad.sample_count // quad.batch_count
-    means = np.array([
-        f(nodes(psf, dim, batch, np.random.default_rng([quad.seed, b]))).mean(axis=0)
-        for b in range(quad.batch_count)
-    ])
+    if scheme == "rank1_lattice":  # fill the lattice's caches before the batches run: lru_cache does not lock
+        lattice_generating_vector(_largest_prime_at_most(batch), dim)
+    means = np.array(_each_batch(
+        lambda b: f(nodes(psf, dim, batch, np.random.default_rng([quad.seed, b]))).mean(axis=0), quad.batch_count
+    ))
     return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(quad.batch_count), scheme

@@ -750,6 +750,22 @@ class TestBracketKernel:
             want = oracle_bracket(k[rows, :L], s, range(L + 1), _theta_table(L, 1.5, delta))
             check(got[rows], want[np.arange(len(rows)), xs[rows]], want[:, xs[rows]])
 
+    @pytest.mark.parametrize("complex_step", [False, True])
+    def test_orders_read_a_row_alike_wherever_it_sits(self, complex_step, monkeypatch, rng):
+        # chunks of 2 (complex) or 4 (real) rows: every row, those at chunk edges among them, must read
+        # bit for bit the same in its place, alone and in a row-permuted call
+        monkeypatch.setattr(coincidence, "_CHUNK_BYTES", 2048)
+        s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
+        tables = _theta_tables(7, 1.5, np.exp(-0.5 * (s * PSF.sigma_k) ** 2))
+        orders = (2, 4, 5, 7)
+        args = [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders
+        k = rng.standard_normal((41, 7)) * PSF.sigma_k
+        got = _bracket(k, s, *args)
+        perm = rng.permutation(len(k))
+        assert np.array_equal(_bracket(k[perm], s, *args), got[perm])
+        for i in range(len(k)):
+            assert np.array_equal(_bracket(k[i : i + 1], s, *args), got[i : i + 1]), i
+
     @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [4, 2]])
     def test_per_row_form_needs_descending_photon_numbers_within_k(self, lengths):
         with pytest.raises(ValueError, match="descending photon number"):

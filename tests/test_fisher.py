@@ -19,6 +19,7 @@ import pytest
 from scipy import integrate
 
 import homsr
+from homsr import fisher
 from homsr.coincidence import class_weights, coincidence_density_all_splits
 from homsr.fisher import (
     QuadratureSpec,
@@ -187,6 +188,20 @@ class TestExactIntegrand:
         expected = np.where(g > floor, dg ** 2 / np.where(g > 0, g, 1.0), 0.0).sum(axis=1)
         np.testing.assert_allclose(_fisher_integrand(L, k, scene, PSF), expected, rtol=1e-6)
 
+    def test_blocks_leave_every_row_as_one_block_gives_it(self, monkeypatch):
+        # rows with k_2 -> k_1 take split X = 1 of L = 2 towards zero: below 1e-15 of its largest value over
+        # the call, but not over their own block of 4 rows, which is then redone at the call's floor
+        scene = SourceScene(separation=1.0, brightness=1.5)
+        k = envelope_mc_nodes(PSF, 2, 40, np.random.default_rng(5))
+        gap = np.geomspace(1e-10, 1e-5, 40) * PSF.sigma_k
+        k = np.vstack([k, np.column_stack([k[:, 0], k[:, 0] + gap])])
+        whole = _fisher_integrand(2, k, scene, PSF)  # one block
+        redone, rows = [], fisher._fisher_rows
+        monkeypatch.setattr(fisher, "_fisher_rows", lambda *args: redone.append(len(args) > 4) or rows(*args))
+        monkeypatch.setattr(fisher, "_CHUNK_BYTES", 192)  # kernel chunks of 2 rows at L = 2, complex
+        assert np.array_equal(_fisher_integrand(2, k, scene, PSF), whole)
+        assert len(redone) > 20 and any(redone)
+
 
 class TestFisherTotal:
     def test_default_l_max(self):
@@ -240,6 +255,17 @@ class TestFisherTotal:
         # shared nodes correlate the orders' errors, so the sum's error is not their quadrature sum
         assert breakdown.total_stderr != pytest.approx(math.sqrt(sum(e.stderr ** 2 for e in breakdown.per_L.values())),
                                                        rel=1e-3)
+
+    @pytest.mark.parametrize("scheme", ["auto", "monte_carlo_importance"])
+    def test_one_thread_and_two_agree_bit_for_bit(self, scheme, monkeypatch):
+        # the shifts (or batches) run on every usable CPU; their means are kept in shift order
+        scene, quad = SourceScene(separation=1.0, brightness=1.5), QuadratureSpec(scheme=scheme, sample_count=20_000)
+        runs = []
+        for count in (1, 2):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, count=count: set(range(count)))
+            breakdown = fisher_total(scene, PSF, l_max=7, quad=quad)
+            runs.append((breakdown.per_L, breakdown.total, breakdown.total_stderr))
+        assert runs[0] == runs[1]
 
     def test_points_are_the_rows_each_order_used(self):
         breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=5, quad=QuadratureSpec(sample_count=20_000))

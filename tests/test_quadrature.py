@@ -8,12 +8,18 @@ and lattice shifts, and the nesting of both random rules across dimension.
 """
 
 import math
+import os
+import subprocess
+import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import homsr
+from homsr import quadrature
 from homsr.optics import PsfModel
 from homsr.quadrature import (
     QuadratureSpec,
@@ -171,3 +177,99 @@ def test_tensor_gh_refuses_a_rule_above_a_million_nodes():
         envelope_expectation(f, 6, PSF, GH)
     value, _, _ = envelope_expectation(lambda k: k[:, 3] ** 2, 4, PSF, GH)  # 24^4 nodes stay allowed
     assert value == pytest.approx(PSF.sigma_k ** 2, rel=1e-12)
+
+
+def cpus(monkeypatch, count):
+    """Make the batches see ``count`` usable CPUs: one runs them on the calling thread, two adds a helper."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+
+@pytest.mark.parametrize("quad", [LATTICE, MC], ids=["lattice", "mc"])
+def test_batches_give_the_same_result_on_one_thread_and_two(quad, monkeypatch):
+    def f(k):
+        if threading.current_thread() is not threading.main_thread():
+            helped.set()
+        elif count == 2:
+            assert helped.wait(10)  # the helper takes a batch before the calling thread runs out
+        return np.column_stack([np.cos(k).prod(axis=1), (k * k).sum(axis=1)])
+
+    results = []
+    for count in (1, 2):
+        cpus(monkeypatch, count)
+        helped = threading.Event()
+        results.append(envelope_expectation(f, 5, PSF, quad))
+        assert helped.is_set() == (count == 2)
+    (one, one_error, _), (two, two_error, _) = results
+    assert np.array_equal(one, two) and np.array_equal(one_error, two_error)
+
+
+def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
+    cpus(monkeypatch, 2)
+    helped = threading.Event()
+
+    def f(k):
+        if threading.current_thread() is threading.main_thread():
+            assert helped.wait(10)
+            return k[:, 0]
+        helped.set()
+        raise KeyError("batch failed on a helper")
+
+    with pytest.raises(KeyError, match="batch failed on a helper"):
+        envelope_expectation(f, 4, PSF, QuadratureSpec(scheme="rank1_lattice", sample_count=20_000))
+    value, _, _ = envelope_expectation(lambda k: k[:, 0] ** 2, 4, PSF, LATTICE)  # the pool still serves
+    assert value == pytest.approx(PSF.sigma_k ** 2, rel=1e-3)
+
+
+def test_every_batch_runs_once_on_more_threads_than_cores(monkeypatch):
+    # seven helpers and a short switch interval: a batch handed out twice, or lost, shows in the calls
+    monkeypatch.setattr(quadrature, "_pool", None)
+    cpus(monkeypatch, 8)
+    calls, results = [], []
+
+    def run(b):
+        calls.append(b)
+        for _ in range(100):  # Python-level work, at whose steps the interpreter switches threads
+            pass
+        return b * b
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        caller = threading.Thread(target=lambda: results.extend(quadrature._each_batch(run, 2000)))
+        caller.start()
+        caller.join(60)
+        assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+        if quadrature._pool is not None:
+            quadrature._pool.shutdown()
+    assert sorted(calls) == list(range(2000)) and results == [b * b for b in range(2000)]
+
+
+def test_a_cold_lattice_is_searched_once(monkeypatch):
+    # lru_cache does not lock: the calling thread fills it before helpers start, so a cold key misses once
+    cpus(monkeypatch, 2)
+    quad = QuadratureSpec(scheme="rank1_lattice", sample_count=20 * 1213, seed=3)
+    misses = lattice_generating_vector.cache_info().misses
+    envelope_expectation(lambda k: k[:, 0], 11, PSF, quad)
+    assert lattice_generating_vector.cache_info().misses == misses + 1
+
+
+def test_a_forked_child_runs_its_own_batches():
+    # the child has none of the parent's helper threads; with the parent's pool it would wait forever
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
+    probe = f"""
+import os, signal, sys
+sys.path.insert(0, {src!r})
+os.sched_getaffinity = lambda pid: {{0, 1}}
+import homsr
+scene, psf, quad = homsr.SourceScene(1.0, 1.5), homsr.PsfModel(), homsr.QuadratureSpec(sample_count=20_000)
+parent = homsr.fisher_L(scene, psf, 4, quad)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(30)  # a hung child ends itself
+    os._exit(0 if homsr.fisher_L(scene, psf, 4, quad) == parent else 1)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=90, check=True)
+    assert done.stdout.strip() == "0"
