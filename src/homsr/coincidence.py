@@ -25,11 +25,11 @@ coefficients.  The subset normalization is the one under which the total
 density is correctly normalized; this is verified against the closed-form
 frame-size distribution in the test suite.
 
-One kernel forms the signed sums (:func:`_bracket`): for one photon number
-from prefix and suffix products, and for several (on shared nodes, or one
-(L, X) per row) from one forward recurrence that reads order L at photon L.
-It and the class weights are analytic in s, so one pass at complex s gives
-their exact s-derivative (:func:`_with_s_derivative`).
+One kernel forms the signed sums (:func:`_bracket`): one forward recurrence
+that reads order L at photon L, for one photon number, for several on shared
+nodes, or for one (L, X) per row.  It and the class weights are analytic in
+s, so one pass at complex s gives their exact s-derivative
+(:func:`_with_s_derivative`).
 The sums are symmetric under a joint permutation of momenta and camera
 labels, so any assignment is evaluated as the canonical one, C1 photons first.
 """
@@ -82,8 +82,9 @@ __all__ = [
 ]
 
 # Bytes per chunk of the bracket kernel, its rows times the bytes per row each form counts: large enough to
-# spread numpy's per-call cost, small enough for a 2 MB L2 cache.  1 MiB was fastest for one order at L = 4..20
-# on a 2-vCPU Xeon; for the forward pass's orders 4..7 to 4..24, 2 MiB was 0-13 % faster, 512 KiB 3-15 % slower.
+# spread numpy's per-call cost, small enough for a 2 MB L2 cache.  On a 2-vCPU Xeon, one order at every split
+# for each L = 1..12 on 32,768 rows took 0.231-0.238 s at 1 MiB against 0.239-0.246 s at 512 KiB and
+# 0.239-0.249 s at 2 MiB (best of 7); for orders 4..7 to 4..24, 2 MiB was 0-13 % faster, 512 KiB 3-15 % slower.
 _CHUNK_BYTES = 1 << 20
 
 
@@ -262,90 +263,38 @@ def _half_angle_trig(s, kt):
 def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``, shape (N, len(splits)).
 
-    ``k`` has shape (N, L) with the C1 photons first; ``splits`` strictly
-    ascends.  With f_a(t) = cos(k_a s/2) + t sin(k_a s/2), the signed sums are
-    the coefficients of S(t) = 2 C_X(t) - D(t), where D = sum_i prod_{a != i} f_a
-    and C_X = sum_{i < X} prod_{a != i} f_a.  A forward pass carries the prefix
-    product P <- P f_a and the leave-one-out sum D <- D f_a + P, keeping D_X at
-    each inner split 0 < X < L; a backward pass then builds the suffix product
-    Suf_X = prod_{a >= X} f_a, so C_X = D_X Suf_X is one polynomial product.
-    S_0 = -D and S_L = D need neither.  Every form is analytic in s and
-    ``coefs`` and complex if either is, s only at the step of :func:`_with_s_derivative`.
+    ``k`` has shape (N, L) with the C1 photons first.  With f_a(t) = cos(k_a s/2) + t sin(k_a s/2), the signed
+    sums are the coefficients of S_X(t) = 2 C_X(t) - D(t), where D = sum_i prod_{a != i} f_a and
+    C_X = sum_{i < X} prod_{a != i} f_a.  One forward pass carries the prefix product P <- P f_a and
+    S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X, and reads order L at photon L.  It is analytic
+    in s and ``coefs`` and complex if either is, s only at the step of :func:`_with_s_derivative`.
 
-    Given ``orders`` (ascending L <= k.shape[1], one entry of ``splits`` and ``coefs`` each), order L is
-    on the first L columns of ``k``, its columns after the previous order's.  Given ``lengths``, row i of
-    the (N,) result is split ``splits[i]`` on its first ``lengths[i]`` columns (the rest zero padding)
-    under ``coefs[i, :lengths[i]]``, rows in descending L.  Both read order L at photon L of one forward
-    pass (:func:`_bracket_forward`: Fisher integrands, the likelihood, sampler proposals); there the
-    orders' X = 0 reads the top slot, X = L, and each read squares its runs of slots in scratch.  One
-    order at given splits (densities, class weights, majorant scans) runs prefix x suffix.
-    """
-    if orders is not None or lengths is not None:
-        return _bracket_forward(k, s, splits, coefs, orders, lengths)
-    n_rows, L = k.shape
-    xs = splits.tolist() if isinstance(splits, np.ndarray) else list(splits)  # ints compare far faster than numpy scalars
-    at = {X: x for x, X in enumerate(xs) if 0 < X < L}  # inner split X -> its column
-    dtype = np.result_type(s, coefs, float)
-    out = np.empty((n_rows, len(xs)), dtype)
-    chunk = max(1, _CHUNK_BYTES // ((2 + len(xs)) * L * dtype.itemsize))  # bytes per row: (P, D) and every S
-    # one for every chunk: fewer page faults: (P, D) twice and scratch, every S, 2 D_X at inner X
-    work = np.empty(((6 + len(xs)) * L + sum(at), min(chunk, n_rows)), dtype)
-    for lo in range(0, n_rows, chunk):
-        kt = np.ascontiguousarray(k[lo : lo + chunk].T)
-        c, sn = _half_angle_trig(s, kt)
-        w = work[:, : kt.shape[1]]
-        w[: 4 * L] = 0.0  # (P, D), twice: each step reads one coefficient above the last it wrote
-        (z, z_new, tmp), S = w[: 6 * L].reshape(3, 2, L, -1), w[6 * L : (6 + len(xs)) * L].reshape(len(xs), L, -1)
-        twice_d = {X: w[row : row + X] for X, row in zip(at, itertools.accumulate(at, initial=(6 + len(xs)) * L))}
-        z[0, :2], z[1, 0] = (c[0], sn[0])[:L], 1.0  # after photon 0: P = f_0, D = 1
-        for a in range(1, L):
-            if a in twice_d:  # 2 D_X, kept until C_X is formed
-                np.multiply(z[1, :a], 2.0, twice_d[a])
-            m = min(a + 2, L)  # degrees stay <= a + 1
-            np.multiply(z[:, :m], c[a], z_new[:, :m])  # (P, D) f_a, truncated
-            np.multiply(z[:, : m - 1], sn[a], tmp[:, : m - 1])
-            z_new[:, 1:m] += tmp[:, : m - 1]
-            z_new[1, :m] += z[0, :m]
-            z, z_new = z_new, z
-        d, suf, tmp = z[1], z_new[0], tmp[0]  # the backward pass reuses the free rows
-        S[[x for x, X in enumerate(xs) if X in (0, L)]] = d  # S_0 = -D and S_L = D square alike
-        suf[:2], suf[2:] = (c[L - 1], sn[L - 1])[:L], 0.0  # Suf_{L-1} = f_{L-1}
-        for a in range(L - 1, min(at, default=L) - 1, -1):
-            m = L - a + 1  # Suf_a has degree L - a
-            if a < L - 1:
-                np.multiply(suf[: m - 1], sn[a], tmp[: m - 1])
-                suf[: m - 1] *= c[a]
-                suf[1:m] += tmp[: m - 1]
-            if a in at:  # S_X = 2 D_X Suf_X - D, summing the outer product over the shorter factor
-                Sx = S[at[a]]
-                short, long = (twice_d[a], suf[:m]) if a <= m else (suf[:m], twice_d[a])
-                outer = short[:, None] * long
-                np.negative(d, Sx)
-                for j in range(len(short)):
-                    Sx[j : j + len(long)] += outer[j]
-        S *= S
-        out[lo : lo + chunk] = np.matmul(coefs[:, None, :], S)[:, 0].T
-    return out
-
-
-def _bracket_forward(k, s, splits, coefs, orders, lengths):
-    """The ``orders`` and ``lengths`` forms of :func:`_bracket`: one forward pass carries P and S = 2 C_X - D.
-
-    Photon a takes S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X.  Given ``lengths``, a row has
-    one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every step subtracts P;
-    the rows still running at photon a (L > a) are a prefix of the chunk, and the rows of L = a are read there.
-    Given ``orders``, the slots X >= 1 are shared: after photon a - 1 every S_X with X >= a is D, so slot a
-    stands for them all, and photon a splits it into X = a (- P) and a new top slot (+ P).  S_0 = -D, the top
-    slot negated (exactly), is not carried: X = 0 reads the top slot, which squares alike.  A read squares its
-    runs of slots, in split order, into the scratch, free until photon a's step, scales them by the coefficients
-    and sums over j one slice at a time, without BLAS: each row's value then depends on its momenta alone, not
-    on its place in the chunk, the row count or BLAS's threads.
+    Given ``orders`` (strictly ascending L within 1..k.shape[1], one entry of ``splits``, within 0..L, and of
+    ``coefs`` each), order L is on the first L columns of ``k``, its columns after the previous order's; without
+    ``orders`` or ``lengths`` the one order is L = k.shape[1] at ``splits``.  There the slots X >= 1 are shared:
+    after photon a - 1 every S_X with X >= a is D, so slot a stands for them all, and photon a splits it into X = a
+    (- P) and a new top slot (+ P).  S_0 = -D, the top slot negated (exactly), is not carried: X = 0 reads the top
+    slot, which squares alike.  Given ``lengths``, row i of the (N,) result is split ``splits[i]`` on its first
+    ``lengths[i]`` columns (the rest zero padding) under ``coefs[i, :lengths[i]]``, rows in descending L.  A row
+    then has one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every step
+    subtracts P; the rows still running at photon a (L > a) are a prefix of the chunk, and the rows of L = a are
+    read there.  A read squares its runs of slots, in split order, into the scratch, free until photon a's step,
+    scales them by the coefficients and sums over j one slice at a time, without BLAS: each row's value then
+    depends on its momenta alone, not on its place in the chunk, the row count or BLAS's threads.
     """
     n_rows, shared = len(k), lengths is None
     if shared:  # every row runs to the last order
+        if orders is None:
+            orders, splits, coefs = (k.shape[1],), [splits], [coefs]
+        orders = list(orders)
+        if not (orders and orders == sorted(set(orders)) and 1 <= orders[0] and orders[-1] <= k.shape[1]
+                and len(splits) == len(coefs) == len(orders)):
+            raise ValueError("orders must strictly ascend within 1 <= L <= k.shape[1], one splits and coefs entry each")
         k, lengths, ends = k[:, : orders[-1]], np.full(n_rows, orders[-1]), np.cumsum([len(x) for x in splits])
         reads = {}  # order L -> (its columns of out, (position, first slot, count) of each run it reads, its coefs)
         for L, x, e, cf in zip(orders, splits, ends, coefs):  # X = 0 reads the top slot, X = L
+            if not all(0 <= X <= L for X in x):  # a slot above L would be read before it is written
+                raise ValueError(f"orders' splits must lie within 0..L, got {list(x)} at L = {L}")
             runs = [list(g) for _, g in itertools.groupby(enumerate(X or L for X in x), lambda p: p[1] - p[0])]
             reads[L] = slice(e - len(x), e), [(g[0][0], g[0][1], len(g)) for g in runs], np.asarray(cf).T[..., None]
         dtype = np.result_type(s, *coefs, float)

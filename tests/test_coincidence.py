@@ -586,7 +586,7 @@ def oracle_bracket(k, s, splits, coefs):
 
 
 class TestBracketKernel:
-    """The prefix x suffix kernel against the leave-one-out sums built one photon at a time."""
+    """The forward bracket kernel, in each call shape, against the leave-one-out sums built one photon at a time."""
 
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("L", list(range(1, 13)) + [20])
@@ -596,8 +596,8 @@ class TestBracketKernel:
         split_sets = [list(range(L + 1)), [0], [L], [0, L], [L // 2 or 1]]
         split_sets += [list(np.unique(rng.integers(0, L + 1, 3))) for _ in range(2)]
         for splits in split_sets:
-            # row counts 1, chunk - 1 and chunk + 1 under the kernel's own chunk sizing
-            chunk = max(1, coincidence._CHUNK_BYTES // ((2 + len(splits)) * L * (16 if complex_step else 8)))
+            # row counts 1, chunk - 1 and chunk + 1 under the kernel's own chunk sizing, (1 + L) L words per row
+            chunk = max(1, coincidence._CHUNK_BYTES // ((1 + L) * L * (16 if complex_step else 8)))
             counts = [1, 2, 40] if L == 20 else [1, chunk - 1, chunk + 1]
             k = rng.standard_normal((max(counts), L)) * PSF.sigma_k
             want = oracle_bracket(k, s, splits, coefs[splits])
@@ -611,7 +611,7 @@ class TestBracketKernel:
 
     @pytest.mark.parametrize("complex_step", [False, True])
     def test_orders_in_one_pass_match_one_order_calls(self, complex_step, rng):
-        # several photon numbers from one prefix pass over the widest k, each on its first L columns
+        # several photon numbers from one forward pass over the widest k, each on its first L columns
         s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
         for width in range(1, 13):
             k = rng.standard_normal((500, width)) * PSF.sigma_k
@@ -678,7 +678,7 @@ class TestBracketKernel:
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     def test_per_row_form_on_one_order_matches_single_split_calls(self, s, complex_step, rng):
-        # the sampler's call shape: rows of one L, each at its own X, against one prefix x suffix call per split
+        # the sampler's call shape: rows of one L, each at its own X, against a one-order call per split
         z = s * (1 + 1e-20j) if complex_step else s
         delta = psf_overlap_delta(PSF, s)
         for L in range(1, 13):
@@ -752,24 +752,41 @@ class TestBracketKernel:
 
     @pytest.mark.parametrize("complex_step", [False, True])
     def test_orders_read_a_row_alike_wherever_it_sits(self, complex_step, monkeypatch, rng):
-        # chunks of 2 (complex) or 4 (real) rows: every row, those at chunk edges among them, must read
-        # bit for bit the same in its place, alone and in a row-permuted call
+        # chunks of a few rows: every row, those at chunk edges among them, must read bit for bit the same
+        # in its place, alone and in a row-permuted call, for several orders and for one order at every
+        # split or at one split
         monkeypatch.setattr(coincidence, "_CHUNK_BYTES", 2048)
         s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
-        tables = _theta_tables(7, 1.5, np.exp(-0.5 * (s * PSF.sigma_k) ** 2))
+        tables = _theta_tables(12, 1.5, np.exp(-0.5 * (s * PSF.sigma_k) ** 2))
+        k = rng.standard_normal((41, 12)) * PSF.sigma_k
         orders = (2, 4, 5, 7)
-        args = [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders
-        k = rng.standard_normal((41, 7)) * PSF.sigma_k
-        got = _bracket(k, s, *args)
-        perm = rng.permutation(len(k))
-        assert np.array_equal(_bracket(k[perm], s, *args), got[perm])
-        for i in range(len(k)):
-            assert np.array_equal(_bracket(k[i : i + 1], s, *args), got[i : i + 1]), i
+        calls = [(k[:, :7], ([range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders))]
+        for L in range(3, 13):
+            calls.append((k[:, :L], (range(L + 1), tables[L, : L + 1, :L])))
+            calls.append((k[:, :L], ([L // 2], tables[L, L // 2 : L // 2 + 1, :L])))
+        for momenta, args in calls:
+            got = _bracket(momenta, s, *args)
+            perm = rng.permutation(len(momenta))
+            assert np.array_equal(_bracket(momenta[perm], s, *args), got[perm])
+            for i in range(len(momenta)):
+                assert np.array_equal(_bracket(momenta[i : i + 1], s, *args), got[i : i + 1]), (momenta.shape[1], i)
 
     @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [4, 2]])
     def test_per_row_form_needs_descending_photon_numbers_within_k(self, lengths):
         with pytest.raises(ValueError, match="descending photon number"):
             _bracket(np.zeros((2, 3)), 1.0, np.array([0, 0]), np.ones((2, 3)), lengths=np.array(lengths))
+
+    @pytest.mark.parametrize("orders, splits, n_coefs", [
+        ((3, 2), [[0], [0]], 2), ((2, 2), [[0], [0]], 2), ((0, 2), [[0], [0]], 2), ((2, 4), [[0], [0]], 2),
+        ((), [], 0), ((2, 3), [[0]], 1), ((2, 3), [[0]] * 3, 3), ((2, 3), [[0], [0]], 1),
+        ((2, 3), [[3], [0]], 2), ((2, 3), [[0], [-1]], 2),
+    ], ids=["descending", "repeated", "zero", "above k", "none", "one entry short", "one entry over", "coefs short",
+            "split above L", "negative split"])
+    def test_orders_form_needs_ascending_photon_numbers_within_k(self, orders, splits, n_coefs):
+        # out of order, repeated, zero or above k.shape[1], not one splits and coefs entry per order, or a
+        # split outside 0..L
+        with pytest.raises(ValueError, match="orders"):
+            _bracket(np.zeros((2, 3)), 1.0, splits, [np.ones((1, 3))] * n_coefs, orders)
 
     @pytest.mark.parametrize("s", [1e-8, 0.01, 1.0, 8.0, 40.0])
     def test_complex_half_angle_trig_is_numpys(self, s, rng):
