@@ -121,6 +121,13 @@ class DetectionOutcome:
         return tuple(self.momenta[i] for i in _c1_first(self.camera_assignment))
 
 
+def _count(name, value, least):
+    """``value`` as an int (``operator.index``: a float raises TypeError); below ``least``, a ValueError naming it."""
+    if operator.index(value) < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return operator.index(value)
+
+
 def _checked_frame(L, X, assignment):
     """(L, X, assignment) as ints, checked: L >= 1, 0 <= X <= L and X of the L slots in C1."""
     L, X = operator.index(L), operator.index(X)
@@ -302,6 +309,8 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
         lengths, xs, dtype = np.asarray(lengths), np.asarray(splits), np.result_type(s, coefs, float)
         if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1 or lengths[0] > k.shape[1]):
             raise ValueError("per-row bracket needs rows in descending photon number, 1 <= L <= k.shape[1]")
+        if np.any((xs < 0) | (xs > lengths)):  # a split outside 0..L never flips its slot: it would read X = L
+            raise ValueError("per-row bracket needs each row's split within 0..L")
     out = np.empty((n_rows, ends[-1]) if shared else n_rows, dtype)
     width, slots = k.shape[1], (k.shape[1] if shared else 1)
     # words per row: one (P, S) state; per row, its (P, S) to its own L in each of z, z_new and tmp
@@ -643,8 +652,7 @@ def frame_size_probability(
     L: int, scene: SourceScene, psf: PsfModel, delta_override: float | None = None
 ) -> float:
     """Exact probability that a frame contains L photons in total (see :func:`frame_size_distribution`)."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = _count("L", L, 1)
     return float(frame_size_distribution(L, scene, psf, delta_override=delta_override)[-1])
 
 
@@ -694,8 +702,7 @@ def class_weights(
     integrate the all-splits density with
     :func:`~homsr.quadrature.envelope_expectation`, as cross-checks.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = _count("L", L, 1)
     if method == "auto":
         return _closed_form_weights(L, scene.separation, scene.brightness, psf)
     schemes = {"gh": "gauss_hermite_tensor", "mc": "monte_carlo_importance"}

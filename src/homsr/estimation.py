@@ -28,7 +28,6 @@ reads, each row at its own (L, X).
 from __future__ import annotations
 
 import math
-import operator
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
@@ -36,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .coincidence import DetectionOutcome, class_weights, frame_size_distribution
-from .coincidence import _bracket, _checked_row, _closed_form_weights, _log_envelope, _theta_tables
+from .coincidence import _bracket, _checked_row, _closed_form_weights, _count, _log_envelope, _theta_tables
 from .coincidence import _with_s_derivative
 from .fisher import QuadratureSpec, fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
@@ -74,13 +73,6 @@ _BLOCK_CAP = 32_768
 
 class MajorantError(RuntimeError):
     """Raised when the rejection sampler observes a density above its majorant."""
-
-
-def _count(name, value, least):
-    """``value`` as an int (``operator.index``: a float raises TypeError); below ``least``, a ValueError naming it."""
-    if operator.index(value) < least:
-        raise ValueError(f"{name} must be >= {least}, got {value}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)

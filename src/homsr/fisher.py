@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coincidence import _CHUNK_BYTES, _bracket, _closed_form_weights, _fringe_mean, _subrayleigh_coefficient
+from .coincidence import _CHUNK_BYTES, _bracket, _closed_form_weights, _count, _fringe_mean, _subrayleigh_coefficient
 from .coincidence import _theta_tables, _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
 from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme
@@ -89,12 +89,15 @@ def _fisher_integrand(L, k, scene, psf):
 
     ``L`` may be a tuple of ascending orders instead: each is taken on the
     first L columns of ``k`` from one :func:`~homsr.coincidence._bracket`
-    pass, and the result has one column per order.  Rows go through in
-    blocks of two kernel chunks, so a block's values and derivatives stay
-    small; a row's result does not depend on the blocks.
+    pass, and the result has one column per order.  Split X of order L is
+    dropped where its bracket is at or below 1e-14 w(L, X), its exact
+    envelope mean, so a row's value depends on its momenta and the scene
+    alone.  Rows go through in blocks of two kernel chunks, so a block's
+    values and derivatives stay small.
     """
     orders = (L,) if np.ndim(L) == 0 else tuple(L)
     splits, coefs = [range(n + 1) for n in orders], {}
+    floor = 1e-14 * np.concatenate([_closed_form_weights(n, scene.separation, scene.brightness, psf) for n in orders])
 
     def bracket(rows, s):  # the orders' coefficients at s are built once per call
         if s not in coefs:
@@ -105,31 +108,24 @@ def _fisher_integrand(L, k, scene, psf):
     out = np.empty((len(k), len(orders)))
     # rows per block: two chunks of the kernel's orders form, whose (P, S) state is (1 + L) L complex words a row
     block = 2 * max(1, _CHUNK_BYTES // ((1 + orders[-1]) * orders[-1] * 16))
-    blocks = [slice(lo, lo + block) for lo in range(0, len(k), block)]
-    ranges = [_fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, out[rows]) for rows in blocks]
-    top = np.max([high for high, _ in ranges], axis=0)
-    for rows, (high, low) in zip(blocks, ranges):
-        if np.any((low <= 1e-15 * top) & (high < top)):  # the call's floor drops values the block's kept
-            _fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, out[rows], top)
+    for lo in range(0, len(k), block):
+        rows = slice(lo, lo + block)
+        _fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, floor, out[rows])
     return out[:, 0] if np.ndim(L) == 0 else out
 
 
-def _fisher_rows(bracket, s, orders, out, top=None):
-    """One block of :func:`_fisher_integrand` from its ``bracket`` of s, written to ``out``; returns each
-    split's largest and smallest bracket.  Values at or below 1e-15 of their split's largest, over the block
-    or ``top``, are dropped."""
+def _fisher_rows(bracket, s, orders, floor, out):
+    """One block of :func:`_fisher_integrand` from its ``bracket`` of s, written to ``out``; brackets at or
+    below ``floor``, one entry per split, are dropped."""
     g0, contrib = _with_s_derivative(bracket, s)
-    high = g0.max(axis=0)
-    # skip nodes where the density is vanishingly small relative to its
-    # scale in that split; (d_s P)^2/P has a finite limit at the zeros, so
-    # dropping a measure-zero neighborhood is below integration error.
-    kept = g0 > 1e-15 * (high if top is None else top)
+    # (d_s P)^2/P has a finite limit at the zeros, so dropping a measure-zero
+    # neighborhood of them is below integration error.
+    kept = g0 > floor
     np.square(contrib, out=contrib)
     np.divide(contrib, g0, out=contrib, where=kept)
     contrib[~kept] = 0.0
     for i, end in enumerate(np.cumsum([n + 1 for n in orders])):
         out[:, i] = contrib[:, end - orders[i] - 1 : end].sum(axis=1)
-    return high, g0.min(axis=0)
 
 
 def _fisher_orders(scene, psf, orders, quad):
@@ -163,8 +159,7 @@ def _fisher_orders(scene, psf, orders, quad):
 
 def fisher_L(scene: SourceScene, psf: PsfModel, L: int, quad: QuadratureSpec | None = None) -> FisherEstimate:
     """Per-order Fisher information F^(L)(s) in sigma_k^2 units."""
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = _count("L", L, 1)
     return _fisher_orders(scene, psf, (L,), quad or QuadratureSpec())[0][L]
 
 
@@ -217,8 +212,7 @@ def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
     same closed form at complex s; no class is dropped, as the weights
     carry no cancellation.  Raises ``ValueError`` at s <= 0 or L < 1.
     """
-    if L < 1:
-        raise ValueError("L must be >= 1")
+    L = _count("L", L, 1)
     if scene.separation <= 0:
         raise ValueError("bucket_fisher requires s > 0 (use the closed-form limits at s = 0)")
     w0, deriv = _with_s_derivative(lambda s: _closed_form_weights(L, s, scene.brightness, psf), scene.separation)

@@ -33,8 +33,8 @@ fewer momenta on exactly the nodes their own calls would use.
 
 The random rules' batches (shifts) are independent, so they run on
 min(usable CPUs, ``batch_count``) threads: the calling thread and helpers
-from one pool that a forked child does not inherit.  Each batch draws its
-own nodes from its own seed and its mean is kept in batch order, and
+that the call starts and joins, so no thread outlives it.  Each batch draws
+its own nodes from its own seed and its mean is kept in batch order, and
 :func:`homsr.coincidence._bracket` gives a row the same bits wherever it
 sits in a call, so no result depends on the number of threads.
 """
@@ -45,7 +45,6 @@ import functools
 import math
 import operator
 import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,47 +54,34 @@ from .optics import PsfModel
 
 _GH_NODES = {1: 64, 2: 48, 3: 40}
 
-_pool = None  # threads that help the calling thread through the batches, started by the first call that needs them
-_helper = threading.local()  # ``busy`` is set on the pool's threads
-
-
-def _drop_pool():
-    global _pool
-    _pool = None  # a forked child has none of the parent's threads; its first call starts its own
-
-
-os.register_at_fork(after_in_child=_drop_pool)
-
 
 def _each_batch(run, count: int) -> list:
-    """[run(b) for b in range(count)] on min(usable CPUs, count) threads: the calling one and pool helpers.
+    """[run(b) for b in range(count)] on min(usable CPUs, count) threads: the calling one and helpers started
+    for this call.
 
-    Each thread takes the next b when it finishes one.  Serial on one CPU and on a helper, whose nested call
-    would otherwise wait on its own pool.  An exception is raised once every thread has stopped.
+    Each thread takes the next b when it finishes one; serial on one CPU.  An exception is raised once every
+    thread has stopped.
     """
-    global _pool
-    cpus = len(os.sched_getaffinity(0))
-    helpers = min(cpus, count) - 1
-    if helpers < 1 or getattr(_helper, "busy", False):
+    helpers = min(len(os.sched_getaffinity(0)), count) - 1
+    if helpers < 1:
         return [run(b) for b in range(count)]
-    if _pool is None:
-        from concurrent.futures import ThreadPoolExecutor  # here, not at import: it loads logging, ~4 ms
+    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it loads logging, ~4 ms
 
-        _pool = ThreadPoolExecutor(cpus - 1, "homsr-batch", initializer=setattr, initargs=(_helper, "busy", True))
     results, todo = [None] * count, iter(range(count))
 
     def drain():
         for b in todo:  # next() on a range iterator is atomic under the GIL: each b goes to one thread
             results[b] = run(b)
 
-    running = [_pool.submit(drain) for _ in range(helpers)]
-    try:
-        drain()
-    finally:
-        for _ in todo:  # after an error here, hand out no more batches
-            pass
-        for future in running:
-            future.result()
+    with ThreadPoolExecutor(helpers, "homsr-batch") as pool:  # its exit waits for every helper
+        running = [pool.submit(drain) for _ in range(helpers)]
+        try:
+            drain()
+        finally:
+            for _ in todo:  # after an error here, hand out no more batches
+                pass
+            for future in running:
+                future.result()
     return results
 
 

@@ -776,6 +776,12 @@ class TestBracketKernel:
         with pytest.raises(ValueError, match="descending photon number"):
             _bracket(np.zeros((2, 3)), 1.0, np.array([0, 0]), np.ones((2, 3)), lengths=np.array(lengths))
 
+    @pytest.mark.parametrize("splits", [[5, 5, 5], [-1, -1, -1]], ids=["above L", "negative"])
+    def test_per_row_form_needs_each_split_within_its_rows_L(self, splits):
+        # such a split never flips its slot's sign, so it would read the X = L bracket
+        with pytest.raises(ValueError, match="split within 0..L"):
+            _bracket(np.ones((3, 3)), 1.0, np.array(splits), np.ones((3, 3)), lengths=np.array([3, 3, 3]))
+
     @pytest.mark.parametrize("orders, splits, n_coefs", [
         ((3, 2), [[0], [0]], 2), ((2, 2), [[0], [0]], 2), ((0, 2), [[0], [0]], 2), ((2, 4), [[0], [0]], 2),
         ((), [], 0), ((2, 3), [[0]], 1), ((2, 3), [[0]] * 3, 3), ((2, 3), [[0], [0]], 1),

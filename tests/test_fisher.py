@@ -20,7 +20,7 @@ from scipy import integrate
 
 import homsr
 from homsr import fisher
-from homsr.coincidence import class_weights, coincidence_density_all_splits
+from homsr.coincidence import class_weights, coincidence_density_all_splits, frame_size_probability
 from homsr.fisher import (
     QuadratureSpec,
     _fisher_integrand,
@@ -188,19 +188,29 @@ class TestExactIntegrand:
         expected = np.where(g > floor, dg ** 2 / np.where(g > 0, g, 1.0), 0.0).sum(axis=1)
         np.testing.assert_allclose(_fisher_integrand(L, k, scene, PSF), expected, rtol=1e-6)
 
-    def test_blocks_leave_every_row_as_one_block_gives_it(self, monkeypatch):
-        # rows with k_2 -> k_1 take split X = 1 of L = 2 towards zero: below 1e-15 of its largest value over
-        # the call, but not over their own block of 4 rows, which is then redone at the call's floor
-        scene = SourceScene(separation=1.0, brightness=1.5)
+    @staticmethod
+    def near_diagonal_rows():
+        # 40 envelope draws, then 40 rows with k_2 -> k_1, which take split X = 1 of L = 2 towards zero, across
+        # its floor 1e-14 w(2, 1) at s = 1 (25 of them fall at or below it)
         k = envelope_mc_nodes(PSF, 2, 40, np.random.default_rng(5))
         gap = np.geomspace(1e-10, 1e-5, 40) * PSF.sigma_k
-        k = np.vstack([k, np.column_stack([k[:, 0], k[:, 0] + gap])])
+        return np.vstack([k, np.column_stack([k[:, 0], k[:, 0] + gap])])
+
+    def test_blocks_leave_every_row_as_one_block_gives_it(self, monkeypatch):
+        scene = SourceScene(separation=1.0, brightness=1.5)
+        k = self.near_diagonal_rows()
         whole = _fisher_integrand(2, k, scene, PSF)  # one block
-        redone, rows = [], fisher._fisher_rows
-        monkeypatch.setattr(fisher, "_fisher_rows", lambda *args: redone.append(len(args) > 4) or rows(*args))
         monkeypatch.setattr(fisher, "_CHUNK_BYTES", 192)  # kernel chunks of 2 rows at L = 2, complex
         assert np.array_equal(_fisher_integrand(2, k, scene, PSF), whole)
-        assert len(redone) > 20 and any(redone)
+
+    def test_a_row_alone_gives_its_value_in_a_batch(self):
+        # the floor is the split's own 1e-14 w(L, X), not a share of the largest value in the batch, so a
+        # near-diagonal row is dropped, or kept, alike alone and beside larger rows
+        scene = SourceScene(separation=1.0, brightness=1.5)
+        k = self.near_diagonal_rows()
+        batch = _fisher_integrand(2, k, scene, PSF)
+        for i in range(len(k)):
+            assert np.array_equal(_fisher_integrand(2, k[i : i + 1], scene, PSF), batch[i : i + 1]), i
 
 
 class TestFisherTotal:
@@ -350,6 +360,29 @@ class TestBucketFisher:
         scene = SourceScene(separation=10.0, brightness=1.5)
         resolved = fisher_L(scene, PSF, 2).value
         assert bucket_fisher(scene, PSF, 2) < 0.05 * resolved
+
+
+class TestPhotonNumberArguments:
+    # one check for the photon number of each call: an int by operator.index (a float raises TypeError, a
+    # bool counts as 0 or 1), at least 1
+    CALLS = {
+        "class_weights": lambda L, scene: class_weights(L, scene, PSF),
+        "frame_size_probability": lambda L, scene: frame_size_probability(L, scene, PSF),
+        "fisher_L": lambda L, scene: fisher_L(scene, PSF, L).value,
+        "bucket_fisher": lambda L, scene: bucket_fisher(scene, PSF, L),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_float_rejected(self, name):
+        with pytest.raises(TypeError, match="integer"):
+            self.CALLS[name](2.0, SourceScene(1.0, 1.5))
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_bool_is_its_int(self, name):
+        scene = SourceScene(1.0, 1.5)
+        assert np.array_equal(self.CALLS[name](True, scene), self.CALLS[name](1, scene))
+        with pytest.raises(ValueError, match="L must be >= 1"):
+            self.CALLS[name](False, scene)
 
 
 class TestDiBaseline:

@@ -222,7 +222,6 @@ def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
 
 def test_every_batch_runs_once_on_more_threads_than_cores(monkeypatch):
     # seven helpers and a short switch interval: a batch handed out twice, or lost, shows in the calls
-    monkeypatch.setattr(quadrature, "_pool", None)
     cpus(monkeypatch, 8)
     calls, results = [], []
 
@@ -241,8 +240,6 @@ def test_every_batch_runs_once_on_more_threads_than_cores(monkeypatch):
         assert not caller.is_alive()
     finally:
         sys.setswitchinterval(interval)
-        if quadrature._pool is not None:
-            quadrature._pool.shutdown()
     assert sorted(calls) == list(range(2000)) and results == [b * b for b in range(2000)]
 
 

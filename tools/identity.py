@@ -17,17 +17,19 @@ law, the bracket kernel in each call shape (one order with every split, one
 split, several orders with every split or with split subsets, one split per
 row, one order with one split per row)
 at real and complex-step s, so that a kernel change is seen before
-integration, class weights by each method, bucket and sub-Rayleigh values,
-``fisher_total`` at fixed s and l_max, ``fisher_L`` of each order alone at
-those scenes and at one with l_max 7 (so that a change in how orders share
-nodes shows per order, not only in the sum), ``crb_report`` at the
-``homsr estimate`` scene with l_cap 12 and 6, the two-photon sampling
-hierarchy and the pixelated direct-imaging baseline, three 5000-frame
-records (frames, majorants, written lines, ŝ of the record and of its
+integration, the Fisher integrand of orders 1..7, alone and together, on one
+lattice shift and on near-diagonal two-photon rows at four s, so that a
+floor or block change is seen row by row, class weights by each method,
+bucket and sub-Rayleigh values, ``fisher_total`` at fixed s and l_max,
+``fisher_L`` of each order alone at those scenes and at one with l_max 7
+(so that a change in how orders share nodes shows per order, not only in
+the sum), ``crb_report`` at the ``homsr estimate`` scene with l_cap 12 and
+6, the two-photon sampling hierarchy and the pixelated direct-imaging
+baseline, three 5000-frame records (frames, majorants, written lines, ŝ of the record and of its
 read-back copy, and likelihood curves), and the outputs of the CLI runs in
 ``tests/test_cli.py`` with their temporary paths normalised.  A parameter
 that an older checkout lacks (``l_cap`` of ``crb_report``) is passed only
-where the signature has it.  It takes about 30 s on 2 vCPU.
+where the signature has it.  It takes about 4 s on 2 vCPU.
 
 This is not a test: pinned digests would turn every intended numeric change
 into a test edit.
@@ -134,6 +136,23 @@ def _kernel(families, psf, rng):
                 got[f"L={L} X={L // 2}"] = c._bracket(k[:, :L], z, [L // 2], tables[L, L // 2 : L // 2 + 1, :L])
             for name, value in got.items():  # real and imaginary parts apart, so both are compared
                 families["kernel"][f"s={s} {step} {name}"] = np.stack([value.real, value.imag])
+
+
+def _integrand(families, psf, rng):
+    from homsr import fisher as f
+    from homsr import quadrature as q
+    from homsr.optics import SourceScene
+
+    k = q.envelope_lattice_nodes(psf, 7, 1021, rng)
+    # rows with k_2 -> k_1, whose split X = 1 falls towards zero across the integrand's floor
+    near = rng.standard_normal(40) * psf.sigma_k
+    near = np.column_stack([near, near + np.geomspace(1e-10, 1e-5, 40) * psf.sigma_k])
+    for s in (1e-7, 0.01, 1.0, 8.0):
+        scene = SourceScene(s, 1.5)
+        for L in range(1, 8):
+            families["integrand"][f"s={s} L={L}"] = f._fisher_integrand(L, k[:, :L], scene, psf)
+        families["integrand"][f"s={s} orders 1..7"] = f._fisher_integrand(tuple(range(1, 8)), k, scene, psf)
+        families["integrand"][f"s={s} L=2 near-diagonal"] = f._fisher_integrand(2, near, scene, psf)
 
 
 def _weights_and_limits(families, psf):
@@ -253,14 +272,16 @@ def collect(tree):
 
     if not Path(homsr.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
-    names = ("densities", "all_splits", "frame_size_law", "kernel", "class_weights.auto", "class_weights.gh",
-             "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "crb", "hierarchy", "di_baseline",
-             "records.frames", "records.majorants", "records.lines", "records.s_hat", "records.curves", "cli")
+    names = ("densities", "all_splits", "frame_size_law", "kernel", "integrand", "class_weights.auto",
+             "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "crb",
+             "hierarchy", "di_baseline", "records.frames", "records.majorants", "records.lines", "records.s_hat",
+             "records.curves", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
     with tempfile.TemporaryDirectory() as tmp:
         _densities(families, psf, np.random.default_rng(20261018))
         _kernel(families, psf, np.random.default_rng(20261019))
+        _integrand(families, psf, np.random.default_rng(20261020))
         _weights_and_limits(families, psf)
         _fisher(families, psf)
         _crb_and_baselines(families, psf)
