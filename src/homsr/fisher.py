@@ -116,7 +116,8 @@ def _fisher_integrand(L, k, scene, psf):
 
 def _fisher_rows(bracket, s, orders, floor, out):
     """One block of :func:`_fisher_integrand` from its ``bracket`` of s, written to ``out``; brackets at or
-    below ``floor``, one entry per split, are dropped."""
+    below ``floor``, one entry per split, are dropped.  Not inlined in the block loop: its return frees the
+    block's complex arrays before the next block is built (inlined, :func:`fisher_total` ran 10 % slower, 2 vCPU)."""
     g0, contrib = _with_s_derivative(bracket, s)
     # (d_s P)^2/P has a finite limit at the zeros, so dropping a measure-zero
     # neighborhood of them is below integration error.
@@ -131,8 +132,8 @@ def _fisher_rows(bracket, s, orders, floor, out):
 def _fisher_orders(scene, psf, orders, quad):
     """({L: FisherEstimate}, standard error of their sum) from one envelope expectation of dim max(orders).
 
-    With several orders the integrand carries their sum as a last column, so
-    the error of the sum sees how orders that share nodes correlate.
+    The integrand carries the orders' sum as a last column, so the error of the sum sees how orders that
+    share nodes correlate; each order's column is integrated as it would be alone.
     """
     if scene.separation <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
@@ -141,15 +142,11 @@ def _fisher_orders(scene, psf, orders, quad):
 
     def integrand(k):
         rows.append(len(k))
-        if len(orders) == 1:
-            return _fisher_integrand(orders[0], k, scene, psf)
         columns = list(_fisher_integrand(orders, k, scene, psf).T)
-        # column-major, so that each column's mean sums as that of a 1-D integrand
-        return np.array(columns + [sum(columns)]).T
+        return np.array(columns + [sum(columns)]).T  # column-major
 
-    unit = psf.sigma_k ** 2
     values, stderrs, scheme = envelope_expectation(integrand, orders[-1], psf, quad)
-    values, stderrs = np.atleast_1d(values) / unit, np.atleast_1d(stderrs) / unit
+    values, stderrs = values / psf.sigma_k ** 2, stderrs / psf.sigma_k ** 2
     estimates = {}
     for L, value, stderr in zip(orders, values.tolist(), stderrs.tolist()):
         converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
@@ -328,8 +325,8 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     """
     from scipy.special import ndtr
 
-    if pixel_pitch <= 0 or operator.index(n_pixels) < 2:  # a float count would build ceil(n) pixels off centre
-        raise ValueError("need positive pixel pitch and at least 2 pixels")
+    if not 0 < pixel_pitch < math.inf or operator.index(n_pixels) < 2:  # a float count: ceil(n) pixels off centre
+        raise ValueError("need a positive, finite pixel pitch and at least 2 pixels")
     s, sx = scene.separation, psf.sigma_x
     half_extent = 0.5 * n_pixels * pixel_pitch
     if half_extent < 0.5 * s + 6.0 * sx:

@@ -175,8 +175,8 @@ class DetectorGeometry:
     pixel_pitch: float
 
     def __post_init__(self) -> None:
-        if min(self.far_field_distance, self.longitudinal_wavenumber, self.pixel_pitch) <= 0:
-            raise ValueError("all detector-geometry fields must be strictly positive")
+        if not all(0 < x < math.inf for x in (self.far_field_distance, self.longitudinal_wavenumber, self.pixel_pitch)):
+            raise ValueError("all detector-geometry fields must be positive and finite")
 
     def momentum_of_position(self, y):
         return np.asarray(y) * self.longitudinal_wavenumber / self.far_field_distance
@@ -202,10 +202,12 @@ def validate_pixel_geometry(geom: DetectorGeometry, s: float, threshold: float =
     width relative to the fringe scale 1/s).  The interference structure is
     resolved when rho is small; ``threshold`` operationalizes the "much
     smaller" condition.  Ratios within a factor 3 above the threshold are
-    reported as "marginal".
+    reported as "marginal".  Raises ``ValueError`` unless ``0 <= s < inf`` and ``0 < threshold < inf``.
     """
-    if s < 0:
-        raise ValueError("separation must be non-negative")
+    if not 0 <= s < math.inf:
+        raise ValueError("separation must be non-negative and finite")
+    if not 0 < threshold < math.inf:
+        raise ValueError(f"threshold must be positive and finite, got {threshold!r}")
     if s == 0:
         return PixelValidityReport(ratio=0.0, passed=True, status="unconstrained", threshold=threshold)
     ratio = geom.pixel_pitch * geom.longitudinal_wavenumber * s / geom.far_field_distance

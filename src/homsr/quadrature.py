@@ -36,7 +36,8 @@ min(usable CPUs, ``batch_count``) threads: the calling thread and helpers
 that the call starts and joins, so no thread outlives it.  Each batch draws
 its own nodes from its own seed and its mean is kept in batch order, and
 :func:`homsr.coincidence._bracket` gives a row the same bits wherever it
-sits in a call, so no result depends on the number of threads.
+sits in a call, so no result depends on the number of threads.  No sum
+calls BLAS, whose own threads would outlive the call.
 """
 
 from __future__ import annotations
@@ -190,18 +191,20 @@ def resolved_scheme(quad: QuadratureSpec, dim: int) -> str:
 def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     """E_env[f(k)] over ``dim`` envelope momenta; returns ``(value, error, scheme)``.
 
-    ``f`` maps momenta of shape (N, dim), column-major, to values of shape
-    (N, ...); value and error have the trailing shape, and ``scheme`` is the
-    one used after resolving "auto".  Under the random rules ``f`` is called
-    once per batch, from several threads at once when more than one CPU is
-    usable; the result is the same on one thread as on many if ``f``'s rows
-    depend only on their own momenta.
+    ``f`` maps momenta of shape (N, dim), column-major, to values of shape (N, ...); value and error have
+    the trailing shape, each column's those of integrating it alone (a column-major ``f`` is not copied),
+    and ``scheme`` is the one used after resolving "auto".  Under the random rules ``f`` is called once
+    per batch, from several threads at once when more than one CPU is usable; the result is the same on
+    one thread as on many if ``f``'s rows depend only on their own momenta.
     """
+    def columns(k):  # f(k) with the node axis last and contiguous
+        return np.ascontiguousarray(np.moveaxis(f(k), 0, -1))
+
     scheme = resolved_scheme(quad, dim)
     if scheme == "gauss_hermite_tensor":
         def rule(nodes):
             k, w = envelope_gh_nodes(psf, dim, nodes)
-            return w @ f(k)
+            return (columns(k) * w).sum(axis=-1)
 
         n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
         if n ** dim > 10 ** 6:  # refused before any node array is built
@@ -215,7 +218,7 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     batch = quad.sample_count // quad.batch_count
     if scheme == "rank1_lattice":  # fill the lattice's caches before the batches run: lru_cache does not lock
         lattice_generating_vector(_largest_prime_at_most(batch), dim)
-    means = np.array(_each_batch(
-        lambda b: f(nodes(psf, dim, batch, np.random.default_rng([quad.seed, b]))).mean(axis=0), quad.batch_count
-    ))
-    return means.mean(axis=0), means.std(axis=0, ddof=1) / math.sqrt(quad.batch_count), scheme
+    means = np.stack(_each_batch(  # (..., batches): each column's batch means contiguous
+        lambda b: columns(nodes(psf, dim, batch, np.random.default_rng([quad.seed, b]))).mean(axis=-1),
+        quad.batch_count), axis=-1)
+    return means.mean(axis=-1), means.std(axis=-1, ddof=1) / math.sqrt(quad.batch_count), scheme

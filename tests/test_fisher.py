@@ -239,13 +239,12 @@ class TestFisherTotal:
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     @pytest.mark.parametrize("scheme", ["auto", "rank1_lattice", "monte_carlo_importance"])
     def test_per_order_equals_fisher_L(self, scheme, s):
-        # the orders integrated together see exactly the nodes of their own calls
+        # the orders integrated together see exactly the nodes of their own calls, each reduced as a lone column
         scene, quad = SourceScene(separation=s, brightness=1.5), QuadratureSpec(scheme=scheme, sample_count=20_000)
         breakdown = fisher_total(scene, PSF, l_max=7, quad=quad)
         for L in range(1, 8):
             alone, joint = fisher_L(scene, PSF, L, quad), breakdown.per_L[L]
-            assert joint.value == pytest.approx(alone.value, rel=1e-12, abs=0)
-            assert joint.stderr == pytest.approx(alone.stderr, rel=1e-12, abs=0)
+            assert (joint.value, joint.stderr) == (alone.value, alone.stderr)
             assert (joint.scheme, joint.points, joint.converged) == (alone.scheme, alone.points, alone.converged)
         assert breakdown.total == sum(e.value for e in breakdown.per_L.values())
 
@@ -455,6 +454,12 @@ class TestDiBaseline:
             di_baseline_fisher(SourceScene(1.0, 1.0), PSF, pixel_pitch=0.1, n_pixels=20)
         with pytest.raises(ValueError):
             di_baseline_fisher(SourceScene(1.0, 1.0), PSF, pixel_pitch=0.0, n_pixels=100)
+
+    @pytest.mark.parametrize("pitch", [math.nan, math.inf, -0.1])
+    def test_pixel_pitch_must_be_positive_and_finite(self, pitch):
+        # a NaN or infinite pitch once returned 0.0
+        with pytest.raises(ValueError, match="positive, finite pixel pitch"):
+            di_baseline_fisher(SourceScene(1.0, 1.5), PSF, pitch, 64)
 
     def test_pixel_count_must_be_an_integer(self):
         # a float count would build ceil(n) pixels, centred a quarter pitch off

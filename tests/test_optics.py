@@ -163,6 +163,26 @@ class TestDetectorGeometry:
         with pytest.raises(ValueError, match="separation must be non-negative"):
             validate_pixel_geometry(geom, -1.0)
 
+    @pytest.mark.parametrize("field", ["far_field_distance", "longitudinal_wavenumber", "pixel_pitch"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -1.0])
+    def test_every_field_must_be_positive_and_finite(self, field, value):
+        # a NaN field once gave a NaN momentum resolution, and an infinite distance a resolution of 0
+        fields = {"far_field_distance": 1.0, "longitudinal_wavenumber": 1.0, "pixel_pitch": 0.05, field: value}
+        with pytest.raises(ValueError, match="positive and finite"):
+            DetectorGeometry(**fields)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf])
+    def test_separation_must_be_finite(self, s):
+        geom = DetectorGeometry(far_field_distance=1.0, longitudinal_wavenumber=1.0, pixel_pitch=0.05)
+        with pytest.raises(ValueError, match="separation must be non-negative and finite"):
+            validate_pixel_geometry(geom, s)
+
+    @pytest.mark.parametrize("threshold", [0.0, -1.0, math.nan, math.inf])
+    def test_threshold_must_be_positive_and_finite(self, threshold):
+        geom = DetectorGeometry(far_field_distance=1.0, longitudinal_wavenumber=1.0, pixel_pitch=0.05)
+        with pytest.raises(ValueError, match="threshold must be positive and finite"):
+            validate_pixel_geometry(geom, 1.0, threshold)
+
     def test_ratio_formula(self):
         geom = DetectorGeometry(far_field_distance=0.5, longitudinal_wavenumber=100.0, pixel_pitch=1e-4)
         report = validate_pixel_geometry(geom, 2.0)

@@ -67,6 +67,24 @@ def test_vector_f_matches_scalar_calls(quad):
         assert error[i] == pytest.approx(e, rel=1e-9, abs=1e-14)
 
 
+@pytest.mark.parametrize("quad, dim", [(GH, 1), (GH, 2), (GH, 3)] + [
+    (QuadratureSpec(scheme=scheme, sample_count=20_000), dim)
+    for scheme in ("rank1_lattice", "monte_carlo_importance") for dim in (1, 2, 3, 4)
+], ids=lambda p: p.scheme if isinstance(p, QuadratureSpec) else f"dim{p}")
+def test_a_column_integrates_as_it_does_alone(quad, dim):
+    # a column-major integrand's columns are reduced one by one, in the order of a 1-D integrand
+    def f1(k):
+        return np.exp(k.sum(axis=1))
+
+    def f(k):
+        a, b = f1(k), np.abs(k).prod(axis=1)
+        return np.array([a, b, a + b]).T
+
+    value, error, _ = envelope_expectation(f, dim, PSF, quad)
+    alone, alone_error, _ = envelope_expectation(f1, dim, PSF, quad)
+    assert value[0] == alone and error[0] == alone_error
+
+
 def test_mc_is_reproducible_and_unbiased():
     def f(k):
         return k[:, 2] ** 2

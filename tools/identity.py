@@ -17,9 +17,11 @@ law, the bracket kernel in each call shape (one order with every split, one
 split, several orders with every split or with split subsets, one split per
 row, one order with one split per row)
 at real and complex-step s, so that a kernel change is seen before
-integration, the Fisher integrand of orders 1..7, alone and together, on one
-lattice shift and on near-diagonal two-photon rows at four s, so that a
-floor or block change is seen row by row, class weights by each method,
+integration, envelope expectations of a fixed three-column integrand under
+each scheme at dims 1..4, so that a change in how a rule sums is seen before
+any Fisher value is, the Fisher integrand of orders 1..7, alone and
+together, on one lattice shift and on near-diagonal two-photon rows at four
+s, so that a floor or block change is seen row by row, class weights by each method,
 bucket and sub-Rayleigh values, ``fisher_total`` at fixed s and l_max,
 ``fisher_L`` of each order alone at those scenes and at one with l_max 7
 (so that a change in how orders share nodes shows per order, not only in
@@ -136,6 +138,19 @@ def _kernel(families, psf, rng):
                 got[f"L={L} X={L // 2}"] = c._bracket(k[:, :L], z, [L // 2], tables[L, L // 2 : L // 2 + 1, :L])
             for name, value in got.items():  # real and imaginary parts apart, so both are compared
                 families["kernel"][f"s={s} {step} {name}"] = np.stack([value.real, value.imag])
+
+
+def _quadrature(families, psf):
+    from homsr import quadrature as q
+
+    def f(k):  # column-major: two integrands and their sum
+        a, b = np.exp(k.sum(axis=1)), np.abs(k).prod(axis=1)
+        return np.array([a, b, a + b]).T
+
+    for scheme in ("gauss_hermite_tensor", "monte_carlo_importance", "rank1_lattice"):
+        for dim in (1, 2, 3, 4):
+            value, error, _ = q.envelope_expectation(f, dim, psf, q.QuadratureSpec(scheme=scheme))
+            families["quadrature"][f"{scheme} dim={dim}"] = np.array([value, error])
 
 
 def _integrand(families, psf, rng):
@@ -272,7 +287,7 @@ def collect(tree):
 
     if not Path(homsr.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
-    names = ("densities", "all_splits", "frame_size_law", "kernel", "integrand", "class_weights.auto",
+    names = ("densities", "all_splits", "frame_size_law", "kernel", "quadrature", "integrand", "class_weights.auto",
              "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "crb",
              "hierarchy", "di_baseline", "records.frames", "records.majorants", "records.lines", "records.s_hat",
              "records.curves", "cli")
@@ -281,6 +296,7 @@ def collect(tree):
     with tempfile.TemporaryDirectory() as tmp:
         _densities(families, psf, np.random.default_rng(20261018))
         _kernel(families, psf, np.random.default_rng(20261019))
+        _quadrature(families, psf)
         _integrand(families, psf, np.random.default_rng(20261020))
         _weights_and_limits(families, psf)
         _fisher(families, psf)
