@@ -201,6 +201,8 @@ def cmd_estimate(params):
     seed, l_cap = params["seed"], params["l_cap"]
     if trials < 2 or frames < 1:
         raise ValueError(f"needs trials >= 2 and frames >= 1, got trials={trials}, frames={frames}")
+    if seed < 0:  # numpy takes no negative seed, and the sampler's scan would run first
+        raise ValueError(f"needs --seed >= 0, got seed={seed}")
     lo, hi = SEARCH_INTERVAL
     if not lo < true_s < hi:  # outside, every trial's estimate lands on the fit's boundary
         raise ValueError(f"needs true_s inside the fit's search interval {lo} < s < {hi}, got true_s={true_s!r}")

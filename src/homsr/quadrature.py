@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import operator
 import os
 from dataclasses import dataclass
@@ -54,6 +55,7 @@ from scipy.special import ndtri
 from .optics import PsfModel
 
 _GH_NODES = {1: 64, 2: 48, 3: 40}
+_SCHEMES = ("auto", "gauss_hermite_tensor", "monte_carlo_importance", "rank1_lattice")
 
 
 def _each_batch(run, count: int) -> list:
@@ -104,12 +106,20 @@ class QuadratureSpec:
     batch_count: int = 20
 
     def __post_init__(self):
-        if self.nodes_per_dim is not None and operator.index(self.nodes_per_dim) < 8:
-            raise ValueError("nodes_per_dim must be >= 8")
+        if self.scheme not in _SCHEMES:
+            raise ValueError(f"unknown quadrature scheme: {self.scheme!r}, use one of {', '.join(_SCHEMES)}")
+        # above 370 nodes numpy's Gauss-Hermite weights underflow: the rule gives 0.0, above 400 NaN
+        if self.nodes_per_dim is not None and not 8 <= operator.index(self.nodes_per_dim) <= 370:
+            raise ValueError(f"nodes_per_dim must lie within 8..370, got {self.nodes_per_dim}")
         if operator.index(self.sample_count) < 10_000:
             raise ValueError("sample_count must be >= 10^4")
         if operator.index(self.batch_count) < 2:
             raise ValueError("batch_count must be >= 2")
+        if self.sample_count // self.batch_count < 2:
+            raise ValueError("sample_count // batch_count must be >= 2: a lattice shift needs a prime number of "
+                             f"points and a Monte Carlo batch two draws, got {self.sample_count // self.batch_count}")
+        if not isinstance(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         if not (math.isfinite(self.relative_error_target) and self.relative_error_target > 0):
             raise ValueError(f"relative_error_target must be finite and > 0, got {self.relative_error_target!r}")
 
@@ -132,10 +142,8 @@ def envelope_mc_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.Genera
 
 @functools.lru_cache(maxsize=None)
 def _largest_prime_at_most(m: int) -> int:
-    for n in range(m, 1, -1):
-        if all(n % p for p in range(2, math.isqrt(n) + 1)):
-            return n
-    raise ValueError(f"a lattice needs a prime number of points per shift, but sample_count // batch_count = {m}")
+    """The largest prime n <= m, for m >= 2."""
+    return next(n for n in range(m, 1, -1) if all(n % p for p in range(2, math.isqrt(n) + 1)))
 
 
 @functools.lru_cache(maxsize=None)
@@ -212,9 +220,7 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
         value = rule(n)
         return value, np.abs(value - rule(int(0.75 * n))), scheme
 
-    nodes = {"monte_carlo_importance": envelope_mc_nodes, "rank1_lattice": envelope_lattice_nodes}.get(scheme)
-    if nodes is None:
-        raise ValueError(f"unknown quadrature scheme: {quad.scheme}")
+    nodes = {"monte_carlo_importance": envelope_mc_nodes, "rank1_lattice": envelope_lattice_nodes}[scheme]
     batch = quad.sample_count // quad.batch_count
     if scheme == "rank1_lattice":  # fill the lattice's caches before the batches run: lru_cache does not lock
         lattice_generating_vector(_largest_prime_at_most(batch), dim)

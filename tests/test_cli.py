@@ -183,6 +183,7 @@ class TestInputErrors:
     @pytest.mark.parametrize("argv, cause", [
         (("estimate", "--trials", "1"), "trials=1"),
         (("estimate", "--frames", "0"), "frames=0"),
+        (("estimate", "--seed", "-1", "--trials", "2", "--frames", "10"), "--seed >= 0, got seed=-1"),
         (("fi-curve", "--s-grid", "0:1:2"), "requires s > 0"),
         (("fi-curve", "--lmax", "1"), "l_max must be >= 2"),
         (("bucket-compare", "--s-grid", "0:1:2"), "requires s > 0"),

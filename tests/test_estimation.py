@@ -127,7 +127,7 @@ class TestSampler:
         with pytest.raises(MajorantError):
             sampler._sample_momenta(2, 1, 100, np.random.default_rng(0))
         assert len(passes) == 9
-        assert len(brackets) == 1 + 9  # the probe scan, then one block per pass
+        assert len(brackets) == 9  # one block per pass: the probe scan ran when the sampler was built
 
 
 def recorded_brackets(sampler):
@@ -143,7 +143,7 @@ def recorded_brackets(sampler):
 
 
 class TestMajorantScanAndBlocks:
-    """One probe scan bounds every split of an L; blocks are sized by the exact acceptance w/bound."""
+    """One probe scan at construction bounds every cell; blocks are sized by the exact acceptance w/bound."""
 
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     def test_bracket_mirror_identity(self, s):
@@ -156,21 +156,40 @@ class TestMajorantScanAndBlocks:
             assert g.shape == (400, L + 1)
             assert np.all(np.abs(mirrored - g) <= 1e-13 * g.max(axis=0))
 
-    @pytest.mark.parametrize("L", [1, 4, 7, 12])
-    def test_one_scan_fills_every_split(self, L):
-        sampler = FrameSampler(SCENE, PSF)
-        calls = recorded_brackets(sampler)
-        sampler._majorant(L, L // 2)
-        assert len(calls) == 1 and calls[0][1] is None
-        assert sorted(sampler._majorants) == [(L, X) for X in range(L + 1)]
-        peak = calls[0][3].max(axis=0)
-        for X in range(L + 1):
-            assert sampler._majorant(L, X) == sampler._majorant(L, L - X)
-            assert sampler._majorant(L, X) >= 1.2 * max(peak[X], peak[L - X])
-        assert len(calls) == 1
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    def test_one_scan_fills_every_split(self, s):
+        sampler = FrameSampler(SourceScene(s, 1.5), PSF)
+        assert sorted(sampler._majorants) == [(L, X) for L in range(1, 13) for X in range(L + 1)]
+        # the pinned probe draw: order L's probes are its first L columns, the origin row 0
+        probes = (np.random.default_rng(9191).standard_normal((12, 32_768)) * PSF.sigma_k).T
+        probes[0] = 0.0
+        for L in range(1, 13):
+            peak = sampler._bracket(L, None, probes[:, :L]).max(axis=0)
+            for X in range(L + 1):
+                assert sampler._majorant(L, X) == 1.2 * max(peak[X], peak[L - X])
+
+    def test_bounds_do_not_depend_on_l_cap(self):
+        # column-major probes: order L reads the same draw at every l_cap >= L
+        small, large = FrameSampler(SCENE, PSF, l_cap=6), FrameSampler(SCENE, PSF)
+        for L in range(1, 7):
+            for X in range(L + 1):
+                assert small._majorant(L, X) == large._majorant(L, X)
+
+    @pytest.mark.parametrize("l_cap", [2, 12, 20])
+    def test_scan_slices_stay_within_one_orders_output(self, monkeypatch, l_cap):
+        calls, bracket = [], estimation._bracket
+
+        def recorded(k, *args, **kwargs):
+            calls.append(bracket(k, *args, **kwargs))
+            return calls[-1]
+
+        monkeypatch.setattr(estimation, "_bracket", recorded)
+        FrameSampler(SCENE, PSF, l_cap=l_cap)
+        assert sum(len(out) for out in calls) == 32_768
+        assert all(out.size <= 32_768 * (l_cap + 1) for out in calls)
 
     def test_proposals_per_frame_at_s_1(self):
-        # the bounds alone need about 5.1 proposals per frame here
+        # the bounds alone need about 4.4 proposals per frame here
         sampler = FrameSampler(SCENE, PSF)
         calls = recorded_brackets(sampler)
         record = sampler.sample_record(np.random.default_rng(23), 5000)
@@ -324,6 +343,10 @@ class TestSimulateExperiment:
             ExperimentConfig(SCENE, PSF, frame_count=0, seed=1)
         with pytest.raises(ValueError):
             ExperimentConfig(SCENE, PSF, frame_count=10, seed=1, l_cap=1)
+
+    def test_negative_seed_named(self):
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            ExperimentConfig(SCENE, PSF, frame_count=10, seed=-1)
 
     def test_frame_count_must_be_an_integer(self):
         with pytest.raises(TypeError, match="cannot be interpreted as an integer"):

@@ -174,6 +174,38 @@ def test_unknown_scheme_rejected():
         envelope_expectation(lambda k: k[:, 0], 1, PSF, QuadratureSpec(scheme="simpson"))
 
 
+def test_unknown_scheme_rejected_when_the_spec_is_built():
+    with pytest.raises(ValueError, match="unknown quadrature scheme"):
+        QuadratureSpec(scheme="simpson")
+
+
+@pytest.mark.parametrize("nodes", [7, 371, 400])
+def test_gh_nodes_outside_8_to_370_rejected(nodes):
+    # at 371 numpy's weights underflow and E[k^2] came back 0.0; at 400, NaN
+    with pytest.raises(ValueError, match=r"nodes_per_dim must lie within 8\.\.370"):
+        QuadratureSpec(scheme="gauss_hermite_tensor", nodes_per_dim=nodes)
+
+
+def test_gh_rule_at_370_nodes_is_still_exact():
+    quad = QuadratureSpec(scheme="gauss_hermite_tensor", nodes_per_dim=370)
+    value, _, _ = envelope_expectation(lambda k: k[:, 0] ** 2, 1, PSF, quad)
+    assert value == pytest.approx(PSF.sigma_k ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("scheme", ["auto", "monte_carlo_importance", "rank1_lattice"])
+def test_every_batch_needs_two_points(scheme):
+    # one Monte Carlo draw per batch gave NaN, and no lattice has a prime number of points below 2
+    with pytest.raises(ValueError, match="prime"):
+        QuadratureSpec(scheme=scheme, sample_count=10_000, batch_count=5_001)
+    QuadratureSpec(scheme=scheme, sample_count=10_000, batch_count=5_000)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, "7"])
+def test_seed_must_be_a_non_negative_integer(seed):
+    with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+        QuadratureSpec(seed=seed)
+
+
 @pytest.mark.parametrize("target", [0.0, -0.05, math.nan, math.inf])
 def test_relative_error_target_must_be_finite_and_positive(target):
     with pytest.raises(ValueError, match="relative_error_target"):

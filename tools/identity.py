@@ -27,7 +27,9 @@ bucket and sub-Rayleigh values, ``fisher_total`` at fixed s and l_max,
 (so that a change in how orders share nodes shows per order, not only in
 the sum), ``crb_report`` at the ``homsr estimate`` scene with l_cap 12 and
 6, the two-photon sampling hierarchy and the pixelated direct-imaging
-baseline, three 5000-frame records (frames, majorants, written lines, ŝ of the record and of its
+baseline, the rejection bounds of every (L, X) cell of a fresh sampler at each record's scene,
+before any draw (so that a change to the bound scan shows apart from one to the draws), three
+5000-frame records (frames, majorants after sampling, written lines, ŝ of the record and of its
 read-back copy, and likelihood curves), and the outputs of the CLI runs in
 ``tests/test_cli.py`` with their temporary paths normalised.  A parameter
 that an older checkout lacks (``l_cap`` of ``crb_report``) is passed only
@@ -238,6 +240,8 @@ def _records(families, psf, tmp):
     for i, (s, ns, l_cap) in enumerate(RECORDS):
         key = f"s={s} ns={ns} l_cap={l_cap}"
         sampler = e.FrameSampler(SourceScene(s, ns), psf, l_cap=l_cap)
+        cells = [(L, X) for L in range(1, l_cap + 1) for X in range(L + 1)]
+        families["majorants"][key] = np.array([sampler._majorant(L, X) for L, X in cells])
         record = sampler.sample_record(np.random.default_rng([20261018, i]), RECORD_FRAMES)
         frames = [(o.photon_count, o.camera_split, o.canonical_momenta) for o in record]
         families["records.frames"][key + " L, X"] = np.array([f[:2] for f in frames])
@@ -289,8 +293,8 @@ def collect(tree):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
     names = ("densities", "all_splits", "frame_size_law", "kernel", "quadrature", "integrand", "class_weights.auto",
              "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "crb",
-             "hierarchy", "di_baseline", "records.frames", "records.majorants", "records.lines", "records.s_hat",
-             "records.curves", "cli")
+             "hierarchy", "di_baseline", "majorants", "records.frames", "records.majorants", "records.lines",
+             "records.s_hat", "records.curves", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
     with tempfile.TemporaryDirectory() as tmp:
