@@ -3,11 +3,12 @@
 Frames are drawn from the coincidence model in three stages: frame size
 L from the closed-form thermal distribution (truncated at ``l_cap``;
 larger frames are redrawn) and camera split X from the closed-form
-momentum-integrated class weights, both exactly, then momenta by rejection
-sampling with the product envelope as proposal, in rounds per L: one
-per-row kernel call checks a round's proposals, for every (L, X) cell still
-short, against the cell's bound from one probe scan of every cell at
-construction, in blocks sized by its exact acceptance w(L, X)/bound.
+momentum-integrated class weights, both exactly for every frame first, then
+momenta by rejection sampling with the envelope as proposal, in rounds over
+the whole record: one per-row kernel call checks a round's proposals, for
+every (L, X) cell still short, each row at its own L and split, against the
+cell's bound from one probe scan of every cell at construction, in blocks
+sized by its exact acceptance w(L, X)/bound.
 
 The likelihood used for estimation conditions on L <= l_cap — the same
 truncation the sampler applies — by subtracting N log W(s) with
@@ -160,10 +161,10 @@ class FrameSampler:
     """Sampler of frame records (:class:`FrameRecord`) for a fixed scene.
 
     L and the camera split X | L (the closed form of :func:`~homsr.coincidence.class_weights`, tabulated once
-    per L) are drawn exactly.  Momenta are rejection-sampled in rounds per L (:meth:`_sample_momenta`), each
-    round one per-row bracket call for every (L, X) cell still short, under a per-cell bound (:meth:`_majorant`)
-    that all-orders bracket calls on one probe set, a row slice each, find at construction, not a proven
-    maximum; every proposal is checked against its cell's bound.
+    per L) are drawn exactly for every frame first.  Momenta are rejection-sampled in rounds over the whole record
+    (:meth:`_sample_momenta`), each one per-row bracket call for every (L, X) cell still short, each row at its own
+    L and split, under a per-cell bound (:meth:`_majorant`) that all-orders bracket calls on one probe set, a row
+    slice each, find at construction, not a proven maximum; every proposal is checked against its cell's bound.
     ``cell_counts[(L, X)]`` counts the proposals drawn, the rows accepted and the violated passes of each cell.
     """
 
@@ -175,28 +176,29 @@ class FrameSampler:
         p_l = frame_size_distribution(l_cap, scene, psf)
         self.truncated_mass = float(p_l.sum())
         self.p_l_given_cap = p_l / self.truncated_mass
-        self._weights = {L: class_weights(L, scene, psf) for L in orders}
-        tables = _theta_tables(l_cap, scene.brightness, mode_weights(scene, psf).delta)
-        self._theta = {L: tables[L, : L + 1, :L] for L in orders}
-        self.x_given_l = {L: w / w.sum() for L, w in self._weights.items()}
+        self._weights = np.array([np.pad(class_weights(L, scene, psf), (0, l_cap - L)) for L in orders])  # [L - 1, X]
+        self._x_cdf = np.cumsum(self._weights / self._weights.sum(axis=1, keepdims=True), axis=1)  # of X | L
+        self._theta = _theta_tables(l_cap, scene.brightness, mode_weights(scene, psf).delta)  # [L, X, j]
         # order L's probes: the first L columns of one column-major envelope draw, origin in row 0, so the same at
         # every l_cap >= L; its splits: columns (L - 1)(L + 2)/2 + X of the slices' all-orders bracket
         probes = (np.random.default_rng(9191).standard_normal((l_cap, _MAJORANT_SCAN)) * psf.sigma_k).T
         probes[0] = 0.0
         rows = _MAJORANT_SCAN * (l_cap + 1) // sum(L + 1 for L in orders)  # no slice's output above one order's
         peaks = np.max([_bracket(probes[lo : lo + rows], scene.separation, [range(L + 1) for L in orders],
-                                 [self._theta[L] for L in orders], orders).max(axis=0)
+                                 [self._theta[L, : L + 1, :L] for L in orders], orders).max(axis=0)
                         for lo in range(0, _MAJORANT_SCAN, rows)], axis=0).tolist()
         self._majorants = {(L, X): _MAJORANT_MARGIN * max(peaks[(L - 1) * (L + 2) // 2 + x] for x in (X, L - X))
                            for L in orders for X in range(L + 1)}
         self.cell_counts = {}
 
     def _bracket(self, L, X, k):
-        """The bracket of each row of ``k`` at split X, an int or one per row; at ``X=None``, of every split (N, L + 1)."""
+        """The bracket of each row of ``k`` at L and split X, ints or one per row (descending L, zero padding past
+        a row's L); at ``X=None``, of every split of order L (N, L + 1)."""
         if X is None:
-            return _bracket(k, self.scene.separation, range(L + 1), self._theta[L])
-        xs = np.broadcast_to(X, len(k))
-        return _bracket(k, self.scene.separation, xs, np.take(self._theta[L], xs, axis=0), lengths=np.full(len(k), L))
+            return _bracket(k, self.scene.separation, range(L + 1), self._theta[L, : L + 1, :L])
+        lengths, xs = np.broadcast_to(L, len(k)), np.broadcast_to(X, len(k))
+        coefs = self._theta.reshape(-1, self.l_cap)[lengths * (self.l_cap + 1) + xs]
+        return _bracket(k, self.scene.separation, xs, coefs, lengths=lengths)
 
     def _majorant(self, L, X):
         """Rejection bound of cell (L, X): ``_MAJORANT_MARGIN`` times the largest of splits X and L - X (g_{L-X} at
@@ -205,57 +207,70 @@ class FrameSampler:
         return self._majorants[(L, X)]
 
     def _sample_momenta(self, L, X, count, rng):
-        """Rejection-sample ``count`` momentum tuples of cell (L, X), or of each cell of arrays X and count, in rounds.
+        """Rejection-sample ``count`` momentum tuples of cell (L, X), or of each cell of arrays L, X, count, in rounds.
 
         A proposal is accepted with probability g/bound, so a bound's exact acceptance is w(L, X)/bound, with w
         the closed-form class weight.  Each round draws, for every cell still short, its remaining count times
         bound/w plus ``_BLOCK_FLOOR`` proposals, at most ``_BLOCK_CAP`` in all, in one per-row bracket call.  A
         cell's pass keeps its accepted rows under one bound; a proposal above it ends the pass, raises the bound to
         ``_MAJORANT_MARGIN`` times that value and drops the pass's rows, so every returned row was drawn under a
-        bound no proposal of its cell violated.  A cell's ninth violated pass raises :class:`MajorantError`.
-        Returns (sum of counts, L) momenta, cell after cell.
+        bound no proposal of its cell violated.  A cell's ninth violated pass raises :class:`MajorantError`.  The
+        cells come in descending L; returns their (sum of counts, largest L) momenta, zero-padded, cell after cell.
         """
-        cells, want = np.atleast_1d(X).tolist(), np.atleast_1d(count)
-        tallies = [self.cell_counts.setdefault((L, x), {"proposals": 0, "accepted": 0, "violated": 0}) for x in cells]
-        bounds, before = np.array([self._majorant(L, x) for x in cells]), [t["violated"] for t in tallies]
-        kept = [np.empty((0, L)) for _ in cells]
-        while np.any(short := (have := np.array([len(rows) for rows in kept])) < want):
-            need = np.where(short, np.ceil((want - have) * bounds / self._weights[L][cells]) + _BLOCK_FLOOR, 0)
-            ends = np.minimum(np.cumsum(need), _BLOCK_CAP).astype(int)  # the cap cuts the last cells' blocks
-            blocks = np.diff(ends, prepend=0)
-            k = rng.standard_normal((ends[-1], L)) * self.psf.sigma_k
-            g = self._bracket(L, np.repeat(cells, blocks), k)
-            accept = rng.random(ends[-1]) * np.repeat(bounds, blocks) < g
-            for i, (lo, hi) in enumerate(zip((ends - blocks).tolist(), ends.tolist())):
-                tallies[i]["proposals"] += hi - lo
-                if (peak := g[lo:hi].max(initial=-np.inf)) > bounds[i]:  # a cell the cap left out has no rows
-                    self._majorants[(L, cells[i])] = _MAJORANT_MARGIN * float(peak)
-                    tallies[i]["violated"] += 1
-                    if tallies[i]["violated"] - before[i] == 9:  # this call's ninth violated pass of the cell
-                        raise MajorantError(f"majorant for (L={L}, X={cells[i]}) was violated in 9 passes in a row")
-                    bounds[i], kept[i] = self._majorant(L, cells[i]), kept[i][:0]
-                    continue
-                tallies[i]["accepted"] += int(accept[lo:hi].sum())
-                kept[i] = np.concatenate([kept[i], k[lo:hi][accept[lo:hi]]])
-        return np.concatenate([rows[:n] for rows, n in zip(kept, want.tolist())])
+        ls, xs, want = (np.atleast_1d(a) for a in np.broadcast_arrays(L, X, count))
+        cells, width, firsts = list(zip(ls.tolist(), xs.tolist())), int(ls.max(initial=0)), np.cumsum(want) - want
+        tallies = [self.cell_counts.setdefault(c, {"proposals": 0, "accepted": 0, "violated": 0}) for c in cells]
+        bounds, w = np.array([self._majorant(*c) for c in cells]), self._weights[ls - 1, xs]
+        have, drawn, accepted, passes = np.zeros((4, len(cells)), int)
+        out = np.zeros((want.sum(), width))  # cell i's rows from firsts[i] on
+        try:
+            while np.any(short := have < want):
+                need = np.where(short, np.ceil((want - have) * bounds / w) + _BLOCK_FLOOR, 0)
+                ends = np.minimum(np.cumsum(need), _BLOCK_CAP).astype(int)  # the cap cuts the last cells' blocks
+                blocks = np.diff(ends, prepend=0)
+                lengths, k = np.repeat(ls, blocks), np.zeros((width, ends[-1]))
+                # column-major: column a's rows, those with L > a, are a prefix; the rest stays zero padding
+                for a, rows in enumerate((ends[-1] - np.cumsum(np.bincount(lengths))[:width]).tolist()):
+                    np.multiply(rng.standard_normal(rows), self.psf.sigma_k, out=k[a, :rows])
+                g = self._bracket(lengths, np.repeat(xs, blocks), k.T)
+                accept = rng.random(ends[-1]) * np.repeat(bounds, blocks) < g
+                starts = (ends - blocks)[live := np.flatnonzero(blocks)]  # a cell the cap left out has no rows
+                peaks, got = np.full(len(cells), -np.inf), np.zeros(len(cells), int)
+                peaks[live], got[live] = np.maximum.reduceat(g, starts), np.add.reduceat(accept, starts, dtype=int)
+                got[violated := np.flatnonzero(peaks > bounds)] = 0
+                # an unviolated cell's accepted rows follow the rows it has in out, up to its count
+                to = np.repeat(firsts + have - np.cumsum(got) + got, got) + np.arange(got.sum())
+                fits = to < np.repeat(firsts + want, got)
+                out[to[fits]] = k.T[accept & np.repeat(peaks <= bounds, blocks)][fits]
+                drawn, have, accepted = drawn + blocks, have + got, accepted + got
+                for i in violated.tolist():  # the cell's pass ends: its bound is raised and its rows are redrawn
+                    self._majorants[cells[i]] = _MAJORANT_MARGIN * float(peaks[i])
+                    tallies[i]["violated"], passes[i] = tallies[i]["violated"] + 1, passes[i] + 1
+                    if passes[i] == 9:  # this call's ninth violated pass of the cell
+                        raise MajorantError(f"majorant for (L={ls[i]}, X={xs[i]}) was violated in 9 passes in a row")
+                    bounds[i], have[i] = self._majorant(*cells[i]), 0
+        finally:
+            for tally, n_drawn, n_accepted in zip(tallies, drawn.tolist(), accepted.tolist()):
+                tally.update(proposals=tally["proposals"] + n_drawn, accepted=tally["accepted"] + n_accepted)
+        return out
 
     def sample_record(self, rng: np.random.Generator, n: int) -> FrameRecord:
         """Draw a :class:`FrameRecord` of ``n`` independent frames (order randomized)."""
         _count("n", n, 0)
         l_values = rng.choice(np.arange(1, self.l_cap + 1), size=n, p=self.p_l_given_cap)
-        groups = {}
-        for L in np.unique(l_values).tolist():
-            positions = np.flatnonzero(l_values == L)
-            xs = rng.choice(np.arange(L + 1), size=positions.size, p=self.x_given_l[L])
-            momenta = np.empty((positions.size, L))  # _sample_momenta returns them cell after cell
-            momenta[np.argsort(xs, kind="stable")] = self._sample_momenta(L, *np.unique(xs, return_counts=True), rng)
-            groups[L] = (positions, xs, momenta)
-        return FrameRecord(groups)
+        xs = np.minimum((self._x_cdf[l_values - 1] <= rng.random(n)[:, None]).sum(axis=1), l_values)
+        cell = (self.l_cap - l_values) * (self.l_cap + 1) + xs  # in descending L, then ascending X
+        cells, counts = np.unique(cell, return_counts=True)
+        rows = self._sample_momenta(self.l_cap - cells // (self.l_cap + 1), cells % (self.l_cap + 1), counts, rng)
+        momenta = np.empty_like(rows)  # _sample_momenta returns them cell after cell
+        momenta[np.argsort(cell, kind="stable")] = rows
+        return FrameRecord({L: (p, xs[p], momenta[p, :L])
+                            for L in np.unique(l_values).tolist() for p in [np.flatnonzero(l_values == L)]})
 
 
 def sample_frame(scene: SourceScene, psf: PsfModel, rng: np.random.Generator, l_cap: int = L_CAP) -> DetectionOutcome:
-    """One-shot convenience wrapper around :class:`FrameSampler`: each call builds one and so pays its whole
-    bound scan, about 0.09 s at l_cap 12; draw many frames with one sampler's :meth:`~FrameSampler.sample_record`."""
+    """One-shot convenience wrapper around :class:`FrameSampler`: each call builds one and so pays its whole bound
+    scan, about 0.1 s at l_cap 12; draw many frames with one sampler's :meth:`~FrameSampler.sample_record`."""
     return FrameSampler(scene, psf, l_cap=l_cap).sample_record(rng, 1)[0]
 
 

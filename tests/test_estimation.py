@@ -214,9 +214,9 @@ class TestMajorantScanAndBlocks:
         record = sampler.sample_record(np.random.default_rng(31), 3000)
         drawn = {}
         for L, X, k, _ in calls:
-            if X is not None:  # one split per row
-                for x, n in zip(*np.unique(X, return_counts=True)):
-                    drawn[(L, int(x))] = drawn.get((L, int(x)), 0) + int(n)
+            if X is not None:  # one L and split per row
+                for cell in zip(np.broadcast_to(L, len(k)).tolist(), np.broadcast_to(X, len(k)).tolist()):
+                    drawn[cell] = drawn.get(cell, 0) + 1
         frames = {}
         for L, (_, splits, _) in record.groups.items():
             for X, n in zip(*np.unique(splits, return_counts=True)):
@@ -234,17 +234,72 @@ class TestMajorantScanAndBlocks:
         assert sampler._sample_momenta(2, 1, 200, np.random.default_rng(37)).shape == (200, 2)
         assert sampler.cell_counts[(2, 1)]["violated"] >= 1
 
-    def test_one_proposal_call_per_photon_number_and_round(self):
-        # every cell of an L shares one per-row call per round, each row at its own split
+    def test_one_proposal_call_per_round(self):
+        # every cell of the record shares one per-row call per round, each row at its own L and split: 2-4 calls
         sampler = FrameSampler(SCENE, PSF)
-        for L in range(1, sampler.l_cap + 1):  # warm: every bound scanned
-            sampler._majorant(L, 0)
         calls = recorded_brackets(sampler)
         record = sampler.sample_record(np.random.default_rng(23), 5000)
-        proposals = [(L, X) for L, X, _, _ in calls if X is not None]
+        proposals = [(L, X, k) for L, X, k, _ in calls if X is not None]
         assert len(record) == 5000
-        assert len(proposals) <= 24
-        assert all(np.ndim(X) == 1 for _, X in proposals)
+        assert len(proposals) <= 6
+        for L, X, k in proposals:
+            assert np.ndim(L) == np.ndim(X) == 1 and len(L) == len(X) == len(k)
+            assert np.all(np.diff(L) <= 0) and k.shape[1] == max(record.groups)  # descending L, one width
+
+    def test_violation_keeps_other_cells_of_its_round(self, monkeypatch):
+        # a violation in cell (3, 1) of the first round drops that cell's rows only: the cells of other L keep
+        # the rows and tallies of an unforced call from the same generator
+        monkeypatch.setattr(estimation, "_BLOCK_FLOOR", 2000)  # blocks far above need: one round fills a cell
+        cells = (np.array([4, 3, 2]), np.array([2, 1, 0]), np.array([40, 40, 40]))
+        plain = FrameSampler(SCENE, PSF, l_cap=4)
+        plain_calls = recorded_brackets(plain)
+        want = plain._sample_momenta(*cells, np.random.default_rng(53))
+        assert len(plain_calls) == 1  # the unforced call ends in one round
+
+        forced = FrameSampler(SCENE, PSF, l_cap=4)
+        bracket, calls, bound = forced._bracket, [], forced._majorant(3, 1)
+
+        def first_round_violates(L, X, k):  # one proposal of (3, 1) at 1.1 times its bound
+            g = bracket(L, X, k)
+            calls.append((L, X, k))
+            if len(calls) == 1:
+                g[np.flatnonzero((L == 3) & (X == 1))[0]] = 1.1 * bound
+            return g
+
+        forced._bracket = first_round_violates
+        got = forced._sample_momenta(*cells, np.random.default_rng(53))
+        assert len(calls) == 2 and got.shape == want.shape == (120, 4)
+        np.testing.assert_array_equal(got[:40], want[:40])
+        np.testing.assert_array_equal(got[80:], want[80:])
+        for cell in [(4, 2), (2, 0)]:
+            assert forced.cell_counts[cell] == plain.cell_counts[cell]
+        counts = forced.cell_counts[(3, 1)]
+        assert counts["violated"] == 1 and forced._majorant(3, 1) == 1.2 * (1.1 * bound)
+        L, X, k = calls[1]
+        redrawn = (L == 3) & (X == 1)
+        assert counts["proposals"] == plain.cell_counts[(3, 1)]["proposals"] + redrawn.sum()
+        assert counts["accepted"] >= 40 and redrawn.sum() == len(L)  # the second round drew for (3, 1) alone
+        # (3, 1)'s rows were all drawn in the second round, under the raised bound
+        second = {tuple(row) for row in k[redrawn].tolist()}
+        assert all(tuple(row) in second for row in got[40:80].tolist())
+
+
+class TestPerRowHook:
+    """``FrameSampler._bracket`` with one L per row, as a whole-record round calls it."""
+
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
+    @pytest.mark.parametrize("n", [1, 40, 5000])
+    def test_per_row_photon_numbers_match_per_l_calls_bit_for_bit(self, s, n):
+        sampler = FrameSampler(SourceScene(s, 1.5), PSF)
+        rng = np.random.default_rng([59, n])
+        lengths = np.sort(rng.integers(1, 13, n))[::-1]
+        xs = rng.integers(0, lengths + 1)
+        k = rng.standard_normal((n, 12)) * PSF.sigma_k * (np.arange(12) < lengths[:, None])
+        for momenta in (k, np.asfortranarray(k)):  # the sampler passes column-major rounds
+            got = sampler._bracket(lengths, xs, momenta)
+            for L in np.unique(lengths).tolist():
+                rows = lengths == L
+                np.testing.assert_array_equal(got[rows], sampler._bracket(L, xs[rows], k[rows, :L]))
 
 
 class TestCellDensities:
