@@ -281,13 +281,14 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     ``orders`` or ``lengths`` the one order is L = k.shape[1] at ``splits``.  There the slots X >= 1 are shared:
     after photon a - 1 every S_X with X >= a is D, so slot a stands for them all, and photon a splits it into X = a
     (- P) and a new top slot (+ P).  S_0 = -D, the top slot negated (exactly), is not carried: X = 0 reads the top
-    slot, which squares alike.  Given ``lengths``, row i of the (N,) result is split ``splits[i]`` on its first
-    ``lengths[i]`` columns (the rest zero padding) under ``coefs[i, :lengths[i]]``, rows in descending L.  A row
-    then has one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every step
+    slot, which squares alike.  Given ``lengths``, row i of the (N,) result is split X = ``splits[i]`` on the first
+    L = ``lengths[i]`` columns (the rest zero padding) under ``coefs[L, X, :L]`` of the table, rows in descending
+    L.  A row then has one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every step
     subtracts P; the rows still running at photon a (L > a) are a prefix of the chunk, and the rows of L = a are
-    read there.  A read squares its runs of slots, in split order, into the scratch, free until photon a's step,
-    scales them by the coefficients and sums over j one slice at a time, without BLAS: each row's value then
-    depends on its momenta alone, not on its place in the chunk, the row count or BLAS's threads.
+    read there; the state at photon a is a dense (2, degree, running rows) view, 2 (L + 1) words a row.  A read
+    squares its runs of slots, in split order, into the scratch, free until photon a's step, scales them by the
+    coefficients and sums over j one slice at a time, without BLAS: each row's value then depends on its momenta
+    alone, not on its place in the chunk, the row count or BLAS's threads.
     """
     n_rows, shared = len(k), lengths is None
     if shared:  # every row runs to the last order
@@ -316,15 +317,18 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     # words per row: one (P, S) state; per row, its (P, S) to its own L in each of z, z_new and tmp
     words = (1 + slots) * width if shared else 6 * int(lengths.sum()) // max(1, n_rows) or 1
     chunk = max(1, _CHUNK_BYTES // (words * dtype.itemsize))
-    buf = np.empty(3 * (1 + slots) * width * min(chunk, n_rows), dtype)  # one for every chunk: fewer page faults
+    per_slot = width * min(chunk, n_rows) if shared else int(lengths[:chunk].sum()) + min(chunk, n_rows)
+    parts = np.empty((3, (1 + slots) * per_slot), dtype)  # z, z_new and tmp for every chunk: fewer page faults
     for lo in range(0, n_rows, chunk):
         n = min(chunk, n_rows - lo)
         # running[a]: the rows with L > a, a prefix of the chunk; photon a's factors are taken on those only
         running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
         first = list(itertools.accumulate(running[:width], initial=0))
         trig = _half_angle_trig(s, np.concatenate([k[lo : lo + r, a] for a, r in enumerate(running[:width])]))
-        # (P, S of each slot) twice and scratch, not zeroed: each step writes every coefficient the next one reads
-        z, z_new, tmp = buf[: 3 * (1 + slots) * width * n].reshape(3, 1 + slots, width, n)
+        # (P, S of each slot) twice and scratch, not zeroed: each step writes every coefficient the next one reads;
+        # per row they are viewed anew at each photon, only as large as its running rows and degree
+        d = width if shared else min(2, width)
+        z, z_new, tmp = parts[:, : (1 + slots) * d * n].reshape(3, 1 + slots, d, n)
         z[:2, :2] = 0.0  # after photon 0: P = f_0, and S_X = D = 1 for X > 0 (per row, stored -S_X = -1)
         z[0, :2], z[1, 0] = (trig[0][:n], trig[1][:n])[:width], (1.0 if shared else -1.0)
         for a in range(1, width + 1):
@@ -340,14 +344,16 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
                 out[lo : lo + n, cols] = sq[0].T
             elif not shared and end > r:  # the rows of L = a end here
                 S = z[1, :a, r:end]
-                out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, coefs[lo + r : lo + end, :a])
+                out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, coefs[a, xs[lo + r : lo + end], :a])
             if r == 0:
                 break
             h = a + 1 if shared else 2  # rows of z in use: P and the slots
+            v = min(a + 1, width)  # coefficients of P, of degree a (S has degree a - 1), truncated
             if not shared:  # the rows with X = a turn their stored -S_X into S_X
                 z[1, :a, np.flatnonzero(xs[lo : lo + r] == a)] *= -1.0
+                z_new = parts[a % 2, : 2 * min(v + 1, width) * r].reshape(2, min(v + 1, width), r)
+                tmp = parts[2, : 2 * (v - 1) * r].reshape(2, v - 1, r)
             c, sn = trig[:, None, None, first[a] : first[a] + r]
-            v = min(a + 1, width)  # coefficients of P, of degree a (S has degree a - 1), truncated
             if v < width:  # the new top coefficient, P_a sin_a (S's is 0)
                 np.multiply(z[:h, v - 1 : v, :r], sn, z_new[:h, v : v + 1, :r])
             np.multiply(z[:h, :v, :r], c, z_new[:h, :v, :r])  # (P, S) f_a, truncated

@@ -5,10 +5,7 @@ L from the closed-form thermal distribution (truncated at ``l_cap``;
 larger frames are redrawn) and camera split X from the closed-form
 momentum-integrated class weights, both exactly for every frame first, then
 momenta by rejection sampling with the envelope as proposal, in rounds over
-the whole record: one per-row kernel call checks a round's proposals, for
-every (L, X) cell still short, each row at its own L and split, against the
-cell's bound from one probe scan of every cell at construction, in blocks
-sized by its exact acceptance w(L, X)/bound.
+the whole record of one per-row kernel call each (:class:`FrameSampler`).
 
 The likelihood used for estimation conditions on L <= l_cap — the same
 truncation the sampler applies — by subtracting N log W(s) with
@@ -196,9 +193,8 @@ class FrameSampler:
         a row's L); at ``X=None``, of every split of order L (N, L + 1)."""
         if X is None:
             return _bracket(k, self.scene.separation, range(L + 1), self._theta[L, : L + 1, :L])
-        lengths, xs = np.broadcast_to(L, len(k)), np.broadcast_to(X, len(k))
-        coefs = self._theta.reshape(-1, self.l_cap)[lengths * (self.l_cap + 1) + xs]
-        return _bracket(k, self.scene.separation, xs, coefs, lengths=lengths)
+        return _bracket(k, self.scene.separation, np.broadcast_to(X, len(k)), self._theta,
+                        lengths=np.broadcast_to(L, len(k)))
 
     def _majorant(self, L, X):
         """Rejection bound of cell (L, X): ``_MAJORANT_MARGIN`` times the largest of splits X and L - X (g_{L-X} at
@@ -221,37 +217,33 @@ class FrameSampler:
         cells, width, firsts = list(zip(ls.tolist(), xs.tolist())), int(ls.max(initial=0)), np.cumsum(want) - want
         tallies = [self.cell_counts.setdefault(c, {"proposals": 0, "accepted": 0, "violated": 0}) for c in cells]
         bounds, w = np.array([self._majorant(*c) for c in cells]), self._weights[ls - 1, xs]
-        have, drawn, accepted, passes = np.zeros((4, len(cells)), int)
+        have, before = np.zeros(len(cells), int), [t["violated"] for t in tallies]
         out = np.zeros((want.sum(), width))  # cell i's rows from firsts[i] on
-        try:
-            while np.any(short := have < want):
-                need = np.where(short, np.ceil((want - have) * bounds / w) + _BLOCK_FLOOR, 0)
-                ends = np.minimum(np.cumsum(need), _BLOCK_CAP).astype(int)  # the cap cuts the last cells' blocks
-                blocks = np.diff(ends, prepend=0)
-                lengths, k = np.repeat(ls, blocks), np.zeros((width, ends[-1]))
-                # column-major: column a's rows, those with L > a, are a prefix; the rest stays zero padding
-                for a, rows in enumerate((ends[-1] - np.cumsum(np.bincount(lengths))[:width]).tolist()):
-                    np.multiply(rng.standard_normal(rows), self.psf.sigma_k, out=k[a, :rows])
-                g = self._bracket(lengths, np.repeat(xs, blocks), k.T)
-                accept = rng.random(ends[-1]) * np.repeat(bounds, blocks) < g
-                starts = (ends - blocks)[live := np.flatnonzero(blocks)]  # a cell the cap left out has no rows
-                peaks, got = np.full(len(cells), -np.inf), np.zeros(len(cells), int)
-                peaks[live], got[live] = np.maximum.reduceat(g, starts), np.add.reduceat(accept, starts, dtype=int)
-                got[violated := np.flatnonzero(peaks > bounds)] = 0
-                # an unviolated cell's accepted rows follow the rows it has in out, up to its count
-                to = np.repeat(firsts + have - np.cumsum(got) + got, got) + np.arange(got.sum())
-                fits = to < np.repeat(firsts + want, got)
-                out[to[fits]] = k.T[accept & np.repeat(peaks <= bounds, blocks)][fits]
-                drawn, have, accepted = drawn + blocks, have + got, accepted + got
-                for i in violated.tolist():  # the cell's pass ends: its bound is raised and its rows are redrawn
-                    self._majorants[cells[i]] = _MAJORANT_MARGIN * float(peaks[i])
-                    tallies[i]["violated"], passes[i] = tallies[i]["violated"] + 1, passes[i] + 1
-                    if passes[i] == 9:  # this call's ninth violated pass of the cell
-                        raise MajorantError(f"majorant for (L={ls[i]}, X={xs[i]}) was violated in 9 passes in a row")
-                    bounds[i], have[i] = self._majorant(*cells[i]), 0
-        finally:
-            for tally, n_drawn, n_accepted in zip(tallies, drawn.tolist(), accepted.tolist()):
-                tally.update(proposals=tally["proposals"] + n_drawn, accepted=tally["accepted"] + n_accepted)
+        while np.any(short := have < want):
+            need = np.where(short, np.ceil((want - have) * bounds / w) + _BLOCK_FLOOR, 0)
+            ends = np.minimum(np.cumsum(need), _BLOCK_CAP).astype(int)  # the cap cuts the last cells' blocks
+            blocks = np.diff(ends, prepend=0)
+            lengths, k = np.repeat(ls, blocks), np.zeros((width, ends[-1]))  # column-major, zero padding past L
+            k[np.arange(width)[:, None] < lengths] = rng.standard_normal(int(lengths.sum())) * self.psf.sigma_k
+            g = self._bracket(lengths, np.repeat(xs, blocks), k.T)
+            accept = rng.random(ends[-1]) * np.repeat(bounds, blocks) < g
+            starts = (ends - blocks)[live := np.flatnonzero(blocks)]  # a cell the cap left out has no rows
+            peaks, got = np.full(len(cells), -np.inf), np.zeros(len(cells), int)
+            peaks[live], got[live] = np.maximum.reduceat(g, starts), np.add.reduceat(accept, starts, dtype=int)
+            got[violated := np.flatnonzero(peaks > bounds)] = 0
+            # an unviolated cell's accepted rows follow the rows it has in out, up to its count
+            to = np.repeat(firsts + have - np.cumsum(got) + got, got) + np.arange(got.sum())
+            fits = to < np.repeat(firsts + want, got)
+            out[to[fits]] = k.T[accept & np.repeat(peaks <= bounds, blocks)][fits]
+            have += got
+            for tally, drawn, accepted in zip(tallies, blocks.tolist(), got.tolist()):
+                tally["proposals"], tally["accepted"] = tally["proposals"] + drawn, tally["accepted"] + accepted
+            for i in violated.tolist():  # the cell's pass ends: its bound is raised and its rows are redrawn
+                self._majorants[cells[i]] = _MAJORANT_MARGIN * float(peaks[i])
+                tallies[i]["violated"] += 1
+                if tallies[i]["violated"] - before[i] == 9:  # this call's ninth violated pass of the cell
+                    raise MajorantError(f"majorant for (L={ls[i]}, X={xs[i]}) was violated in 9 passes in a row")
+                bounds[i], have[i] = self._majorant(*cells[i]), 0
         return out
 
     def sample_record(self, rng: np.random.Generator, n: int) -> FrameRecord:
@@ -294,7 +286,7 @@ def _log_likelihood(rows, n_frames, psf, brightness, l_cap, s):
     k, lengths, xs = rows
     scene = SourceScene(separation=s, brightness=brightness)
     delta = mode_weights(scene, psf).delta
-    bracket = _bracket(k, s, xs, _theta_tables(k.shape[1], brightness, delta)[lengths, xs], lengths=lengths)
+    bracket = _bracket(k, s, xs, _theta_tables(k.shape[1], brightness, delta), lengths=lengths)
     if np.any(bracket <= 0):
         return -np.inf
     norm = frame_size_distribution(l_cap, scene, psf).sum()

@@ -664,7 +664,7 @@ class TestBracketKernel:
             lengths = np.sort(pool[:n])[::-1]
             xs = rng.integers(0, lengths + 1)
             k = rng.standard_normal((n, 12)) * PSF.sigma_k * (np.arange(12) < lengths[:, None])
-            got = _bracket(k, s, xs, _theta_tables(12, 1.5, delta)[lengths, xs], lengths=lengths)
+            got = _bracket(k, s, xs, _theta_tables(12, 1.5, delta), lengths=lengths)
             assert got.shape == (n,) and got.dtype == np.result_type(s, float)
             for L in np.unique(lengths):
                 rows = np.flatnonzero(lengths == L)
@@ -685,7 +685,7 @@ class TestBracketKernel:
             k = rng.standard_normal((3000, L)) * PSF.sigma_k
             xs = rng.integers(0, L + 1, len(k))
             coefs = _theta_table(L, 1.5, delta)
-            got = _bracket(k, z, xs, coefs[xs], lengths=np.full(len(k), L))
+            got = _bracket(k, z, xs, _theta_tables(L, 1.5, delta), lengths=np.full(len(k), L))
             assert got.shape == (len(k),) and got.dtype == np.result_type(z, float)
             for X in range(L + 1):
                 rows = xs == X
@@ -743,8 +743,7 @@ class TestBracketKernel:
         lengths = np.sort(rng.integers(1, 10, 45))[::-1]
         lengths[0] = 9
         xs = rng.integers(0, lengths + 1)
-        got = bracket(k * (np.arange(9) < lengths[:, None]), s, xs, _theta_tables(9, 1.5, delta)[lengths, xs],
-                      lengths=lengths)
+        got = bracket(k * (np.arange(9) < lengths[:, None]), s, xs, _theta_tables(9, 1.5, delta), lengths=lengths)
         for L in np.unique(lengths):
             rows = np.flatnonzero(lengths == L)
             want = oracle_bracket(k[rows, :L], s, range(L + 1), _theta_table(L, 1.5, delta))

@@ -283,6 +283,27 @@ class TestMajorantScanAndBlocks:
         second = {tuple(row) for row in k[redrawn].tolist()}
         assert all(tuple(row) in second for row in got[40:80].tolist())
 
+    def test_violation_drops_the_rows_its_pass_kept_from_earlier_rounds(self):
+        # a pass spans rounds: a violation in the second round also drops the rows accepted in the first
+        sampler = FrameSampler(SCENE, PSF, l_cap=4)
+        bracket, calls, bound = sampler._bracket, [], sampler._majorant(3, 1)
+
+        def rounds(L, X, k):  # round one: ten proposals just under the bound, the rest rejected; two: a violation
+            g = bracket(L, X, k)
+            calls.append(k)
+            if len(calls) == 1:
+                g[:10], g[10:] = 0.99 * bound, 0.0
+            elif len(calls) == 2:
+                g[0] = 1.1 * bound
+            return g
+
+        sampler._bracket = rounds
+        got = sampler._sample_momenta(3, 1, 40, np.random.default_rng(61))
+        assert len(calls[1]) < len(calls[0])  # the first round kept rows, so the second drew fewer proposals
+        assert len(calls) >= 3 and sampler.cell_counts[(3, 1)]["violated"] == 1
+        later = {tuple(row) for k in calls[2:] for row in k.tolist()}
+        assert all(tuple(row) in later for row in got.tolist())
+
 
 class TestPerRowHook:
     """``FrameSampler._bracket`` with one L per row, as a whole-record round calls it."""

@@ -133,8 +133,12 @@ def _kernel(families, psf, rng):
                 k, z, [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders)}
             got[f"orders {sub_orders} at splits {sub_splits}"] = c._bracket(
                 k[:, :9], z, sub_splits, [tables[L, x, :L] for L, x in zip(sub_orders, sub_splits)], sub_orders)
-            got["one split per row"] = c._bracket(padded, z, xs, tables[lengths, xs], lengths=lengths)
-            got["L=7, one split per row"] = c._bracket(k[:, :7], z, xs7, tables[7, xs7, :7], lengths=np.full(len(k), 7))
+            # the per-row form reads the [L, X, j] table; an older checkout's takes one coefficient row per row
+            table = "coefs[L, X, :L]" in c._bracket.__doc__
+            got["one split per row"] = c._bracket(padded, z, xs, tables if table else tables[lengths, xs],
+                                                  lengths=lengths)
+            got["L=7, one split per row"] = c._bracket(k[:, :7], z, xs7, tables if table else tables[7, xs7, :7],
+                                                       lengths=np.full(len(k), 7))
             for L in (1, 2, 4, 7, 12):
                 got[f"L={L} every split"] = c._bracket(k[:, :L], z, range(L + 1), tables[L, : L + 1, :L])
                 got[f"L={L} X={L // 2}"] = c._bracket(k[:, :L], z, [L // 2], tables[L, L // 2 : L // 2 + 1, :L])
