@@ -36,6 +36,7 @@ labels, so any assignment is evaluated as the canonical one, C1 photons first.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -215,19 +216,27 @@ def _xi_coeffs(momenta, s: float) -> list:
     return coeffs
 
 
+@functools.lru_cache(maxsize=64)
+def _theta_parts(l_max: int, ns: float) -> tuple:
+    """The s-free parts of :func:`_theta_tables`, read-only (two threads may share them): the factorial and N_s
+    power products, the exponents of A and B, the X table 1/(X! (L-X)!) and the mask X <= L, j < L."""
+    fact = np.array([math.factorial(i) for i in range(l_max + 1)], dtype=float)
+    L, X, j = np.arange(l_max + 1)[:, None], np.arange(l_max + 1), np.arange(l_max)
+    ns_power = np.array([ns ** (n - 1) for n in range(l_max + 1)])[:, None]
+    parts = (fact[np.maximum(L - 1 - j, 0)] * fact[j] * ns_power, np.maximum(L - j, 0), j + 1,
+             1.0 / (fact[X] * fact[np.maximum(L - X, 0)]), (X <= L)[:, :, None] & (j < L)[:, None, :])
+    for part in parts:
+        part.flags.writeable = False
+    return parts
+
+
 def _theta_tables(l_max: int, ns: float, delta) -> np.ndarray:
     """Weights Theta_j p0 N_s^{L-1} / (2 A^{L-1-j} B^j), indexed [L, X, j] for L, X <= l_max and j < l_max,
     zero unless X <= L and j < L.
 
     With p0 = 1/(A B) each L's table is the outer product of 1/(X! (L-X)!) and the X-free rest."""
-    a_mode = 1.0 + ns * (1.0 + delta)
-    b_mode = 1.0 + ns * (1.0 - delta)
-    fact = np.array([math.factorial(i) for i in range(l_max + 1)], dtype=float)
-    L, X, j = np.arange(l_max + 1)[:, None], np.arange(l_max + 1), np.arange(l_max)
-    ns_power = np.array([ns ** (n - 1) for n in range(l_max + 1)])[:, None]
-    per_j = fact[np.maximum(L - 1 - j, 0)] * fact[j] * ns_power / (2.0 * a_mode ** np.maximum(L - j, 0) * b_mode ** (j + 1))
-    per_x = 1.0 / (fact[X] * fact[np.maximum(L - X, 0)])
-    inside = (X <= L)[:, :, None] & (j < L)[:, None, :]
+    numerator, a_power, b_power, per_x, inside = _theta_parts(l_max, ns)
+    per_j = numerator / (2.0 * (1.0 + ns * (1.0 + delta)) ** a_power * (1.0 + ns * (1.0 - delta)) ** b_power)
     return np.where(inside, per_x[:, :, None] * per_j[:, None, :], 0.0)
 
 
@@ -281,16 +290,17 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
     ``orders`` or ``lengths`` the one order is L = k.shape[1] at ``splits``.  There the slots X >= 1 are shared:
     after photon a - 1 every S_X with X >= a is D, so slot a stands for them all, and photon a splits it into X = a
     (- P) and a new top slot (+ P).  S_0 = -D, the top slot negated (exactly), is not carried: X = 0 reads the top
-    slot, which squares alike.  Given ``lengths``, row i of the (N,) result is split X = ``splits[i]`` on the first
-    L = ``lengths[i]`` columns (the rest zero padding) under ``coefs[L, X, :L]`` of the table, rows in descending
-    L.  A row then has one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every step
-    subtracts P; the rows still running at photon a (L > a) are a prefix of the chunk, and the rows of L = a are
-    read there; the state at photon a is a dense (2, degree, running rows) view, 2 (L + 1) words a row.  A read
-    squares its runs of slots, in split order, into the scratch, free until photon a's step, scales them by the
-    coefficients and sums over j one slice at a time, without BLAS: each row's value then depends on its momenta
-    alone, not on its place in the chunk, the row count or BLAS's threads.
+    slot, which squares alike.  Given ``lengths``, row i of the (N,) result is split X = ``splits[i]`` at
+    L = ``lengths[i]`` under ``coefs[L, X, :L]`` of the table, rows in descending L, so the rows still running at
+    photon a (L > a) are a prefix; ``k`` is then one flat buffer of column prefixes, sum(lengths) words: k_a of
+    those rows after k_{a-1} of theirs.  A row has one slot, stored as -S_X until photon X, whose step it enters
+    negated (exactly), so every step subtracts P; the rows of L = a are read at photon a, where the state is a
+    dense (2, degree, running rows) view, 2 (L + 1) words a row.  A read squares its runs of slots, in split
+    order, into the scratch, free until photon a's step, scales them by the coefficients and sums over j one slice
+    at a time, without BLAS: each row's value then depends on its momenta alone, not on its place in the chunk,
+    the row count or BLAS's threads.
     """
-    n_rows, shared = len(k), lengths is None
+    n_rows, shared = len(k if lengths is None else lengths), lengths is None
     if shared:  # every row runs to the last order
         if orders is None:
             orders, splits, coefs = (k.shape[1],), [splits], [coefs]
@@ -308,12 +318,16 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
         dtype = np.result_type(s, *coefs, float)
     else:
         lengths, xs, dtype = np.asarray(lengths), np.asarray(splits), np.result_type(s, coefs, float)
-        if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1 or lengths[0] > k.shape[1]):
-            raise ValueError("per-row bracket needs rows in descending photon number, 1 <= L <= k.shape[1]")
+        if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1):
+            raise ValueError("per-row bracket needs rows in descending photon number, L >= 1")
         if np.any((xs < 0) | (xs > lengths)):  # a split outside 0..L never flips its slot: it would read X = L
             raise ValueError("per-row bracket needs each row's split within 0..L")
+        if np.shape(k) != (lengths.sum(),):
+            raise ValueError(f"per-row bracket needs the rows' sum(lengths) = {lengths.sum()} momenta, one flat buffer")
+        total = n_rows - np.cumsum(np.bincount(lengths))  # the rows with L > a: column a of k, from word starts[a]
+        starts = (np.cumsum(total) - total).tolist()
     out = np.empty((n_rows, ends[-1]) if shared else n_rows, dtype)
-    width, slots = k.shape[1], (k.shape[1] if shared else 1)
+    width, slots = (k.shape[1], k.shape[1]) if shared else (int(lengths.max(initial=0)), 1)
     # words per row: one (P, S) state; per row, its (P, S) to its own L in each of z, z_new and tmp
     words = (1 + slots) * width if shared else 6 * int(lengths.sum()) // max(1, n_rows) or 1
     chunk = max(1, _CHUNK_BYTES // (words * dtype.itemsize))
@@ -324,7 +338,9 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
         # running[a]: the rows with L > a, a prefix of the chunk; photon a's factors are taken on those only
         running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
         first = list(itertools.accumulate(running[:width], initial=0))
-        trig = _half_angle_trig(s, np.concatenate([k[lo : lo + r, a] for a, r in enumerate(running[:width])]))
+        # photon a's factors on its running rows, photon after photon: a flat buffer in one chunk is read as it is
+        columns = [k[lo : lo + r, a] if shared else k[starts[a] + lo :][:r] for a, r in enumerate(running[:width])]
+        trig = _half_angle_trig(s, k if n == n_rows and not shared else np.concatenate(columns))
         # (P, S of each slot) twice and scratch, not zeroed: each step writes every coefficient the next one reads;
         # per row they are viewed anew at each photon, only as large as its running rows and degree
         d = width if shared else min(2, width)

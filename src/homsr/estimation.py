@@ -19,8 +19,9 @@ relative standard error about 2.7e-3 at s = 1, N_s = 1.5.
 The one record type is :class:`FrameRecord` (``==`` means equal outcome
 lists): the sampler fills it, :func:`read_record` returns it equal to the
 record written, and the likelihood lays its frames out once per fit as
-zero-padded rows in descending L, which one kernel call per evaluation
-reads, each row at its own (L, X).
+column prefixes in descending L (column a holds k_a of the frames with
+L > a: sum of L words a record, as a sampler round draws its proposals),
+which one kernel call per evaluation reads, each row at its own (L, X).
 """
 
 from __future__ import annotations
@@ -189,12 +190,12 @@ class FrameSampler:
         self.cell_counts = {}
 
     def _bracket(self, L, X, k):
-        """The bracket of each row of ``k`` at L and split X, ints or one per row (descending L, zero padding past
-        a row's L); at ``X=None``, of every split of order L (N, L + 1)."""
+        """The bracket of each row at L and split X, one per row in descending L (or one of them an int), ``k`` their
+        momenta as one flat buffer of column prefixes; at ``X=None``, of every split of order L on ``k`` (N, L)."""
         if X is None:
             return _bracket(k, self.scene.separation, range(L + 1), self._theta[L, : L + 1, :L])
-        return _bracket(k, self.scene.separation, np.broadcast_to(X, len(k)), self._theta,
-                        lengths=np.broadcast_to(L, len(k)))
+        L, X = np.broadcast_arrays(L, X)
+        return _bracket(k, self.scene.separation, X, self._theta, lengths=L)
 
     def _majorant(self, L, X):
         """Rejection bound of cell (L, X): ``_MAJORANT_MARGIN`` times the largest of splits X and L - X (g_{L-X} at
@@ -211,30 +212,36 @@ class FrameSampler:
         cell's pass keeps its accepted rows under one bound; a proposal above it ends the pass, raises the bound to
         ``_MAJORANT_MARGIN`` times that value and drops the pass's rows, so every returned row was drawn under a
         bound no proposal of its cell violated.  A cell's ninth violated pass raises :class:`MajorantError`.  The
-        cells come in descending L; returns their (sum of counts, largest L) momenta, zero-padded, cell after cell.
+        cells come in descending L, so a round draws its proposals as the kernel reads them, column prefixes of sum
+        of L words; returns the cells' rows one after another, each row its L momenta in turn (sum of count L words).
         """
         ls, xs, want = (np.atleast_1d(a) for a in np.broadcast_arrays(L, X, count))
-        cells, width, firsts = list(zip(ls.tolist(), xs.tolist())), int(ls.max(initial=0)), np.cumsum(want) - want
+        cells, width, words = list(zip(ls.tolist(), xs.tolist())), int(ls.max(initial=0)), want * ls
         tallies = [self.cell_counts.setdefault(c, {"proposals": 0, "accepted": 0, "violated": 0}) for c in cells]
         bounds, w = np.array([self._majorant(*c) for c in cells]), self._weights[ls - 1, xs]
         have, before = np.zeros(len(cells), int), [t["violated"] for t in tallies]
-        out = np.zeros((want.sum(), width))  # cell i's rows from firsts[i] on
+        out, firsts = np.empty(int(words.sum())), np.cumsum(words) - words  # cell i's rows from word firsts[i] on
         while np.any(short := have < want):
             need = np.where(short, np.ceil((want - have) * bounds / w) + _BLOCK_FLOOR, 0)
             ends = np.minimum(np.cumsum(need), _BLOCK_CAP).astype(int)  # the cap cuts the last cells' blocks
             blocks = np.diff(ends, prepend=0)
-            lengths, k = np.repeat(ls, blocks), np.zeros((width, ends[-1]))  # column-major, zero padding past L
-            k[np.arange(width)[:, None] < lengths] = rng.standard_normal(int(lengths.sum())) * self.psf.sigma_k
-            g = self._bracket(lengths, np.repeat(xs, blocks), k.T)
+            lengths = np.repeat(ls, blocks)
+            k = rng.standard_normal(int(lengths.sum())) * self.psf.sigma_k  # column a: the proposals with L > a
+            g = self._bracket(lengths, np.repeat(xs, blocks), k)
             accept = rng.random(ends[-1]) * np.repeat(bounds, blocks) < g
             starts = (ends - blocks)[live := np.flatnonzero(blocks)]  # a cell the cap left out has no rows
             peaks, got = np.full(len(cells), -np.inf), np.zeros(len(cells), int)
             peaks[live], got[live] = np.maximum.reduceat(g, starts), np.add.reduceat(accept, starts, dtype=int)
             got[violated := np.flatnonzero(peaks > bounds)] = 0
             # an unviolated cell's accepted rows follow the rows it has in out, up to its count
-            to = np.repeat(firsts + have - np.cumsum(got) + got, got) + np.arange(got.sum())
-            fits = to < np.repeat(firsts + want, got)
-            out[to[fits]] = k.T[accept & np.repeat(peaks <= bounds, blocks)][fits]
+            row = np.repeat(have - np.cumsum(got) + got, got) + np.arange(got.sum())
+            fits = row < np.repeat(want, got)
+            kept = np.flatnonzero(accept & np.repeat(peaks <= bounds, blocks))[fits]
+            to, start = (np.repeat(firsts, got) + row * np.repeat(ls, got))[fits], 0  # each kept row's first word
+            for a in range(width):  # column a of k holds the proposals with L > a, so a prefix of the kept rows
+                r = int(blocks[ls > a].sum())
+                m = np.searchsorted(kept, r)
+                out[to[:m] + a], start = k[start + kept[:m]], start + r
             have += got
             for tally, drawn, accepted in zip(tallies, blocks.tolist(), got.tolist()):
                 tally["proposals"], tally["accepted"] = tally["proposals"] + drawn, tally["accepted"] + accepted
@@ -254,9 +261,9 @@ class FrameSampler:
         cell = (self.l_cap - l_values) * (self.l_cap + 1) + xs  # in descending L, then ascending X
         cells, counts = np.unique(cell, return_counts=True)
         rows = self._sample_momenta(self.l_cap - cells // (self.l_cap + 1), cells % (self.l_cap + 1), counts, rng)
-        momenta = np.empty_like(rows)  # _sample_momenta returns them cell after cell
-        momenta[np.argsort(cell, kind="stable")] = rows
-        return FrameRecord({L: (p, xs[p], momenta[p, :L])
+        frames, first = np.argsort(cell, kind="stable"), np.empty(n, int)  # the frame of each row, in turn
+        first[frames] = np.cumsum(l_values[frames]) - l_values[frames]  # each frame's first word in the rows
+        return FrameRecord({L: (p, xs[p], rows[first[p, None] + np.arange(L)])
                             for L in np.unique(l_values).tolist() for p in [np.flatnonzero(l_values == L)]})
 
 
@@ -274,10 +281,10 @@ def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None =
 
 
 def _likelihood_rows(record):
-    """(momenta, L, X) of the record's rows for the per-row kernel: rows in descending L, momenta zero-padded."""
+    """(momenta, L, X) of the record's rows for the per-row kernel: rows in descending L, momenta in column prefixes."""
     order = sorted(record.groups, reverse=True)
     _, xs, momenta = zip(*(record.groups[L] for L in order))
-    k = np.concatenate([np.pad(m, ((0, 0), (0, order[0] - L))) for L, m in zip(order, momenta)])
+    k = np.concatenate([m[:, a] for a in range(order[0]) for m in momenta if m.shape[1] > a])
     return k, np.repeat(order, [len(x) for x in xs]), np.concatenate(xs)
 
 
@@ -286,7 +293,7 @@ def _log_likelihood(rows, n_frames, psf, brightness, l_cap, s):
     k, lengths, xs = rows
     scene = SourceScene(separation=s, brightness=brightness)
     delta = mode_weights(scene, psf).delta
-    bracket = _bracket(k, s, xs, _theta_tables(k.shape[1], brightness, delta), lengths=lengths)
+    bracket = _bracket(k, s, xs, _theta_tables(lengths[0], brightness, delta), lengths=lengths)
     if np.any(bracket <= 0):
         return -np.inf
     norm = frame_size_distribution(l_cap, scene, psf).sum()

@@ -572,6 +572,42 @@ class TestComplexStep:
             assert (np.abs(complex_.real - real) <= 1e-15 * real.max(axis=0)).all()
 
 
+class TestThetaTables:
+    """The [L, X, j] coefficient table, whose s-free parts are cached per (l_max, N_s)."""
+
+    @pytest.mark.parametrize("ns", [0.1, 1.5, 4.0])
+    @pytest.mark.parametrize("delta", [0.6, 0.123456, 1e-9, 0.6 * (1 + 1e-20j), 0.123456 + 1e-21j],
+                             ids=["0.6", "0.123456", "1e-9", "0.6 complex step", "0.123456 complex step"])
+    def test_table_is_the_uncached_formula_bit_for_bit(self, delta, ns):
+        for l_max in (1, 2, 7, 12, 20):
+            first, again = _theta_tables(l_max, ns, delta), _theta_tables(l_max, ns, delta)  # fills, then reads
+            a_mode, b_mode = 1.0 + ns * (1.0 + delta), 1.0 + ns * (1.0 - delta)
+            fact = np.array([math.factorial(i) for i in range(l_max + 1)], dtype=float)
+            L, X, j = np.arange(l_max + 1)[:, None], np.arange(l_max + 1), np.arange(l_max)
+            ns_power = np.array([ns ** (n - 1) for n in range(l_max + 1)])[:, None]
+            per_j = fact[np.maximum(L - 1 - j, 0)] * fact[j] * ns_power / (
+                2.0 * a_mode ** np.maximum(L - j, 0) * b_mode ** (j + 1))
+            per_x = 1.0 / (fact[X] * fact[np.maximum(L - X, 0)])
+            want = np.where((X <= L)[:, :, None] & (j < L)[:, None, :], per_x[:, :, None] * per_j[:, None, :], 0.0)
+            for got in (first, again):
+                assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    def test_cache_is_read_only_and_tables_are_the_callers(self):
+        table = _theta_tables(5, 1.5, 0.3)
+        for part in coincidence._theta_parts(5, 1.5):
+            with pytest.raises(ValueError, match="read-only"):
+                part[...] = 0
+        want = table.copy()
+        table[...] = 0.0  # a caller's table is its own: writing it leaves the next one as it was
+        assert np.array_equal(_theta_tables(5, 1.5, 0.3), want)
+
+
+def column_prefixes(k, lengths):
+    """The per-row form's flat buffer of rows ``k`` (N, width) in descending L: column a of the rows with L > a,
+    column after column; nothing past a row's L is read."""
+    return np.concatenate([k[: np.count_nonzero(lengths > a), a] for a in range(k.shape[1])])
+
+
 def oracle_bracket(k, s, splits, coefs):
     """sum_j coefs[x, j] S_j^2 with S = sum_i sigma_i xi(k without k_i), sigma_i = +1 for i < X."""
     L = k.shape[1]
@@ -650,7 +686,7 @@ class TestBracketKernel:
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     def test_per_row_form_matches_all_splits_kernel(self, s, complex_step, rng):
-        # every row at its own L = 1..12 and random X in one call, rows in descending L, zero-padded
+        # every row at its own L = 1..12 and random X in one call, rows in descending L, as one flat buffer
         s = s * (1 + 1e-20j) if complex_step else s
         delta = psf_overlap_delta(PSF, 1.3)
         # the first n of one draw of L; row counts 1 and one row either side of a chunk edge under the
@@ -663,8 +699,8 @@ class TestBracketKernel:
         for n in (1, counts[counts == chunk - 1][0], counts[counts == chunk + 1][0]):
             lengths = np.sort(pool[:n])[::-1]
             xs = rng.integers(0, lengths + 1)
-            k = rng.standard_normal((n, 12)) * PSF.sigma_k * (np.arange(12) < lengths[:, None])
-            got = _bracket(k, s, xs, _theta_tables(12, 1.5, delta), lengths=lengths)
+            k = rng.standard_normal((n, 12)) * PSF.sigma_k
+            got = _bracket(column_prefixes(k, lengths), s, xs, _theta_tables(12, 1.5, delta), lengths=lengths)
             assert got.shape == (n,) and got.dtype == np.result_type(s, float)
             for L in np.unique(lengths):
                 rows = np.flatnonzero(lengths == L)
@@ -685,7 +721,7 @@ class TestBracketKernel:
             k = rng.standard_normal((3000, L)) * PSF.sigma_k
             xs = rng.integers(0, L + 1, len(k))
             coefs = _theta_table(L, 1.5, delta)
-            got = _bracket(k, z, xs, _theta_tables(L, 1.5, delta), lengths=np.full(len(k), L))
+            got = _bracket(k.T.ravel(), z, xs, _theta_tables(L, 1.5, delta), lengths=np.full(len(k), L))
             assert got.shape == (len(k),) and got.dtype == np.result_type(z, float)
             for X in range(L + 1):
                 rows = xs == X
@@ -743,7 +779,7 @@ class TestBracketKernel:
         lengths = np.sort(rng.integers(1, 10, 45))[::-1]
         lengths[0] = 9
         xs = rng.integers(0, lengths + 1)
-        got = bracket(k * (np.arange(9) < lengths[:, None]), s, xs, _theta_tables(9, 1.5, delta), lengths=lengths)
+        got = bracket(column_prefixes(k, lengths), s, xs, _theta_tables(9, 1.5, delta), lengths=lengths)
         for L in np.unique(lengths):
             rows = np.flatnonzero(lengths == L)
             want = oracle_bracket(k[rows, :L], s, range(L + 1), _theta_table(L, 1.5, delta))
@@ -770,16 +806,25 @@ class TestBracketKernel:
             for i in range(len(momenta)):
                 assert np.array_equal(_bracket(momenta[i : i + 1], s, *args), got[i : i + 1]), (momenta.shape[1], i)
 
-    @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [4, 2]])
-    def test_per_row_form_needs_descending_photon_numbers_within_k(self, lengths):
+    @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [3, -1]])
+    def test_per_row_form_needs_descending_photon_numbers(self, lengths):
         with pytest.raises(ValueError, match="descending photon number"):
-            _bracket(np.zeros((2, 3)), 1.0, np.array([0, 0]), np.ones((2, 3)), lengths=np.array(lengths))
+            _bracket(np.zeros(5), 1.0, np.array([0, 0]), np.ones((4, 4, 3)), lengths=np.array(lengths))
 
     @pytest.mark.parametrize("splits", [[5, 5, 5], [-1, -1, -1]], ids=["above L", "negative"])
     def test_per_row_form_needs_each_split_within_its_rows_L(self, splits):
         # such a split never flips its slot's sign, so it would read the X = L bracket
         with pytest.raises(ValueError, match="split within 0..L"):
-            _bracket(np.ones((3, 3)), 1.0, np.array(splits), np.ones((3, 3)), lengths=np.array([3, 3, 3]))
+            _bracket(np.ones(9), 1.0, np.array(splits), np.ones((4, 4, 3)), lengths=np.array([3, 3, 3]))
+
+    @pytest.mark.parametrize("size", [0, 5, 7, 8], ids=["empty", "one short", "one over", "padded"])
+    def test_per_row_form_needs_one_word_per_photon(self, size):
+        # rows of L = 4 and 2 take 6 words: a buffer one word short or over, or zero-padded to the widest row
+        # (8 words), is refused, not read short or past
+        with pytest.raises(ValueError, match=r"sum\(lengths\) = 6 momenta, one flat buffer"):
+            _bracket(np.ones(size), 1.0, np.array([1, 0]), np.ones((5, 5, 4)), lengths=np.array([4, 2]))
+        with pytest.raises(ValueError, match="flat buffer"):  # the rows as a 2-D array, however wide
+            _bracket(np.ones((2, 4)), 1.0, np.array([1, 0]), np.ones((5, 5, 4)), lengths=np.array([4, 2]))
 
     @pytest.mark.parametrize("orders, splits, n_coefs", [
         ((3, 2), [[0], [0]], 2), ((2, 2), [[0], [0]], 2), ((0, 2), [[0], [0]], 2), ((2, 4), [[0], [0]], 2),

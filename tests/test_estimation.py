@@ -93,6 +93,17 @@ class TestSampler:
         with pytest.raises(ValueError, match="n must be >= 0"):
             sampler.sample_record(np.random.default_rng(0), -1)
 
+    def test_record_of_no_frames(self, sampler):
+        record = sampler.sample_record(np.random.default_rng(0), 0)
+        assert len(record) == 0 and record == [] and record.groups == {}
+
+    def test_record_of_one_frame(self, sampler):
+        record = sampler.sample_record(np.random.default_rng(5), 1)
+        [(L, (positions, splits, momenta))] = record.groups.items()
+        assert positions.tolist() == [0] and momenta.shape == (1, L) and record[0].momenta == tuple(momenta[0])
+        assert record[0].camera_split == splits[0] and np.isfinite(momenta).all()
+        assert record == [sample_frame(SCENE, PSF, np.random.default_rng(5))]  # a fresh sampler, the same draws
+
     def test_sample_frame_wrapper(self):
         outcome = sample_frame(SCENE, PSF, np.random.default_rng(0), l_cap=4)
         assert 1 <= outcome.photon_count <= 4
@@ -104,7 +115,7 @@ class TestSampler:
         sampler._majorant(*key)
         sampler._majorants[key] *= 1e-3
         draws = sampler._sample_momenta(3, 1, 500, np.random.default_rng(2))
-        assert draws.shape == (500, 3)
+        assert draws.shape == (500 * 3,)  # 500 rows of 3 momenta, one after another
         assert sampler._majorants[key] > 0
         assert issubclass(MajorantError, RuntimeError)
 
@@ -116,8 +127,8 @@ class TestSampler:
         majorant = sampler._majorant
 
         def growing_bracket(L, X, k):  # 10x the previous call, so above any 1.2x bound
-            brackets.append(len(k))
-            return np.full(len(k), 10.0 ** len(brackets))
+            brackets.append(len(L))
+            return np.full(len(L), 10.0 ** len(brackets))
 
         def counted_majorant(L, X):
             passes.append((L, X))
@@ -128,6 +139,18 @@ class TestSampler:
             sampler._sample_momenta(2, 1, 100, np.random.default_rng(0))
         assert len(passes) == 9
         assert len(brackets) == 9  # one block per pass: the probe scan ran when the sampler was built
+
+
+def ragged_rows(lengths, k):
+    """The rows of a round's flat buffer ``k`` (column a of the rows with L > a, column after column), as tuples."""
+    rows, at = [[] for _ in lengths], 0
+    for a in range(max(lengths, default=0)):
+        running = int(np.count_nonzero(np.asarray(lengths) > a))
+        for row, value in zip(rows, k[at : at + running].tolist()):
+            row.append(value)
+        at += running
+    assert at == len(k)
+    return [tuple(row) for row in rows]
 
 
 def recorded_brackets(sampler):
@@ -193,7 +216,7 @@ class TestMajorantScanAndBlocks:
         sampler = FrameSampler(SCENE, PSF)
         calls = recorded_brackets(sampler)
         record = sampler.sample_record(np.random.default_rng(23), 5000)
-        proposals = sum(len(k) for _, X, k, _ in calls if X is not None)
+        proposals = sum(len(L) for L, X, _, _ in calls if X is not None)  # one row per proposal
         assert len(record) == 5000
         assert proposals <= 7 * 5000
 
@@ -204,7 +227,7 @@ class TestMajorantScanAndBlocks:
         sampler = FrameSampler(SourceScene(8.0, 1.5), PSF)
         calls = recorded_brackets(sampler)
         record = sampler.sample_record(np.random.default_rng(29), 5000)
-        blocks = [len(k) for _, X, k, _ in calls if X is not None]
+        blocks = [len(L) for L, X, _, _ in calls if X is not None]
         assert len(record) == 5000
         assert max(blocks) == cap
 
@@ -215,7 +238,7 @@ class TestMajorantScanAndBlocks:
         drawn = {}
         for L, X, k, _ in calls:
             if X is not None:  # one L and split per row
-                for cell in zip(np.broadcast_to(L, len(k)).tolist(), np.broadcast_to(X, len(k)).tolist()):
+                for cell in zip(L.tolist(), X.tolist()):
                     drawn[cell] = drawn.get(cell, 0) + 1
         frames = {}
         for L, (_, splits, _) in record.groups.items():
@@ -231,7 +254,7 @@ class TestMajorantScanAndBlocks:
         sampler = FrameSampler(SCENE, PSF, l_cap=3)
         sampler._majorant(2, 1)
         sampler._majorants[(2, 1)] *= 1e-3
-        assert sampler._sample_momenta(2, 1, 200, np.random.default_rng(37)).shape == (200, 2)
+        assert sampler._sample_momenta(2, 1, 200, np.random.default_rng(37)).shape == (200 * 2,)
         assert sampler.cell_counts[(2, 1)]["violated"] >= 1
 
     def test_one_proposal_call_per_round(self):
@@ -243,8 +266,8 @@ class TestMajorantScanAndBlocks:
         assert len(record) == 5000
         assert len(proposals) <= 6
         for L, X, k in proposals:
-            assert np.ndim(L) == np.ndim(X) == 1 and len(L) == len(X) == len(k)
-            assert np.all(np.diff(L) <= 0) and k.shape[1] == max(record.groups)  # descending L, one width
+            assert np.ndim(L) == np.ndim(X) == 1 and len(L) == len(X)
+            assert np.all(np.diff(L) <= 0) and k.shape == (L.sum(),)  # descending L, sum of L words
 
     def test_violation_keeps_other_cells_of_its_round(self, monkeypatch):
         # a violation in cell (3, 1) of the first round drops that cell's rows only: the cells of other L keep
@@ -268,9 +291,9 @@ class TestMajorantScanAndBlocks:
 
         forced._bracket = first_round_violates
         got = forced._sample_momenta(*cells, np.random.default_rng(53))
-        assert len(calls) == 2 and got.shape == want.shape == (120, 4)
-        np.testing.assert_array_equal(got[:40], want[:40])
-        np.testing.assert_array_equal(got[80:], want[80:])
+        assert len(calls) == 2 and got.shape == want.shape == (40 * 4 + 40 * 3 + 40 * 2,)
+        np.testing.assert_array_equal(got[:160], want[:160])  # cell (4, 2), 40 rows of 4 momenta
+        np.testing.assert_array_equal(got[280:], want[280:])  # cell (2, 0)
         for cell in [(4, 2), (2, 0)]:
             assert forced.cell_counts[cell] == plain.cell_counts[cell]
         counts = forced.cell_counts[(3, 1)]
@@ -280,8 +303,8 @@ class TestMajorantScanAndBlocks:
         assert counts["proposals"] == plain.cell_counts[(3, 1)]["proposals"] + redrawn.sum()
         assert counts["accepted"] >= 40 and redrawn.sum() == len(L)  # the second round drew for (3, 1) alone
         # (3, 1)'s rows were all drawn in the second round, under the raised bound
-        second = {tuple(row) for row in k[redrawn].tolist()}
-        assert all(tuple(row) in second for row in got[40:80].tolist())
+        second = set(ragged_rows(L, k))
+        assert all(tuple(row) in second for row in got[160:280].reshape(40, 3).tolist())
 
     def test_violation_drops_the_rows_its_pass_kept_from_earlier_rounds(self):
         # a pass spans rounds: a violation in the second round also drops the rows accepted in the first
@@ -290,7 +313,7 @@ class TestMajorantScanAndBlocks:
 
         def rounds(L, X, k):  # round one: ten proposals just under the bound, the rest rejected; two: a violation
             g = bracket(L, X, k)
-            calls.append(k)
+            calls.append((L, k))
             if len(calls) == 1:
                 g[:10], g[10:] = 0.99 * bound, 0.0
             elif len(calls) == 2:
@@ -299,10 +322,23 @@ class TestMajorantScanAndBlocks:
 
         sampler._bracket = rounds
         got = sampler._sample_momenta(3, 1, 40, np.random.default_rng(61))
-        assert len(calls[1]) < len(calls[0])  # the first round kept rows, so the second drew fewer proposals
+        assert len(calls[1][0]) < len(calls[0][0])  # the first round kept rows, so the second drew fewer proposals
         assert len(calls) >= 3 and sampler.cell_counts[(3, 1)]["violated"] == 1
-        later = {tuple(row) for k in calls[2:] for row in k.tolist()}
-        assert all(tuple(row) in later for row in got.tolist())
+        later = {row for L, k in calls[2:] for row in ragged_rows(L, k)}
+        assert all(tuple(row) in later for row in got.reshape(40, 3).tolist())
+
+    def test_round_draws_the_masked_column_major_draw(self):
+        # each proposal's momenta are, bit for bit, its column of a (largest L, rows) zero array whose entries
+        # before each row's L were filled, column-major, by one draw from the same generator state
+        sampler = FrameSampler(SCENE, PSF, l_cap=6)
+        calls = recorded_brackets(sampler)
+        cells = (np.array([6, 4, 4, 1]), np.array([3, 0, 2, 1]), np.array([30, 20, 20, 40]))
+        sampler._sample_momenta(*cells, np.random.default_rng(71))
+        L, _, k, _ = calls[0]
+        padded = np.zeros((L[0], len(L)))
+        padded[np.arange(L[0])[:, None] < L] = np.random.default_rng(71).standard_normal(int(L.sum())) * PSF.sigma_k
+        assert set(L.tolist()) == {6, 4, 1}
+        assert ragged_rows(L, k) == [tuple(padded[:n, i].tolist()) for i, n in enumerate(L.tolist())]
 
 
 class TestPerRowHook:
@@ -315,12 +351,12 @@ class TestPerRowHook:
         rng = np.random.default_rng([59, n])
         lengths = np.sort(rng.integers(1, 13, n))[::-1]
         xs = rng.integers(0, lengths + 1)
-        k = rng.standard_normal((n, 12)) * PSF.sigma_k * (np.arange(12) < lengths[:, None])
-        for momenta in (k, np.asfortranarray(k)):  # the sampler passes column-major rounds
-            got = sampler._bracket(lengths, xs, momenta)
-            for L in np.unique(lengths).tolist():
-                rows = lengths == L
-                np.testing.assert_array_equal(got[rows], sampler._bracket(L, xs[rows], k[rows, :L]))
+        k = rng.standard_normal((n, 12)) * PSF.sigma_k
+        # the rows' flat buffer: column a of the rows with L > a, column after column
+        got = sampler._bracket(lengths, xs, np.concatenate([k[lengths > a, a] for a in range(12)]))
+        for L in np.unique(lengths).tolist():
+            rows = lengths == L
+            np.testing.assert_array_equal(got[rows], sampler._bracket(L, xs[rows], k[rows, :L].T.ravel()))
 
 
 class TestCellDensities:
@@ -576,6 +612,18 @@ class TestLikelihood:
             scene = SourceScene(separation=s, brightness=SCENE.brightness)
             expected = sum(log_coincidence_density(o, scene, PSF) for o in mixed_record)
             expected -= len(mixed_record) * math.log(frame_size_distribution(l_cap, scene, PSF).sum())
+            assert value == pytest.approx(expected, rel=1e-12)
+
+    def test_frames_of_one_photon_only(self, record_2000):
+        # the per-row layout of L = 1 frames alone is one column of momenta
+        record = [o for o in record_2000 if o.photon_count == 1][:200]
+        assert {o.camera_split for o in record} == {0, 1}
+        report = mle_separation(record, PSF, SCENE.brightness, curve_points=5, compute_crb=False)
+        assert np.isfinite(report.s_hat) and report.optimizer_success
+        for s, value in zip(*report.log_likelihood_curve):
+            scene = SourceScene(separation=s, brightness=SCENE.brightness)
+            expected = sum(log_coincidence_density(o, scene, PSF) for o in record)
+            expected -= len(record) * math.log(frame_size_distribution(12, scene, PSF).sum())
             assert value == pytest.approx(expected, rel=1e-12)
 
     def test_canonical_order_gives_same_estimate(self, mixed_record):

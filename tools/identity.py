@@ -33,7 +33,9 @@ before any draw (so that a change to the bound scan shows apart from one to the 
 read-back copy, and likelihood curves), and the outputs of the CLI runs in
 ``tests/test_cli.py`` with their temporary paths normalised.  A parameter
 that an older checkout lacks (``l_cap`` of ``crb_report``) is passed only
-where the signature has it.  It takes about 4 s on 2 vCPU.
+where the signature has it, and the per-row kernel gets its rows in the
+layout its docstring names (a flat buffer of column prefixes, or padded
+rows).  It takes about 4 s on 2 vCPU.
 
 This is not a test: pinned digests would turn every intended numeric change
 into a test edit.
@@ -116,13 +118,24 @@ def _densities(families, psf, rng):
             dens[f"s={s} ns={ns} three-photon {x_class}"] = c.three_photon_density(*k[:3], x_class, scene, psf)
 
 
+def _per_row(c, k, s, lengths, xs, tables):
+    """The per-row kernel on rows ``k`` in descending L, each at its own L and split, in the call form of the
+    checkout: a flat buffer of column prefixes with the [L, X, j] table, or (older) the rows zero-padded past their
+    L with that table, or (older still) with one coefficient row per row; its docstring says which."""
+    doc = c._bracket.__doc__
+    if "flat buffer" in doc:
+        flat = np.concatenate([k[lengths > a, a] for a in range(k.shape[1])])
+        return c._bracket(flat, s, xs, tables, lengths=lengths)
+    coefs = tables if "coefs[L, X, :L]" in doc else tables[lengths, xs, : k.shape[1]]
+    return c._bracket(k * (np.arange(k.shape[1]) < lengths[:, None]), s, xs, coefs, lengths=lengths)
+
+
 def _kernel(families, psf, rng):
     from homsr import coincidence as c
 
     k = rng.standard_normal((200, 12)) * psf.sigma_k
     lengths = np.sort(rng.integers(1, 13, len(k)))[::-1]
     xs = rng.integers(0, lengths + 1)
-    padded = k * (np.arange(12) < lengths[:, None])
     orders = (1, 4, 7, 12)
     sub_orders, sub_splits = (2, 5, 9), ([0, 2], [1, 4], list(range(10)))  # split subsets, some reading X = 0
     xs7 = np.arange(len(k)) % 8  # the sampler's call shape: one L, every split mixed
@@ -133,12 +146,8 @@ def _kernel(families, psf, rng):
                 k, z, [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders)}
             got[f"orders {sub_orders} at splits {sub_splits}"] = c._bracket(
                 k[:, :9], z, sub_splits, [tables[L, x, :L] for L, x in zip(sub_orders, sub_splits)], sub_orders)
-            # the per-row form reads the [L, X, j] table; an older checkout's takes one coefficient row per row
-            table = "coefs[L, X, :L]" in c._bracket.__doc__
-            got["one split per row"] = c._bracket(padded, z, xs, tables if table else tables[lengths, xs],
-                                                  lengths=lengths)
-            got["L=7, one split per row"] = c._bracket(k[:, :7], z, xs7, tables if table else tables[7, xs7, :7],
-                                                       lengths=np.full(len(k), 7))
+            got["one split per row"] = _per_row(c, k, z, lengths, xs, tables)
+            got["L=7, one split per row"] = _per_row(c, k[:, :7], z, np.full(len(k), 7), xs7, tables)
             for L in (1, 2, 4, 7, 12):
                 got[f"L={L} every split"] = c._bracket(k[:, :L], z, range(L + 1), tables[L, : L + 1, :L])
                 got[f"L={L} X={L // 2}"] = c._bracket(k[:, :L], z, [L // 2], tables[L, L // 2 : L // 2 + 1, :L])
