@@ -26,10 +26,10 @@ density is correctly normalized; this is verified against the closed-form
 frame-size distribution in the test suite.
 
 One kernel forms the signed sums (:func:`_bracket`): one forward recurrence
-that reads order L at photon L, for one photon number, for several on shared
-nodes, or for one (L, X) per row.  It and the class weights are analytic in
-s, so one pass at complex s gives their exact s-derivative
-(:func:`_with_s_derivative`).
+that reads order L at photon L, the [L, X, j] table in, every split of each
+order out (or one split per row), for one or several photon numbers.  It and
+the class weights are analytic in s, so one pass at complex s gives their
+exact s-derivative (:func:`_with_s_derivative`).
 The sums are symmetric under a joint permutation of momenta and camera
 labels, so any assignment is evaluated as the canonical one, C1 photons first.
 """
@@ -240,11 +240,6 @@ def _theta_tables(l_max: int, ns: float, delta) -> np.ndarray:
     return np.where(inside, per_x[:, :, None] * per_j[:, None, :], 0.0)
 
 
-def _theta_table(L: int, ns: float, delta) -> np.ndarray:
-    """The [X, j] table of one L, X = 0..L and j < L, from :func:`_theta_tables`."""
-    return _theta_tables(L, ns, delta)[L, : L + 1, :L].copy()
-
-
 def _with_s_derivative(f, s: float):
     """(f(s), f'(s)) of an f analytic in s as Re, Im/h of f(s + ih), h = 1e-20 s > 0.
 
@@ -276,48 +271,40 @@ def _half_angle_trig(s, kt):
     return trig
 
 
-def _bracket(k, s, splits, coefs, orders=None, lengths=None):
-    """Bracket sum_j coefs[x, j] S_j^2 of split X = splits[x] for each row of ``k``, shape (N, len(splits)).
+def _bracket(k, s, table, orders=None, lengths=None, splits=None):
+    """Bracket sum_j table[L, X, j] S_j^2 of each row of ``k``: the [L, X, j] table of :func:`_theta_tables` in,
+    every split of each order out (or one split per row).
 
     ``k`` has shape (N, L) with the C1 photons first.  With f_a(t) = cos(k_a s/2) + t sin(k_a s/2), the signed
     sums are the coefficients of S_X(t) = 2 C_X(t) - D(t), where D = sum_i prod_{a != i} f_a and
     C_X = sum_{i < X} prod_{a != i} f_a.  One forward pass carries the prefix product P <- P f_a and
     S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X, and reads order L at photon L.  It is analytic
-    in s and ``coefs`` and complex if either is, s only at the step of :func:`_with_s_derivative`.
+    in s and ``table`` and complex if either is, s only at the step of :func:`_with_s_derivative`.
 
-    Given ``orders`` (strictly ascending L within 1..k.shape[1], one entry of ``splits``, within 0..L, and of
-    ``coefs`` each), order L is on the first L columns of ``k``, its columns after the previous order's; without
-    ``orders`` or ``lengths`` the one order is L = k.shape[1] at ``splits``.  There the slots X >= 1 are shared:
-    after photon a - 1 every S_X with X >= a is D, so slot a stands for them all, and photon a splits it into X = a
-    (- P) and a new top slot (+ P).  S_0 = -D, the top slot negated (exactly), is not carried: X = 0 reads the top
-    slot, which squares alike.  Given ``lengths``, row i of the (N,) result is split X = ``splits[i]`` at
-    L = ``lengths[i]`` under ``coefs[L, X, :L]`` of the table, rows in descending L, so the rows still running at
-    photon a (L > a) are a prefix; ``k`` is then one flat buffer of column prefixes, sum(lengths) words: k_a of
-    those rows after k_{a-1} of theirs.  A row has one slot, stored as -S_X until photon X, whose step it enters
-    negated (exactly), so every step subtracts P; the rows of L = a are read at photon a, where the state is a
-    dense (2, degree, running rows) view, 2 (L + 1) words a row.  A read squares its runs of slots, in split
-    order, into the scratch, free until photon a's step, scales them by the coefficients and sums over j one slice
-    at a time, without BLAS: each row's value then depends on its momenta alone, not on its place in the chunk,
-    the row count or BLAS's threads.
+    Given ``orders`` (strictly ascending L within 1..k.shape[1] and the table), order L is on the first L columns
+    of ``k``, its splits X = 0..L on L + 1 columns of the (N, sum(L + 1)) result after the previous order's; without
+    ``orders`` or ``lengths`` the one order is L = k.shape[1].  There the slots X >= 1 are shared: after photon
+    a - 1 every S_X with X >= a is D, so slot a stands for them all, and photon a splits it into X = a (- P) and a
+    new top slot (+ P).  S_0 = -D, the top slot negated (exactly), is not carried: X = 0 copies the square of the
+    top slot, which X = L reads.  Given ``lengths`` and ``splits``, row i of the (N,) result is split
+    X = ``splits[i]`` at L = ``lengths[i]``, rows in descending L, so the rows still running at photon a (L > a) are
+    a prefix; ``k`` is then one flat buffer of column prefixes, sum(lengths) words: k_a of those rows after k_{a-1}
+    of theirs.  A row has one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every
+    step subtracts P; the rows of L = a are read at photon a, where the state is a dense (2, degree, running rows)
+    view, 2 (L + 1) words a row.  A read squares its slots into the scratch, free until photon a's step, scales
+    them by the coefficients and sums over j one slice at a time, without BLAS: each row's value then depends on
+    its momenta alone, not on its place in the chunk, the row count or BLAS's threads.
     """
-    n_rows, shared = len(k if lengths is None else lengths), lengths is None
+    n_rows, shared, dtype = len(k if lengths is None else lengths), lengths is None, np.result_type(s, table, float)
     if shared:  # every row runs to the last order
-        if orders is None:
-            orders, splits, coefs = (k.shape[1],), [splits], [coefs]
-        orders = list(orders)
+        orders = [k.shape[1]] if orders is None else list(orders)
         if not (orders and orders == sorted(set(orders)) and 1 <= orders[0] and orders[-1] <= k.shape[1]
-                and len(splits) == len(coefs) == len(orders)):
-            raise ValueError("orders must strictly ascend within 1 <= L <= k.shape[1], one splits and coefs entry each")
-        k, lengths, ends = k[:, : orders[-1]], np.full(n_rows, orders[-1]), np.cumsum([len(x) for x in splits])
-        reads = {}  # order L -> (its columns of out, (position, first slot, count) of each run it reads, its coefs)
-        for L, x, e, cf in zip(orders, splits, ends, coefs):  # X = 0 reads the top slot, X = L
-            if not all(0 <= X <= L for X in x):  # a slot above L would be read before it is written
-                raise ValueError(f"orders' splits must lie within 0..L, got {list(x)} at L = {L}")
-            runs = [list(g) for _, g in itertools.groupby(enumerate(X or L for X in x), lambda p: p[1] - p[0])]
-            reads[L] = slice(e - len(x), e), [(g[0][0], g[0][1], len(g)) for g in runs], np.asarray(cf).T[..., None]
-        dtype = np.result_type(s, *coefs, float)
+                and orders[-1] < len(table)):
+            raise ValueError("orders must strictly ascend within 1 <= L <= k.shape[1], the last within the table")
+        k, lengths, ends = k[:, : orders[-1]], np.full(n_rows, orders[-1]), np.cumsum([L + 1 for L in orders]).tolist()
+        reads = {L: (slice(e - L - 1, e), table[L, : L + 1, :L].T[..., None]) for L, e in zip(orders, ends)}  # [j, X]
     else:
-        lengths, xs, dtype = np.asarray(lengths), np.asarray(splits), np.result_type(s, coefs, float)
+        lengths, xs = np.asarray(lengths), np.asarray(splits)
         if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1):
             raise ValueError("per-row bracket needs rows in descending photon number, L >= 1")
         if np.any((xs < 0) | (xs > lengths)):  # a split outside 0..L never flips its slot: it would read X = L
@@ -350,17 +337,17 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
         for a in range(1, width + 1):
             r, end = running[a], running[a - 1]
             if shared and a in reads:
-                cols, runs, cf = reads[a]
-                sq = tmp.reshape(-1)[: a * cf.shape[1] * n].reshape(a, cf.shape[1], n)  # [j, split, row]
-                for at, X, m in runs:
-                    np.square(z[X : X + m, :a].transpose(1, 0, 2), out=sq[:, at : at + m])
+                cols, cf = reads[a]
+                sq = tmp.reshape(-1)[: a * (a + 1) * n].reshape(a, a + 1, n)  # [j, split, row]
+                np.square(z[1 : a + 1, :a].transpose(1, 0, 2), out=sq[:, 1:])
+                sq[:, 0] = sq[:, a]
                 sq *= cf
                 for j in range(1, a):  # one order of sums for every row, where a matmul's depends on BLAS
                     sq[0] += sq[j]
                 out[lo : lo + n, cols] = sq[0].T
             elif not shared and end > r:  # the rows of L = a end here
                 S = z[1, :a, r:end]
-                out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, coefs[a, xs[lo + r : lo + end], :a])
+                out[lo + r : lo + end] = np.einsum("jr,jr,rj->r", S, S, table[a, xs[lo + r : lo + end], :a])
             if r == 0:
                 break
             h = a + 1 if shared else 2  # rows of z in use: P and the slots
@@ -384,8 +371,8 @@ def _bracket(k, s, splits, coefs, orders=None, lengths=None):
 
 
 def _density(L, splits, momenta, scene, psf, assignment, delta_override, include_envelope):
-    """Density of each canonical split in ``splits`` at ``momenta`` (..., L), reordered by a checked
-    camera ``assignment`` as :func:`_c1_first`; shape (..., len(splits))."""
+    """Density of the splits ``splits``, a slice of X = 0..L, at ``momenta`` (..., L) reordered by a checked camera
+    ``assignment`` (:func:`_c1_first`): the [L, X, j] table in, every split of order L out, the slice a view of it."""
     k = np.asarray(momenta, dtype=float)
     if k.shape[-1] != L:
         raise ValueError("momenta last axis must have length L")
@@ -393,10 +380,10 @@ def _density(L, splits, momenta, scene, psf, assignment, delta_override, include
     if assignment is not None:
         flat = flat[:, _c1_first(assignment)]
     w = mode_weights(scene, psf, delta_override=delta_override)
-    out = _bracket(flat, scene.separation, splits, _theta_table(L, scene.brightness, w.delta)[splits])
+    out = _bracket(flat, scene.separation, _theta_tables(L, scene.brightness, w.delta))[:, splits]
     if include_envelope:
         out = out * np.prod(momentum_envelope(psf, flat), axis=-1)[:, None]
-    return out.reshape(k.shape[:-1] + (len(splits),))
+    return out.reshape(k.shape[:-1] + out.shape[1:])
 
 
 def coincidence_density_grid(
@@ -419,7 +406,7 @@ def coincidence_density_grid(
     reorder :func:`_c1_first`.
     """
     L, X, assignment = _checked_frame(L, X, assignment)
-    return _density(L, [X], momenta, scene, psf, assignment, delta_override, include_envelope)[..., 0]
+    return _density(L, slice(X, X + 1), momenta, scene, psf, assignment, delta_override, include_envelope)[..., 0]
 
 
 def coincidence_density_all_splits(
@@ -432,7 +419,7 @@ def coincidence_density_all_splits(
 ):
     """Density for every canonical split X = 0..L at once; shape (..., L+1)."""
     L = _checked_frame(L, 0, None)[0]
-    return _density(L, np.arange(L + 1), momenta, scene, psf, None, delta_override, include_envelope)
+    return _density(L, slice(None), momenta, scene, psf, None, delta_override, include_envelope)
 
 
 def coincidence_density(outcome: DetectionOutcome, scene: SourceScene, psf: PsfModel) -> float:
@@ -754,4 +741,4 @@ def _closed_form_weights(L: int, s, ns: float, psf: PsfModel) -> np.ndarray:
     spin = ((2 * np.arange(L + 1) - L) ** 2)[:, None]
     h = L * c * g + L * c1 * b + spin * c * kappa2
     moments = np.hstack([a ** j * b ** (L - 2 - j) * h, np.full((L + 1, 1), L * a ** (L - 1))])
-    return (_theta_table(L, ns, np.exp(-2.0 * u)) * moments).sum(axis=1)  # delta = exp(-2u)
+    return (_theta_tables(L, ns, np.exp(-2.0 * u))[L, : L + 1, :L] * moments).sum(axis=1)  # delta = exp(-2u)

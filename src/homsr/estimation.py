@@ -182,8 +182,7 @@ class FrameSampler:
         probes = (np.random.default_rng(9191).standard_normal((l_cap, _MAJORANT_SCAN)) * psf.sigma_k).T
         probes[0] = 0.0
         rows = _MAJORANT_SCAN * (l_cap + 1) // sum(L + 1 for L in orders)  # no slice's output above one order's
-        peaks = np.max([_bracket(probes[lo : lo + rows], scene.separation, [range(L + 1) for L in orders],
-                                 [self._theta[L, : L + 1, :L] for L in orders], orders).max(axis=0)
+        peaks = np.max([_bracket(probes[lo : lo + rows], scene.separation, self._theta, orders).max(axis=0)
                         for lo in range(0, _MAJORANT_SCAN, rows)], axis=0).tolist()
         self._majorants = {(L, X): _MAJORANT_MARGIN * max(peaks[(L - 1) * (L + 2) // 2 + x] for x in (X, L - X))
                            for L in orders for X in range(L + 1)}
@@ -191,11 +190,9 @@ class FrameSampler:
 
     def _bracket(self, L, X, k):
         """The bracket of each row at L and split X, one per row in descending L (or one of them an int), ``k`` their
-        momenta as one flat buffer of column prefixes; at ``X=None``, of every split of order L on ``k`` (N, L)."""
-        if X is None:
-            return _bracket(k, self.scene.separation, range(L + 1), self._theta[L, : L + 1, :L])
+        momenta as one flat buffer of column prefixes: the sampler's [L, X, j] table in, one split per row out."""
         L, X = np.broadcast_arrays(L, X)
-        return _bracket(k, self.scene.separation, X, self._theta, lengths=L)
+        return _bracket(k, self.scene.separation, self._theta, lengths=L, splits=X)
 
     def _majorant(self, L, X):
         """Rejection bound of cell (L, X): ``_MAJORANT_MARGIN`` times the largest of splits X and L - X (g_{L-X} at
@@ -293,7 +290,7 @@ def _log_likelihood(rows, n_frames, psf, brightness, l_cap, s):
     k, lengths, xs = rows
     scene = SourceScene(separation=s, brightness=brightness)
     delta = mode_weights(scene, psf).delta
-    bracket = _bracket(k, s, xs, _theta_tables(lengths[0], brightness, delta), lengths=lengths)
+    bracket = _bracket(k, s, _theta_tables(lengths[0], brightness, delta), lengths=lengths, splits=xs)
     if np.any(bracket <= 0):
         return -np.inf
     norm = frame_size_distribution(l_cap, scene, psf).sum()

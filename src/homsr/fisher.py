@@ -96,12 +96,11 @@ def _fisher_integrand(L, k, scene, psf):
     values and derivatives stay small.
     """
     orders = (L,) if np.ndim(L) == 0 else tuple(L)
-    splits = [range(n + 1) for n in orders]
     floor = 1e-14 * np.concatenate([_closed_form_weights(n, scene.separation, scene.brightness, psf) for n in orders])
 
     def bracket(rows, s):  # the orders' coefficients at s: a few microseconds, the tables' s-free parts are cached
         tables = _theta_tables(orders[-1], scene.brightness, np.exp(-0.5 * (s * psf.sigma_k) ** 2))
-        return _bracket(k[rows], s, splits, [tables[n, : n + 1, :n] for n in orders], orders)
+        return _bracket(k[rows], s, tables, orders)
 
     out = np.empty((len(k), len(orders)))
     # rows per block: two chunks of the kernel's orders form, whose (P, S) state is (1 + L) L complex words a row

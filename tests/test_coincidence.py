@@ -23,7 +23,6 @@ from homsr.coincidence import (
     _bracket,
     _closed_form_weights,
     _half_angle_trig,
-    _theta_table,
     _theta_tables,
     _with_s_derivative,
     _xi_coeffs,
@@ -172,9 +171,7 @@ class TestGeneralDensity:
         k = rng.standard_normal((7, 3)) * PSF.sigma_k
         stacked = coincidence_density_all_splits(3, k, scene, PSF)
         for X in range(4):
-            np.testing.assert_allclose(
-                stacked[:, X], coincidence_density_grid(3, X, k, scene, PSF), rtol=1e-13
-            )
+            np.testing.assert_array_equal(stacked[:, X], coincidence_density_grid(3, X, k, scene, PSF))
 
     def test_parity_and_mirror_symmetry(self, rng):
         scene = SourceScene(separation=1.2, brightness=1.5)
@@ -350,7 +347,7 @@ class TestSpecializedForms:
         def forbidden(*args, **kwargs):
             raise AssertionError("kernel called")
 
-        for name in ("_bracket", "_theta_table", "_density"):
+        for name in ("_bracket", "_theta_tables", "_density"):
             monkeypatch.setattr(coincidence, name, forbidden)
         scene = SourceScene(1.3, 1.5)
         assert three_photon_density(0.1, 0.2, 0.3, "UA", scene, PSF) > 0
@@ -543,9 +540,9 @@ class TestComplexStep:
         # two independent analytic paths to d_s w(L, X): the envelope
         # expectation of the kernel, and the closed-form class weights
         def integrated_kernel(s):
-            coefs = _theta_table(L, ns, np.exp(-0.5 * (s * PSF.sigma_k) ** 2))
+            table = _theta_tables(L, ns, np.exp(-0.5 * (s * PSF.sigma_k) ** 2))
             quad = QuadratureSpec(scheme="gauss_hermite_tensor")
-            return envelope_expectation(lambda k: _bracket(k, s, range(L + 1), coefs), L, PSF, quad)[0]
+            return envelope_expectation(lambda k: _bracket(k, s, table), L, PSF, quad)[0]
 
         got = _with_s_derivative(integrated_kernel, s)
         want = _with_s_derivative(lambda s: _closed_form_weights(L, s, ns, PSF), s)
@@ -555,8 +552,8 @@ class TestComplexStep:
     def test_value_path_stays_real(self, rng):
         scene = SourceScene(separation=1.0, brightness=1.5)
         k = rng.standard_normal((50, 4)) * PSF.sigma_k
-        coefs = _theta_table(4, 1.5, mode_weights(scene, PSF).delta)
-        assert _bracket(k, 1.0, range(5), coefs).dtype == np.float64
+        table = _theta_tables(4, 1.5, mode_weights(scene, PSF).delta)
+        assert _bracket(k, 1.0, table).dtype == np.float64
         assert class_weights(4, scene, PSF).dtype == np.float64
         assert coincidence_density_grid(4, 2, k, scene, PSF).dtype == np.float64
         assert coincidence_density_all_splits(4, k, scene, PSF).dtype == np.float64
@@ -565,9 +562,9 @@ class TestComplexStep:
     def test_real_part_of_complex_pass_is_the_real_pass(self, s, rng):
         for L in range(1, 13):
             k = rng.standard_normal((64, L)) * PSF.sigma_k
-            coefs = _theta_table(L, 1.5, psf_overlap_delta(PSF, s))
-            real = _bracket(k, s, range(L + 1), coefs)
-            complex_ = _bracket(k, s + 1e-20j * s, range(L + 1), coefs)
+            table = _theta_tables(L, 1.5, psf_overlap_delta(PSF, s))
+            real = _bracket(k, s, table)
+            complex_ = _bracket(k, s + 1e-20j * s, table)
             assert complex_.dtype == np.complex128
             assert (np.abs(complex_.real - real) <= 1e-15 * real.max(axis=0)).all()
 
@@ -628,7 +625,8 @@ class TestBracketKernel:
     @pytest.mark.parametrize("L", list(range(1, 13)) + [20])
     def test_matches_leave_one_out_oracle(self, L, complex_step, rng):
         s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
-        coefs = _theta_table(L, 1.5, psf_overlap_delta(PSF, 1.3))
+        table = _theta_tables(L, 1.5, psf_overlap_delta(PSF, 1.3))
+        coefs = table[L, : L + 1, :L]
         split_sets = [list(range(L + 1)), [0], [L], [0, L], [L // 2 or 1]]
         split_sets += [list(np.unique(rng.integers(0, L + 1, 3))) for _ in range(2)]
         for splits in split_sets:
@@ -638,7 +636,7 @@ class TestBracketKernel:
             k = rng.standard_normal((max(counts), L)) * PSF.sigma_k
             want = oracle_bracket(k, s, splits, coefs[splits])
             for n in counts:
-                got = _bracket(k[:n], s, splits, coefs[splits])
+                got = _bracket(k[:n], s, table)[:, splits]  # the split subset of every split's result
                 assert got.shape == (n, len(splits)) and got.dtype == np.result_type(s, float)
                 for part in (np.real, np.imag) if complex_step else (np.real,):
                     # relative to the split's largest value over all the rows drawn
@@ -654,15 +652,14 @@ class TestBracketKernel:
             orders = sorted({width, *rng.integers(1, width + 1, 3).tolist()})
             splits = [list(range(L + 1)) if L % 2 else sorted({0, L, *rng.integers(0, L + 1, 2).tolist()})
                       for L in orders]
-            coefs = [_theta_table(L, 1.5, psf_overlap_delta(PSF, 1.3))[x] for L, x in zip(orders, splits)]
-            got = _bracket(k, s, splits, coefs, orders)
-            assert got.shape == (500, sum(map(len, splits))) and got.dtype == np.result_type(s, float)
-            ends = np.cumsum([len(x) for x in splits])
-            for L, x, c, end in zip(orders, splits, coefs, ends):
-                want = _bracket(k[:, :L], s, x, c)
+            table = _theta_tables(width, 1.5, psf_overlap_delta(PSF, 1.3))
+            got = _bracket(k, s, table, orders)
+            assert got.shape == (500, sum(orders) + len(orders)) and got.dtype == np.result_type(s, float)
+            for L, x, end in zip(orders, splits, np.cumsum([L + 1 for L in orders])):
+                want = _bracket(k[:, :L], s, table)[:, x]
                 for part in (np.real, np.imag) if complex_step else (np.real,):
                     scale = np.abs(part(want)).max(axis=0)
-                    assert (np.abs(part(got[:, end - len(x) : end]) - part(want)) <= 1e-14 * scale).all(), (L, x)
+                    assert (np.abs(part(got[:, end - L - 1 + np.array(x)]) - part(want)) <= 1e-14 * scale).all(), (L, x)
 
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("subset", [lambda L: {0}, lambda L: {L}, lambda L: {0, L}, lambda L: {0, 1, L}],
@@ -675,13 +672,13 @@ class TestBracketKernel:
             k = rng.standard_normal((300, width)) * PSF.sigma_k
             orders = list(range(1, width + 1))
             splits = [sorted(subset(L)) for L in orders]
-            coefs = [_theta_table(L, 1.5, delta)[x] for L, x in zip(orders, splits)]
-            got = _bracket(k, s, splits, coefs, orders)
-            for L, x, c, end in zip(orders, splits, coefs, np.cumsum([len(x) for x in splits])):
-                want = _bracket(k[:, :L], s, x, c)
+            table = _theta_tables(width, 1.5, delta)
+            got = _bracket(k, s, table, orders)
+            for L, x, end in zip(orders, splits, np.cumsum([L + 1 for L in orders])):
+                want = _bracket(k[:, :L], s, table)[:, x]
                 for part in (np.real, np.imag) if complex_step else (np.real,):
                     scale = np.abs(part(want)).max(axis=0)  # each split's largest value
-                    assert (np.abs(part(got[:, end - len(x) : end]) - part(want)) <= 1e-13 * scale).all(), (L, x)
+                    assert (np.abs(part(got[:, end - L - 1 + np.array(x)]) - part(want)) <= 1e-13 * scale).all(), (L, x)
 
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
@@ -700,11 +697,12 @@ class TestBracketKernel:
             lengths = np.sort(pool[:n])[::-1]
             xs = rng.integers(0, lengths + 1)
             k = rng.standard_normal((n, 12)) * PSF.sigma_k
-            got = _bracket(column_prefixes(k, lengths), s, xs, _theta_tables(12, 1.5, delta), lengths=lengths)
+            table = _theta_tables(12, 1.5, delta)
+            got = _bracket(column_prefixes(k, lengths), s, table, lengths=lengths, splits=xs)
             assert got.shape == (n,) and got.dtype == np.result_type(s, float)
             for L in np.unique(lengths):
                 rows = np.flatnonzero(lengths == L)
-                want = _bracket(k[rows, :L], s, range(L + 1), _theta_table(L, 1.5, delta))
+                want = _bracket(k[rows, :L], s, table)
                 for part in (np.real, np.imag) if complex_step else (np.real,):
                     # relative to the split's largest value over the rows of this L
                     scale = np.abs(part(want)).max(axis=0)[xs[rows]]
@@ -714,18 +712,18 @@ class TestBracketKernel:
     @pytest.mark.parametrize("complex_step", [False, True])
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     def test_per_row_form_on_one_order_matches_single_split_calls(self, s, complex_step, rng):
-        # the sampler's call shape: rows of one L, each at its own X, against a one-order call per split
+        # the sampler's call shape: rows of one L, each at its own X, against each split of a one-order call
         z = s * (1 + 1e-20j) if complex_step else s
         delta = psf_overlap_delta(PSF, s)
         for L in range(1, 13):
             k = rng.standard_normal((3000, L)) * PSF.sigma_k
             xs = rng.integers(0, L + 1, len(k))
-            coefs = _theta_table(L, 1.5, delta)
-            got = _bracket(k.T.ravel(), z, xs, _theta_tables(L, 1.5, delta), lengths=np.full(len(k), L))
+            table = _theta_tables(L, 1.5, delta)
+            got = _bracket(k.T.ravel(), z, table, lengths=np.full(len(k), L), splits=xs)
             assert got.shape == (len(k),) and got.dtype == np.result_type(z, float)
             for X in range(L + 1):
                 rows = xs == X
-                want = _bracket(k[rows], z, [X], coefs[X : X + 1])[:, 0]
+                want = _bracket(k[rows], z, table)[:, X]
                 for part in (np.real, np.imag) if complex_step else (np.real,):
                     scale = np.abs(part(want)).max()  # the split's largest value
                     assert (np.abs(part(got[rows]) - part(want)) <= 1e-13 * scale).all(), (L, X, part)
@@ -738,11 +736,11 @@ class TestBracketKernel:
         z = s * (1 + 1e-20j) if complex_step else s
         k = rng.standard_normal((300, width)) * PSF.sigma_k
         orders = sorted({1, 4, width // 2, width - 1, width})
-        coefs = [_theta_table(L, 1.5, psf_overlap_delta(PSF, s)) for L in orders]
-        got = _bracket(k, z, [range(L + 1) for L in orders], coefs, orders)
+        table = _theta_tables(width, 1.5, psf_overlap_delta(PSF, s))
+        got = _bracket(k, z, table, orders)
         assert got.shape == (300, sum(orders) + len(orders))
-        for L, c, end in zip(orders, coefs, np.cumsum([L + 1 for L in orders])):
-            want = _bracket(k[:, :L], z, range(L + 1), c)
+        for L, end in zip(orders, np.cumsum([L + 1 for L in orders])):
+            want = _bracket(k[:, :L], z, table)
             for part in (np.real, np.imag) if complex_step else (np.real,):
                 scale = np.abs(part(want)).max(axis=0)
                 assert (np.abs(part(got[:, end - L - 1 : end]) - part(want)) <= 1e-13 * scale).all(), (L, part)
@@ -768,37 +766,33 @@ class TestBracketKernel:
             for part in (np.real, np.imag) if complex_step else (np.real,):
                 assert (np.abs(part(got) - part(want)) <= 1e-13 * np.abs(part(scale)).max(axis=0)).all(), part
 
-        splits = [0, 3, 4, 9]  # one order, a split subset
-        coefs = _theta_table(9, 1.5, delta)[splits]
-        want = oracle_bracket(k, s, splits, coefs)
-        check(bracket(k, s, splits, coefs), want, want)
+        table = _theta_tables(9, 1.5, delta)
+        splits = [0, 3, 4, 9]  # one order, a split subset of its every-split result
+        want = oracle_bracket(k, s, splits, table[9, splits, :9])
+        check(bracket(k, s, table)[:, splits], want, want)
         orders, splits = (2, 5, 9), [[0, 1, 2], [1, 4], list(range(10))]
-        coefs = [_theta_table(L, 1.5, delta)[x] for L, x in zip(orders, splits)]
-        want = np.hstack([oracle_bracket(k[:, :L], s, x, c) for L, x, c in zip(orders, splits, coefs)])
-        check(bracket(k, s, splits, coefs, orders), want, want)
+        columns = [sum(n + 1 for n in orders[:i]) + X for i, x in enumerate(splits) for X in x]  # each order's subset
+        want = np.hstack([oracle_bracket(k[:, :L], s, x, table[L, x, :L]) for L, x in zip(orders, splits)])
+        check(bracket(k, s, table, orders)[:, columns], want, want)
         lengths = np.sort(rng.integers(1, 10, 45))[::-1]
         lengths[0] = 9
         xs = rng.integers(0, lengths + 1)
-        got = bracket(column_prefixes(k, lengths), s, xs, _theta_tables(9, 1.5, delta), lengths=lengths)
+        got = bracket(column_prefixes(k, lengths), s, table, lengths=lengths, splits=xs)
         for L in np.unique(lengths):
             rows = np.flatnonzero(lengths == L)
-            want = oracle_bracket(k[rows, :L], s, range(L + 1), _theta_table(L, 1.5, delta))
+            want = oracle_bracket(k[rows, :L], s, range(L + 1), table[L, : L + 1, :L])
             check(got[rows], want[np.arange(len(rows)), xs[rows]], want[:, xs[rows]])
 
     @pytest.mark.parametrize("complex_step", [False, True])
     def test_orders_read_a_row_alike_wherever_it_sits(self, complex_step, monkeypatch, rng):
         # chunks of a few rows: every row, those at chunk edges among them, must read bit for bit the same
-        # in its place, alone and in a row-permuted call, for several orders and for one order at every
-        # split or at one split
+        # in its place, alone and in a row-permuted call, for several orders and for one order, at every split
         monkeypatch.setattr(coincidence, "_CHUNK_BYTES", 2048)
         s = 1.3 * (1 + 1e-20j) if complex_step else 1.3
         tables = _theta_tables(12, 1.5, np.exp(-0.5 * (s * PSF.sigma_k) ** 2))
         k = rng.standard_normal((41, 12)) * PSF.sigma_k
         orders = (2, 4, 5, 7)
-        calls = [(k[:, :7], ([range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders))]
-        for L in range(3, 13):
-            calls.append((k[:, :L], (range(L + 1), tables[L, : L + 1, :L])))
-            calls.append((k[:, :L], ([L // 2], tables[L, L // 2 : L // 2 + 1, :L])))
+        calls = [(k[:, :7], (tables, orders))] + [(k[:, :L], (tables,)) for L in range(3, 13)]
         for momenta, args in calls:
             got = _bracket(momenta, s, *args)
             perm = rng.permutation(len(momenta))
@@ -809,34 +803,30 @@ class TestBracketKernel:
     @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [3, -1]])
     def test_per_row_form_needs_descending_photon_numbers(self, lengths):
         with pytest.raises(ValueError, match="descending photon number"):
-            _bracket(np.zeros(5), 1.0, np.array([0, 0]), np.ones((4, 4, 3)), lengths=np.array(lengths))
+            _bracket(np.zeros(5), 1.0, np.ones((4, 4, 3)), lengths=np.array(lengths), splits=np.array([0, 0]))
 
     @pytest.mark.parametrize("splits", [[5, 5, 5], [-1, -1, -1]], ids=["above L", "negative"])
     def test_per_row_form_needs_each_split_within_its_rows_L(self, splits):
         # such a split never flips its slot's sign, so it would read the X = L bracket
         with pytest.raises(ValueError, match="split within 0..L"):
-            _bracket(np.ones(9), 1.0, np.array(splits), np.ones((4, 4, 3)), lengths=np.array([3, 3, 3]))
+            _bracket(np.ones(9), 1.0, np.ones((4, 4, 3)), lengths=np.array([3, 3, 3]), splits=np.array(splits))
 
     @pytest.mark.parametrize("size", [0, 5, 7, 8], ids=["empty", "one short", "one over", "padded"])
     def test_per_row_form_needs_one_word_per_photon(self, size):
         # rows of L = 4 and 2 take 6 words: a buffer one word short or over, or zero-padded to the widest row
         # (8 words), is refused, not read short or past
         with pytest.raises(ValueError, match=r"sum\(lengths\) = 6 momenta, one flat buffer"):
-            _bracket(np.ones(size), 1.0, np.array([1, 0]), np.ones((5, 5, 4)), lengths=np.array([4, 2]))
+            _bracket(np.ones(size), 1.0, np.ones((5, 5, 4)), lengths=np.array([4, 2]), splits=np.array([1, 0]))
         with pytest.raises(ValueError, match="flat buffer"):  # the rows as a 2-D array, however wide
-            _bracket(np.ones((2, 4)), 1.0, np.array([1, 0]), np.ones((5, 5, 4)), lengths=np.array([4, 2]))
+            _bracket(np.ones((2, 4)), 1.0, np.ones((5, 5, 4)), lengths=np.array([4, 2]), splits=np.array([1, 0]))
 
-    @pytest.mark.parametrize("orders, splits, n_coefs", [
-        ((3, 2), [[0], [0]], 2), ((2, 2), [[0], [0]], 2), ((0, 2), [[0], [0]], 2), ((2, 4), [[0], [0]], 2),
-        ((), [], 0), ((2, 3), [[0]], 1), ((2, 3), [[0]] * 3, 3), ((2, 3), [[0], [0]], 1),
-        ((2, 3), [[3], [0]], 2), ((2, 3), [[0], [-1]], 2),
-    ], ids=["descending", "repeated", "zero", "above k", "none", "one entry short", "one entry over", "coefs short",
-            "split above L", "negative split"])
-    def test_orders_form_needs_ascending_photon_numbers_within_k(self, orders, splits, n_coefs):
-        # out of order, repeated, zero or above k.shape[1], not one splits and coefs entry per order, or a
-        # split outside 0..L
+    @pytest.mark.parametrize("orders, l_max", [
+        ((3, 2), 3), ((2, 2), 3), ((0, 2), 3), ((2, 4), 4), ((), 3), ((2, 3), 2),
+    ], ids=["descending", "repeated", "zero", "above k", "none", "table too small"])
+    def test_orders_form_needs_ascending_photon_numbers_within_k(self, orders, l_max):
+        # out of order, repeated, zero or above k.shape[1], or above the [L, X, j] table's last L = l_max
         with pytest.raises(ValueError, match="orders"):
-            _bracket(np.zeros((2, 3)), 1.0, splits, [np.ones((1, 3))] * n_coefs, orders)
+            _bracket(np.zeros((2, 3)), 1.0, np.ones((l_max + 1, l_max + 1, l_max)), orders)
 
     @pytest.mark.parametrize("s", [1e-8, 0.01, 1.0, 8.0, 40.0])
     def test_complex_half_angle_trig_is_numpys(self, s, rng):

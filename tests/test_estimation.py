@@ -14,6 +14,7 @@ import pytest
 import homsr.estimation as estimation
 from homsr.coincidence import (
     DetectionOutcome,
+    _bracket,
     class_weights,
     coincidence_density,
     frame_size_distribution,
@@ -174,8 +175,8 @@ class TestMajorantScanAndBlocks:
         sampler = FrameSampler(SourceScene(s, 1.5), PSF)
         for L in range(1, 13):
             k = np.random.default_rng([L, 17]).standard_normal((400, L)) * PSF.sigma_k
-            g = sampler._bracket(L, None, k)
-            mirrored = sampler._bracket(L, None, k[:, ::-1])[:, ::-1]
+            g = _bracket(k, s, sampler._theta, [L])
+            mirrored = _bracket(k[:, ::-1], s, sampler._theta, [L])[:, ::-1]
             assert g.shape == (400, L + 1)
             assert np.all(np.abs(mirrored - g) <= 1e-13 * g.max(axis=0))
 
@@ -187,7 +188,7 @@ class TestMajorantScanAndBlocks:
         probes = (np.random.default_rng(9191).standard_normal((12, 32_768)) * PSF.sigma_k).T
         probes[0] = 0.0
         for L in range(1, 13):
-            peak = sampler._bracket(L, None, probes[:, :L]).max(axis=0)
+            peak = _bracket(probes[:, :L], s, sampler._theta, [L]).max(axis=0)
             for X in range(L + 1):
                 assert sampler._majorant(L, X) == 1.2 * max(peak[X], peak[L - X])
 
@@ -383,7 +384,7 @@ class TestCellDensities:
         sums, draws = 0.0, 4
         for b in range(draws):
             k = np.random.default_rng([43, L, b]).standard_normal((self.ENVELOPE_DRAWS // draws, L)) * PSF.sigma_k
-            g, h = sampler._bracket(L, None, k), self.fringes(k, self.S)[:, None]
+            g, h = _bracket(k, self.S, sampler._theta, [L]), self.fringes(k, self.S)[:, None]
             sums = sums + np.array([g.sum(0), (h * g).sum(0), (h * g * g).sum(0), (h * h * g * g).sum(0), (g * g).sum(0)])
         n = self.ENVELOPE_DRAWS
         mean_g, mean_hg, hgg, hhgg, gg = sums / n

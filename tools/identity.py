@@ -9,13 +9,16 @@ worktree add ../parent HEAD~1``, say).  For each family whose digest differs
 it prints the item whose largest |difference|, over that item's largest
 magnitude (complex values compared as such), is greatest, and that ratio.
 
-Each checkout runs in its own process with its ``src`` first on
-``sys.path``; both run at once.  The families are densities (every split,
+Each checkout runs its own ``tools/identity.py`` (a checkout without one is
+refused) in its own process with its ``src`` first on ``sys.path``; both run
+at once.  So each battery calls its checkout's internals in that checkout's
+call shapes, and only the items' names and inputs must stay fixed from one
+commit to the next.  The families are densities (every split,
 with a camera assignment, with ``delta_override``, without the envelope, and
 the 2-, 3- and 4-photon closed forms), all-splits densities, the frame-size
-law, the bracket kernel in each call shape (one order with every split, one
-split, several orders with every split or with split subsets, one split per
-row, one order with one split per row)
+law, the bracket kernel in each call shape (one order and several orders with
+every split, with one split and with split subsets taken from those, one split
+per row, one order with one split per row)
 at real and complex-step s, so that a kernel change is seen before
 integration, envelope expectations of a fixed three-column integrand under
 each scheme at dims 1..4, so that a change in how a rule sums is seen before
@@ -31,11 +34,8 @@ baseline, the rejection bounds of every (L, X) cell of a fresh sampler at each r
 before any draw (so that a change to the bound scan shows apart from one to the draws), three
 5000-frame records (frames, majorants after sampling, written lines, ŝ of the record and of its
 read-back copy, and likelihood curves), and the outputs of the CLI runs in
-``tests/test_cli.py`` with their temporary paths normalised.  A parameter
-that an older checkout lacks (``l_cap`` of ``crb_report``) is passed only
-where the signature has it, and the per-row kernel gets its rows in the
-layout its docstring names (a flat buffer of column prefixes, or padded
-rows).  It takes about 4 s on 2 vCPU.
+``tests/test_cli.py`` with their temporary paths normalised.  It takes
+about 4 s on 2 vCPU.
 
 This is not a test: pinned digests would turn every intended numeric change
 into a test edit.
@@ -46,7 +46,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -118,18 +117,6 @@ def _densities(families, psf, rng):
             dens[f"s={s} ns={ns} three-photon {x_class}"] = c.three_photon_density(*k[:3], x_class, scene, psf)
 
 
-def _per_row(c, k, s, lengths, xs, tables):
-    """The per-row kernel on rows ``k`` in descending L, each at its own L and split, in the call form of the
-    checkout: a flat buffer of column prefixes with the [L, X, j] table, or (older) the rows zero-padded past their
-    L with that table, or (older still) with one coefficient row per row; its docstring says which."""
-    doc = c._bracket.__doc__
-    if "flat buffer" in doc:
-        flat = np.concatenate([k[lengths > a, a] for a in range(k.shape[1])])
-        return c._bracket(flat, s, xs, tables, lengths=lengths)
-    coefs = tables if "coefs[L, X, :L]" in doc else tables[lengths, xs, : k.shape[1]]
-    return c._bracket(k * (np.arange(k.shape[1]) < lengths[:, None]), s, xs, coefs, lengths=lengths)
-
-
 def _kernel(families, psf, rng):
     from homsr import coincidence as c
 
@@ -138,19 +125,21 @@ def _kernel(families, psf, rng):
     xs = rng.integers(0, lengths + 1)
     orders = (1, 4, 7, 12)
     sub_orders, sub_splits = (2, 5, 9), ([0, 2], [1, 4], list(range(10)))  # split subsets, some reading X = 0
+    sub_columns = [sum(n + 1 for n in sub_orders[:i]) + X for i, x in enumerate(sub_splits) for X in x]
     xs7 = np.arange(len(k)) % 8  # the sampler's call shape: one L, every split mixed
+    flat = np.concatenate([k[lengths > a, a] for a in range(12)])  # the per-row form's column prefixes
     for s in (0.01, 1.0, 8.0):
         for step, z in (("real", s), ("complex step", s * (1 + 1e-20j))):
             tables = c._theta_tables(12, 1.5, np.exp(-0.5 * (z * psf.sigma_k) ** 2))
-            got = {f"orders {orders}": c._bracket(
-                k, z, [range(L + 1) for L in orders], [tables[L, : L + 1, :L] for L in orders], orders)}
-            got[f"orders {sub_orders} at splits {sub_splits}"] = c._bracket(
-                k[:, :9], z, sub_splits, [tables[L, x, :L] for L, x in zip(sub_orders, sub_splits)], sub_orders)
-            got["one split per row"] = _per_row(c, k, z, lengths, xs, tables)
-            got["L=7, one split per row"] = _per_row(c, k[:, :7], z, np.full(len(k), 7), xs7, tables)
+            got = {f"orders {orders}": c._bracket(k, z, tables, orders)}
+            got[f"orders {sub_orders} at splits {sub_splits}"] = c._bracket(k[:, :9], z, tables, sub_orders)[
+                :, sub_columns]
+            got["one split per row"] = c._bracket(flat, z, tables, lengths=lengths, splits=xs)
+            got["L=7, one split per row"] = c._bracket(k[:, :7].T.ravel(), z, tables, lengths=np.full(len(k), 7),
+                                                       splits=xs7)
             for L in (1, 2, 4, 7, 12):
-                got[f"L={L} every split"] = c._bracket(k[:, :L], z, range(L + 1), tables[L, : L + 1, :L])
-                got[f"L={L} X={L // 2}"] = c._bracket(k[:, :L], z, [L // 2], tables[L, L // 2 : L // 2 + 1, :L])
+                every = c._bracket(k[:, :L], z, tables)
+                got[f"L={L} every split"], got[f"L={L} X={L // 2}"] = every, every[:, L // 2 : L // 2 + 1]
             for name, value in got.items():  # real and imaginary parts apart, so both are compared
                 families["kernel"][f"s={s} {step} {name}"] = np.stack([value.real, value.imag])
 
@@ -233,11 +222,9 @@ def _crb_and_baselines(families, psf):
     from homsr import fisher as f
     from homsr.optics import SourceScene
 
-    takes_l_cap = "l_cap" in inspect.signature(e.crb_report).parameters
     for l_cap in (12, 6):
-        kwargs = {"l_cap": l_cap} if takes_l_cap else {}
         families["crb"][f"s=1.0 ns=1.5 frames=5000 l_cap={l_cap}"] = np.array(
-            e.crb_report(SourceScene(1.0, 1.5), psf, 5000, **kwargs))
+            e.crb_report(SourceScene(1.0, 1.5), psf, 5000, l_cap=l_cap))
     for s, ns in SCENES:
         scene = SourceScene(s, ns)
         h = f.sampling_hierarchy_fi(scene, psf)
@@ -269,8 +256,7 @@ def _records(families, psf, tmp):
         for label, r in (("", record), (" read back", back)):
             report = e.mle_separation(r, psf, ns, l_cap=l_cap, curve_points=9, compute_crb=False)
             families["records.s_hat"][key + label] = np.array(report.s_hat)
-            if hasattr(report, "objective_evals"):
-                families["records.s_hat"][key + label + " evaluations"] = np.array(report.objective_evals)
+            families["records.s_hat"][key + label + " evaluations"] = np.array(report.objective_evals)
             families["records.curves"][key + label] = np.array(report.log_likelihood_curve)
 
 
@@ -366,12 +352,17 @@ def largest_difference(a, b):
 
 
 def run_trees(trees):
-    """Collect each tree in a child process, all at once; returns their families and seconds."""
+    """Collect each tree in a child process that runs the tree's own battery, all at once; returns their families
+    and seconds.  A tree without ``tools/identity.py`` is refused."""
+    tools = [Path(tree) / "tools" / "identity.py" for tree in trees]
+    for tree, tool in zip(trees, tools):
+        if not tool.is_file():
+            raise SystemExit(f"{tree} has no tools/identity.py to collect it with")
     with tempfile.TemporaryDirectory() as tmp:
         jobs = []
-        for n, tree in enumerate(trees):
+        for n, (tree, tool) in enumerate(zip(trees, tools)):
             dump = os.path.join(tmp, f"{n}.pickle")
-            argv = [sys.executable, __file__, "--collect", str(tree), "--dump", dump]
+            argv = [sys.executable, str(tool), "--collect", str(tree), "--dump", dump]
             jobs.append((dump, time.perf_counter(), subprocess.Popen(argv, cwd=tmp)))
         results = []
         for dump, start, job in jobs:
