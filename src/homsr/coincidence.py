@@ -309,6 +309,8 @@ def _bracket(k, s, table, orders=None, lengths=None, splits=None):
             raise ValueError("per-row bracket needs rows in descending photon number, L >= 1")
         if np.any((xs < 0) | (xs > lengths)):  # a split outside 0..L never flips its slot: it would read X = L
             raise ValueError("per-row bracket needs each row's split within 0..L")
+        if n_rows and lengths[0] >= len(table):  # past the table, the read of the widest rows would index out
+            raise ValueError("per-row bracket needs a table through the rows' largest L")
         if np.shape(k) != (lengths.sum(),):
             raise ValueError(f"per-row bracket needs the rows' sum(lengths) = {lengths.sum()} momenta, one flat buffer")
         total = n_rows - np.cumsum(np.bincount(lengths))  # the rows with L > a: column a of k, from word starts[a]

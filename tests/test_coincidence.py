@@ -820,6 +820,28 @@ class TestBracketKernel:
         with pytest.raises(ValueError, match="flat buffer"):  # the rows as a 2-D array, however wide
             _bracket(np.ones((2, 4)), 1.0, np.ones((5, 5, 4)), lengths=np.array([4, 2]), splits=np.array([1, 0]))
 
+    @pytest.mark.parametrize("l_max", [3, 0], ids=["one order short", "empty"])
+    def test_per_row_form_needs_a_table_through_its_widest_row(self, l_max):
+        # rows of L = 4 and 2 against a table whose last L is l_max < 4: refused before any step is taken
+        with pytest.raises(ValueError, match="table through the rows' largest L"):
+            _bracket(np.ones(6), 1.0, np.ones((l_max + 1, l_max + 1, l_max)), lengths=np.array([4, 2]),
+                     splits=np.array([1, 0]))
+
+    @pytest.mark.parametrize("form", ["one order", "orders", "per row"])
+    def test_a_wider_table_reads_alike(self, form, rng):
+        # callers pass one table through l_cap for every order; its entries at L <= 5 are those of a table
+        # through L = 5, bit for bit, so every form must read the same bits from either
+        delta = psf_overlap_delta(PSF, 1.3)
+        wide, narrow = _theta_tables(12, 1.5, delta), _theta_tables(5, 1.5, delta)
+        np.testing.assert_array_equal(wide[:6, :6, :5], narrow)
+        k = rng.standard_normal((60, 5)) * PSF.sigma_k
+        if form == "per row":
+            lengths = np.sort(rng.integers(1, 6, len(k)))[::-1]
+            momenta, kwargs = column_prefixes(k, lengths), {"lengths": lengths, "splits": rng.integers(0, lengths + 1)}
+        else:
+            momenta, kwargs = k, ({"orders": (1, 3, 5)} if form == "orders" else {})
+        np.testing.assert_array_equal(_bracket(momenta, 1.3, wide, **kwargs), _bracket(momenta, 1.3, narrow, **kwargs))
+
     @pytest.mark.parametrize("orders, l_max", [
         ((3, 2), 3), ((2, 2), 3), ((0, 2), 3), ((2, 4), 4), ((), 3), ((2, 3), 2),
     ], ids=["descending", "repeated", "zero", "above k", "none", "table too small"])
