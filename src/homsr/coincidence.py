@@ -218,7 +218,7 @@ def _xi_coeffs(momenta, s: float) -> list:
 
 @functools.lru_cache(maxsize=64)
 def _theta_parts(l_max: int, ns: float) -> tuple:
-    """The s-free parts of :func:`_theta_tables`, read-only (two threads may share them): the factorial and N_s
+    """The s-free parts of :func:`_theta_tables`, read-only (every caller shares them): the factorial and N_s
     power products, the exponents of A and B, the X table 1/(X! (L-X)!) and the mask X <= L, j < L."""
     fact = np.array([math.factorial(i) for i in range(l_max + 1)], dtype=float)
     L, X, j = np.arange(l_max + 1)[:, None], np.arange(l_max + 1), np.arange(l_max)

@@ -38,6 +38,7 @@ from .coincidence import _bracket, _checked_row, _closed_form_weights, _count, _
 from .coincidence import _with_s_derivative
 from .fisher import QuadratureSpec, fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
+from .quadrature import _each_batch
 
 __all__ = [
     "ExperimentConfig",
@@ -162,7 +163,8 @@ class FrameSampler:
     per L) are drawn exactly for every frame first.  Momenta are rejection-sampled in rounds over the whole record
     (:meth:`_sample_momenta`), each one per-row bracket call for every (L, X) cell still short, each row at its own
     L and split, under a per-cell bound (:meth:`_majorant`) that all-orders bracket calls on one probe set, a row
-    slice each, find at construction, not a proven maximum; every proposal is checked against its cell's bound.
+    slice each, find at construction, not a proven maximum; every proposal is checked against its cell's bound.  The
+    slices run in forked helper processes too when more than one CPU is usable (``quadrature._each_batch``).
     ``cell_counts[(L, X)]`` counts the proposals drawn, the rows accepted and the violated passes of each cell.
     """
 
@@ -182,8 +184,9 @@ class FrameSampler:
         probes = (np.random.default_rng(9191).standard_normal((l_cap, _MAJORANT_SCAN)) * psf.sigma_k).T
         probes[0] = 0.0
         rows = _MAJORANT_SCAN * (l_cap + 1) // sum(L + 1 for L in orders)  # no slice's output above one order's
-        peaks = np.max([_bracket(probes[lo : lo + rows], scene.separation, self._theta, orders).max(axis=0)
-                        for lo in range(0, _MAJORANT_SCAN, rows)], axis=0).tolist()
+        starts = range(0, _MAJORANT_SCAN, rows)
+        peaks = np.max(_each_batch(lambda i: _bracket(probes[starts[i] : starts[i] + rows], scene.separation,
+                                                      self._theta, orders).max(axis=0), len(starts)), axis=0).tolist()
         self._majorants = {(L, X): _MAJORANT_MARGIN * max(peaks[(L - 1) * (L + 2) // 2 + x] for x in (X, L - X))
                            for L in orders for X in range(L + 1)}
         self.cell_counts = {}

@@ -40,7 +40,7 @@ import numpy as np
 from .coincidence import _CHUNK_BYTES, _bracket, _closed_form_weights, _count, _fringe_mean, _subrayleigh_coefficient
 from .coincidence import _theta_tables, _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
-from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme
+from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme, rule_points
 
 __all__ = [
     "QuadratureSpec",
@@ -65,8 +65,9 @@ class FisherEstimate:
     """``stderr`` is the node-refinement difference |Q_n - Q_3n/4| under
     Gauss-Hermite, the standard error of the shift means under the rank-1
     lattice, and the standard error of the batch means under Monte Carlo.
-    ``points`` is the integrand rows the order used, counted as the
-    integrand receives them; orders integrated together share one count."""
+    ``points`` is the integrand rows the order used, the rule's node count
+    (:func:`~homsr.quadrature.rule_points`); orders integrated together
+    share one count."""
 
     value: float          # in sigma_k^2 units
     stderr: float
@@ -135,10 +136,7 @@ def _fisher_orders(scene, psf, orders, quad):
     if scene.separation <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
 
-    rows = []  # integrand rows per call: the one count of a rule's points
-
     def integrand(k):
-        rows.append(len(k))
         columns = list(_fisher_integrand(orders, k, scene, psf).T)
         return np.array(columns + [sum(columns)]).T  # column-major
 
@@ -147,7 +145,7 @@ def _fisher_orders(scene, psf, orders, quad):
     estimates = {}
     for L, value, stderr in zip(orders, values.tolist(), stderrs.tolist()):
         converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
-        estimates[L] = FisherEstimate(value, stderr, converged, scheme, sum(rows))
+        estimates[L] = FisherEstimate(value, stderr, converged, scheme, rule_points(quad, orders[-1]))
     return estimates, float(stderrs[-1])
 
 

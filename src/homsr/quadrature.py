@@ -31,13 +31,13 @@ draws are the m draws, and component-by-component search fixes z_1..z_m
 before it looks at z_{m+1}.  So one dim-D call can integrate functions of
 fewer momenta on exactly the nodes their own calls would use.
 
-The random rules' batches (shifts) are independent, so they run on
-min(usable CPUs, ``batch_count``) threads: the calling thread and helpers
-that the call starts and joins, so no thread outlives it.  Each batch draws
-its own nodes from its own seed and its mean is kept in batch order, and
-:func:`homsr.coincidence._bracket` gives a row the same bits wherever it
-sits in a call, so no result depends on the number of threads.  No sum
-calls BLAS, whose own threads would outlive the call.
+The random rules' batches (shifts) are independent, so they run in
+min(usable CPUs, ``batch_count``) processes, the caller and helpers that it
+forks and reaps (:func:`_each_batch`; ``os.fork`` needs Linux, as
+``os.sched_getaffinity`` does).  Each batch draws its nodes from its own
+seed, its mean is kept in batch order, and :func:`homsr.coincidence._bracket`
+gives a row the same bits wherever it sits in a call, without BLAS, so no
+result depends on the number of processes.
 """
 
 from __future__ import annotations
@@ -47,6 +47,9 @@ import math
 import numbers
 import operator
 import os
+import pickle
+import signal
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,33 +62,68 @@ _SCHEMES = ("auto", "gauss_hermite_tensor", "monte_carlo_importance", "rank1_lat
 
 
 def _each_batch(run, count: int) -> list:
-    """[run(b) for b in range(count)] on min(usable CPUs, count) threads: the calling one and helpers started
-    for this call.
+    """[run(b) for b in range(count)] in min(usable CPUs, count) processes: the caller and helpers it forks.
 
-    Each thread takes the next b when it finishes one; serial on one CPU.  An exception is raised once every
-    thread has stopped.
+    Each process takes the next b when it finishes one.  A helper, which unlike a thread shares no interpreter
+    lock, pickles {b: run(b)} or its exception back through a pipe and ends with ``os._exit``; the caller raises
+    that exception, or ``RuntimeError`` for a helper without a readable reply, once it has reaped every helper,
+    and kills them on an error of its own.  Serial on one CPU or while another thread is alive, which a forked
+    child would lose with any lock it held.  CPython >= 3.12 warns on a fork in a process with several OS
+    threads, as numpy's and scipy's OpenBLAS leave it.
     """
     helpers = min(len(os.sched_getaffinity(0)), count) - 1
-    if helpers < 1:
+    if helpers < 1 or threading.active_count() > 1:
         return [run(b) for b in range(count)]
-    from concurrent.futures import ThreadPoolExecutor  # here, not at import: it loads logging, ~4 ms
+    todo, children, replies = os.pipe(), [], []  # todo holds the next b: taken by a read, b + 1 put back
 
-    results, todo = [None] * count, iter(range(count))
-
-    def drain():
-        for b in todo:  # next() on a range iterator is atomic under the GIL: each b goes to one thread
+    def drain(results):
+        while (b := int.from_bytes(os.read(todo[0], 4), "little")) < count:
+            os.write(todo[1], (b + 1).to_bytes(4, "little"))
             results[b] = run(b)
+        os.write(todo[1], b.to_bytes(4, "little"))  # count: every other process stops too
+        return results
 
-    with ThreadPoolExecutor(helpers, "homsr-batch") as pool:  # its exit waits for every helper
-        running = [pool.submit(drain) for _ in range(helpers)]
+    os.write(todo[1], bytes(4))
+    try:
+        for _ in range(helpers):
+            reader, writer = os.pipe()
+            if (pid := os.fork()) == 0:
+                try:
+                    try:
+                        reply = drain({})
+                    except BaseException as exc:
+                        reply = exc
+                    try:
+                        message = pickle.dumps(reply)
+                    except Exception as exc:  # an unpicklable exception or result reaches the caller as text
+                        message = pickle.dumps(RuntimeError(f"helper could not send {reply!r:.300}: {exc}"))
+                    with os.fdopen(writer, "wb") as pipe:
+                        pipe.write(message)
+                finally:
+                    os._exit(0)
+            os.close(writer)
+            children.append((pid, reader))
+        results = drain({})
+    except BaseException:
+        for pid, _ in children:  # their batches are not wanted
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, reader in children:
+            with os.fdopen(reader, "rb") as pipe:
+                replies.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
+        os.close(todo[0])
+        os.close(todo[1])
+    for pid, message, status in replies:
         try:
-            drain()
-        finally:
-            for _ in todo:  # after an error here, hand out no more batches
-                pass
-            for future in running:
-                future.result()
-    return results
+            reply = pickle.loads(message)
+        except Exception:  # it died before or while it wrote
+            raise RuntimeError(f"batch helper {pid} ended without readable results "
+                               f"(exit code {os.waitstatus_to_exitcode(status)})") from None
+        if isinstance(reply, BaseException):
+            raise reply
+        results.update(reply)
+    return [results[b] for b in range(count)]
 
 
 @dataclass(frozen=True)
@@ -196,14 +234,24 @@ def resolved_scheme(quad: QuadratureSpec, dim: int) -> str:
     return quad.scheme
 
 
+def rule_points(quad: QuadratureSpec, dim: int) -> int:
+    """The integrand rows :func:`envelope_expectation` takes over ``dim`` momenta."""
+    scheme, batch = resolved_scheme(quad, dim), quad.sample_count // quad.batch_count
+    if scheme == "gauss_hermite_tensor":
+        n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
+        return n ** dim + int(0.75 * n) ** dim
+    return quad.batch_count * (_largest_prime_at_most(batch) if scheme == "rank1_lattice" else batch)
+
+
 def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     """E_env[f(k)] over ``dim`` envelope momenta; returns ``(value, error, scheme)``.
 
     ``f`` maps momenta of shape (N, dim), column-major, to values of shape (N, ...); value and error have
     the trailing shape, each column's those of integrating it alone (a column-major ``f`` is not copied),
     and ``scheme`` is the one used after resolving "auto".  Under the random rules ``f`` is called once
-    per batch, from several threads at once when more than one CPU is usable; the result is the same on
-    one thread as on many if ``f``'s rows depend only on their own momenta.
+    per batch, in forked helpers too when more than one CPU is usable, so its side effects may not reach
+    the caller (:func:`rule_points` counts its rows); the result is the same in one process as in many if
+    ``f``'s rows depend only on their own momenta.
     """
     def columns(k):  # f(k) with the node axis last and contiguous
         return np.ascontiguousarray(np.moveaxis(f(k), 0, -1))
@@ -222,7 +270,7 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
 
     nodes = {"monte_carlo_importance": envelope_mc_nodes, "rank1_lattice": envelope_lattice_nodes}[scheme]
     batch = quad.sample_count // quad.batch_count
-    if scheme == "rank1_lattice":  # fill the lattice's caches before the batches run: lru_cache does not lock
+    if scheme == "rank1_lattice":  # fill the lattice's caches before the helpers fork, or each would search
         lattice_generating_vector(_largest_prime_at_most(batch), dim)
     means = np.stack(_each_batch(  # (..., batches): each column's batch means contiguous
         lambda b: columns(nodes(psf, dim, batch, np.random.default_rng([quad.seed, b]))).mean(axis=-1),

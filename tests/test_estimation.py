@@ -7,6 +7,7 @@ the estimator's dispersion on a short synthetic record.
 
 import itertools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -201,6 +202,8 @@ class TestMajorantScanAndBlocks:
 
     @pytest.mark.parametrize("l_cap", [2, 12, 20])
     def test_scan_slices_stay_within_one_orders_output(self, monkeypatch, l_cap):
+        # one usable CPU keeps every slice in this process, where the closure can count it
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         calls, bracket = [], estimation._bracket
 
         def recorded(k, *args, **kwargs):

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -151,7 +152,9 @@ def test_random_rules_nest_across_dimension(nodes, count):
     (MC, 5, 200_000),
     (QuadratureSpec(scheme="monte_carlo_importance", sample_count=10_001, batch_count=7), 3, 7 * 1428),
 ])
-def test_rule_points_counts_the_integrand_rows(quad, dim, points):
+def test_rule_points_counts_the_integrand_rows(quad, dim, points, monkeypatch):
+    cpus(monkeypatch, 1)  # every batch in this process, where the closure can count its rows
+    assert quadrature.rule_points(quad, dim) == points
     rows = []
 
     def f(k):
@@ -230,80 +233,180 @@ def test_tensor_gh_refuses_a_rule_above_a_million_nodes():
 
 
 def cpus(monkeypatch, count):
-    """Make the batches see ``count`` usable CPUs: one runs them on the calling thread, two adds a helper."""
+    """Make the batches see ``count`` usable CPUs: one runs them in the calling process, two forks a helper."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def helper_mark(caller, marks, text=""):
+    """In a batch: a helper writes ``text`` to ``marks/<its pid>`` and returns True; the calling process waits up to
+    10 s for a helper's mark, so that a helper takes a batch before the caller runs out of them, and returns False."""
+    if os.getpid() != caller:
+        (marks / str(os.getpid())).write_text(text)
+        return True
+    deadline = time.monotonic() + 10
+    while not any(marks.iterdir()):
+        assert time.monotonic() < deadline, "no helper took a batch"
+        time.sleep(1e-3)
+    return False
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):  # every helper was reaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("quad", [LATTICE, MC], ids=["lattice", "mc"])
-def test_batches_give_the_same_result_on_one_thread_and_two(quad, monkeypatch):
+def test_batches_give_the_same_result_in_one_process_and_two(quad, monkeypatch, tmp_path):
+    caller = os.getpid()
+
     def f(k):
-        if threading.current_thread() is not threading.main_thread():
-            helped.set()
-        elif count == 2:
-            assert helped.wait(10)  # the helper takes a batch before the calling thread runs out
+        if count == 2:
+            helper_mark(caller, marks)
         return np.column_stack([np.cos(k).prod(axis=1), (k * k).sum(axis=1)])
 
     results = []
     for count in (1, 2):
         cpus(monkeypatch, count)
-        helped = threading.Event()
+        marks = tmp_path / str(count)
+        marks.mkdir()
         results.append(envelope_expectation(f, 5, PSF, quad))
-        assert helped.is_set() == (count == 2)
+        assert len(list(marks.iterdir())) == count - 1  # on two CPUs a second pid ran a batch
     (one, one_error, _), (two, two_error, _) = results
     assert np.array_equal(one, two) and np.array_equal(one_error, two_error)
 
 
-def test_an_error_in_a_helper_reaches_the_caller(monkeypatch):
+def test_an_error_in_a_helper_reaches_the_caller(monkeypatch, tmp_path):
     cpus(monkeypatch, 2)
-    helped = threading.Event()
+    caller = os.getpid()
 
     def f(k):
-        if threading.current_thread() is threading.main_thread():
-            assert helped.wait(10)
-            return k[:, 0]
-        helped.set()
-        raise KeyError("batch failed on a helper")
+        if helper_mark(caller, tmp_path):
+            raise KeyError("batch failed on a helper")
+        return k[:, 0]
 
     with pytest.raises(KeyError, match="batch failed on a helper"):
         envelope_expectation(f, 4, PSF, QuadratureSpec(scheme="rank1_lattice", sample_count=20_000))
-    value, _, _ = envelope_expectation(lambda k: k[:, 0] ** 2, 4, PSF, LATTICE)  # the pool still serves
+    no_child_left()
+    value, _, _ = envelope_expectation(lambda k: k[:, 0] ** 2, 4, PSF, LATTICE)  # the next call forks anew
     assert value == pytest.approx(PSF.sigma_k ** 2, rel=1e-3)
 
 
-def test_every_batch_runs_once_on_more_threads_than_cores(monkeypatch):
-    # seven helpers and a short switch interval: a batch handed out twice, or lost, shows in the calls
+def test_every_batch_runs_once_on_more_processes_than_cores(monkeypatch, tmp_path):
+    # seven helpers take batch numbers from one pipe: a number handed out twice, or lost, shows in the log
     cpus(monkeypatch, 8)
-    calls, results = [], []
+    log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
     def run(b):
-        calls.append(b)
-        for _ in range(100):  # Python-level work, at whose steps the interpreter switches threads
-            pass
+        os.write(log, f"{b}\n".encode())  # one appended write a batch, whole lines from every process
         return b * b
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
     try:
-        caller = threading.Thread(target=lambda: results.extend(quadrature._each_batch(run, 2000)))
-        caller.start()
-        caller.join(60)
-        assert not caller.is_alive()
+        results = quadrature._each_batch(run, 2000)
     finally:
-        sys.setswitchinterval(interval)
-    assert sorted(calls) == list(range(2000)) and results == [b * b for b in range(2000)]
+        os.close(log)
+    assert sorted(map(int, (tmp_path / "log").read_text().split())) == list(range(2000))
+    assert results == [b * b for b in range(2000)]
 
 
-def test_a_cold_lattice_is_searched_once(monkeypatch):
-    # lru_cache does not lock: the calling thread fills it before helpers start, so a cold key misses once
+def test_a_cold_lattice_is_searched_once(monkeypatch, tmp_path):
+    # the caller fills lru_cache before it forks, so a helper inherits the vector: each of its batches is a hit
     cpus(monkeypatch, 2)
-    quad = QuadratureSpec(scheme="rank1_lattice", sample_count=20 * 1213, seed=3)
-    misses = lattice_generating_vector.cache_info().misses
-    envelope_expectation(lambda k: k[:, 0], 11, PSF, quad)
-    assert lattice_generating_vector.cache_info().misses == misses + 1
+    caller, quad = os.getpid(), QuadratureSpec(scheme="rank1_lattice", sample_count=20 * 1213, seed=3)
+    before, batches = lattice_generating_vector.cache_info(), []
+
+    def f(k):
+        batches.append(len(k))  # this process's own copy of the list
+        now = lattice_generating_vector.cache_info()
+        helper_mark(caller, tmp_path, f"{now.misses - before.misses} {now.hits - before.hits - len(batches)}")
+        return k[:, 0]
+
+    envelope_expectation(f, 11, PSF, quad)
+    assert lattice_generating_vector.cache_info().misses == before.misses + 1
+    assert [mark.read_text() for mark in tmp_path.iterdir()] == ["1 0"]  # the inherited miss, no search of its own
+
+
+@pytest.mark.parametrize("failing", [None, "caller", "helper"])
+def test_no_helper_outlives_the_call(monkeypatch, tmp_path, failing):
+    cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def run(b):
+        if failing == ("helper" if helper_mark(caller, tmp_path) else "caller"):
+            raise ValueError(f"batch {b} failed")
+        return b
+
+    if failing:
+        with pytest.raises(ValueError, match="failed"):
+            quadrature._each_batch(run, 50)
+    else:
+        assert quadrature._each_batch(run, 50) == list(range(50))
+    no_child_left()
+
+
+def test_a_helper_that_dies_in_a_batch_is_an_error(monkeypatch, tmp_path):
+    cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def run(b):
+        if helper_mark(caller, tmp_path):
+            os._exit(3)
+        return b
+
+    with pytest.raises(RuntimeError, match=r"batch helper \d+ ended without readable results \(exit code 3\)"):
+        quadrature._each_batch(run, 20)
+    no_child_left()
+
+
+class Unpicklable(Exception):
+    def __reduce__(self):
+        raise TypeError("this error cannot be pickled")
+
+
+def test_an_unpicklable_error_in_a_helper_reaches_the_caller(monkeypatch, tmp_path):
+    cpus(monkeypatch, 2)
+    caller = os.getpid()
+
+    def run(b):
+        if helper_mark(caller, tmp_path):
+            raise Unpicklable("batch failed on a helper")
+        return b
+
+    with pytest.raises(RuntimeError, match=r"Unpicklable\('batch failed on a helper'\).*cannot be pickled"):
+        quadrature._each_batch(run, 20)
+    no_child_left()
+
+
+def test_a_caller_with_another_live_thread_runs_serially(monkeypatch):
+    # a forked child would keep only the calling thread, and any lock the other one held
+    cpus(monkeypatch, 2)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10,))
+    other.start()
+    try:
+        pids = quadrature._each_batch(lambda b: os.getpid(), 20)
+    finally:
+        release.set()
+        other.join(10)
+    assert not other.is_alive()
+    assert pids == [os.getpid()] * 20
+
+
+def test_many_cheap_batches_do_not_hang():
+    # 20,000 four-byte batch numbers would overfill a 64 KiB pipe written before the helpers read it
+    src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
+    probe = f"""
+import os, sys
+sys.path.insert(0, {src!r})
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from homsr import quadrature
+print(quadrature._each_batch(lambda b: b, 20_000) == list(range(20_000)))
+"""
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "True"
 
 
 def test_a_forked_child_runs_its_own_batches():
-    # the child has none of the parent's helper threads; with the parent's pool it would wait forever
+    # a process that the caller forks itself forks its own helpers and reaps them
     src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
     probe = f"""
 import os, signal, sys
