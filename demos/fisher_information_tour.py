@@ -13,6 +13,7 @@ import numpy as np
 
 from homsr import (
     PsfModel,
+    QuadratureSpec,
     SourceScene,
     asymptotic_fisher_2p,
     bucket_fisher,
@@ -63,7 +64,8 @@ print(f"class only (bucket)         : {h.f_x:.4f}")
 print(f"class + Kbar marginal       : {h.f_kbar_x:.4f}")
 print(f"class + dk marginal         : {h.f_dk_x:.4f}")
 print(f"fully momentum-resolved     : {h.f_full:.4f}")
-print(f"independent 2-D quadrature  : {fisher_L(SourceScene(1.0, ns), psf, 2).value:.4f}")
+gh = QuadratureSpec(scheme="gauss_hermite_tensor")  # by default fisher_L at L = 2 is f_full itself
+print(f"independent 2-D quadrature  : {fisher_L(SourceScene(1.0, ns), psf, 2, gh).value:.4f}")
 
 print()
 print("=" * 72)

@@ -13,8 +13,8 @@ W(s) = sum_{L <= l_cap} P(L; s).  This removes the truncation bias that a
 naive unconditioned likelihood would acquire from the discarded thermal
 tail (a few percent of frames at N_s ~ 1.5).  :func:`crb_report` is the
 Cramér-Rao bound of this fitted model: L <= l_cap, conditioned on the cap,
-orders L >= 4 on one shared 20k-point lattice (L <= 3 on Gauss-Hermite),
-relative standard error about 2.7e-3 at s = 1, N_s = 1.5.
+every order but F_2 on one shared 20k-point lattice, relative standard
+error about 2.75e-3 at s = 1, N_s = 1.5.
 
 The one record type is :class:`FrameRecord` (``==`` means equal outcome
 lists): the sampler fills it, :func:`read_record` returns it equal to the
@@ -377,9 +377,9 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int, l_cap: int = L_
 
     F is the information per frame of the model :func:`mle_separation` fits, L <= ``l_cap`` conditioned
     on that cap: sum_{L <= l_cap} F_L / W - (W'/W)^2 / sigma_k^2, with W = sum_{L <= l_cap} P(L) and W'
-    exact.  The F_L come from one :func:`~homsr.fisher.fisher_total` call, L >= 4 on one shared 20k-point
-    lattice (L <= 3 on Gauss-Hermite); the relative standard error of F is about 2.7e-3 at s = 1, N_s = 1.5
-    (the orders' errors correlate on shared nodes, so it is larger than with a lattice per order).
+    exact.  The F_L come from one :func:`~homsr.fisher.fisher_total` call, every order but F_2 (the two-photon
+    hierarchy) on one shared 20k-point lattice; the relative standard error of F is about 2.75e-3 at s = 1,
+    N_s = 1.5 (the orders' errors correlate on shared nodes, so it is larger than with a lattice per order).
     """
     _count("n_frames", n_frames, 1)
     _count("l_cap", l_cap, 2)

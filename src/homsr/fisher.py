@@ -15,32 +15,35 @@ bracket factor is differentiated).  The derivative is exact: the bracket
 kernel of :mod:`homsr.coincidence` and its thermal coefficients are analytic
 in s, and one pass at complex s gives the value and d/ds together.  The
 envelope expectation over the L momenta is taken by
-:func:`homsr.quadrature.envelope_expectation`: by default tensor
-Gauss-Hermite for L <= 3 and a randomly shifted rank-1 lattice above.
+:func:`homsr.quadrature.envelope_expectation`, by default on a randomly
+shifted rank-1 lattice; F_2's default route is the ``f_full`` of the two-photon
+hierarchy (:func:`sampling_hierarchy_fi`), one 1-D Gauss-Hermite integral.
 No value here takes a finite difference, and that expectation is the only
-numeric integration (the two-photon hierarchy uses it in one dimension).
+numeric integration.
 
 The lattice and Monte Carlo node sets are nested across dimension, so
 :func:`fisher_total` integrates every order on those schemes in one
 expectation of dim l_max: one forward kernel pass per chunk of nodes gives
 all of them, reading order L at photon L, on the first L momenta, which are
-the nodes of its own :func:`fisher_L` call.  Because those orders share
-nodes, their errors correlate, and ``total_stderr`` is the error of their
-summed integrand rather than a quadrature sum over orders.
+the nodes of its own :func:`fisher_L` call (F_1's is constant in k).  Because
+those orders share nodes, their errors correlate, and ``total_stderr`` is the
+error of their summed integrand rather than a quadrature sum over orders.
 """
 
 from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .coincidence import _CHUNK_BYTES, _bracket, _closed_form_weights, _count, _fringe_mean, _subrayleigh_coefficient
 from .coincidence import _theta_tables, _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
-from .quadrature import QuadratureSpec, envelope_expectation, resolved_scheme, rule_points
+from .quadrature import QuadratureSpec, envelope_expectation, rule_points
+
+_KBAR_RULE = QuadratureSpec(scheme="gauss_hermite_tensor")  # the two-photon hierarchy's 1-D Kbar rule
 
 __all__ = [
     "QuadratureSpec",
@@ -64,7 +67,8 @@ __all__ = [
 class FisherEstimate:
     """``stderr`` is the node-refinement difference |Q_n - Q_3n/4| under
     Gauss-Hermite, the standard error of the shift means under the rank-1
-    lattice, and the standard error of the batch means under Monte Carlo.
+    lattice, the standard error of the batch means under Monte Carlo, and
+    the hierarchy's ``kbar_error`` under "sampling_hierarchy" (F_2 by default).
     ``points`` is the integrand rows the order used, the rule's node count
     (:func:`~homsr.quadrature.rule_points`); orders integrated together
     share one count."""
@@ -128,25 +132,35 @@ def _fisher_rows(bracket, s, orders, floor, out):
 
 
 def _fisher_orders(scene, psf, orders, quad):
-    """({L: FisherEstimate}, standard error of their sum) from one envelope expectation of dim max(orders).
+    """({L: FisherEstimate}, standard error of their sum) of ascending ``orders``; picks each order's route.
 
-    The integrand carries the orders' sum as a last column, so the error of the sum sees how orders that
-    share nodes correlate; each order's column is integrated as it would be alone.
+    Under "auto" F_2 is :func:`sampling_hierarchy_fi`'s, and the other orders share one rank-1 lattice
+    expectation of dim max(orders); Gauss-Hermite takes one rule per order, the lattice or Monte Carlo one for
+    all.  A shared integrand carries the orders' sum as a last column, so the error of the sum sees how orders
+    that share nodes correlate; each order's column is integrated as it would be alone.  Routes add in quadrature.
     """
     if scene.separation <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
+    routes, variance = [], 0.0  # (L, value, stderr, scheme, points) in sigma_k^2 units
+    if quad.scheme == "auto":
+        if 2 in orders:
+            h = sampling_hierarchy_fi(scene, psf)
+            routes.append((2, h.f_full, h.kbar_error, "sampling_hierarchy", 2 * rule_points(_KBAR_RULE, 1)))
+            variance += h.kbar_error ** 2
+        orders, quad = tuple(L for L in orders if L != 2), replace(quad, scheme="rank1_lattice")
+    for node_set in [(L,) for L in orders] if quad.scheme == "gauss_hermite_tensor" else [orders] if orders else []:
+        def integrand(k, node_set=node_set):
+            columns = list(_fisher_integrand(node_set, k, scene, psf).T)
+            return np.array(columns + [sum(columns)]).T  # column-major
 
-    def integrand(k):
-        columns = list(_fisher_integrand(orders, k, scene, psf).T)
-        return np.array(columns + [sum(columns)]).T  # column-major
-
-    values, stderrs, scheme = envelope_expectation(integrand, orders[-1], psf, quad)
-    values, stderrs = values / psf.sigma_k ** 2, stderrs / psf.sigma_k ** 2
-    estimates = {}
-    for L, value, stderr in zip(orders, values.tolist(), stderrs.tolist()):
-        converged = stderr <= quad.relative_error_target * max(abs(value), 1e-300)
-        estimates[L] = FisherEstimate(value, stderr, converged, scheme, rule_points(quad, orders[-1]))
-    return estimates, float(stderrs[-1])
+        values, stderrs, scheme = envelope_expectation(integrand, node_set[-1], psf, quad)
+        values, stderrs = values / psf.sigma_k ** 2, stderrs / psf.sigma_k ** 2
+        points = rule_points(quad, node_set[-1])
+        routes += [(L, v, e, scheme, points) for L, v, e in zip(node_set, values.tolist(), stderrs.tolist())]
+        variance += float(stderrs[-1]) ** 2
+    estimates = {L: FisherEstimate(value, stderr, stderr <= quad.relative_error_target * max(abs(value), 1e-300),
+                                   scheme, points) for L, value, stderr, scheme, points in sorted(routes)}
+    return estimates, math.sqrt(variance)
 
 
 def fisher_L(scene: SourceScene, psf: PsfModel, L: int, quad: QuadratureSpec | None = None) -> FisherEstimate:
@@ -169,30 +183,22 @@ def fisher_total(
     """Truncated total Fisher information sum_{L <= l_max} F^(L), sigma_k^2 units.  The default l_max stops
     at L <= 7, which at N_s = 1.5 drops about 23 % of sum_{L<=24} F^(L) at s = 1 and 36 % at s = 8.
 
-    One envelope expectation per node set: each Gauss-Hermite order alone, and the orders on the lattice
-    or Monte Carlo (L >= 4 under "auto") together at dim l_max, as the module docstring describes.
-    ``total`` is the sum of the ``per_L`` values; ``total_stderr`` combines the node sets' errors in
+    Each order takes the route of its own :func:`fisher_L` call: under "auto", F_2 from the two-photon
+    hierarchy and every other order in one lattice expectation of dim l_max, as the module docstring
+    describes.  ``total`` is the sum of the ``per_L`` values; ``total_stderr`` combines the routes' errors in
     quadrature, the joint set's being the standard error of the shift (or batch) means of its summed integrand.
     """
     if l_max is None:
         l_max = default_l_max(scene)
     if l_max < 2:
         raise ValueError("l_max must be >= 2")
-    quad = quad or QuadratureSpec()
-    joint = tuple(L for L in range(1, l_max + 1) if resolved_scheme(quad, L) != "gauss_hermite_tensor")
-    node_sets = [(L,) for L in range(1, l_max + 1) if L not in joint] + ([joint] if joint else [])
-    per_L, variance = {}, 0.0
-    for orders in node_sets:  # in ascending L: the Gauss-Hermite orders are those below the joint ones
-        estimates, stderr = _fisher_orders(scene, psf, orders, quad)
-        per_L.update(estimates)
-        variance += stderr ** 2
+    per_L, total_stderr = _fisher_orders(scene, psf, tuple(range(1, l_max + 1)), quad or QuadratureSpec())
     total = sum(e.value for e in per_L.values())
     refs = {
         "subrayleigh_total": subrayleigh_fisher_total(scene.brightness),
         "asymptotic_two_photon": asymptotic_fisher_2p(scene.brightness),
     }
-    return FisherBreakdown(per_L=per_L, total=total, total_stderr=math.sqrt(variance), l_max=l_max,
-                           closed_form_refs=refs)
+    return FisherBreakdown(per_L=per_L, total=total, total_stderr=total_stderr, l_max=l_max, closed_form_refs=refs)
 
 
 def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
@@ -248,6 +254,7 @@ class HierarchyFisher:
     f_kbar_x: float     # class + mean-momentum marginal
     f_dk_x: float       # class + difference-momentum marginal
     f_full: float       # fully momentum-resolved two-photon information
+    kbar_error: float   # node-refinement error of the Kbar term, which f_kbar_x and f_full carry
 
 
 def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel) -> HierarchyFisher:
@@ -265,9 +272,10 @@ def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel) -> HierarchyFisher:
 
     The Kbar term sum_X P(X) E[(h'/h - Z'/Z)^2 | X], with h' = alpha N_s delta
     (s sigma_k^2 cos Kbar s + Kbar sin Kbar s) and Z' = 1.5 alpha N_s s
-    sigma_k^2 delta kappa, is one Gauss-Hermite envelope expectation per
-    class; its integrand is non-negative and falls with delta, so the dk
-    fringe that defeats quadrature at large s never enters one.
+    sigma_k^2 delta kappa, is one 1-D Gauss-Hermite envelope expectation per
+    class, ``kbar_error`` the sum of their refinement errors; its integrand is
+    non-negative and falls with delta, so the dk fringe that defeats
+    quadrature at large s never enters one.
     F_{Kbar;X} = F_X + Kbar term and F_full = F_{dk;X} + Kbar term, so
     F_{Kbar;X} >= F_X and F_full >= F_{dk;X} hold by construction, and
     F_full >= F_{Kbar;X} as far as the two closed forms keep F_{dk;X} >= F_X
@@ -279,7 +287,7 @@ def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel) -> HierarchyFisher:
     w = mode_weights(scene, psf)
     delta, kappa = w.delta, interference_kappa(scene, psf)
     dlog_p0sq = -4.0 * ns ** 2 * s * sk2 * delta ** 2 * w.p0
-    f_dk_x = kbar_term = 0.0
+    f_dk_x = kbar_term = kbar_error = 0.0
     for alpha in (1.0, -1.0):
         z = 1.0 + ns - alpha * ns * delta * kappa
         dz = 1.5 * alpha * ns * s * sk2 * delta * kappa
@@ -295,10 +303,11 @@ def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel) -> HierarchyFisher:
             dh = alpha * ns * delta * (s * sk2 * np.cos(kbar * s) + kbar * np.sin(kbar * s))
             return h / z * (dh / h - dz / z) ** 2
 
-        kbar_term += c * fringe * float(envelope_expectation(kbar_score_sq, 1, psf, QuadratureSpec())[0])
+        value, error, _ = envelope_expectation(kbar_score_sq, 1, psf, _KBAR_RULE)
+        kbar_term, kbar_error = kbar_term + c * fringe * float(value), kbar_error + c * fringe * float(error)
 
     f_dk_x, kbar_term = f_dk_x / sk2, kbar_term / sk2
-    return HierarchyFisher(f_x=f_x, f_kbar_x=f_x + kbar_term, f_dk_x=f_dk_x, f_full=f_dk_x + kbar_term)
+    return HierarchyFisher(f_x, f_x + kbar_term, f_dk_x, f_dk_x + kbar_term, kbar_error / sk2)
 
 
 # ---------------------------------------------------------------------------

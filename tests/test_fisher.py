@@ -115,6 +115,12 @@ class TestFisherL:
         )
         assert est.stderr > 0
 
+    @pytest.mark.parametrize("s", [0.01, 1.0, 8.0, 20.0])
+    def test_reference_photon_order_is_its_bucket_information(self, s):
+        # one photon's bracket does not depend on its momentum, so the lattice's constant column is exact
+        scene = SourceScene(separation=s, brightness=1.5)
+        assert fisher_L(scene, PSF, 1).value == pytest.approx(bucket_fisher(scene, PSF, 1), rel=1e-14, abs=0)
+
     def test_reference_photon_order_is_negligible(self):
         # The lone reference photon carries information only through the
         # frame-size weight; by s = 6 sigma_x that channel is ~1e-8.
@@ -137,7 +143,7 @@ class TestFisherL:
 
 
 class TestLatticeFisher:
-    """``"auto"`` integrates L >= 4 on the shifted lattice; MC is the unbiased reference."""
+    """``"auto"`` integrates every order but L = 2 on the shifted lattice; MC is the unbiased reference."""
 
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0])
     @pytest.mark.parametrize("L", [4, 5, 6, 7])
@@ -278,8 +284,9 @@ class TestFisherTotal:
 
     def test_points_are_the_rows_each_order_used(self):
         breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=5, quad=QuadratureSpec(sample_count=20_000))
-        gh = {1: 64 + 48, 2: 48 ** 2 + 36 ** 2, 3: 40 ** 3 + 30 ** 3}
-        assert {L: e.points for L, e in breakdown.per_L.items()} == {**gh, 4: 20 * 997, 5: 20 * 997}
+        lattice, hierarchy = 20 * 997, 2 * (64 + 48)  # F_2: a 1-D Kbar rule and its refinement per camera class
+        assert {L: e.points for L, e in breakdown.per_L.items()} == {1: lattice, 2: hierarchy, 3: lattice,
+                                                                    4: lattice, 5: lattice}
         mc = fisher_L(SourceScene(1.0, 1.5), PSF, 4, QuadratureSpec(scheme="monte_carlo_importance"))
         assert mc.points == 200_000
         uneven = QuadratureSpec(scheme="monte_carlo_importance", sample_count=10_001, batch_count=7)
@@ -294,7 +301,7 @@ class TestHierarchy:
         h = sampling_hierarchy_fi(scene, PSF)
         assert h.f_full >= h.f_dk_x >= h.f_x >= 0
         assert h.f_full >= h.f_kbar_x >= h.f_x
-        est = fisher_L(scene, PSF, 2)
+        est = fisher_L(scene, PSF, 2, QuadratureSpec(scheme="gauss_hermite_tensor"))  # "auto" is the hierarchy
         assert h.f_full == pytest.approx(est.value, rel=1e-3)
 
     def test_class_term_matches_bucket(self):
@@ -311,7 +318,8 @@ class TestHierarchyExact:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             h = sampling_hierarchy_fi(scene, PSF)
-        assert h.f_full == pytest.approx(fisher_L(scene, PSF, 2).value, rel=1e-10)
+        gh = fisher_L(scene, PSF, 2, QuadratureSpec(scheme="gauss_hermite_tensor"))  # "auto" is the hierarchy
+        assert h.f_full == pytest.approx(gh.value, rel=1e-10)
         assert h.f_x == bucket_fisher(scene, PSF, 2)
         if s >= 1e-4:
             assert h.f_full >= h.f_dk_x >= h.f_x

@@ -391,6 +391,33 @@ def test_a_caller_with_another_live_thread_runs_serially(monkeypatch):
     assert pids == [os.getpid()] * 20
 
 
+def os_threads():
+    """This process's OS threads: field 20 of /proc/self/stat, the count CPython >= 3.12 reads after a fork."""
+    with open("/proc/self/stat") as fh:
+        return int(fh.read().rpartition(")")[2].split()[17])  # fields 3.. follow the command name's ")"
+
+
+def test_the_caller_has_one_os_thread_right_after_each_fork(monkeypatch):
+    # CPython >= 3.12 warns on a fork in a process with several OS threads.  OpenBLAS, which numpy and scipy
+    # load, keeps worker threads after import and after each BLAS call, but its fork handler stops them first.
+    cpus(monkeypatch, 2)
+    real_fork, counts = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:  # the caller, right after the real fork
+            counts.append(os_threads())
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    scene = homsr.SourceScene(1.0, 1.5)
+    for _ in range(2):  # the second round after a matmul, which starts OpenBLAS's workers again
+        homsr.fisher_L(scene, PSF, 4, LATTICE)
+        homsr.FrameSampler(scene, PSF)
+        np.ones((256, 256)) @ np.ones((256, 256))
+    assert counts == [1] * 4  # one helper for the lattice and one for the bound scan, in each round
+
+
 def test_many_cheap_batches_do_not_hang():
     # 20,000 four-byte batch numbers would overfill a 64 KiB pipe written before the helpers read it
     src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))

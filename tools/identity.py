@@ -28,7 +28,9 @@ s, so that a floor or block change is seen row by row, class weights by each met
 bucket and sub-Rayleigh values, ``fisher_total`` at fixed s and l_max,
 ``fisher_L`` of each order alone at those scenes and at one with l_max 7
 (so that a change in how orders share nodes shows per order, not only in
-the sum), ``crb_report`` at the ``homsr estimate`` scene with l_cap 12 and
+the sum), ``fisher_L`` of orders 1..3 at the ``fisher_total`` scenes under
+explicit tensor Gauss-Hermite (``fisher_L.gh``, a path no default call
+takes), ``crb_report`` at the ``homsr estimate`` scene with l_cap 12 and
 6, the two-photon sampling hierarchy and the pixelated direct-imaging
 baseline, the rejection bounds of every (L, X) cell of a fresh sampler at each record's scene,
 before any draw (so that a change to the bound scan shows apart from one to the draws), three
@@ -215,6 +217,11 @@ def _fisher(families, psf):
         for L in range(1, l_max + 1):
             estimate = f.fisher_L(SourceScene(s, ns), psf, L)
             families["fisher_L"][f"s={s} ns={ns} L={L}"] = np.array([estimate.value, estimate.stderr])
+    gh = f.QuadratureSpec(scheme="gauss_hermite_tensor")
+    for s, ns, _ in FISHER_SCENES:
+        for L in (1, 2, 3):
+            estimate = f.fisher_L(SourceScene(s, ns), psf, L, gh)
+            families["fisher_L.gh"][f"s={s} ns={ns} L={L}"] = np.array([estimate.value, estimate.stderr])
 
 
 def _crb_and_baselines(families, psf):
@@ -291,8 +298,8 @@ def collect(tree):
     if not Path(homsr.__file__).resolve().is_relative_to((Path(tree) / "src").resolve()):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
     names = ("densities", "all_splits", "frame_size_law", "kernel", "quadrature", "integrand", "class_weights.auto",
-             "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "crb",
-             "hierarchy", "di_baseline", "majorants", "records.frames", "records.majorants", "records.lines",
+             "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "fisher_L.gh",
+             "crb", "hierarchy", "di_baseline", "majorants", "records.frames", "records.majorants", "records.lines",
              "records.s_hat", "records.curves", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
