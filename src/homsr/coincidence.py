@@ -41,7 +41,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -271,6 +271,35 @@ def _half_angle_trig(s, kt):
     return trig
 
 
+class _RowPlan(NamedTuple):  # the s-free work of :func:`_bracket`'s per-row form, from :func:`_row_plan`
+    splits: np.ndarray
+    width: int  # the rows' largest L
+    chunks: list  # (first row, rows, running rows at each photon, momenta photon after photon, flipping rows)
+
+
+def _row_plan(k, lengths, splits, itemsize=8):
+    """The checked :class:`_RowPlan` of rows of ``lengths``, ``splits`` and flat ``k``, for ``itemsize``-byte words."""
+    lengths, xs, n_rows = np.asarray(lengths), np.asarray(splits), len(lengths)
+    if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1):
+        raise ValueError("per-row bracket needs rows in descending photon number, L >= 1")
+    if np.any((xs < 0) | (xs > lengths)):  # a split outside 0..L never flips its slot: it would read X = L
+        raise ValueError("per-row bracket needs each row's split within 0..L")
+    if np.shape(k) != (lengths.sum(),):
+        raise ValueError(f"per-row bracket needs the rows' sum(lengths) = {lengths.sum()} momenta, one flat buffer")
+    total = n_rows - np.cumsum(np.bincount(lengths))  # the rows with L > a: column a of k, from word starts[a]
+    starts, width = (np.cumsum(total) - total).tolist(), int(lengths.max(initial=0))
+    # words per row: its (P, S) to its own L in each of z, z_new and tmp
+    chunk, chunks = max(1, _CHUNK_BYTES // ((6 * int(lengths.sum()) // max(1, n_rows) or 1) * itemsize)), []
+    for lo in range(0, n_rows, chunk):
+        n = min(chunk, n_rows - lo)
+        # running[a]: the rows with L > a, a prefix of the chunk; photon a's momenta on those, photon after photon
+        running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
+        momenta = k if n == n_rows else np.concatenate([k[starts[a] + lo :][:r] for a, r in enumerate(running[:width])])
+        flips = [np.flatnonzero(xs[lo : lo + r] == a) for a, r in enumerate(running[1:], 1)]  # photon a's: flips[a - 1]
+        chunks.append((lo, n, running, momenta, flips))
+    return _RowPlan(xs, width, chunks)
+
+
 def _bracket(k, s, table, orders=None, lengths=None, splits=None):
     """Bracket sum_j table[L, X, j] S_j^2 of each row of ``k``: the [L, X, j] table of :func:`_theta_tables` in,
     every split of each order out (or one split per row).
@@ -289,47 +318,38 @@ def _bracket(k, s, table, orders=None, lengths=None, splits=None):
     top slot, which X = L reads.  Given ``lengths`` and ``splits``, row i of the (N,) result is split
     X = ``splits[i]`` at L = ``lengths[i]``, rows in descending L, so the rows still running at photon a (L > a) are
     a prefix; ``k`` is then one flat buffer of column prefixes, sum(lengths) words: k_a of those rows after k_{a-1}
-    of theirs.  A row has one slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every
-    step subtracts P; the rows of L = a are read at photon a, where the state is a dense (2, degree, running rows)
-    view, 2 (L + 1) words a row.  A read squares its slots into the scratch, free until photon a's step, scales
-    them by the coefficients and sums over j one slice at a time, without BLAS: each row's value then depends on
-    its momenta alone, not on its place in the chunk, the row count or BLAS's threads.
+    of theirs, or in place of all three their :func:`_row_plan`, built once.  A row has one slot, stored as -S_X
+    until photon X, whose step it enters negated (exactly), so every step subtracts P; the rows of L = a are read at
+    photon a, where the state is a dense (2, degree, running rows) view, 2 (L + 1) words a row.  A read squares
+    its slots into the scratch, free until photon a's step, scales them by the coefficients and sums over j one
+    slice at a time, without BLAS: each row's value then depends on its momenta alone, not on its place in the
+    chunk, the row count or BLAS's threads.
     """
-    n_rows, shared, dtype = len(k if lengths is None else lengths), lengths is None, np.result_type(s, table, float)
-    if shared:  # every row runs to the last order
+    dtype = np.result_type(s, table, float)
+    if lengths is not None:
+        k = _row_plan(k, lengths, splits, dtype.itemsize)
+    if shared := not isinstance(k, _RowPlan):  # every row runs to the last order
         orders = [k.shape[1]] if orders is None else list(orders)
         if not (orders and orders == sorted(set(orders)) and 1 <= orders[0] and orders[-1] <= k.shape[1]
                 and orders[-1] < len(table)):
             raise ValueError("orders must strictly ascend within 1 <= L <= k.shape[1], the last within the table")
-        k, lengths, ends = k[:, : orders[-1]], np.full(n_rows, orders[-1]), np.cumsum([L + 1 for L in orders]).tolist()
+        k, n_rows, ends = k[:, : orders[-1]], len(k), np.cumsum([L + 1 for L in orders]).tolist()
         reads = {L: (slice(e - L - 1, e), table[L, : L + 1, :L].T[..., None]) for L, e in zip(orders, ends)}  # [j, X]
+        width = slots = k.shape[1]
+        chunk = max(1, _CHUNK_BYTES // ((1 + slots) * width * dtype.itemsize))  # words per row: one (P, S) state
+        per_slot = width * min(chunk, n_rows)
+        chunks = ((lo, n, [n] * width + [0], k[lo : lo + n].T.ravel(), None)
+                  for lo in range(0, n_rows, chunk) for n in [min(chunk, n_rows - lo)])
     else:
-        lengths, xs = np.asarray(lengths), np.asarray(splits)
-        if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1):
-            raise ValueError("per-row bracket needs rows in descending photon number, L >= 1")
-        if np.any((xs < 0) | (xs > lengths)):  # a split outside 0..L never flips its slot: it would read X = L
-            raise ValueError("per-row bracket needs each row's split within 0..L")
-        if n_rows and lengths[0] >= len(table):  # past the table, the read of the widest rows would index out
+        xs, width, slots, chunks, n_rows = k.splits, k.width, 1, k.chunks, len(k.splits)
+        if width >= len(table):  # past the table, the read of the widest rows would index out
             raise ValueError("per-row bracket needs a table through the rows' largest L")
-        if np.shape(k) != (lengths.sum(),):
-            raise ValueError(f"per-row bracket needs the rows' sum(lengths) = {lengths.sum()} momenta, one flat buffer")
-        total = n_rows - np.cumsum(np.bincount(lengths))  # the rows with L > a: column a of k, from word starts[a]
-        starts = (np.cumsum(total) - total).tolist()
+        per_slot = chunks[0][3].size + chunks[0][1] if chunks else 0  # the first chunk's words and rows
     out = np.empty((n_rows, ends[-1]) if shared else n_rows, dtype)
-    width, slots = (k.shape[1], k.shape[1]) if shared else (int(lengths.max(initial=0)), 1)
-    # words per row: one (P, S) state; per row, its (P, S) to its own L in each of z, z_new and tmp
-    words = (1 + slots) * width if shared else 6 * int(lengths.sum()) // max(1, n_rows) or 1
-    chunk = max(1, _CHUNK_BYTES // (words * dtype.itemsize))
-    per_slot = width * min(chunk, n_rows) if shared else int(lengths[:chunk].sum()) + min(chunk, n_rows)
     parts = np.empty((3, (1 + slots) * per_slot), dtype)  # z, z_new and tmp for every chunk: fewer page faults
-    for lo in range(0, n_rows, chunk):
-        n = min(chunk, n_rows - lo)
-        # running[a]: the rows with L > a, a prefix of the chunk; photon a's factors are taken on those only
-        running = (n - np.cumsum(np.bincount(lengths[lo : lo + n], minlength=width + 1))).tolist()
+    for lo, n, running, momenta, flips in chunks:
         first = list(itertools.accumulate(running[:width], initial=0))
-        # photon a's factors on its running rows, photon after photon: a flat buffer in one chunk is read as it is
-        columns = [k[lo : lo + r, a] if shared else k[starts[a] + lo :][:r] for a, r in enumerate(running[:width])]
-        trig = _half_angle_trig(s, k if n == n_rows and not shared else np.concatenate(columns))
+        trig = _half_angle_trig(s, momenta)
         # (P, S of each slot) twice and scratch, not zeroed: each step writes every coefficient the next one reads;
         # per row they are viewed anew at each photon, only as large as its running rows and degree
         d = width if shared else min(2, width)
@@ -355,7 +375,7 @@ def _bracket(k, s, table, orders=None, lengths=None, splits=None):
             h = a + 1 if shared else 2  # rows of z in use: P and the slots
             v = min(a + 1, width)  # coefficients of P, of degree a (S has degree a - 1), truncated
             if not shared:  # the rows with X = a turn their stored -S_X into S_X
-                z[1, :a, np.flatnonzero(xs[lo : lo + r] == a)] *= -1.0
+                z[1, :a, flips[a - 1]] *= -1.0
                 z_new = parts[a % 2, : 2 * min(v + 1, width) * r].reshape(2, min(v + 1, width), r)
                 tmp = parts[2, : 2 * (v - 1) * r].reshape(2, v - 1, r)
             c, sn = trig[:, None, None, first[a] : first[a] + r]

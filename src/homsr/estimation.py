@@ -13,7 +13,7 @@ W(s) = sum_{L <= l_cap} P(L; s).  This removes the truncation bias that a
 naive unconditioned likelihood would acquire from the discarded thermal
 tail (a few percent of frames at N_s ~ 1.5).  :func:`crb_report` is the
 Cramér-Rao bound of this fitted model: L <= l_cap, conditioned on the cap,
-every order but F_2 on one shared 20k-point lattice, relative standard
+orders 3..l_cap on one shared 20k-point lattice, relative standard
 error about 2.75e-3 at s = 1, N_s = 1.5.
 
 The one record type is :class:`FrameRecord` (``==`` means equal outcome
@@ -22,6 +22,8 @@ record written, and the likelihood lays its frames out once per fit as
 column prefixes in descending L (column a holds k_a of the frames with
 L > a: sum of L words a record, as a sampler round draws its proposals),
 which one kernel call per evaluation reads, each row at its own (L, X).
+The search is the package's bounded Brent (:func:`_bounded_brent`):
+scipy's steps, and none of scipy's optimizers loaded.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .coincidence import DetectionOutcome, class_weights, frame_size_distribution
-from .coincidence import _bracket, _checked_row, _closed_form_weights, _count, _log_envelope, _theta_tables
+from .coincidence import _bracket, _checked_row, _closed_form_weights, _count, _log_envelope, _row_plan, _theta_tables
 from .coincidence import _with_s_derivative
 from .fisher import QuadratureSpec, fisher_total
 from .optics import PsfModel, SourceScene, mode_weights
@@ -281,23 +283,72 @@ def simulate_experiment(config: ExperimentConfig, sampler: FrameSampler | None =
 
 
 def _likelihood_rows(record):
-    """(momenta, L, X) of the record's rows for the per-row kernel: rows in descending L, momenta in column prefixes."""
+    """The :func:`~homsr.coincidence._row_plan` of the record's rows for the per-row kernel, built once per fit:
+    rows in descending L, momenta in column prefixes."""
     order = sorted(record.groups, reverse=True)
     _, xs, momenta = zip(*(record.groups[L] for L in order))
     k = np.concatenate([m[:, a] for a in range(order[0]) for m in momenta if m.shape[1] > a])
-    return k, np.repeat(order, [len(x) for x in xs]), np.concatenate(xs)
+    return _row_plan(k, np.repeat(order, [len(x) for x in xs]), np.concatenate(xs))
 
 
 def _log_likelihood(rows, n_frames, psf, brightness, l_cap, s):
     """Log-likelihood of the record's rows (:func:`_likelihood_rows`) without its s-independent envelope term."""
-    k, lengths, xs = rows
     scene = SourceScene(separation=s, brightness=brightness)
     delta = mode_weights(scene, psf).delta
-    bracket = _bracket(k, s, _theta_tables(lengths[0], brightness, delta), lengths=lengths, splits=xs)
+    bracket = _bracket(rows, s, _theta_tables(rows.width, brightness, delta))
     if np.any(bracket <= 0):
         return -np.inf
     norm = frame_size_distribution(l_cap, scene, psf).sum()
     return float(np.log(bracket).sum()) - n_frames * math.log(norm)
+
+
+def _bounded_brent(f, lo, hi, xatol, maxfun=500):
+    """(x, f(x), evaluations, converged) of the minimum of ``f`` on [lo, hi] by bounded Brent search.
+
+    Golden-section steps, parabolic where a parabola through the three best points falls well inside the bracket,
+    stopping once the bracket's middle is within 2 tol1 - (hi - lo)/2 of the best point, tol1 = sqrt(2.2e-16)|x| +
+    xatol/3 (Brent, Algorithms for Minimization Without Derivatives, 1973; Forsythe, Malcolm & Moler 1977).  The
+    steps are scipy's ``minimize_scalar(method="bounded")``'s, taken with the same numpy scalar operations (sign,
+    maximum), so the search ends at the same point after as many evaluations.  Not converged at ``maxfun``
+    evaluations or at a NaN.
+    """
+    sqrt_eps, golden_mean = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    xf = nfc = fulc = a + golden_mean * (b - a)
+    fx = fnfc = ffulc = f(xf)
+    num, fu, rat, e = 1, np.inf, 0.0, 0.0
+    xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a):
+        golden = not abs(e) > tol1  # a NaN e takes the golden step
+        if not golden:  # the parabola's vertex, as the step p/q
+            r, q = (xf - nfc) * (fx - ffulc), (xf - fulc) * (fx - fnfc)
+            p, q = (xf - fulc) * q - (xf - nfc) * r, 2.0 * (q - r)
+            p, q, r, e = -p if q > 0.0 else p, abs(q), e, rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < 2.0 * tol1 or b - x < 2.0 * tol1:  # too near an end: tol1 towards the middle
+                    rat = tol1 * (np.sign(xm - xf) + (xm - xf == 0))
+            else:
+                golden = True
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        x = xf + (np.sign(rat) + (rat == 0)) * np.maximum(abs(rat), tol1)
+        fu, num = f(x), num + 1
+        if fu <= fx:  # x is the new best point; the bracket ends at the old one
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + xatol / 3.0
+        if num >= maxfun:
+            return xf, fx, num, False
+    return xf, fx, num, not (math.isnan(xf) or math.isnan(fx) or math.isnan(fu))
 
 
 def mle_separation(
@@ -315,13 +366,13 @@ def mle_separation(
     ``record`` is a :class:`FrameRecord` or a sequence of outcomes, and the
     per-source brightness is known.  The likelihood is the exact coincidence
     density conditioned on L <= l_cap, so a frame above ``l_cap`` raises
-    ``ValueError``.  Bounded Brent search minimizes the negative
-    log-likelihood on ``search_interval`` (0 < lo < hi < inf) and flags a
-    maximum at its boundary.  A record whose likelihood is zero across the
-    interval (a zero-density frame) raises ``ValueError`` instead.
+    ``ValueError``.  Bounded Brent search (:func:`_bounded_brent`, scipy's
+    steps without scipy) minimizes the negative log-likelihood on
+    ``search_interval`` (0 < lo < hi < inf) to within 1e-5 sigma_x and flags
+    a maximum within 1e-3 of the interval's width of its boundary.  A record
+    whose likelihood is zero across the interval (a zero-density frame)
+    raises ``ValueError`` instead.
     """
-    from scipy.optimize import minimize_scalar
-
     _count("l_cap", l_cap, 2)
     lo, hi = search_interval
     if not 0 < lo < hi < math.inf:
@@ -342,13 +393,13 @@ def mle_separation(
     def objective(s):
         return -(log_env + _log_likelihood(rows, n, psf, brightness, l_cap, s))
 
-    res = minimize_scalar(objective, bounds=(lo, hi), method="bounded", options={"xatol": 1e-5 * psf.sigma_x})
-    if not np.isfinite(res.fun):
+    x, fun, evaluations, converged = _bounded_brent(objective, lo, hi, 1e-5 * psf.sigma_x)
+    if not np.isfinite(fun):
         raise ValueError(
             "log-likelihood is not finite at the optimum: a frame in the record has "
             "zero density (for example an antibunched pair with k1 == k2)"
         )
-    s_hat = float(res.x)
+    s_hat = float(x)
     boundary = (s_hat - lo) < 1e-3 * (hi - lo) or (hi - s_hat) < 1e-3 * (hi - lo)
 
     curve = None
@@ -367,8 +418,8 @@ def mle_separation(
         bias=bias,
         boundary_flag=boundary,
         log_likelihood_curve=curve,
-        objective_evals=int(res.nfev),
-        optimizer_success=bool(res.success),
+        objective_evals=evaluations,
+        optimizer_success=converged,
     )
 
 
@@ -377,9 +428,10 @@ def crb_report(scene: SourceScene, psf: PsfModel, n_frames: int, l_cap: int = L_
 
     F is the information per frame of the model :func:`mle_separation` fits, L <= ``l_cap`` conditioned
     on that cap: sum_{L <= l_cap} F_L / W - (W'/W)^2 / sigma_k^2, with W = sum_{L <= l_cap} P(L) and W'
-    exact.  The F_L come from one :func:`~homsr.fisher.fisher_total` call, every order but F_2 (the two-photon
-    hierarchy) on one shared 20k-point lattice; the relative standard error of F is about 2.75e-3 at s = 1,
-    N_s = 1.5 (the orders' errors correlate on shared nodes, so it is larger than with a lattice per order).
+    exact.  The F_L come from one :func:`~homsr.fisher.fisher_total` call, orders 3..l_cap on one shared 20k-point
+    lattice (F_1 in closed form, F_2 from the two-photon hierarchy); the relative standard error of F is about
+    2.75e-3 at s = 1, N_s = 1.5 (the orders' errors correlate on shared nodes, so it is larger than with a lattice
+    per order).
     """
     _count("n_frames", n_frames, 1)
     _count("l_cap", l_cap, 2)

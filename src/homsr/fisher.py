@@ -17,7 +17,8 @@ in s, and one pass at complex s gives the value and d/ds together.  The
 envelope expectation over the L momenta is taken by
 :func:`homsr.quadrature.envelope_expectation`, by default on a randomly
 shifted rank-1 lattice; F_2's default route is the ``f_full`` of the two-photon
-hierarchy (:func:`sampling_hierarchy_fi`), one 1-D Gauss-Hermite integral.
+hierarchy (:func:`sampling_hierarchy_fi`), one 1-D Gauss-Hermite integral, and
+F_1's is :func:`bucket_fisher`, since one photon's bracket is constant in k.
 No value here takes a finite difference, and that expectation is the only
 numeric integration.
 
@@ -25,7 +26,7 @@ The lattice and Monte Carlo node sets are nested across dimension, so
 :func:`fisher_total` integrates every order on those schemes in one
 expectation of dim l_max: one forward kernel pass per chunk of nodes gives
 all of them, reading order L at photon L, on the first L momenta, which are
-the nodes of its own :func:`fisher_L` call (F_1's is constant in k).  Because
+the nodes of its own :func:`fisher_L` call.  Because
 those orders share nodes, their errors correlate, and ``total_stderr`` is the
 error of their summed integrand rather than a quadrature sum over orders.
 """
@@ -68,10 +69,11 @@ class FisherEstimate:
     """``stderr`` is the node-refinement difference |Q_n - Q_3n/4| under
     Gauss-Hermite, the standard error of the shift means under the rank-1
     lattice, the standard error of the batch means under Monte Carlo, and
-    the hierarchy's ``kbar_error`` under "sampling_hierarchy" (F_2 by default).
-    ``points`` is the integrand rows the order used, the rule's node count
-    (:func:`~homsr.quadrature.rule_points`); orders integrated together
-    share one count."""
+    the hierarchy's ``kbar_error`` under "sampling_hierarchy" (F_2 by default)
+    and 0 under "closed_form" (F_1 by default).  ``points`` is the integrand
+    rows the order used, the rule's node count
+    (:func:`~homsr.quadrature.rule_points`), 0 for the closed form; orders
+    integrated together share one count."""
 
     value: float          # in sigma_k^2 units
     stderr: float
@@ -134,20 +136,23 @@ def _fisher_rows(bracket, s, orders, floor, out):
 def _fisher_orders(scene, psf, orders, quad):
     """({L: FisherEstimate}, standard error of their sum) of ascending ``orders``; picks each order's route.
 
-    Under "auto" F_2 is :func:`sampling_hierarchy_fi`'s, and the other orders share one rank-1 lattice
-    expectation of dim max(orders); Gauss-Hermite takes one rule per order, the lattice or Monte Carlo one for
-    all.  A shared integrand carries the orders' sum as a last column, so the error of the sum sees how orders
-    that share nodes correlate; each order's column is integrated as it would be alone.  Routes add in quadrature.
+    Under "auto" F_1 is :func:`bucket_fisher`'s, F_2 :func:`sampling_hierarchy_fi`'s, and the other orders share
+    one rank-1 lattice expectation of dim max(orders); Gauss-Hermite takes one rule per order, the lattice or Monte
+    Carlo one for all.  A shared integrand carries the orders' sum as a last column, so the error of the sum sees
+    how orders that share nodes correlate; each order's column is integrated as it would be alone.  Routes add in
+    quadrature.
     """
     if scene.separation <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
     routes, variance = [], 0.0  # (L, value, stderr, scheme, points) in sigma_k^2 units
     if quad.scheme == "auto":
+        if 1 in orders:  # one photon's bracket is constant in k, so F_1 is its bucket information
+            routes.append((1, bucket_fisher(scene, psf, 1), 0.0, "closed_form", 0))
         if 2 in orders:
             h = sampling_hierarchy_fi(scene, psf)
             routes.append((2, h.f_full, h.kbar_error, "sampling_hierarchy", 2 * rule_points(_KBAR_RULE, 1)))
             variance += h.kbar_error ** 2
-        orders, quad = tuple(L for L in orders if L != 2), replace(quad, scheme="rank1_lattice")
+        orders, quad = tuple(L for L in orders if L > 2), replace(quad, scheme="rank1_lattice")
     for node_set in [(L,) for L in orders] if quad.scheme == "gauss_hermite_tensor" else [orders] if orders else []:
         def integrand(k, node_set=node_set):
             columns = list(_fisher_integrand(node_set, k, scene, psf).T)
@@ -183,8 +188,8 @@ def fisher_total(
     """Truncated total Fisher information sum_{L <= l_max} F^(L), sigma_k^2 units.  The default l_max stops
     at L <= 7, which at N_s = 1.5 drops about 23 % of sum_{L<=24} F^(L) at s = 1 and 36 % at s = 8.
 
-    Each order takes the route of its own :func:`fisher_L` call: under "auto", F_2 from the two-photon
-    hierarchy and every other order in one lattice expectation of dim l_max, as the module docstring
+    Each order takes the route of its own :func:`fisher_L` call: under "auto", F_1 in closed form, F_2 from the
+    two-photon hierarchy and orders 3..l_max in one lattice expectation of dim l_max, as the module docstring
     describes.  ``total`` is the sum of the ``per_L`` values; ``total_stderr`` combines the routes' errors in
     quadrature, the joint set's being the standard error of the shift (or batch) means of its summed integrand.
     """

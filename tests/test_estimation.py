@@ -662,6 +662,72 @@ class TestLikelihood:
         assert EstimationReport(1.0, None, None, False, None).optimizer_success is None
 
 
+def scipy_bounded(f, lo, hi, xatol, **options):
+    """(x, fun, nfev, success) of scipy's bounded Brent search, the oracle of ``estimation._bounded_brent``."""
+    from scipy.optimize import minimize_scalar
+
+    res = minimize_scalar(f, bounds=(lo, hi), method="bounded", options={"xatol": xatol, **options})
+    return res.x, res.fun, res.nfev, res.success
+
+
+def assert_same_search(got, want):
+    # exact equality; a NaN x or f(x) must be NaN on both sides
+    np.testing.assert_array_equal(np.array(got[:3], dtype=float), np.array(want[:3], dtype=float))
+    assert type(got[2]) is int and got[3] is want[3]
+
+
+class TestBoundedBrent:
+    """The in-package bounded Brent search takes scipy's steps: the same point, value, evaluations and flag."""
+
+    @pytest.mark.parametrize("xatol", [1e-5, 1e-2])
+    @pytest.mark.parametrize("f", [
+        lambda x: (x - 1.3) ** 2,  # minimum inside
+        lambda x: (x + 1.0) ** 2,  # at the lower edge
+        lambda x: (x - 10.0) ** 2,  # at the upper edge
+        lambda x: math.cos(3.0 * x),
+        lambda x: 2.0,  # constant
+        lambda x: math.inf,  # a zero-density record: +inf everywhere
+        lambda x: math.inf if x < 0.7 else (x - 1.5) ** 2,  # +inf on part of the interval
+        lambda x: math.inf if x > 1.2 else (x - 1.5) ** 2,
+        lambda x: math.nan if x > 2.0 else (x - 1.0) ** 2,  # NaN on part of it
+        lambda x: math.nan if x < 1.0 else (x - 3.0) ** 2,
+        lambda x: math.nan,
+    ], ids=["inside", "lower edge", "upper edge", "cos", "constant", "inf", "inf below", "inf above", "nan above",
+            "nan below", "nan"])
+    def test_matches_scipy(self, f, xatol):
+        assert_same_search(estimation._bounded_brent(f, 0.05, 4.0, xatol), scipy_bounded(f, 0.05, 4.0, xatol))
+
+    @pytest.mark.parametrize("maxfun", [1, 2, 3, 5, 8])
+    def test_stops_at_the_evaluation_cap(self, maxfun):
+        def f(x):
+            return math.cos(3.0 * x)
+
+        got = estimation._bounded_brent(f, 0.05, 4.0, 1e-9, maxfun=maxfun)
+        assert_same_search(got, scipy_bounded(f, 0.05, 4.0, 1e-9, maxiter=maxfun))
+        assert got[2] == max(maxfun, 2) and got[3] is False
+
+    @pytest.mark.parametrize("s,seed,interval", [
+        (0.1, [11, 0], (0.05, 4.0)), (0.1, [11, 0], (1e-3, 4.0)),  # both fits end on the edge
+        (0.1, [11, 2], (0.05, 4.0)), (0.1, [11, 2], (1e-3, 4.0)),  # both inside
+        (1.0, [11, 0], (0.05, 4.0)), (4.0, [11, 0], (0.05, 4.0)),
+    ])
+    def test_fit_objective_matches_scipy(self, s, seed, interval, monkeypatch):
+        searches, brent = [], estimation._bounded_brent
+
+        def recorded(*args, **kwargs):
+            searches.append(args)
+            return brent(*args, **kwargs)
+
+        monkeypatch.setattr(estimation, "_bounded_brent", recorded)
+        record = FrameSampler(SourceScene(s, 1.5), PSF).sample_record(np.random.default_rng(seed), 5000)
+        report = mle_separation(record, PSF, 1.5, search_interval=interval, compute_crb=False)
+        (objective, lo, hi, xatol), = searches
+        want = scipy_bounded(objective, lo, hi, xatol)
+        assert_same_search(brent(objective, lo, hi, xatol), want)
+        assert (report.s_hat, report.objective_evals, report.optimizer_success) == (want[0], want[2], want[3])
+        assert report.boundary_flag is (s == 0.1 and seed == [11, 0])
+
+
 class TestCrb:
     def test_scales_inversely_with_frames(self):
         one = crb_report(SCENE, PSF, 1000)

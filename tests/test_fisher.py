@@ -117,9 +117,14 @@ class TestFisherL:
 
     @pytest.mark.parametrize("s", [0.01, 1.0, 8.0, 20.0])
     def test_reference_photon_order_is_its_bucket_information(self, s):
-        # one photon's bracket does not depend on its momentum, so the lattice's constant column is exact
+        # one photon's bracket does not depend on its momentum: "auto" takes F_1 in closed form, and the
+        # lattice's constant column is exact
         scene = SourceScene(separation=s, brightness=1.5)
-        assert fisher_L(scene, PSF, 1).value == pytest.approx(bucket_fisher(scene, PSF, 1), rel=1e-14, abs=0)
+        auto = fisher_L(scene, PSF, 1)
+        want = (bucket_fisher(scene, PSF, 1), 0, "closed_form", 0)
+        assert (auto.value, auto.stderr, auto.scheme, auto.points) == want
+        lattice = fisher_L(scene, PSF, 1, QuadratureSpec(scheme="rank1_lattice"))
+        assert lattice.value == pytest.approx(bucket_fisher(scene, PSF, 1), rel=1e-14, abs=0)
 
     def test_reference_photon_order_is_negligible(self):
         # The lone reference photon carries information only through the
@@ -285,7 +290,7 @@ class TestFisherTotal:
     def test_points_are_the_rows_each_order_used(self):
         breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=5, quad=QuadratureSpec(sample_count=20_000))
         lattice, hierarchy = 20 * 997, 2 * (64 + 48)  # F_2: a 1-D Kbar rule and its refinement per camera class
-        assert {L: e.points for L, e in breakdown.per_L.items()} == {1: lattice, 2: hierarchy, 3: lattice,
+        assert {L: e.points for L, e in breakdown.per_L.items()} == {1: 0, 2: hierarchy, 3: lattice,
                                                                     4: lattice, 5: lattice}
         mc = fisher_L(SourceScene(1.0, 1.5), PSF, 4, QuadratureSpec(scheme="monte_carlo_importance"))
         assert mc.points == 200_000

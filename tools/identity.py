@@ -35,7 +35,9 @@ takes), ``crb_report`` at the ``homsr estimate`` scene with l_cap 12 and
 baseline, the rejection bounds of every (L, X) cell of a fresh sampler at each record's scene,
 before any draw (so that a change to the bound scan shows apart from one to the draws), three
 5000-frame records (frames, majorants after sampling, written lines, ŝ of the record and of its
-read-back copy, and likelihood curves), and the outputs of the CLI runs in
+read-back copy with the search's evaluations, convergence flag and boundary flag, and likelihood
+curves), one more 5000-frame record at s = 0.1 fitted on two search intervals, both fits ending on
+the interval's edge (``records.edge``, the search's edge branch), and the outputs of the CLI runs in
 ``tests/test_cli.py`` with their temporary paths normalised.  It takes
 about 4 s on 2 vCPU.
 
@@ -67,6 +69,8 @@ FISHER_SCENES = ((1.0, 1.5, 5), (0.05, 1.5, 3))
 # (s, N_s, l_cap) of the sampled records; the first is the `homsr estimate` default.
 RECORDS = ((1.0, 1.5, 12), (0.3, 1.5, 8), (2.0, 4.0, 8))
 RECORD_FRAMES = 5000
+# (s, N_s, l_cap) of the records.edge record, and the search intervals it is fitted on.
+EDGE_RECORD, EDGE_INTERVALS = (0.1, 1.5, 12), ((0.05, 4.0), (1e-3, 4.0))
 # (pixel pitch, pixel count) of the direct-imaging baseline: both reach >= 6 sigma_x past the sources at s <= 8.
 PIXEL_GRIDS = ((0.1, 400), (0.5, 64))
 CLI_RUNS = (
@@ -264,7 +268,16 @@ def _records(families, psf, tmp):
             report = e.mle_separation(r, psf, ns, l_cap=l_cap, curve_points=9, compute_crb=False)
             families["records.s_hat"][key + label] = np.array(report.s_hat)
             families["records.s_hat"][key + label + " evaluations"] = np.array(report.objective_evals)
+            families["records.s_hat"][key + label + " converged, at the edge"] = np.array(
+                [report.optimizer_success, report.boundary_flag])
             families["records.curves"][key + label] = np.array(report.log_likelihood_curve)
+    s, ns, l_cap = EDGE_RECORD
+    record = e.FrameSampler(SourceScene(s, ns), psf, l_cap=l_cap).sample_record(
+        np.random.default_rng([20261018, len(RECORDS)]), RECORD_FRAMES)
+    for interval in EDGE_INTERVALS:
+        report = e.mle_separation(record, psf, ns, search_interval=interval, l_cap=l_cap, compute_crb=False)
+        families["records.edge"][f"s={s} ns={ns} l_cap={l_cap} search={interval}"] = np.array(
+            [report.s_hat, report.objective_evals, report.optimizer_success, report.boundary_flag])
 
 
 def _cli(families, tmp):
@@ -300,7 +313,7 @@ def collect(tree):
     names = ("densities", "all_splits", "frame_size_law", "kernel", "quadrature", "integrand", "class_weights.auto",
              "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "fisher_L.gh",
              "crb", "hierarchy", "di_baseline", "majorants", "records.frames", "records.majorants", "records.lines",
-             "records.s_hat", "records.curves", "cli")
+             "records.s_hat", "records.curves", "records.edge", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
     with tempfile.TemporaryDirectory() as tmp:
