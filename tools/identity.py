@@ -39,7 +39,7 @@ read-back copy with the search's evaluations, convergence flag and boundary flag
 curves), one more 5000-frame record at s = 0.1 fitted on two search intervals, both fits ending on
 the interval's edge (``records.edge``, the search's edge branch), and the outputs of the CLI runs in
 ``tests/test_cli.py`` with their temporary paths normalised.  It takes
-about 4 s on 2 vCPU.
+about 7 s on 2 vCPU.
 
 This is not a test: pinned digests would turn every intended numeric change
 into a test edit.
