@@ -277,8 +277,9 @@ class _RowPlan(NamedTuple):  # the s-free work of :func:`_bracket`'s per-row for
     chunks: list  # (first row, rows, running rows at each photon, momenta photon after photon, flipping rows)
 
 
-def _row_plan(k, lengths, splits, itemsize=8):
-    """The checked :class:`_RowPlan` of rows of ``lengths``, ``splits`` and flat ``k``, for ``itemsize``-byte words."""
+def _row_plan(k, lengths, splits):
+    """The checked :class:`_RowPlan` of rows of ``lengths`` and ``splits``, in descending L, and their momenta ``k``:
+    one flat buffer of column prefixes, sum(lengths) words, k_a of the rows with L > a after k_{a-1} of theirs."""
     lengths, xs, n_rows = np.asarray(lengths), np.asarray(splits), len(lengths)
     if n_rows and (np.any(lengths[1:] > lengths[:-1]) or lengths[-1] < 1):
         raise ValueError("per-row bracket needs rows in descending photon number, L >= 1")
@@ -289,7 +290,7 @@ def _row_plan(k, lengths, splits, itemsize=8):
     total = n_rows - np.cumsum(np.bincount(lengths))  # the rows with L > a: column a of k, from word starts[a]
     starts, width = (np.cumsum(total) - total).tolist(), int(lengths.max(initial=0))
     # words per row: its (P, S) to its own L in each of z, z_new and tmp
-    chunk, chunks = max(1, _CHUNK_BYTES // ((6 * int(lengths.sum()) // max(1, n_rows) or 1) * itemsize)), []
+    chunk, chunks = max(1, _CHUNK_BYTES // ((6 * int(lengths.sum()) // max(1, n_rows) or 1) * 8)), []
     for lo in range(0, n_rows, chunk):
         n = min(chunk, n_rows - lo)
         # running[a]: the rows with L > a, a prefix of the chunk; photon a's momenta on those, photon after photon
@@ -300,7 +301,7 @@ def _row_plan(k, lengths, splits, itemsize=8):
     return _RowPlan(xs, width, chunks)
 
 
-def _bracket(k, s, table, orders=None, lengths=None, splits=None):
+def _bracket(k, s, table, orders=None):
     """Bracket sum_j table[L, X, j] S_j^2 of each row of ``k``: the [L, X, j] table of :func:`_theta_tables` in,
     every split of each order out (or one split per row).
 
@@ -310,24 +311,20 @@ def _bracket(k, s, table, orders=None, lengths=None, splits=None):
     S_X <- S_X f_a + P where a < X and S_X f_a - P where a >= X, and reads order L at photon L.  It is analytic
     in s and ``table`` and complex if either is, s only at the step of :func:`_with_s_derivative`.
 
-    Given ``orders`` (strictly ascending L within 1..k.shape[1] and the table), order L is on the first L columns
-    of ``k``, its splits X = 0..L on L + 1 columns of the (N, sum(L + 1)) result after the previous order's; without
-    ``orders`` or ``lengths`` the one order is L = k.shape[1].  There the slots X >= 1 are shared: after photon
-    a - 1 every S_X with X >= a is D, so slot a stands for them all, and photon a splits it into X = a (- P) and a
-    new top slot (+ P).  S_0 = -D, the top slot negated (exactly), is not carried: X = 0 copies the square of the
-    top slot, which X = L reads.  Given ``lengths`` and ``splits``, row i of the (N,) result is split
-    X = ``splits[i]`` at L = ``lengths[i]``, rows in descending L, so the rows still running at photon a (L > a) are
-    a prefix; ``k`` is then one flat buffer of column prefixes, sum(lengths) words: k_a of those rows after k_{a-1}
-    of theirs, or in place of all three their :func:`_row_plan`, built once.  A row has one slot, stored as -S_X
-    until photon X, whose step it enters negated (exactly), so every step subtracts P; the rows of L = a are read at
-    photon a, where the state is a dense (2, degree, running rows) view, 2 (L + 1) words a row.  A read squares
-    its slots into the scratch, free until photon a's step, scales them by the coefficients and sums over j one
-    slice at a time, without BLAS: each row's value then depends on its momenta alone, not on its place in the
-    chunk, the row count or BLAS's threads.
+    Given ``orders`` (strictly ascending L within 1..k.shape[1] and the table), order L is on the first L columns of
+    ``k``, its splits X = 0..L on L + 1 columns of the (N, sum(L + 1)) result after the previous order's; without
+    ``orders`` the one order is L = k.shape[1].  There the slots X >= 1 are shared: after photon a - 1 every S_X
+    with X >= a is D, so slot a stands for them all, and photon a splits it into X = a (- P) and a new top slot
+    (+ P).  S_0 = -D, the top slot negated (exactly), is not carried: X = 0 copies the square of the top slot, which
+    X = L reads.  Given in place of ``k`` the :func:`_row_plan` of rows, row i of the (N,) result is its split X_i
+    at its L_i, rows in descending L, so the rows still running at photon a (L > a) are a prefix.  A row has one
+    slot, stored as -S_X until photon X, whose step it enters negated (exactly), so every step subtracts P; the rows
+    of L = a are read at photon a, where the state is a dense (2, degree, running rows) view, 2 (L + 1) words a row.
+    A read squares its slots into the scratch, free until photon a's step, scales them by the coefficients and sums
+    over j one slice at a time, without BLAS: each row's value then depends on its momenta alone, not on its place
+    in the chunk, the row count or BLAS's threads.
     """
     dtype = np.result_type(s, table, float)
-    if lengths is not None:
-        k = _row_plan(k, lengths, splits, dtype.itemsize)
     if shared := not isinstance(k, _RowPlan):  # every row runs to the last order
         orders = [k.shape[1]] if orders is None else list(orders)
         if not (orders and orders == sorted(set(orders)) and 1 <= orders[0] and orders[-1] <= k.shape[1]

@@ -197,7 +197,7 @@ class FrameSampler:
         """The bracket of each row at L and split X, one per row in descending L (or one of them an int), ``k`` their
         momenta as one flat buffer of column prefixes: the sampler's [L, X, j] table in, one split per row out."""
         L, X = np.broadcast_arrays(L, X)
-        return _bracket(k, self.scene.separation, self._theta, lengths=L, splits=X)
+        return _bracket(_row_plan(k, L, X), self.scene.separation, self._theta)
 
     def _majorant(self, L, X):
         """Rejection bound of cell (L, X): ``_MAJORANT_MARGIN`` times the largest of splits X and L - X (g_{L-X} at

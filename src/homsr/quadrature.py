@@ -32,8 +32,9 @@ before it looks at z_{m+1}.  So one dim-D call can integrate functions of
 fewer momenta on exactly the nodes their own calls would use.
 
 The random rules' batches (shifts) are independent, so they run in
-min(usable CPUs, ``batch_count``) processes, the caller and helpers that it
-forks and reaps (:func:`_each_batch`; ``os.fork`` needs Linux, as
+P = min(usable CPUs, ``batch_count``) processes, the caller and helpers that
+it forks and reaps, process i running batches i, i + P, ...
+(:func:`_each_batch`; ``os.fork`` needs Linux, as
 ``os.sched_getaffinity`` does); OpenBLAS's fork handler stops its worker
 threads, so the caller has one OS thread right after each fork.  Each batch
 draws its nodes from its own seed, its mean is kept in batch order, and
@@ -64,36 +65,28 @@ _SCHEMES = ("auto", "gauss_hermite_tensor", "monte_carlo_importance", "rank1_lat
 
 
 def _each_batch(run, count: int) -> list:
-    """[run(b) for b in range(count)] in min(usable CPUs, count) processes: the caller and helpers it forks.
+    """[run(b) for b in range(count)] in P = min(usable CPUs, count) processes: the caller and helpers it forks.
 
-    Each process takes the next b when it finishes one.  A helper, which unlike a thread shares no interpreter
-    lock, pickles {b: run(b)} or its exception back through a pipe and ends with ``os._exit``; the caller raises
+    Process i runs batches i, i + P, i + 2P, ...: the caller runs share 0 once it has forked the helpers, which
+    suits batches of equal cost.  A helper, which unlike a thread shares no interpreter lock, pickles the list of
+    its share's results or its exception back through its own pipe and ends with ``os._exit``; the caller raises
     that exception, or ``RuntimeError`` for a helper without a readable reply, once it has reaped every helper,
     and kills them on an error of its own.  Serial on one CPU or while another thread is alive, which a forked
     child would lose with any lock it held.  OpenBLAS's workers, which numpy and scipy start at import and at
     each BLAS call, are stopped by its own fork handler, so the caller has one OS thread right after each fork:
-    the count CPython >= 3.12 reads to warn.  Fork, exit and reap cost 3.2-3.8 ms a call (one helper, 2 vCPU).
+    the count CPython >= 3.12 reads to warn.  Fork, exit and reap cost 5.7-9.4 ms a call (one helper, 2 vCPU).
     """
-    helpers = min(len(os.sched_getaffinity(0)), count) - 1
-    if helpers < 1 or threading.active_count() > 1:
+    processes = min(len(os.sched_getaffinity(0)), count)
+    if processes < 2 or threading.active_count() > 1:
         return [run(b) for b in range(count)]
-    todo, children, replies = os.pipe(), [], []  # todo holds the next b: taken by a read, b + 1 put back
-
-    def drain(results):
-        while (b := int.from_bytes(os.read(todo[0], 4), "little")) < count:
-            os.write(todo[1], (b + 1).to_bytes(4, "little"))
-            results[b] = run(b)
-        os.write(todo[1], b.to_bytes(4, "little"))  # count: every other process stops too
-        return results
-
-    os.write(todo[1], bytes(4))
+    results, children, replies = [None] * count, [], []
     try:
-        for _ in range(helpers):
+        for i in range(1, processes):
             reader, writer = os.pipe()
             if (pid := os.fork()) == 0:
                 try:
                     try:
-                        reply = drain({})
+                        reply = [run(b) for b in range(i, count, processes)]
                     except BaseException as exc:
                         reply = exc
                     try:
@@ -106,7 +99,7 @@ def _each_batch(run, count: int) -> list:
                     os._exit(0)
             os.close(writer)
             children.append((pid, reader))
-        results = drain({})
+        results[::processes] = [run(b) for b in range(0, count, processes)]
     except BaseException:
         for pid, _ in children:  # their batches are not wanted
             os.kill(pid, signal.SIGKILL)
@@ -115,9 +108,7 @@ def _each_batch(run, count: int) -> list:
         for pid, reader in children:
             with os.fdopen(reader, "rb") as pipe:
                 replies.append((pid, pipe.read(), os.waitpid(pid, 0)[1]))
-        os.close(todo[0])
-        os.close(todo[1])
-    for pid, message, status in replies:
+    for i, (pid, message, status) in enumerate(replies, 1):
         try:
             reply = pickle.loads(message)
         except Exception:  # it died before or while it wrote
@@ -125,8 +116,8 @@ def _each_batch(run, count: int) -> list:
                                f"(exit code {os.waitstatus_to_exitcode(status)})") from None
         if isinstance(reply, BaseException):
             raise reply
-        results.update(reply)
-    return [results[b] for b in range(count)]
+        results[i::processes] = reply
+    return results
 
 
 @dataclass(frozen=True)

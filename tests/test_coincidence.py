@@ -23,6 +23,7 @@ from homsr.coincidence import (
     _bracket,
     _closed_form_weights,
     _half_angle_trig,
+    _row_plan,
     _theta_tables,
     _with_s_derivative,
     _xi_coeffs,
@@ -692,13 +693,13 @@ class TestBracketKernel:
         pool[0] = 12
         counts = np.arange(1, len(pool) + 1)
         words = np.maximum(6 * np.cumsum(pool) // counts, 1)
-        chunk = np.maximum(1, coincidence._CHUNK_BYTES // (words * (16 if complex_step else 8)))
+        chunk = np.maximum(1, coincidence._CHUNK_BYTES // (words * 8))
         for n in (1, counts[counts == chunk - 1][0], counts[counts == chunk + 1][0]):
             lengths = np.sort(pool[:n])[::-1]
             xs = rng.integers(0, lengths + 1)
             k = rng.standard_normal((n, 12)) * PSF.sigma_k
             table = _theta_tables(12, 1.5, delta)
-            got = _bracket(column_prefixes(k, lengths), s, table, lengths=lengths, splits=xs)
+            got = _bracket(_row_plan(column_prefixes(k, lengths), lengths, xs), s, table)
             assert got.shape == (n,) and got.dtype == np.result_type(s, float)
             for L in np.unique(lengths):
                 rows = np.flatnonzero(lengths == L)
@@ -719,7 +720,7 @@ class TestBracketKernel:
             k = rng.standard_normal((3000, L)) * PSF.sigma_k
             xs = rng.integers(0, L + 1, len(k))
             table = _theta_tables(L, 1.5, delta)
-            got = _bracket(k.T.ravel(), z, table, lengths=np.full(len(k), L), splits=xs)
+            got = _bracket(_row_plan(k.T.ravel(), np.full(len(k), L), xs), z, table)
             assert got.shape == (len(k),) and got.dtype == np.result_type(z, float)
             for X in range(L + 1):
                 rows = xs == X
@@ -777,7 +778,7 @@ class TestBracketKernel:
         lengths = np.sort(rng.integers(1, 10, 45))[::-1]
         lengths[0] = 9
         xs = rng.integers(0, lengths + 1)
-        got = bracket(column_prefixes(k, lengths), s, table, lengths=lengths, splits=xs)
+        got = bracket(_row_plan(column_prefixes(k, lengths), lengths, xs), s, table)
         for L in np.unique(lengths):
             rows = np.flatnonzero(lengths == L)
             want = oracle_bracket(k[rows, :L], s, range(L + 1), table[L, : L + 1, :L])
@@ -803,29 +804,29 @@ class TestBracketKernel:
     @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [3, -1]])
     def test_per_row_form_needs_descending_photon_numbers(self, lengths):
         with pytest.raises(ValueError, match="descending photon number"):
-            _bracket(np.zeros(5), 1.0, np.ones((4, 4, 3)), lengths=np.array(lengths), splits=np.array([0, 0]))
+            _row_plan(np.zeros(5), np.array(lengths), np.array([0, 0]))
 
     @pytest.mark.parametrize("splits", [[5, 5, 5], [-1, -1, -1]], ids=["above L", "negative"])
     def test_per_row_form_needs_each_split_within_its_rows_L(self, splits):
         # such a split never flips its slot's sign, so it would read the X = L bracket
         with pytest.raises(ValueError, match="split within 0..L"):
-            _bracket(np.ones(9), 1.0, np.ones((4, 4, 3)), lengths=np.array([3, 3, 3]), splits=np.array(splits))
+            _row_plan(np.ones(9), np.array([3, 3, 3]), np.array(splits))
 
     @pytest.mark.parametrize("size", [0, 5, 7, 8], ids=["empty", "one short", "one over", "padded"])
     def test_per_row_form_needs_one_word_per_photon(self, size):
         # rows of L = 4 and 2 take 6 words: a buffer one word short or over, or zero-padded to the widest row
         # (8 words), is refused, not read short or past
         with pytest.raises(ValueError, match=r"sum\(lengths\) = 6 momenta, one flat buffer"):
-            _bracket(np.ones(size), 1.0, np.ones((5, 5, 4)), lengths=np.array([4, 2]), splits=np.array([1, 0]))
+            _row_plan(np.ones(size), np.array([4, 2]), np.array([1, 0]))
         with pytest.raises(ValueError, match="flat buffer"):  # the rows as a 2-D array, however wide
-            _bracket(np.ones((2, 4)), 1.0, np.ones((5, 5, 4)), lengths=np.array([4, 2]), splits=np.array([1, 0]))
+            _row_plan(np.ones((2, 4)), np.array([4, 2]), np.array([1, 0]))
 
     @pytest.mark.parametrize("l_max", [3, 0], ids=["one order short", "empty"])
     def test_per_row_form_needs_a_table_through_its_widest_row(self, l_max):
         # rows of L = 4 and 2 against a table whose last L is l_max < 4: refused before any step is taken
         with pytest.raises(ValueError, match="table through the rows' largest L"):
-            _bracket(np.ones(6), 1.0, np.ones((l_max + 1, l_max + 1, l_max)), lengths=np.array([4, 2]),
-                     splits=np.array([1, 0]))
+            _bracket(_row_plan(np.ones(6), np.array([4, 2]), np.array([1, 0])), 1.0,
+                     np.ones((l_max + 1, l_max + 1, l_max)))
 
     @pytest.mark.parametrize("form", ["one order", "orders", "per row"])
     def test_a_wider_table_reads_alike(self, form, rng):
@@ -837,7 +838,7 @@ class TestBracketKernel:
         k = rng.standard_normal((60, 5)) * PSF.sigma_k
         if form == "per row":
             lengths = np.sort(rng.integers(1, 6, len(k)))[::-1]
-            momenta, kwargs = column_prefixes(k, lengths), {"lengths": lengths, "splits": rng.integers(0, lengths + 1)}
+            momenta, kwargs = _row_plan(column_prefixes(k, lengths), lengths, rng.integers(0, lengths + 1)), {}
         else:
             momenta, kwargs = k, ({"orders": (1, 3, 5)} if form == "orders" else {})
         np.testing.assert_array_equal(_bracket(momenta, 1.3, wide, **kwargs), _bracket(momenta, 1.3, narrow, **kwargs))

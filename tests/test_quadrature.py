@@ -239,7 +239,7 @@ def cpus(monkeypatch, count):
 
 def helper_mark(caller, marks, text=""):
     """In a batch: a helper writes ``text`` to ``marks/<its pid>`` and returns True; the calling process waits up to
-    10 s for a helper's mark, so that a helper takes a batch before the caller runs out of them, and returns False."""
+    10 s for a helper's mark, so that a helper has run a batch before the caller's batch ends, and returns False."""
     if os.getpid() != caller:
         (marks / str(os.getpid())).write_text(text)
         return True
@@ -292,7 +292,7 @@ def test_an_error_in_a_helper_reaches_the_caller(monkeypatch, tmp_path):
 
 
 def test_every_batch_runs_once_on_more_processes_than_cores(monkeypatch, tmp_path):
-    # seven helpers take batch numbers from one pipe: a number handed out twice, or lost, shows in the log
+    # seven helpers and the caller share 2000 batches: a batch run twice, or by no process, shows in the log
     cpus(monkeypatch, 8)
     log = os.open(tmp_path / "log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
 
@@ -306,6 +306,25 @@ def test_every_batch_runs_once_on_more_processes_than_cores(monkeypatch, tmp_pat
         os.close(log)
     assert sorted(map(int, (tmp_path / "log").read_text().split())) == list(range(2000))
     assert results == [b * b for b in range(2000)]
+
+
+@pytest.mark.parametrize("processes, count", [(2, 8), (3, 7)])
+def test_each_process_runs_a_fixed_share(monkeypatch, processes, count):
+    # process i runs batches i, i + P, ...: a slow batch in the caller lets no helper take more than its share
+    cpus(monkeypatch, processes)
+    caller = os.getpid()
+
+    def run(b):
+        if b == 0:
+            time.sleep(0.2)
+        return os.getpid()
+
+    pids = quadrature._each_batch(run, count)
+    assert pids[::processes] == [caller] * len(range(0, count, processes))
+    helpers = [set(pids[i::processes]) for i in range(1, processes)]
+    assert all(len(share) == 1 for share in helpers)  # one helper for each other residue
+    assert len(set.union({caller}, *helpers)) == processes  # distinct from the caller and from each other
+    no_child_left()
 
 
 def test_a_cold_lattice_is_searched_once(monkeypatch, tmp_path):
@@ -419,7 +438,7 @@ def test_the_caller_has_one_os_thread_right_after_each_fork(monkeypatch):
 
 
 def test_many_cheap_batches_do_not_hang():
-    # 20,000 four-byte batch numbers would overfill a 64 KiB pipe written before the helpers read it
+    # 20,000 batches far cheaper than a fork: every result comes back, in batch order, before the timeout
     src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
     probe = f"""
 import os, sys

@@ -140,9 +140,9 @@ def _kernel(families, psf, rng):
             got = {f"orders {orders}": c._bracket(k, z, tables, orders)}
             got[f"orders {sub_orders} at splits {sub_splits}"] = c._bracket(k[:, :9], z, tables, sub_orders)[
                 :, sub_columns]
-            got["one split per row"] = c._bracket(flat, z, tables, lengths=lengths, splits=xs)
-            got["L=7, one split per row"] = c._bracket(k[:, :7].T.ravel(), z, tables, lengths=np.full(len(k), 7),
-                                                       splits=xs7)
+            got["one split per row"] = c._bracket(c._row_plan(flat, lengths, xs), z, tables)
+            got["L=7, one split per row"] = c._bracket(c._row_plan(k[:, :7].T.ravel(), np.full(len(k), 7), xs7), z,
+                                                       tables)
             for L in (1, 2, 4, 7, 12):
                 every = c._bracket(k[:, :L], z, tables)
                 got[f"L={L} every split"], got[f"L={L} X={L // 2}"] = every, every[:, L // 2 : L // 2 + 1]
