@@ -20,8 +20,9 @@ the lattice or Monte Carlo at once), :func:`homsr.fisher.sampling_hierarchy_fi`
   prime <= ``sample_count // batch_count`` and z is a generating vector from
   fast component-by-component search (Nuyens & Cools, Math. Comp. 75, 903
   (2006)).  The points are tent-transformed (Hickernell 2002) and mapped to
-  the envelope by the inverse normal CDF.  The error is the standard error
-  of the shift means (L'Ecuyer & Lemieux 2000).
+  the envelope by the inverse normal CDF (:func:`_ndtri`, cephes' ``ndtri``
+  in the package, no scipy).  The error is the standard error of the shift
+  means (L'Ecuyer & Lemieux 2000).
 * ``"auto"``: Gauss-Hermite for dim <= 3, the lattice above.
 
 The two random rules are nested across dimension: with the same seed, the
@@ -56,7 +57,6 @@ import threading
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .optics import PsfModel
 
@@ -72,9 +72,9 @@ def _each_batch(run, count: int) -> list:
     its share's results or its exception back through its own pipe and ends with ``os._exit``; the caller raises
     that exception, or ``RuntimeError`` for a helper without a readable reply, once it has reaped every helper,
     and kills them on an error of its own.  Serial on one CPU or while another thread is alive, which a forked
-    child would lose with any lock it held.  OpenBLAS's workers, which numpy and scipy start at import and at
-    each BLAS call, are stopped by its own fork handler, so the caller has one OS thread right after each fork:
-    the count CPython >= 3.12 reads to warn.  Fork, exit and reap cost 5.7-9.4 ms a call (one helper, 2 vCPU).
+    child would lose with any lock it held.  numpy's OpenBLAS worker (2 OS threads after ``import homsr``),
+    started at import and at each BLAS call, is stopped by its fork handler, so the caller has one OS thread right
+    after each fork: the count CPython >= 3.12 reads to warn.  Fork, exit and reap: 2.0-2.9 ms a call (one helper).
     """
     processes = min(len(os.sched_getaffinity(0)), count)
     if processes < 2 or threading.active_count() > 1:
@@ -206,6 +206,58 @@ def lattice_generating_vector(n: int, dim: int) -> np.ndarray:
     return z
 
 
+_EXP_M2 = 0.13533528323661269189  # exp(-2): the central branch's edge
+_NDTRI = (  # cephes ndtri's numerator and monic denominator (leading 1 left out), central, tail, far tail
+    ((-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1, 1.39312609387279679503e1,
+      -1.23916583867381258016e0),
+     (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1, -2.25462687854119370527e2,
+      2.00260212380060660359e2, -8.20372256168333339912e1, 1.59056225126211695515e1, -1.18331621121330003142e0)),
+    ((4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1, 4.40805073893200834700e1,
+      1.46849561928858024014e1, 2.18663306850790267539e0, -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+      -8.57456785154685413611e-4),
+     (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1, 1.50425385692907503408e1,
+      2.50464946208309415979e0, -1.42182922854787788574e-1, -3.80806407691578277194e-2, -9.33259480895457427372e-4)),
+    ((3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0, 1.33303460815807542389e0,
+      2.01485389549179081538e-1, 1.23716634817820021358e-2, 3.01581553508235416007e-4, 2.65806974686737550832e-6,
+      6.23974539184983293730e-9),
+     (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0, 2.16236993594496635890e-1,
+      1.34204006088543189037e-2, 3.28014464682127739104e-4, 2.89247864745380683936e-6, 6.79019408009981274425e-9)),
+)
+
+
+def _rational(z, p, q):
+    """z p(z) / q(z) for a monic q given without its leading 1: cephes' Horner steps, in place, in its order."""
+    num, den = p[0] * z + p[1], z + q[0]
+    for acc, coefs in ((num, p[2:]), (den, q[1:])):
+        for c in coefs:
+            acc *= z
+            acc += c
+    return z * num / den
+
+
+def _ndtri(y: np.ndarray) -> np.ndarray:
+    """Phi^-1(y) in place for a C- or Fortran-contiguous y in [0, 1], -inf at 0 and +inf at 1; returns ``y``.
+
+    Cephes' ``ndtri`` (S. Moshier), which ``scipy.special.ndtri`` runs, step for step: a rational in (y - 1/2)^2 for
+    exp(-2) < y <= 1 - exp(-2), else x - log(x)/x less a rational in 1/x, x = sqrt(-2 log min(y, 1 - y)), one for
+    x < 8 and one beyond.  Central values carry scipy's bits, tails may differ by a few ulp (numpy's ``log``).
+    """
+    v = y.ravel(order="K")  # y's memory in its own order, so each mask and gather runs along it
+    upper = v > 1.0 - _EXP_M2
+    np.subtract(1.0, v, out=v, where=upper)
+    central, end = v > _EXP_M2, v == 0.0
+    tail = ~(central | end)
+    c = v[central] - 0.5
+    v[central] = (c + c * _rational(c * c, *_NDTRI[0])) * 2.50662827463100050242  # times sqrt(2 pi)
+    x = np.sqrt(-2.0 * np.log(v[tail]))
+    z, far = 1.0 / x, x >= 8.0
+    x1 = _rational(z, *_NDTRI[1])
+    x1[far] = _rational(z[far], *_NDTRI[2])
+    v[tail], v[end] = x - np.log(x) / x - x1, np.inf
+    np.negative(v, out=v, where=~(upper | central))  # the lower tail
+    return y
+
+
 def envelope_lattice_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.Generator):
     """One randomly shifted n-point lattice, column-major (n, dim), n the largest prime <= ``count`` (weights 1/n)."""
     n = _largest_prime_at_most(count)
@@ -216,9 +268,7 @@ def envelope_lattice_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.G
     x -= 1.0
     np.abs(x, out=x)
     np.subtract(1.0, x, out=x)  # tent transform 1 - |2x - 1|
-    ndtri(x, out=x)
-    x *= psf.sigma_k
-    return x
+    return np.multiply(_ndtri(x), psf.sigma_k, out=x)
 
 
 def resolved_scheme(quad: QuadratureSpec, dim: int) -> str:

@@ -168,12 +168,12 @@ class TestLatticeFisher:
         assert abs(est.value / ref - 1.0) <= 5 * est.stderr / ref + 10 * s * s
 
     def test_leaves_heavy_scipy_subpackages_unloaded(self):
-        # the lattice maps points through scipy.special.ndtri, not scipy.stats
+        # the lattice maps points through the package's own inverse normal CDF, not scipy.special or scipy.stats
         src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
         probe = (
             f"import sys; sys.path.insert(0, {src!r}); import homsr; "
             "homsr.fisher_L(homsr.SourceScene(1, 1.5), homsr.PsfModel(), 4); "
-            "print(','.join(m for m in ('scipy.integrate', 'scipy.stats') if m in sys.modules))"
+            "print(','.join(m for m in ('scipy.integrate', 'scipy.special', 'scipy.stats') if m in sys.modules))"
         )
         loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
         assert loaded.stdout.strip() == ""

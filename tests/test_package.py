@@ -5,12 +5,13 @@ so those lists must not overlap: a later module would silently shadow an
 earlier module's name.
 
 ``import homsr`` dominates the set-up time and peak memory of the short
-CLI runs, so the heavy scipy subpackages the library does not use must
-stay unloaded: scipy.integrate, scipy.stats and scipy.optimize (the fit's
-bounded Brent search is the package's own).  They must stay unloaded after
-a fit and a ``homsr estimate`` run too, not only after the import.  The
-checks run in a fresh interpreter, because the test session itself imports
-those subpackages for its oracles.
+CLI runs, so no scipy module may be loaded at run time: not after the
+import, not after a fit and a ``homsr estimate`` run (the fit's bounded
+Brent search is the package's own), and not after a ``homsr fi-curve`` run
+(the lattice's inverse normal CDF is the package's own).  Only
+``di_baseline_fisher`` imports scipy, when it is called.  The checks run in
+a fresh interpreter, because the test session itself imports scipy for its
+oracles.
 """
 
 import os
@@ -21,23 +22,22 @@ import homsr
 from homsr import coincidence, estimation, fisher, optics
 
 MODULES = (optics, coincidence, fisher, estimation)
-HEAVY = ("scipy.integrate", "scipy.optimize", "scipy.stats")
 
 
-def heavy_loaded_after(code):
-    """The heavy scipy subpackages loaded after ``code`` runs in a fresh interpreter on this session's homsr."""
+def scipy_loaded_after(code):
+    """The scipy modules loaded after ``code`` runs in a fresh interpreter on this session's homsr."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(homsr.__file__)))
     probe = f"import sys; sys.path.insert(0, {src!r}); import homsr\n{code}\n"
-    probe += f"print('loaded:' + ','.join(m for m in {HEAVY!r} if m in sys.modules))"
+    probe += "print('loaded:' + ','.join(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))"
     loaded = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
     return loaded.stdout.splitlines()[-1].removeprefix("loaded:")
 
 
-def test_import_leaves_heavy_scipy_subpackages_unloaded():
-    assert heavy_loaded_after("") == ""
+def test_import_loads_no_scipy():
+    assert scipy_loaded_after("") == ""
 
 
-def test_a_fit_and_an_estimate_run_leave_heavy_scipy_subpackages_unloaded(tmp_path):
+def test_a_fit_and_an_estimate_run_load_no_scipy(tmp_path):
     # the smallest run the CLI takes: two trials
     code = f"""
 import numpy as np
@@ -47,7 +47,16 @@ record = homsr.FrameSampler(homsr.SourceScene(1.0, 1.5), psf, l_cap=6).sample_re
 assert homsr.mle_separation(record, psf, 1.5, l_cap=6, compute_crb=False).optimizer_success
 assert main(["estimate", "--frames", "300", "--trials", "2", "--l-cap", "6", "--out", {str(tmp_path / "e.csv")!r}]) == 0
 """
-    assert heavy_loaded_after(code) == ""
+    assert scipy_loaded_after(code) == ""
+
+
+def test_a_fi_curve_run_loads_no_scipy(tmp_path):
+    # one point of the lattice path: orders 3..l_max on one rank-1 lattice
+    code = f"""
+from homsr.cli import main
+assert main(["fi-curve", "--s-grid", "1", "--out", {str(tmp_path / "f.csv")!r}]) == 0
+"""
+    assert scipy_loaded_after(code) == ""
 
 
 def test_module_exports_are_disjoint():

@@ -4,7 +4,8 @@ Oracles: the Gaussian moments E[k^(2p)] = (2p-1)!! sigma_k^(2p), which the
 default Gauss-Hermite rules integrate exactly, the characteristic function
 E[prod_a cos(k_a)] = exp(-dim sigma_k^2 / 2), the projection property of a
 rank-1 lattice, the reproducibility of the seeded Monte Carlo batches
-and lattice shifts, and the nesting of both random rules across dimension.
+and lattice shifts, the nesting of both random rules across dimension, and
+``scipy.special.ndtri`` for the lattice's in-package inverse normal CDF.
 """
 
 import math
@@ -13,9 +14,11 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -134,14 +137,58 @@ def test_lattice_cosine_product_beats_mc_tenfold(dim):
     assert abs(value - exact) < 5 * error
 
 
-@pytest.mark.parametrize("nodes, count", [(envelope_lattice_nodes, 1000), (envelope_mc_nodes, 1000)],
-                         ids=["lattice", "mc"])
+@pytest.mark.parametrize("nodes, count", [(envelope_lattice_nodes, 1000), (envelope_mc_nodes, 1000),
+                                          (envelope_lattice_nodes, 10_000)],
+                         ids=["lattice", "mc", "lattice-default-shift"])
 def test_random_rules_nest_across_dimension(nodes, count):
     # one seed serves every dim, so a dim-12 call holds each smaller call's nodes in its first columns
     wide = nodes(PSF, 12, count, np.random.default_rng([5, 3]))
     for m in range(1, 13):
         narrow = nodes(PSF, m, count, np.random.default_rng([5, 3]))
         assert narrow.shape == wide[:, :m].shape and (narrow == wide[:, :m]).all()
+
+
+def test_ndtri_gives_scipys_bits_on_the_central_branch():
+    y = np.asfortranarray(np.random.default_rng(17).random((500_000, 2)))  # column-major, as the lattice's nodes
+    central = (y > np.exp(-2.0)) & (y <= 1.0 - np.exp(-2.0))
+    assert central.mean() > 0.7
+    np.testing.assert_array_equal(quadrature._ndtri(y.copy(order="F"))[central], scipy.special.ndtri(y[central]))
+
+
+@pytest.mark.parametrize("tail", ["lower", "upper"])
+def test_ndtri_is_within_8_ulp_of_scipy_in_the_tails(tail):
+    # numpy's vectorised log may round one ulp away from the C library's, which the tail branches carry
+    distance = np.geomspace(5e-324 if tail == "lower" else 2.0 ** -53, np.exp(-2.0), 10 ** 5)
+    y = distance if tail == "lower" else 1.0 - distance
+    expected = scipy.special.ndtri(y)
+    assert np.isfinite(expected).all() and (np.abs(expected) > 1.1).all()
+    assert (np.abs(quadrature._ndtri(y.copy()) - expected) <= 8 * np.spacing(np.abs(expected))).all()
+
+
+def test_ndtri_equals_scipy_at_the_branch_edges():
+    y = np.array([0.5, np.exp(-2.0), 1.0 - np.exp(-2.0), np.exp(-32.0)])
+    np.testing.assert_array_equal(quadrature._ndtri(y.copy()), scipy.special.ndtri(y))
+
+
+def test_ndtri_is_infinite_at_0_and_1_without_a_warning():
+    y = np.array([1.0, 0.0, 0.25, 0.0, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert quadrature._ndtri(y) is y  # in place
+    np.testing.assert_array_equal(y, [np.inf, -np.inf, scipy.special.ndtri(0.25), -np.inf, np.inf])
+
+
+def test_lattice_nodes_are_the_array_transformed_in_place(monkeypatch):
+    mapped, ndtri_in_place = [], quadrature._ndtri
+
+    def ndtri(y):
+        mapped.append(y)
+        return ndtri_in_place(y)
+
+    monkeypatch.setattr(quadrature, "_ndtri", ndtri)
+    k = envelope_lattice_nodes(PSF, 5, 1000, np.random.default_rng(4))
+    assert len(mapped) == 1 and mapped[0] is k
+    assert k.shape == (997, 5) and k.flags.f_contiguous and not k.flags.owndata  # the transposed outer product
 
 
 @pytest.mark.parametrize("quad, dim, points", [
