@@ -301,6 +301,11 @@ def _row_plan(k, lengths, splits):
     return _RowPlan(xs, width, chunks)
 
 
+def _orders_chunk(L, itemsize):
+    """Rows per chunk of :func:`_bracket`'s orders form to order L: one (P, S) state, (1 + L) L words a row."""
+    return max(1, _CHUNK_BYTES // ((1 + L) * L * itemsize))
+
+
 def _bracket(k, s, table, orders=None):
     """Bracket sum_j table[L, X, j] S_j^2 of each row of ``k``: the [L, X, j] table of :func:`_theta_tables` in,
     every split of each order out (or one split per row).
@@ -333,7 +338,7 @@ def _bracket(k, s, table, orders=None):
         k, n_rows, ends = k[:, : orders[-1]], len(k), np.cumsum([L + 1 for L in orders]).tolist()
         reads = {L: (slice(e - L - 1, e), table[L, : L + 1, :L].T[..., None]) for L, e in zip(orders, ends)}  # [j, X]
         width = slots = k.shape[1]
-        chunk = max(1, _CHUNK_BYTES // ((1 + slots) * width * dtype.itemsize))  # words per row: one (P, S) state
+        chunk = _orders_chunk(width, dtype.itemsize)
         per_slot = width * min(chunk, n_rows)
         chunks = ((lo, n, [n] * width + [0], k[lo : lo + n].T.ravel(), None)
                   for lo in range(0, n_rows, chunk) for n in [min(chunk, n_rows - lo)])

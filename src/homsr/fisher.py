@@ -39,7 +39,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .coincidence import _CHUNK_BYTES, _bracket, _closed_form_weights, _count, _fringe_mean, _subrayleigh_coefficient
+from .coincidence import _bracket, _closed_form_weights, _count, _fringe_mean, _orders_chunk, _subrayleigh_coefficient
 from .coincidence import _theta_tables, _with_s_derivative, interference_kappa
 from .optics import PsfModel, SourceScene, mode_weights
 from .quadrature import QuadratureSpec, envelope_expectation, rule_points
@@ -110,8 +110,7 @@ def _fisher_integrand(L, k, scene, psf):
         return _bracket(k[rows], s, tables, orders)
 
     out = np.empty((len(k), len(orders)))
-    # rows per block: two chunks of the kernel's orders form, whose (P, S) state is (1 + L) L complex words a row
-    block = 2 * max(1, _CHUNK_BYTES // ((1 + orders[-1]) * orders[-1] * 16))
+    block = 2 * _orders_chunk(orders[-1], 16)  # rows per block: two chunks of the kernel's orders form, complex
     for lo in range(0, len(k), block):
         rows = slice(lo, lo + block)
         _fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, floor, out[rows])
@@ -324,7 +323,8 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
 
     The camera-plane intensity is the equal mixture of the two displaced
     PSF intensities.  Each pixel mass q_i is a Gaussian-CDF difference taken
-    from its near tail, and d_s q_i = (g(e_i) - g(e_{i+1})) / (4 sigma_x) at
+    from its near tail, Phi(t) = erfc(-t/sqrt 2)/2 by the standard library's
+    ``math.erfc``; d_s q_i = (g(e_i) - g(e_{i+1})) / (4 sigma_x) at
     the pixel edges, with g(e) = phi((e - s/2)/sigma_x) - phi((e + s/2)/sigma_x)
     the two images' pdf difference, taken as sign(e) phi((|e| - s/2)/sigma_x)
     (1 - exp(-|e| s/sigma_x^2)): it does not cancel at small s, is 0 at s = 0
@@ -332,8 +332,6 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     sum_i (d_s q_i)^2 / q_i is scaled by N_s photons per frame.  Returned in
     sigma_k^2 units.
     """
-    from scipy.special import ndtr
-
     if not 0 < pixel_pitch < math.inf or operator.index(n_pixels) < 2:  # a float count: ceil(n) pixels off centre
         raise ValueError("need a positive, finite pixel pitch and at least 2 pixels")
     s, sx = scene.separation, psf.sigma_x
@@ -343,8 +341,9 @@ def di_baseline_fisher(scene: SourceScene, psf: PsfModel, pixel_pitch: float, n_
     edges = (np.arange(n_pixels + 1) - n_pixels / 2.0) * pixel_pitch
 
     def mass(shift):  # Gaussian mass of each pixel about the image at +shift, from its near tail
-        a, b = (edges[:-1] - shift) / sx, (edges[1:] - shift) / sx
-        return np.where(a + b < 0, ndtr(b) - ndtr(a), ndtr(-a) - ndtr(-b))
+        t = (edges - shift) / sx
+        cdf, sf = 0.5 * np.frompyfunc(math.erfc, 1, 1)(np.stack([-t, t]) / math.sqrt(2.0)).astype(float)  # Phi(+-t)
+        return np.where(t[:-1] + t[1:] < 0, cdf[1:] - cdf[:-1], sf[:-1] - sf[1:])
 
     q = 0.5 * (mass(s / 2.0) + mass(-s / 2.0))
     g = np.sign(edges) * np.exp(-0.5 * ((np.abs(edges) - s / 2.0) / sx) ** 2) / math.sqrt(2.0 * math.pi)

@@ -632,7 +632,7 @@ class TestBracketKernel:
         split_sets += [list(np.unique(rng.integers(0, L + 1, 3))) for _ in range(2)]
         for splits in split_sets:
             # row counts 1, chunk - 1 and chunk + 1 under the kernel's own chunk sizing, (1 + L) L words per row
-            chunk = max(1, coincidence._CHUNK_BYTES // ((1 + L) * L * (16 if complex_step else 8)))
+            chunk = coincidence._orders_chunk(L, 16 if complex_step else 8)
             counts = [1, 2, 40] if L == 20 else [1, chunk - 1, chunk + 1]
             k = rng.standard_normal((max(counts), L)) * PSF.sigma_k
             want = oracle_bracket(k, s, splits, coefs[splits])

@@ -16,10 +16,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 import homsr
-from homsr import fisher
+from homsr import coincidence
 from homsr.coincidence import class_weights, coincidence_density_all_splits, frame_size_probability
 from homsr.fisher import (
     QuadratureSpec,
@@ -211,7 +211,7 @@ class TestExactIntegrand:
         scene = SourceScene(separation=1.0, brightness=1.5)
         k = self.near_diagonal_rows()
         whole = _fisher_integrand(2, k, scene, PSF)  # one block
-        monkeypatch.setattr(fisher, "_CHUNK_BYTES", 192)  # kernel chunks of 2 rows at L = 2, complex
+        monkeypatch.setattr(coincidence, "_CHUNK_BYTES", 192)  # kernel chunks of 2 rows at L = 2, complex
         assert np.array_equal(_fisher_integrand(2, k, scene, PSF), whole)
 
     def test_a_row_alone_gives_its_value_in_a_batch(self):
@@ -448,6 +448,30 @@ class TestDiBaseline:
         got = di_baseline_fisher(SourceScene(s, 1.5), PSF, pixel_pitch=pitch, n_pixels=n)
         # at s = 0 the direct image carries no information; the 40-digit sum leaves ~1e-85
         assert got == pytest.approx(expected, rel=1e-13, abs=1e-30)
+
+    @pytest.mark.parametrize("s, ns, pitch, n", [
+        # the identity battery's scenes on its two pixel grids, and the fine-pixel, large-s limit
+        *[(s, ns, pitch, n) for s, ns in [(0.01, 1.5), (1.0, 1.5), (4.0, 0.5), (8.0, 3.0)]
+          for pitch, n in [(0.1, 400), (0.5, 64)]],
+        (20.0, 1.5, 0.01, 4400),
+    ])
+    def test_matches_the_pixel_sum_on_scipy_ndtr(self, s, ns, pitch, n):
+        # The same pixel sum with scipy's normal CDF in place of the package's erfc form, step for step.
+        sx = PSF.sigma_x
+        edges = (np.arange(n + 1) - n / 2.0) * pitch
+
+        def mass(shift):
+            a, b = (edges[:-1] - shift) / sx, (edges[1:] - shift) / sx
+            return np.where(a + b < 0, special.ndtr(b) - special.ndtr(a), special.ndtr(-a) - special.ndtr(-b))
+
+        q = 0.5 * (mass(s / 2.0) + mass(-s / 2.0))
+        g = np.sign(edges) * np.exp(-0.5 * ((np.abs(edges) - s / 2.0) / sx) ** 2) / math.sqrt(2.0 * math.pi)
+        g *= -np.expm1(-np.abs(edges) * s / (sx * sx))
+        dq = (g[:-1] - g[1:]) / (4.0 * sx)
+        mask = q > 1e-300
+        expected = ns * float((dq[mask] ** 2 / q[mask]).sum()) / PSF.sigma_k ** 2
+        got = di_baseline_fisher(SourceScene(s, ns), PSF, pixel_pitch=pitch, n_pixels=n)
+        assert got == pytest.approx(expected, rel=1e-14)
 
     def test_coarse_pixels_lose_information(self):
         scene = SourceScene(separation=1.0, brightness=1.5)

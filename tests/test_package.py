@@ -4,19 +4,26 @@
 so those lists must not overlap: a later module would silently shadow an
 earlier module's name.
 
-``import homsr`` dominates the set-up time and peak memory of the short
-CLI runs, so no scipy module may be loaded at run time: not after the
-import, not after a fit and a ``homsr estimate`` run (the fit's bounded
-Brent search is the package's own), and not after a ``homsr fi-curve`` run
-(the lattice's inverse normal CDF is the package's own).  Only
-``di_baseline_fisher`` imports scipy, when it is called.  The checks run in
-a fresh interpreter, because the test session itself imports scipy for its
+homsr runs on numpy and the standard library alone: no module under
+``src/homsr`` imports scipy, at any depth, and ``pyproject.toml`` lists
+numpy as the only run-time dependency (scipy is in the ``test`` extra).  So
+no scipy module may be loaded at run time: not after the import, not after
+a fit and a ``homsr estimate`` run (the fit's bounded Brent search is the
+package's own), not after a ``homsr fi-curve`` run (the lattice's inverse
+normal CDF is the package's own) and not after ``di_baseline_fisher`` (its
+normal CDF is ``math.erfc``'s).  The load checks run in a fresh
+interpreter, because the test session itself imports scipy for its
 oracles.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
+
+import pytest
 
 import homsr
 from homsr import coincidence, estimation, fisher, optics
@@ -57,6 +64,26 @@ from homsr.cli import main
 assert main(["fi-curve", "--s-grid", "1", "--out", {str(tmp_path / "f.csv")!r}]) == 0
 """
     assert scipy_loaded_after(code) == ""
+
+
+def test_a_direct_imaging_baseline_loads_no_scipy():
+    code = "assert homsr.di_baseline_fisher(homsr.SourceScene(1.0, 1.5), homsr.PsfModel(), 0.1, 400) > 0"
+    assert scipy_loaded_after(code) == ""
+
+
+def test_no_module_imports_scipy():
+    # every import statement, function bodies included, not only those a run happens to reach
+    for path in Path(homsr.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+            assert not [n for n in names if n.split(".")[0] == "scipy"], f"{path.name}:{node.lineno}"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; requires-python is 3.10
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
 
 
 def test_module_exports_are_disjoint():
