@@ -161,13 +161,13 @@ class FrameRecord(Sequence):
 class FrameSampler:
     """Sampler of frame records (:class:`FrameRecord`) for a fixed scene.
 
-    L and the camera split X | L (the closed form of :func:`~homsr.coincidence.class_weights`, tabulated once
-    per L) are drawn exactly for every frame first.  Momenta are rejection-sampled in rounds over the whole record
-    (:meth:`_sample_momenta`), each one per-row bracket call for every (L, X) cell still short, each row at its own
-    L and split, under a per-cell bound (:meth:`_majorant`) that all-orders bracket calls on one probe set, a row
-    slice each, find at construction, not a proven maximum; every proposal is checked against its cell's bound.  The
-    slices run in forked helper processes too when more than one CPU is usable (``quadrature._each_batch``).
-    ``cell_counts[(L, X)]`` counts the proposals drawn, the rows accepted and the violated passes of each cell.
+    L and the camera split X | L (the closed form of :func:`~homsr.coincidence.class_weights`, tabulated once per L)
+    are drawn exactly for every frame first.  Momenta are rejection-sampled in rounds over the whole record
+    (:meth:`_sample_momenta`), each one per-row bracket call for every (L, X) cell still short, under a per-cell
+    bound (:meth:`_majorant`) that all-orders bracket calls on one probe set, a row slice each, find at construction
+    (in forked helpers too on more than one CPU, ``quadrature._each_batch``).  It is not a proven maximum: a proposal
+    above it raises it for the rest of its record only, so a record depends on its seed alone.
+    ``cell_counts[(L, X)]`` counts each cell's proposals, accepted rows and violated passes.
     """
 
     def __init__(self, scene: SourceScene, psf: PsfModel, l_cap: int = L_CAP):
@@ -202,7 +202,7 @@ class FrameSampler:
     def _majorant(self, L, X):
         """Rejection bound of cell (L, X): ``_MAJORANT_MARGIN`` times the largest of splits X and L - X (g_{L-X} at
         the reversed momenta is g_X) on order L's ``_MAJORANT_SCAN`` envelope probes, which cover the region Gaussian
-        proposals visit, unless a violated pass has raised it (:meth:`_sample_momenta`)."""
+        proposals visit."""
         return self._majorants[(L, X)]
 
     def _sample_momenta(self, L, X, count, rng):
@@ -211,10 +211,10 @@ class FrameSampler:
         A proposal is accepted with probability g/bound, so a bound's exact acceptance is w(L, X)/bound, with w
         the closed-form class weight.  Each round draws, for every cell still short, its remaining count times
         bound/w plus ``_BLOCK_FLOOR`` proposals, at most ``_BLOCK_CAP`` in all, in one per-row bracket call.  A
-        cell's pass keeps its accepted rows under one bound; a proposal above it ends the pass, raises the bound to
-        ``_MAJORANT_MARGIN`` times that value and drops the pass's rows, so every returned row was drawn under a
-        bound no proposal of its cell violated.  A cell's ninth violated pass raises :class:`MajorantError`.  The
-        cells come in descending L, so a round draws its proposals as the kernel reads them, column prefixes of sum
+        cell's pass keeps its accepted rows under one bound; a proposal above it ends the pass, raises the call's
+        bound to ``_MAJORANT_MARGIN`` times that value and drops the pass's rows, so every returned row was drawn
+        under a bound no proposal of its cell violated.  A cell's ninth violated pass raises :class:`MajorantError`.
+        The cells come in descending L, so a round draws proposals as the kernel reads them, column prefixes of sum
         of L words; returns the cells' rows one after another, each row its L momenta in turn (sum of count L words).
         """
         ls, xs, want = (np.atleast_1d(a) for a in np.broadcast_arrays(L, X, count))
@@ -247,12 +247,11 @@ class FrameSampler:
             have += got
             for tally, drawn, accepted in zip(tallies, blocks.tolist(), got.tolist()):
                 tally["proposals"], tally["accepted"] = tally["proposals"] + drawn, tally["accepted"] + accepted
-            for i in violated.tolist():  # the cell's pass ends: its bound is raised and its rows are redrawn
-                self._majorants[cells[i]] = _MAJORANT_MARGIN * float(peaks[i])
+            for i in violated.tolist():  # the cell's pass ends: its bound is raised for this call and its rows redrawn
                 tallies[i]["violated"] += 1
                 if tallies[i]["violated"] - before[i] == 9:  # this call's ninth violated pass of the cell
                     raise MajorantError(f"majorant for (L={ls[i]}, X={xs[i]}) was violated in 9 passes in a row")
-                bounds[i], have[i] = self._majorant(*cells[i]), 0
+                bounds[i], have[i] = _MAJORANT_MARGIN * float(peaks[i]), 0
         return out
 
     def sample_record(self, rng: np.random.Generator, n: int) -> FrameRecord:

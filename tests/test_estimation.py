@@ -110,12 +110,12 @@ class TestSampler:
         outcome = sample_frame(SCENE, PSF, np.random.default_rng(0), l_cap=4)
         assert 1 <= outcome.photon_count <= 4
 
-    def test_majorant_adapts_instead_of_failing(self, sampler):
+    def test_majorant_adapts_instead_of_failing(self, sampler, monkeypatch):
         # Force an artificially low bound: the sampler must recover by
-        # rescanning rather than raising.
+        # raising it rather than failing.  A raise lasts one call, so the
+        # shared sampler's table is restored afterwards.
         key = (3, 1)
-        sampler._majorant(*key)
-        sampler._majorants[key] *= 1e-3
+        monkeypatch.setitem(sampler._majorants, key, sampler._majorant(*key) * 1e-3)
         draws = sampler._sample_momenta(3, 1, 500, np.random.default_rng(2))
         assert draws.shape == (500 * 3,)  # 500 rows of 3 momenta, one after another
         assert sampler._majorants[key] > 0
@@ -139,7 +139,8 @@ class TestSampler:
         sampler._bracket, sampler._majorant = growing_bracket, counted_majorant
         with pytest.raises(MajorantError):
             sampler._sample_momenta(2, 1, 100, np.random.default_rng(0))
-        assert len(passes) == 9
+        assert len(passes) == 1  # the table is read once per call; the raises stay in the call
+        assert sampler.cell_counts[(2, 1)]["violated"] == 9
         assert len(brackets) == 9  # one block per pass: the probe scan ran when the sampler was built
 
 
@@ -301,8 +302,9 @@ class TestMajorantScanAndBlocks:
         for cell in [(4, 2), (2, 0)]:
             assert forced.cell_counts[cell] == plain.cell_counts[cell]
         counts = forced.cell_counts[(3, 1)]
-        assert counts["violated"] == 1 and forced._majorant(3, 1) == 1.2 * (1.1 * bound)
         L, X, k = calls[1]
+        assert counts["violated"] == 1 and forced._majorant(3, 1) == bound  # the raise lasted the call only
+        assert len(L) == np.ceil(40 * (1.2 * (1.1 * bound)) / forced._weights[2, 1]) + 2000  # sized by the raise
         redrawn = (L == 3) & (X == 1)
         assert counts["proposals"] == plain.cell_counts[(3, 1)]["proposals"] + redrawn.sum()
         assert counts["accepted"] >= 40 and redrawn.sum() == len(L)  # the second round drew for (3, 1) alone
@@ -330,6 +332,29 @@ class TestMajorantScanAndBlocks:
         assert len(calls) >= 3 and sampler.cell_counts[(3, 1)]["violated"] == 1
         later = {row for L, k in calls[2:] for row in ragged_rows(L, k)}
         assert all(tuple(row) in later for row in got.reshape(40, 3).tolist())
+
+    def test_records_depend_only_on_their_seed(self):
+        # a violation in record 1 raises (2, 1)'s bound for that record only: every other record is a fresh
+        # sampler's record from the same seed, and the sampler's table is the scan's after all five
+        sampler = FrameSampler(SCENE, PSF)
+        bracket, bound, forced = sampler._bracket, sampler._majorant(2, 1), []
+
+        def violates_in_record_1(L, X, k):  # one proposal of (2, 1) at 1.1 times its bound, in record 1's first call
+            g = bracket(L, X, k)
+            if t == 1 and not forced:
+                forced.append(np.flatnonzero((L == 2) & (X == 1))[0])
+                g[forced[0]] = 1.1 * bound
+            return g
+
+        sampler._bracket = violates_in_record_1
+        records = []
+        for t in range(5):
+            records.append(sampler.sample_record(np.random.default_rng([7, t]), 1000))
+        assert forced and sampler.cell_counts[(2, 1)]["violated"] == 1
+        for t in (0, 2, 3, 4):
+            fresh = FrameSampler(SCENE, PSF)
+            assert records[t] == fresh.sample_record(np.random.default_rng([7, t]), 1000), t
+        assert sampler._majorants == fresh._majorants
 
     def test_round_draws_the_masked_column_major_draw(self):
         # each proposal's momenta are, bit for bit, its column of a (largest L, rows) zero array whose entries

@@ -13,7 +13,8 @@ package's own), not after a ``homsr fi-curve`` run (the lattice's inverse
 normal CDF is the package's own) and not after ``di_baseline_fisher`` (its
 normal CDF is ``math.erfc``'s).  The load checks run in a fresh
 interpreter, because the test session itself imports scipy for its
-oracles.
+oracles.  The ``test`` extra lists every other module a test file imports,
+so ``pip install -e ".[test]"`` is enough to collect every test.
 """
 
 import ast
@@ -80,10 +81,32 @@ def test_no_module_imports_scipy():
             assert not [n for n in names if n.split(".")[0] == "scipy"], f"{path.name}:{node.lineno}"
 
 
-def test_numpy_is_the_only_runtime_dependency():
+def project_table():
     tomllib = pytest.importorskip("tomllib")  # Python 3.11 on; requires-python is 3.10
-    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
-    assert [re.match(r"[\w.-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]
+    return tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())["project"]
+
+
+def distribution_names(requirements):
+    return [re.match(r"[\w.-]+", requirement).group() for requirement in requirements]
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    assert distribution_names(project_table()["dependencies"]) == ["numpy"]
+
+
+def test_the_test_extra_installs_every_module_the_tests_import():
+    # so that `pip install -e ".[test]"` collects every test file: the import statements at any depth and the
+    # names given to importorskip, outside the standard library, are homsr, its dependencies or the test extra
+    project = project_table()
+    installed = {"homsr", *distribution_names(project["dependencies"] + project["optional-dependencies"]["test"])}
+    for path in Path(__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            names += [node.module] if isinstance(node, ast.ImportFrom) and not node.level else []
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip":
+                names.append(node.args[0].value)
+            for top in {name.split(".")[0] for name in names} - set(sys.stdlib_module_names):
+                assert top in installed, f"{path.name}:{node.lineno} imports {top}"
 
 
 def test_module_exports_are_disjoint():

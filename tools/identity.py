@@ -7,7 +7,8 @@ Use it to back a claim that a refactor leaves every output bit-identical:
 run it with ``--against`` a second checkout of the parent commit (``git
 worktree add ../parent HEAD~1``, say).  For each family whose digest differs
 it prints the item whose largest |difference|, over that item's largest
-magnitude (complex values compared as such), is greatest, and that ratio.
+magnitude (complex values compared as such), is greatest, and that ratio; a
+family that the other checkout does not collect reads ``MISSING there``.
 
 Each checkout runs its own ``tools/identity.py`` (a checkout without one is
 refused) in its own process with its ``src`` first on ``sys.path``; both run
@@ -37,7 +38,9 @@ before any draw (so that a change to the bound scan shows apart from one to the 
 5000-frame records (frames, majorants after sampling, written lines, ŝ of the record and of its
 read-back copy with the search's evaluations, convergence flag and boundary flag, and likelihood
 curves), one more 5000-frame record at s = 0.1 fitted on two search intervals, both fits ending on
-the interval's edge (``records.edge``, the search's edge branch), and the outputs of the CLI runs in
+the interval's edge (``records.edge``, the search's edge branch), five 2000-frame records that one
+sampler at the ``homsr estimate`` scene draws in turn (``records.sequence``, so that a record which
+depends on the records drawn before it shows), and the outputs of the CLI runs in
 ``tests/test_cli.py`` with their temporary paths normalised.  It takes
 about 7 s on 2 vCPU.
 
@@ -69,6 +72,8 @@ FISHER_SCENES = ((1.0, 1.5, 5), (0.05, 1.5, 3))
 # (s, N_s, l_cap) of the sampled records; the first is the `homsr estimate` default.
 RECORDS = ((1.0, 1.5, 12), (0.3, 1.5, 8), (2.0, 4.0, 8))
 RECORD_FRAMES = 5000
+# (records, frames each) that one sampler at the first RECORDS scene draws in turn for records.sequence.
+SEQUENCE = (5, 2000)
 # (s, N_s, l_cap) of the records.edge record, and the search intervals it is fitted on.
 EDGE_RECORD, EDGE_INTERVALS = (0.1, 1.5, 12), ((0.05, 4.0), (1e-3, 4.0))
 # (pixel pitch, pixel count) of the direct-imaging baseline: both reach >= 6 sigma_x past the sources at s <= 8.
@@ -271,6 +276,14 @@ def _records(families, psf, tmp):
             families["records.s_hat"][key + label + " converged, at the edge"] = np.array(
                 [report.optimizer_success, report.boundary_flag])
             families["records.curves"][key + label] = np.array(report.log_likelihood_curve)
+    s, ns, l_cap = RECORDS[0]
+    sampler = e.FrameSampler(SourceScene(s, ns), psf, l_cap=l_cap)
+    for t in range(SEQUENCE[0]):
+        record = sampler.sample_record(np.random.default_rng([20261018, 10 + t]), SEQUENCE[1])
+        frames = [(o.photon_count, o.camera_split, o.canonical_momenta) for o in record]
+        key = f"s={s} ns={ns} l_cap={l_cap} record {t}"
+        families["records.sequence"][key + " L, X"] = np.array([f[:2] for f in frames])
+        families["records.sequence"][key + " momenta"] = np.concatenate([f[2] for f in frames])
     s, ns, l_cap = EDGE_RECORD
     record = e.FrameSampler(SourceScene(s, ns), psf, l_cap=l_cap).sample_record(
         np.random.default_rng([20261018, len(RECORDS)]), RECORD_FRAMES)
@@ -313,7 +326,7 @@ def collect(tree):
     names = ("densities", "all_splits", "frame_size_law", "kernel", "quadrature", "integrand", "class_weights.auto",
              "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "fisher_L.gh",
              "crb", "hierarchy", "di_baseline", "majorants", "records.frames", "records.majorants", "records.lines",
-             "records.s_hat", "records.curves", "records.edge", "cli")
+             "records.s_hat", "records.curves", "records.edge", "records.sequence", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
     with tempfile.TemporaryDirectory() as tmp:
@@ -414,8 +427,11 @@ def main(argv=None):
     for name, items in ours.items():
         line = f"{name:20s} {len(items):4d} items  {digest(items)}"
         if args.against:
-            theirs = results[1][0].get(name, {})
-            if digest(theirs) == digest(items):
+            theirs = results[1][0].get(name)
+            if theirs is None:  # a family the other checkout's battery does not collect
+                differing += 1
+                line += "  MISSING there"
+            elif digest(theirs) == digest(items):
                 line += "  identical"
             else:
                 differing += 1
@@ -423,7 +439,7 @@ def main(argv=None):
                 line += f"  DIFFERS: {worst if isinstance(worst, str) else f'max rel {worst[0]:.3g} at {worst[1]}'}"
         print(line)
     if args.against:
-        print(f"{differing} of {len(ours)} families differ")
+        print(f"{differing} of {len(ours)} families differ or are missing there")
     return 1 if differing else 0
 
 
