@@ -33,6 +33,7 @@ error of their summed integrand rather than a quadrature sum over orders.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass, replace
@@ -96,11 +97,11 @@ def _fisher_integrand(L, k, scene, psf):
 
     ``L`` may be a tuple of ascending orders instead: each is taken on the
     first L columns of ``k`` from one :func:`~homsr.coincidence._bracket`
-    pass, and the result has one column per order.  Split X of order L is
-    dropped where its bracket is at or below 1e-14 w(L, X), its exact
-    envelope mean, so a row's value depends on its momenta and the scene
-    alone.  Rows go through in blocks of two kernel chunks, so a block's
-    values and derivatives stay small.
+    pass, and the result has one column per order, then their sum.  Split X
+    of order L is dropped where its bracket is at or below 1e-14 w(L, X),
+    its exact envelope mean, so a row's value depends on its momenta and the
+    scene alone.  Rows go through in blocks of two kernel chunks, so a
+    block's values and derivatives stay small.
     """
     orders = (L,) if np.ndim(L) == 0 else tuple(L)
     floor = 1e-14 * np.concatenate([_closed_form_weights(n, scene.separation, scene.brightness, psf) for n in orders])
@@ -109,11 +110,12 @@ def _fisher_integrand(L, k, scene, psf):
         tables = _theta_tables(orders[-1], scene.brightness, np.exp(-0.5 * (s * psf.sigma_k) ** 2))
         return _bracket(k[rows], s, tables, orders)
 
-    out = np.empty((len(k), len(orders)))
+    out = np.empty((len(orders) + 1, len(k))).T  # column-major, the orders' sum last
     block = 2 * _orders_chunk(orders[-1], 16)  # rows per block: two chunks of the kernel's orders form, complex
     for lo in range(0, len(k), block):
         rows = slice(lo, lo + block)
         _fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, floor, out[rows])
+    out[:, -1] = sum(out.T[:-1])  # added in order
     return out[:, 0] if np.ndim(L) == 0 else out
 
 
@@ -137,9 +139,9 @@ def _fisher_orders(scene, psf, orders, quad):
 
     Under "auto" F_1 is :func:`bucket_fisher`'s, F_2 :func:`sampling_hierarchy_fi`'s, and the other orders share
     one rank-1 lattice expectation of dim max(orders); Gauss-Hermite takes one rule per order, the lattice or Monte
-    Carlo one for all.  A shared integrand carries the orders' sum as a last column, so the error of the sum sees
-    how orders that share nodes correlate; each order's column is integrated as it would be alone.  Routes add in
-    quadrature.
+    Carlo one for all.  Every rule is sized (:func:`~homsr.quadrature.rule_points`) before the first runs, so an
+    impossible one is refused before any kernel call.  The error of the sum is that of the integrand's sum column,
+    so it sees how orders that share nodes correlate; routes add in quadrature.
     """
     if scene.separation <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
@@ -152,14 +154,11 @@ def _fisher_orders(scene, psf, orders, quad):
             routes.append((2, h.f_full, h.kbar_error, "sampling_hierarchy", 2 * rule_points(_KBAR_RULE, 1)))
             variance += h.kbar_error ** 2
         orders, quad = tuple(L for L in orders if L > 2), replace(quad, scheme="rank1_lattice")
-    for node_set in [(L,) for L in orders] if quad.scheme == "gauss_hermite_tensor" else [orders] if orders else []:
-        def integrand(k, node_set=node_set):
-            columns = list(_fisher_integrand(node_set, k, scene, psf).T)
-            return np.array(columns + [sum(columns)]).T  # column-major
-
+    node_sets = [(L,) for L in orders] if quad.scheme == "gauss_hermite_tensor" else [orders] if orders else []
+    for node_set, points in [(node_set, rule_points(quad, node_set[-1])) for node_set in node_sets]:
+        integrand = functools.partial(_fisher_integrand, node_set, scene=scene, psf=psf)
         values, stderrs, scheme = envelope_expectation(integrand, node_set[-1], psf, quad)
         values, stderrs = values / psf.sigma_k ** 2, stderrs / psf.sigma_k ** 2
-        points = rule_points(quad, node_set[-1])
         routes += [(L, v, e, scheme, points) for L, v, e in zip(node_set, values.tolist(), stderrs.tolist())]
         variance += float(stderrs[-1]) ** 2
     estimates = {L: FisherEstimate(value, stderr, stderr <= quad.relative_error_target * max(abs(value), 1e-300),

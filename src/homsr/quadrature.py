@@ -23,7 +23,8 @@ the lattice or Monte Carlo at once), :func:`homsr.fisher.sampling_hierarchy_fi`
   the envelope by the inverse normal CDF (:func:`_ndtri`, cephes' ``ndtri``
   in the package, no scipy).  The error is the standard error of the shift
   means (L'Ecuyer & Lemieux 2000).
-* ``"auto"``: Gauss-Hermite for dim <= 3, the lattice above.
+* ``"auto"``: Gauss-Hermite for dim <= 3, the lattice above; :mod:`homsr.fisher`
+  reads it as its own route table (:class:`QuadratureSpec`).
 
 The two random rules are nested across dimension: with the same seed, the
 dim-m node set is the first m columns of the dim-D node set for every
@@ -122,12 +123,11 @@ def _each_batch(run, count: int) -> list:
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration controls for :func:`envelope_expectation` (see the module docstring).
+    """Integration controls for :func:`envelope_expectation`; the module docstring gives each scheme's rule.
 
-    Under Monte Carlo ``sample_count`` draws are split into ``batch_count``
-    equal batches.  Under the lattice ``batch_count`` is the number of
-    random shifts, each over the largest prime n <= ``sample_count //
-    batch_count`` points, so at most ``sample_count`` points are used.
+    ``"auto"`` reads two ways.  A bare :func:`envelope_expectation` runs Gauss-Hermite up to dim 3 and the lattice
+    above.  :mod:`homsr.fisher` reads it as its route table: F_1 in closed form, F_2 from the two-photon hierarchy
+    and every other order on the lattice, so ``fisher_L(scene, psf, 3)`` runs on the lattice.
     """
 
     scheme: str = "auto"
@@ -271,20 +271,23 @@ def envelope_lattice_nodes(psf: PsfModel, dim: int, count: int, rng: np.random.G
     return np.multiply(_ndtri(x), psf.sigma_k, out=x)
 
 
-def resolved_scheme(quad: QuadratureSpec, dim: int) -> str:
-    """The scheme :func:`envelope_expectation` runs over ``dim`` momenta, with "auto" resolved."""
-    if quad.scheme == "auto":
-        return "gauss_hermite_tensor" if dim <= 3 else "rank1_lattice"
-    return quad.scheme
+def _rule(quad: QuadratureSpec, dim: int) -> tuple[str, int]:
+    """The scheme :func:`envelope_expectation` runs over ``dim`` momenta, "auto" resolved, and its size: nodes per
+    axis under Gauss-Hermite, else points per batch (shift).  Refuses a tensor rule above 10^6 nodes."""
+    scheme = quad.scheme if quad.scheme != "auto" else "gauss_hermite_tensor" if dim <= 3 else "rank1_lattice"
+    if scheme == "gauss_hermite_tensor":
+        n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
+        if n ** dim > 10 ** 6:  # refused before any node array is built
+            raise ValueError(f"a {n}^{dim} tensor Gauss-Hermite rule needs {n ** dim} nodes, above 10^6; use quad=auto")
+        return scheme, n
+    batch = quad.sample_count // quad.batch_count
+    return scheme, _largest_prime_at_most(batch) if scheme == "rank1_lattice" else batch
 
 
 def rule_points(quad: QuadratureSpec, dim: int) -> int:
-    """The integrand rows :func:`envelope_expectation` takes over ``dim`` momenta."""
-    scheme, batch = resolved_scheme(quad, dim), quad.sample_count // quad.batch_count
-    if scheme == "gauss_hermite_tensor":
-        n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
-        return n ** dim + int(0.75 * n) ** dim
-    return quad.batch_count * (_largest_prime_at_most(batch) if scheme == "rank1_lattice" else batch)
+    """The integrand rows :func:`envelope_expectation` takes over ``dim`` momenta; raises where it does."""
+    scheme, n = _rule(quad, dim)
+    return n ** dim + int(0.75 * n) ** dim if scheme == "gauss_hermite_tensor" else quad.batch_count * n
 
 
 def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
@@ -300,23 +303,19 @@ def envelope_expectation(f, dim: int, psf: PsfModel, quad: QuadratureSpec):
     def columns(k):  # f(k) with the node axis last and contiguous
         return np.ascontiguousarray(np.moveaxis(f(k), 0, -1))
 
-    scheme = resolved_scheme(quad, dim)
+    scheme, n = _rule(quad, dim)
     if scheme == "gauss_hermite_tensor":
         def rule(nodes):
             k, w = envelope_gh_nodes(psf, dim, nodes)
             return (columns(k) * w).sum(axis=-1)
 
-        n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
-        if n ** dim > 10 ** 6:  # refused before any node array is built
-            raise ValueError(f"a {n}^{dim} tensor Gauss-Hermite rule needs {n ** dim} nodes, above 10^6; use quad=auto")
         value = rule(n)
         return value, np.abs(value - rule(int(0.75 * n))), scheme
 
     nodes = {"monte_carlo_importance": envelope_mc_nodes, "rank1_lattice": envelope_lattice_nodes}[scheme]
-    batch = quad.sample_count // quad.batch_count
-    if scheme == "rank1_lattice":  # fill the lattice's caches before the helpers fork, or each would search
-        lattice_generating_vector(_largest_prime_at_most(batch), dim)
+    if scheme == "rank1_lattice":  # fill the generating vector's cache before the helpers fork, or each would search
+        lattice_generating_vector(n, dim)
     means = np.stack(_each_batch(  # (..., batches): each column's batch means contiguous
-        lambda b: columns(nodes(psf, dim, batch, np.random.default_rng([quad.seed, b]))).mean(axis=-1),
+        lambda b: columns(nodes(psf, dim, n, np.random.default_rng([quad.seed, b]))).mean(axis=-1),
         quad.batch_count), axis=-1)
     return means.mean(axis=-1), means.std(axis=-1, ddof=1) / math.sqrt(quad.batch_count), scheme

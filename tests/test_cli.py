@@ -101,12 +101,12 @@ class TestFiCurve:
 
     @pytest.mark.parametrize("argv", [("--lmax", "5"), ("--ns", "1.5")])
     def test_gh_refused_before_any_order(self, tmp_path, monkeypatch, argv):
-        # at L >= 5 the tensor rule is above its node limit, so the sweep must not start
+        # at L >= 5 the tensor rule is above its node limit, so no order may be integrated
         def never(*args, **kwargs):
-            raise AssertionError("fisher_total called")
+            raise AssertionError("envelope_expectation called")
 
-        monkeypatch.setattr(homsr.cli, "fisher_total", never)
-        with pytest.raises(SystemExit, match=r"--lmax <= 4 or --quad=auto"):
+        monkeypatch.setattr(homsr.fisher, "envelope_expectation", never)
+        with pytest.raises(SystemExit, match=r"needs 7962624 nodes, above 10\^6; use quad=auto"):
             run(tmp_path, "fi-curve", "--quad", "gh", "--s-grid", "1", *argv)
         assert not (tmp_path / "out.csv").exists()
 
@@ -221,6 +221,16 @@ class TestInputErrors:
             main([command, "--config", str(config_path), "--out", str(tmp_path / "out" / "out.csv")])
         assert excinfo.value.code.startswith(f"homsr {command}: ")
         assert list(tmp_path.iterdir()) == [config_path]
+
+    @pytest.mark.parametrize("text", ["5", "null", '"ns"', '["ns"]', None])  # None: no file
+    def test_malformed_config_exits_naming_it(self, tmp_path, text):
+        config_path = tmp_path / "config.json"
+        if text is not None:
+            config_path.write_text(text)
+        with pytest.raises(SystemExit) as excinfo:
+            main(["fi-vs-ns", "--config", str(config_path), "--out", str(tmp_path / "out" / "out.csv")])
+        assert excinfo.value.code.startswith(f"homsr fi-vs-ns: config {config_path}")
+        assert list(tmp_path.iterdir()) == ([] if text is None else [config_path])
 
     def test_strict_only_where_something_can_be_flagged(self, tmp_path):
         with pytest.raises(SystemExit):

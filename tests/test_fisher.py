@@ -287,6 +287,15 @@ class TestFisherTotal:
             runs.append((breakdown.per_L, breakdown.total, breakdown.total_stderr))
         assert runs[0] == runs[1]
 
+    def test_impossible_rule_refused_before_any_order(self, monkeypatch):
+        # the tensor rule of order 5 is above its node limit, so not even order 1 may be integrated
+        def never(*args, **kwargs):
+            raise AssertionError("envelope_expectation called")
+
+        monkeypatch.setattr(homsr.fisher, "envelope_expectation", never)
+        with pytest.raises(ValueError, match="needs 7962624 nodes"):
+            fisher_total(SourceScene(1.0, 1.5), PSF, l_max=5, quad=QuadratureSpec(scheme="gauss_hermite_tensor"))
+
     def test_points_are_the_rows_each_order_used(self):
         breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=5, quad=QuadratureSpec(sample_count=20_000))
         lattice, hierarchy = 20 * 997, 2 * (64 + 48)  # F_2: a 1-D Kbar rule and its refinement per camera class

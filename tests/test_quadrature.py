@@ -8,6 +8,7 @@ and lattice shifts, the nesting of both random rules across dimension, and
 ``scipy.special.ndtri`` for the lattice's in-package inverse normal CDF.
 """
 
+import contextlib
 import math
 import os
 import subprocess
@@ -277,6 +278,20 @@ def test_tensor_gh_refuses_a_rule_above_a_million_nodes():
         envelope_expectation(f, 6, PSF, GH)
     value, _, _ = envelope_expectation(lambda k: k[:, 3] ** 2, 4, PSF, GH)  # 24^4 nodes stay allowed
     assert value == pytest.approx(PSF.sigma_k ** 2, rel=1e-12)
+
+
+@pytest.mark.parametrize("quad, dim, refused", [
+    (QuadratureSpec(nodes_per_dim=100), 3, False),  # 10^6 nodes
+    (QuadratureSpec(nodes_per_dim=101), 3, True),
+    (GH, 4, False),  # 24^4 nodes
+    (GH, 5, True),
+])
+def test_rule_points_refuses_where_the_expectation_does(quad, dim, refused):
+    # one place sizes a rule, so the two refuse the same rules
+    sized = (lambda: quadrature.rule_points(quad, dim), lambda: envelope_expectation(lambda k: k[:, 0], dim, PSF, quad))
+    for call in sized:
+        with pytest.raises(ValueError, match=r"above 10\^6; use quad=auto") if refused else contextlib.nullcontext():
+            call()
 
 
 def cpus(monkeypatch, count):

@@ -31,11 +31,14 @@ bucket and sub-Rayleigh values, ``fisher_total`` at fixed s and l_max,
 (so that a change in how orders share nodes shows per order, not only in
 the sum), ``fisher_L`` of orders 1..3 at the ``fisher_total`` scenes under
 explicit tensor Gauss-Hermite (``fisher_L.gh``, a path no default call
-takes), ``crb_report`` at the ``homsr estimate`` scene with l_cap 12 and
+takes), each order's scheme, rule size and convergence flag in those
+``fisher_total`` and ``fisher_L.gh`` items (``fisher.routes``, so that a
+change in how a rule is sized or labelled shows where the values do not),
+``crb_report`` at the ``homsr estimate`` scene with l_cap 12 and
 6, the two-photon sampling hierarchy and the pixelated direct-imaging
 baseline, the rejection bounds of every (L, X) cell of a fresh sampler at each record's scene,
 before any draw (so that a change to the bound scan shows apart from one to the draws), three
-5000-frame records (frames, majorants after sampling, written lines, ŝ of the record and of its
+5000-frame records (frames, written lines, ŝ of the record and of its
 read-back copy with the search's evaluations, convergence flag and boundary flag, and likelihood
 curves), one more 5000-frame record at s = 0.1 fitted on two search intervals, both fits ending on
 the interval's edge (``records.edge``, the search's edge branch), five 2000-frame records that one
@@ -213,6 +216,11 @@ def _weights_and_limits(families, psf):
             + [f.subrayleigh_fisher_total(ns), f.asymptotic_fisher_2p(ns)])
 
 
+def _routes(per_L):
+    """Each order's (scheme, points, converged), one line per order."""
+    return "\n".join(f"L={L} {e.scheme} {e.points} {e.converged}" for L, e in sorted(per_L.items()))
+
+
 def _fisher(families, psf):
     from homsr import fisher as f
     from homsr.optics import SourceScene
@@ -222,6 +230,7 @@ def _fisher(families, psf):
         rows = [(e.value, e.stderr) for _, e in sorted(breakdown.per_L.items())]
         families["fisher_total"][f"s={s} ns={ns} l_max={l_max}"] = np.array(
             rows + [(breakdown.total, breakdown.total_stderr)])
+        families["fisher.routes"][f"fisher_total s={s} ns={ns} l_max={l_max}"] = _routes(breakdown.per_L)
     for s, ns, l_max in FISHER_SCENES + ((4.0, 1.5, 7),):
         for L in range(1, l_max + 1):
             estimate = f.fisher_L(SourceScene(s, ns), psf, L)
@@ -231,6 +240,7 @@ def _fisher(families, psf):
         for L in (1, 2, 3):
             estimate = f.fisher_L(SourceScene(s, ns), psf, L, gh)
             families["fisher_L.gh"][f"s={s} ns={ns} L={L}"] = np.array([estimate.value, estimate.stderr])
+            families["fisher.routes"][f"fisher_L.gh s={s} ns={ns} L={L}"] = _routes({L: estimate})
 
 
 def _crb_and_baselines(families, psf):
@@ -262,7 +272,6 @@ def _records(families, psf, tmp):
         frames = [(o.photon_count, o.camera_split, o.canonical_momenta) for o in record]
         families["records.frames"][key + " L, X"] = np.array([f[:2] for f in frames])
         families["records.frames"][key + " momenta"] = np.concatenate([f[2] for f in frames])
-        families["records.majorants"][key] = np.array([(*cell, m) for cell, m in sorted(sampler._majorants.items())])
         lines = list(e.record_to_lines(record, psf))
         families["records.lines"][key] = "\n".join(lines)
         path = os.path.join(tmp, f"record{i}.csv")
@@ -325,7 +334,7 @@ def collect(tree):
         raise SystemExit(f"imported {homsr.__file__}, not the homsr under {tree}/src")
     names = ("densities", "all_splits", "frame_size_law", "kernel", "quadrature", "integrand", "class_weights.auto",
              "class_weights.gh", "class_weights.mc", "bucket_subrayleigh", "fisher_total", "fisher_L", "fisher_L.gh",
-             "crb", "hierarchy", "di_baseline", "majorants", "records.frames", "records.majorants", "records.lines",
+             "fisher.routes", "crb", "hierarchy", "di_baseline", "majorants", "records.frames", "records.lines",
              "records.s_hat", "records.curves", "records.edge", "records.sequence", "cli")
     families = {name: {} for name in names}
     psf = PsfModel()
