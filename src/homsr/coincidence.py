@@ -254,18 +254,19 @@ def _with_s_derivative(f, s: float):
 
 
 def _half_angle_trig(s, kt):
-    """[cos, sin] of x = k s/2, stacked.  A complex s must be the step s + ih of :func:`_with_s_derivative`:
-    then y = k h/2 is so small that cos(x + iy) = cos x - iy sin x and sin(x + iy) = sin x + iy cos x hold
-    to the last bit, and so does the result against numpy's complex cos and sin, at a third of their cost."""
+    """[cos, sin] of x = k s/2, stacked.  A complex s must be the step s + ih of :func:`_with_s_derivative`, with
+    y = k h/2 so small (y^2 < eps) that cosh y and sinh y / y round to 1, so cos(x + iy) = cos x - iy sin x and
+    sin(x + iy) = sin x + iy cos x hold to rounding: numpy's complex cos and sin (bit for bit at small y), 3x faster."""
     step = not isinstance(s, float) and np.iscomplexobj(s)  # the first test spares a float s a slower second
-    if step and abs(np.imag(s)) > 1e-15 * abs(np.real(s)):  # y could leave the range where those hold
-        raise ValueError(f"complex s must be a complex step s + ih with h <= 1e-15 s, got {s!r}")
     trig = np.empty((2,) + kt.shape, complex if step else float)
     x = (0.5 * np.real(s)) * kt
     np.cos(x, out=trig[0].real)
     np.sin(x, out=trig[1].real)
     if step:
         y = (0.5 * np.imag(s)) * kt
+        if np.abs(y).max(initial=0.0) ** 2 >= np.finfo(float).eps:  # y could leave the range where those hold
+            raise ValueError(f"complex s must be a complex step s + ih with every |k h/2| below sqrt(eps), got {s!r} "
+                             "(use the closed-form limits at large s)")
         np.multiply(trig[1].real, -y, out=trig[0].imag)
         np.multiply(trig[0].real, y, out=trig[1].imag)
     return trig

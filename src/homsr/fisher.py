@@ -36,6 +36,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,46 +93,35 @@ class FisherBreakdown:
     closed_form_refs: dict
 
 
-def _fisher_integrand(L, k, scene, psf):
-    """Sum over X of (d_s bracket)^2 / bracket at the momenta ``k``, shape (N,) for one order L.
+def _fisher_integrand(orders, k, scene, psf):
+    """Sum over X of (d_s bracket)^2 / bracket at the momenta ``k`` for each of the ascending ``orders``.
 
-    ``L`` may be a tuple of ascending orders instead: each is taken on the
-    first L columns of ``k`` from one :func:`~homsr.coincidence._bracket`
-    pass, and the result has one column per order, then their sum.  Split X
-    of order L is dropped where its bracket is at or below 1e-14 w(L, X),
-    its exact envelope mean, so a row's value depends on its momenta and the
-    scene alone.  Rows go through in blocks of two kernel chunks, so a
-    block's values and derivatives stay small.
+    Order L is taken on the first L columns of ``k``, all from one :func:`~homsr.coincidence._bracket` pass; the
+    result has shape (N, len(orders) + 1), column-major, one column per order, then their sum.  Split X of order
+    L is dropped where its bracket is at or below 1e-14 w(L, X), its exact envelope mean, so a row's value depends
+    on its momenta and the scene alone.  Rows go through in blocks of two kernel chunks, so a block's values and
+    derivatives stay small.
     """
-    orders = (L,) if np.ndim(L) == 0 else tuple(L)
-    floor = 1e-14 * np.concatenate([_closed_form_weights(n, scene.separation, scene.brightness, psf) for n in orders])
+    s, ends = scene.separation, np.cumsum([L + 1 for L in orders])
+    floor = 1e-14 * np.concatenate([_closed_form_weights(L, s, scene.brightness, psf) for L in orders])
 
-    def bracket(rows, s):  # the orders' coefficients at s: a few microseconds, the tables' s-free parts are cached
-        tables = _theta_tables(orders[-1], scene.brightness, np.exp(-0.5 * (s * psf.sigma_k) ** 2))
-        return _bracket(k[rows], s, tables, orders)
+    def bracket(rows, z):  # the orders' coefficients at z: a few microseconds, the tables' s-free parts are cached
+        tables = _theta_tables(orders[-1], scene.brightness, np.exp(-0.5 * (z * psf.sigma_k) ** 2))
+        return _bracket(rows, z, tables, orders)
 
     out = np.empty((len(orders) + 1, len(k))).T  # column-major, the orders' sum last
     block = 2 * _orders_chunk(orders[-1], 16)  # rows per block: two chunks of the kernel's orders form, complex
     for lo in range(0, len(k), block):
-        rows = slice(lo, lo + block)
-        _fisher_rows(lambda s: bracket(rows, s), scene.separation, orders, floor, out[rows])
+        g0, contrib = _with_s_derivative(functools.partial(bracket, k[lo : lo + block]), s)
+        kept = g0 > floor  # (d_s P)^2/P is finite at the zeros: dropping a measure-zero neighborhood is below the error
+        np.square(contrib, out=contrib)
+        np.divide(contrib, g0, out=contrib, where=kept)
+        contrib[~kept] = 0.0
+        for i, (L, end) in enumerate(zip(orders, ends)):
+            out[lo : lo + block, i] = contrib[:, end - L - 1 : end].sum(axis=1)
+        del g0, contrib, kept  # free the block's complex array before the next one is built (without, 10 % slower)
     out[:, -1] = sum(out.T[:-1])  # added in order
-    return out[:, 0] if np.ndim(L) == 0 else out
-
-
-def _fisher_rows(bracket, s, orders, floor, out):
-    """One block of :func:`_fisher_integrand` from its ``bracket`` of s, written to ``out``; brackets at or
-    below ``floor``, one entry per split, are dropped.  Not inlined in the block loop: its return frees the
-    block's complex arrays before the next block is built (inlined, :func:`fisher_total` ran 10 % slower, 2 vCPU)."""
-    g0, contrib = _with_s_derivative(bracket, s)
-    # (d_s P)^2/P has a finite limit at the zeros, so dropping a measure-zero
-    # neighborhood of them is below integration error.
-    kept = g0 > floor
-    np.square(contrib, out=contrib)
-    np.divide(contrib, g0, out=contrib, where=kept)
-    contrib[~kept] = 0.0
-    for i, end in enumerate(np.cumsum([n + 1 for n in orders])):
-        out[:, i] = contrib[:, end - orders[i] - 1 : end].sum(axis=1)
+    return out
 
 
 def _fisher_orders(scene, psf, orders, quad):
@@ -143,8 +133,15 @@ def _fisher_orders(scene, psf, orders, quad):
     impossible one is refused before any kernel call.  The error of the sum is that of the integrand's sum column,
     so it sees how orders that share nodes correlate; routes add in quadrature.
     """
-    if scene.separation <= 0:
+    s = scene.separation
+    if s <= 0:
         raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
+    integrated = tuple(L for L in orders if L > 2) if quad.scheme == "auto" else orders
+    # the routes square s and s sigma_k, and brackets underflow below a normal drop floor (:func:`_fisher_integrand`)
+    if max(s, s * psf.sigma_k) > math.sqrt(sys.float_info.max) or any(
+            1e-14 * _closed_form_weights(L, s, scene.brightness, psf).min() < sys.float_info.min for L in integrated):
+        raise ValueError(f"fisher_L needs s^2, (s sigma_k)^2 and each split's drop floor 1e-14 w(L, X) to be normal "
+                         f"floats, got s = {s!r} (use the closed-form limits at small and at large s)")
     routes, variance = [], 0.0  # (L, value, stderr, scheme, points) in sigma_k^2 units
     if quad.scheme == "auto":
         if 1 in orders:  # one photon's bracket is constant in k, so F_1 is its bucket information
@@ -153,7 +150,7 @@ def _fisher_orders(scene, psf, orders, quad):
             h = sampling_hierarchy_fi(scene, psf)
             routes.append((2, h.f_full, h.kbar_error, "sampling_hierarchy", 2 * rule_points(_KBAR_RULE, 1)))
             variance += h.kbar_error ** 2
-        orders, quad = tuple(L for L in orders if L > 2), replace(quad, scheme="rank1_lattice")
+        orders, quad = integrated, replace(quad, scheme="rank1_lattice")
     node_sets = [(L,) for L in orders] if quad.scheme == "gauss_hermite_tensor" else [orders] if orders else []
     for node_set, points in [(node_set, rule_points(quad, node_set[-1])) for node_set in node_sets]:
         integrand = functools.partial(_fisher_integrand, node_set, scene=scene, psf=psf)

@@ -278,7 +278,8 @@ def _rule(quad: QuadratureSpec, dim: int) -> tuple[str, int]:
     if scheme == "gauss_hermite_tensor":
         n = quad.nodes_per_dim or _GH_NODES.get(dim, 24)
         if n ** dim > 10 ** 6:  # refused before any node array is built
-            raise ValueError(f"a {n}^{dim} tensor Gauss-Hermite rule needs {n ** dim} nodes, above 10^6; use quad=auto")
+            raise ValueError(f"a {n}^{dim} tensor Gauss-Hermite rule needs {n ** dim} nodes, above 10^6; use quad=auto "
+                             "(--quad auto on the command line)")
         return scheme, n
     batch = quad.sample_count // quad.batch_count
     return scheme, _largest_prime_at_most(batch) if scheme == "rank1_lattice" else batch

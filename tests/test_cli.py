@@ -201,6 +201,11 @@ class TestInputErrors:
         (("bucket-compare", "--ns", "inf", "--s-grid", "1"), "brightness must be positive and finite"),
         (("probability-surface", "--l", "3", "--x-class", "A"), "3-photon class must be"),
         (("estimate", "--true-s", "5", "--trials", "2", "--frames", "200"), r"search interval 0\.05 < s < 4\.0, got true_s=5\.0"),
+        (("fi-curve", "--quad", "gh", "--lmax", "5", "--s-grid", "1:1:1"), r"\(--quad auto on the command line\)"),
+        (("fi-curve", "--s-grid", "1e-200:1e-200:1"), "normal floats, got s = 1e-200 .*closed-form limits"),
+        (("fi-curve", "--s-grid", "1e20:1e20:1"), "complex step.*closed-form limits at large s"),
+        (("fi-curve", "--s-grid", "1e160:1e160:1"), r"normal floats, got s = 1e\+160 .*closed-form limits"),
+        (("fi-curve", "--s-grid", "1e300:1e300:1"), r"normal floats, got s = 1e\+300 .*closed-form limits"),
     ])
     def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
         with pytest.raises(SystemExit, match=cause) as excinfo:

@@ -863,6 +863,17 @@ class TestBracketKernel:
         with pytest.raises(ValueError, match="complex step"):
             _half_angle_trig(1 + 1e-3j, rng.standard_normal((3, 10)))
 
+    def test_half_angle_trig_refuses_where_cosh_y_leaves_1(self, rng):
+        # the bound is y^2 < eps at the chunk's largest |y| = |k| h/2; just below it the identities hold to rounding
+        k = rng.standard_normal((3, 10))
+        h = 2.0 * math.sqrt(np.finfo(float).eps) / np.abs(k).max()  # the largest |y| is sqrt(eps)
+        z = complex(1.0, 0.99 * h)
+        for ours, numpys in zip(_half_angle_trig(z, k), (np.cos(0.5 * z * k), np.sin(0.5 * z * k))):
+            np.testing.assert_array_max_ulp(ours.real, numpys.real, maxulp=2)
+            np.testing.assert_array_max_ulp(ours.imag, numpys.imag, maxulp=2)
+        with pytest.raises(ValueError, match="complex step.*closed-form limits at large s"):
+            _half_angle_trig(complex(1.0, 1.01 * h), k)
+
 
 class TestArgumentErrors:
     @pytest.mark.parametrize("call, message", [

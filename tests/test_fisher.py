@@ -197,7 +197,7 @@ class TestExactIntegrand:
         dg = five_point_ds(density, scene, 1e-3 * s)
         floor = 1e-15 * g.max(axis=0, keepdims=True)
         expected = np.where(g > floor, dg ** 2 / np.where(g > 0, g, 1.0), 0.0).sum(axis=1)
-        np.testing.assert_allclose(_fisher_integrand(L, k, scene, PSF), expected, rtol=1e-6)
+        np.testing.assert_allclose(_fisher_integrand((L,), k, scene, PSF)[:, 0], expected, rtol=1e-6)
 
     @staticmethod
     def near_diagonal_rows():
@@ -207,21 +207,24 @@ class TestExactIntegrand:
         gap = np.geomspace(1e-10, 1e-5, 40) * PSF.sigma_k
         return np.vstack([k, np.column_stack([k[:, 0], k[:, 0] + gap])])
 
-    def test_blocks_leave_every_row_as_one_block_gives_it(self, monkeypatch):
+    @pytest.mark.parametrize("orders", [(2,), (1, 3, 4, 5)], ids=["one order", "several orders"])
+    def test_blocks_leave_every_row_as_one_block_gives_it(self, orders, monkeypatch):
+        # several orders: each order's column and the sum column are written block by block
         scene = SourceScene(separation=1.0, brightness=1.5)
-        k = self.near_diagonal_rows()
-        whole = _fisher_integrand(2, k, scene, PSF)  # one block
-        monkeypatch.setattr(coincidence, "_CHUNK_BYTES", 192)  # kernel chunks of 2 rows at L = 2, complex
-        assert np.array_equal(_fisher_integrand(2, k, scene, PSF), whole)
+        k = self.near_diagonal_rows() if orders == (2,) else envelope_mc_nodes(PSF, 5, 40, np.random.default_rng(6))
+        whole = _fisher_integrand(orders, k, scene, PSF)  # one block
+        monkeypatch.setattr(coincidence, "_CHUNK_BYTES", 192)  # kernel chunks of 2 rows at L = 2, 1 at L = 5, complex
+        assert len(k) >= 3 * 2 * coincidence._orders_chunk(orders[-1], 16)  # at least three blocks
+        assert np.array_equal(_fisher_integrand(orders, k, scene, PSF), whole)
 
     def test_a_row_alone_gives_its_value_in_a_batch(self):
         # the floor is the split's own 1e-14 w(L, X), not a share of the largest value in the batch, so a
         # near-diagonal row is dropped, or kept, alike alone and beside larger rows
         scene = SourceScene(separation=1.0, brightness=1.5)
         k = self.near_diagonal_rows()
-        batch = _fisher_integrand(2, k, scene, PSF)
+        batch = _fisher_integrand((2,), k, scene, PSF)[:, 0]
         for i in range(len(k)):
-            assert np.array_equal(_fisher_integrand(2, k[i : i + 1], scene, PSF), batch[i : i + 1]), i
+            assert np.array_equal(_fisher_integrand((2,), k[i : i + 1], scene, PSF)[:, 0], batch[i : i + 1]), i
 
 
 class TestFisherTotal:
@@ -268,7 +271,7 @@ class TestFisherTotal:
         for b in range(quad.batch_count):
             rng = np.random.default_rng([quad.seed, b])
             k = envelope_lattice_nodes(PSF, 6, quad.sample_count // quad.batch_count, rng)
-            totals.append(sum(_fisher_integrand(L, k[:, :L], scene, PSF).mean() for L in joint))
+            totals.append(sum(_fisher_integrand((L,), k[:, :L], scene, PSF)[:, 0].mean() for L in joint))
         shift_error = np.std(totals, ddof=1) / math.sqrt(quad.batch_count) / PSF.sigma_k ** 2
         others = sum(e.stderr ** 2 for L, e in breakdown.per_L.items() if L not in joint)
         assert breakdown.total_stderr == pytest.approx(math.sqrt(shift_error ** 2 + others), rel=1e-9)
@@ -306,6 +309,27 @@ class TestFisherTotal:
         uneven = QuadratureSpec(scheme="monte_carlo_importance", sample_count=10_001, batch_count=7)
         breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=4, quad=uneven)
         assert {L: e.points for L, e in breakdown.per_L.items()} == dict.fromkeys(range(1, 5), 7 * 1428)
+
+    @pytest.mark.parametrize("s, cause", [(1e-200, "normal floats"), (1e20, "complex step"), (1e160, "normal floats"),
+                                          (1e300, "normal floats")])
+    def test_extreme_separation_refused(self, s, cause, monkeypatch):
+        # unchecked, F_4 and F_6 underflow to 0 at 1e-200 (a total of 0.375 marked converged), F_3 reads 0.1075 at
+        # 1e20 (its limit is 0.0528) and 1e160 raises OverflowError; floor and overflow are checked before any route
+        def never(*args, **kwargs):
+            raise AssertionError("a route ran")
+
+        if cause != "complex step":  # that bound is the kernel's, met in the lattice route after F_1 and F_2
+            for name in ("bucket_fisher", "sampling_hierarchy_fi", "envelope_expectation"):
+                monkeypatch.setattr(homsr.fisher, name, never)
+        with pytest.raises(ValueError, match=f"{cause}.*use the closed-form limits"):
+            fisher_total(SourceScene(s, 1.5), PSF)
+
+    def test_values_just_inside_the_bounds(self):
+        # s = 1e-140 still reads the sub-Rayleigh plateau of s = 1e-100, and s = 1e9 gives F_2 its large-s limit
+        small, plateau, large = (fisher_total(SourceScene(s, 1.5), PSF) for s in (1e-140, 1e-100, 1e9))
+        assert small.total == pytest.approx(plateau.total, rel=1e-12)
+        assert large.per_L[2].value == pytest.approx(asymptotic_fisher_2p(1.5), rel=1e-12)
+        assert all(e.converged for b in (small, large) for e in b.per_L.values())
 
 
 class TestHierarchy:

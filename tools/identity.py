@@ -183,9 +183,9 @@ def _integrand(families, psf, rng):
     for s in (1e-7, 0.01, 1.0, 8.0):
         scene = SourceScene(s, 1.5)
         for L in range(1, 8):
-            families["integrand"][f"s={s} L={L}"] = f._fisher_integrand(L, k[:, :L], scene, psf)
+            families["integrand"][f"s={s} L={L}"] = f._fisher_integrand((L,), k[:, :L], scene, psf)[:, 0]
         families["integrand"][f"s={s} orders 1..7"] = f._fisher_integrand(tuple(range(1, 8)), k, scene, psf)
-        families["integrand"][f"s={s} L=2 near-diagonal"] = f._fisher_integrand(2, near, scene, psf)
+        families["integrand"][f"s={s} L=2 near-diagonal"] = f._fisher_integrand((2,), near, scene, psf)[:, 0]
 
 
 def _weights_and_limits(families, psf):
