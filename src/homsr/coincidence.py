@@ -246,11 +246,9 @@ def _with_s_derivative(f, s: float):
     Complex step (Squire & Trapp, SIAM Rev. 40, 110 (1998)): no difference is
     taken, so nothing cancels, and the O(h^2) error is far below rounding."""
     h = 1e-20 * s
-    value = f(s + 1j * h)
-    if isinstance(value, np.ndarray):  # the derivative takes the imaginary half's memory: no new array
-        value.imag /= h
-        return value.real, value.imag
-    return value.real, value.imag / h
+    value = np.asarray(f(s + 1j * h))
+    value.imag /= h  # the derivative takes the imaginary half's memory: no new array
+    return value.real, value.imag
 
 
 def _half_angle_trig(s, kt):

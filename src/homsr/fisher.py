@@ -124,6 +124,18 @@ def _fisher_integrand(orders, k, scene, psf):
     return out
 
 
+def _check_separation(caller, scene, psf, orders):
+    """Raise ``ValueError`` in ``caller``'s name unless s > 0, s^2 and (s sigma_k)^2 are finite and each split of
+    ``orders`` has a normal drop floor 1e-14 w(L, X) (:func:`_fisher_integrand`), below which its values underflow."""
+    s = scene.separation
+    if s <= 0:
+        raise ValueError(f"{caller} requires s > 0 (use the closed-form limits at s = 0)")
+    if max(s, s * psf.sigma_k) > math.sqrt(sys.float_info.max) or any(
+            1e-14 * _closed_form_weights(L, s, scene.brightness, psf).min() < sys.float_info.min for L in orders):
+        raise ValueError(f"{caller} needs s^2, (s sigma_k)^2 and each split's drop floor 1e-14 w(L, X) to be normal "
+                         f"floats, got s = {s!r} (use the closed-form limits at small and at large s)")
+
+
 def _fisher_orders(scene, psf, orders, quad):
     """({L: FisherEstimate}, standard error of their sum) of ascending ``orders``; picks each order's route.
 
@@ -133,24 +145,16 @@ def _fisher_orders(scene, psf, orders, quad):
     impossible one is refused before any kernel call.  The error of the sum is that of the integrand's sum column,
     so it sees how orders that share nodes correlate; routes add in quadrature.
     """
-    s = scene.separation
-    if s <= 0:
-        raise ValueError("fisher_L requires s > 0 (use the closed-form limits at s = 0)")
-    integrated = tuple(L for L in orders if L > 2) if quad.scheme == "auto" else orders
-    # the routes square s and s sigma_k, and brackets underflow below a normal drop floor (:func:`_fisher_integrand`)
-    if max(s, s * psf.sigma_k) > math.sqrt(sys.float_info.max) or any(
-            1e-14 * _closed_form_weights(L, s, scene.brightness, psf).min() < sys.float_info.min for L in integrated):
-        raise ValueError(f"fisher_L needs s^2, (s sigma_k)^2 and each split's drop floor 1e-14 w(L, X) to be normal "
-                         f"floats, got s = {s!r} (use the closed-form limits at small and at large s)")
+    _check_separation("fisher_L", scene, psf, orders)
     routes, variance = [], 0.0  # (L, value, stderr, scheme, points) in sigma_k^2 units
     if quad.scheme == "auto":
         if 1 in orders:  # one photon's bracket is constant in k, so F_1 is its bucket information
             routes.append((1, bucket_fisher(scene, psf, 1), 0.0, "closed_form", 0))
         if 2 in orders:
             h = sampling_hierarchy_fi(scene, psf)
-            routes.append((2, h.f_full, h.kbar_error, "sampling_hierarchy", 2 * rule_points(_KBAR_RULE, 1)))
+            routes.append((2, h.f_full, h.kbar_error, "sampling_hierarchy", rule_points(_KBAR_RULE, 1)))
             variance += h.kbar_error ** 2
-        orders, quad = integrated, replace(quad, scheme="rank1_lattice")
+        orders, quad = tuple(L for L in orders if L > 2), replace(quad, scheme="rank1_lattice")
     node_sets = [(L,) for L in orders] if quad.scheme == "gauss_hermite_tensor" else [orders] if orders else []
     for node_set, points in [(node_set, rule_points(quad, node_set[-1])) for node_set in node_sets]:
         integrand = functools.partial(_fisher_integrand, node_set, scene=scene, psf=psf)
@@ -208,14 +212,13 @@ def bucket_fisher(scene: SourceScene, psf: PsfModel, L: int) -> float:
     sum_X (d_s w(L,X))^2 / w(L,X) over the exact closed-form class weights
     of :func:`~homsr.coincidence.class_weights`, with d_s w exact from the
     same closed form at complex s; no class is dropped, as the weights
-    carry no cancellation.  Raises ``ValueError`` at s <= 0 or L < 1.
+    carry no cancellation.  Raises ``ValueError`` at L < 1 and, as
+    :func:`fisher_L` does, at an s whose numbers leave float range.
     """
     L = _count("L", L, 1)
-    if scene.separation <= 0:
-        raise ValueError("bucket_fisher requires s > 0 (use the closed-form limits at s = 0)")
+    _check_separation("bucket_fisher", scene, psf, (L,))
     w0, deriv = _with_s_derivative(lambda s: _closed_form_weights(L, s, scene.brightness, psf), scene.separation)
-    mask = w0 > 0
-    return float((deriv[mask] ** 2 / w0[mask]).sum()) / psf.sigma_k ** 2
+    return float((deriv ** 2 / w0).sum()) / psf.sigma_k ** 2
 
 
 # ---------------------------------------------------------------------------
@@ -272,42 +275,39 @@ def sampling_hierarchy_fi(scene: SourceScene, psf: PsfModel) -> HierarchyFisher:
 
     The Kbar term sum_X P(X) E[(h'/h - Z'/Z)^2 | X], with h' = alpha N_s delta
     (s sigma_k^2 cos Kbar s + Kbar sin Kbar s) and Z' = 1.5 alpha N_s s
-    sigma_k^2 delta kappa, is one 1-D Gauss-Hermite envelope expectation per
-    class, ``kbar_error`` the sum of their refinement errors; its integrand is
-    non-negative and falls with delta, so the dk fringe that defeats
-    quadrature at large s never enters one.
+    sigma_k^2 delta kappa, is one 1-D Gauss-Hermite envelope expectation with
+    a column per class, ``kbar_error`` the sum of their refinement errors;
+    its integrand is non-negative and falls with delta, so the dk fringe that
+    defeats quadrature at large s never enters one.
     F_{Kbar;X} = F_X + Kbar term and F_full = F_{dk;X} + Kbar term, so
     F_{Kbar;X} >= F_X and F_full >= F_{dk;X} hold by construction, and
     F_full >= F_{Kbar;X} as far as the two closed forms keep F_{dk;X} >= F_X
     (to rounding; their gap is O(s^2), 2e-10 to 5e-10 relative at s = 1e-4).
-    Raises ``ValueError`` at s <= 0, like :func:`fisher_L`.
+    Raises ``ValueError`` where :func:`bucket_fisher` at L = 2 does.
     """
-    f_x = bucket_fisher(scene, psf, 2)  # raises at s <= 0
+    f_x = bucket_fisher(scene, psf, 2)  # raises where the separation is out of range
     ns, s, sk2 = scene.brightness, scene.separation, psf.sigma_k ** 2
     w = mode_weights(scene, psf)
     delta, kappa = w.delta, interference_kappa(scene, psf)
     dlog_p0sq = -4.0 * ns ** 2 * s * sk2 * delta ** 2 * w.p0
-    f_dk_x = kbar_term = kbar_error = 0.0
-    for alpha in (1.0, -1.0):
-        z = 1.0 + ns - alpha * ns * delta * kappa
-        dz = 1.5 * alpha * ns * s * sk2 * delta * kappa
-        c, a = ns * w.p0 ** 2 * z, dlog_p0sq + dz / z
-        fringe = _fringe_mean(alpha, scene, psf)
-        # 1 - alpha (1 - s^2 sigma_k^2/2) kappa, with 1 - kappa kept exact
-        curvature = _fringe_mean(-alpha, scene, psf) + alpha * 0.5 * s * s * sk2 * kappa
-        f_dk_x += c * (a * a * fringe - alpha * a * s * sk2 * kappa + 0.5 * sk2 * curvature)
+    alpha = np.array([1.0, -1.0])  # class B, then A: each array below holds the two classes in this order
+    z = 1.0 + ns - alpha * ns * delta * kappa
+    dz = 1.5 * alpha * ns * s * sk2 * delta * kappa
+    c, a = ns * w.p0 ** 2 * z, dlog_p0sq + dz / z
+    fringe = np.array([_fringe_mean(sign, scene, psf) for sign in alpha])
+    # 1 - alpha (1 - s^2 sigma_k^2/2) kappa, with 1 - kappa kept exact
+    curvature = fringe[::-1] + alpha * 0.5 * s * s * sk2 * kappa
+    f_dk_x = c * (a * a * fringe - alpha * a * s * sk2 * kappa + 0.5 * sk2 * curvature)
 
-        def kbar_score_sq(k, alpha=alpha, z=z, dz=dz):
-            kbar = k[:, 0] / math.sqrt(2.0)
-            h = 1.0 + ns - alpha * ns * delta * np.cos(kbar * s)
-            dh = alpha * ns * delta * (s * sk2 * np.cos(kbar * s) + kbar * np.sin(kbar * s))
-            return h / z * (dh / h - dz / z) ** 2
+    def kbar_score_sq(k):  # (N, 2), a column per class
+        kbar = k[:, :1] / math.sqrt(2.0)
+        h = 1.0 + ns - alpha * ns * delta * np.cos(kbar * s)
+        dh = alpha * ns * delta * (s * sk2 * np.cos(kbar * s) + kbar * np.sin(kbar * s))
+        return h / z * (dh / h - dz / z) ** 2
 
-        value, error, _ = envelope_expectation(kbar_score_sq, 1, psf, _KBAR_RULE)
-        kbar_term, kbar_error = kbar_term + c * fringe * float(value), kbar_error + c * fringe * float(error)
-
-    f_dk_x, kbar_term = f_dk_x / sk2, kbar_term / sk2
-    return HierarchyFisher(f_x, f_x + kbar_term, f_dk_x, f_dk_x + kbar_term, kbar_error / sk2)
+    value, error, _ = envelope_expectation(kbar_score_sq, 1, psf, _KBAR_RULE)
+    f_dk_x, kbar_term, kbar_error = (float(x.sum()) / sk2 for x in (f_dk_x, c * fringe * value, c * fringe * error))
+    return HierarchyFisher(f_x, f_x + kbar_term, f_dk_x, f_dk_x + kbar_term, kbar_error)
 
 
 # ---------------------------------------------------------------------------

@@ -206,6 +206,7 @@ class TestInputErrors:
         (("fi-curve", "--s-grid", "1e20:1e20:1"), "complex step.*closed-form limits at large s"),
         (("fi-curve", "--s-grid", "1e160:1e160:1"), r"normal floats, got s = 1e\+160 .*closed-form limits"),
         (("fi-curve", "--s-grid", "1e300:1e300:1"), r"normal floats, got s = 1e\+300 .*closed-form limits"),
+        (("bucket-compare", "--l", "2", "--s-grid", "1e-200"), "normal floats, got s = 1e-200 .*closed-form limits"),
     ])
     def test_exits_with_message_and_writes_nothing(self, tmp_path, argv, cause):
         with pytest.raises(SystemExit, match=cause) as excinfo:

@@ -36,7 +36,7 @@ from homsr.fisher import (
     subrayleigh_fisher_total,
 )
 from homsr.optics import PsfModel, SourceScene
-from homsr.quadrature import envelope_lattice_nodes, envelope_mc_nodes
+from homsr.quadrature import envelope_expectation, envelope_lattice_nodes, envelope_mc_nodes
 
 PSF = PsfModel()
 
@@ -301,7 +301,7 @@ class TestFisherTotal:
 
     def test_points_are_the_rows_each_order_used(self):
         breakdown = fisher_total(SourceScene(1.0, 1.5), PSF, l_max=5, quad=QuadratureSpec(sample_count=20_000))
-        lattice, hierarchy = 20 * 997, 2 * (64 + 48)  # F_2: a 1-D Kbar rule and its refinement per camera class
+        lattice, hierarchy = 20 * 997, 64 + 48  # F_2: one 1-D Kbar rule and its refinement, a column per camera class
         assert {L: e.points for L, e in breakdown.per_L.items()} == {1: 0, 2: hierarchy, 3: lattice,
                                                                     4: lattice, 5: lattice}
         mc = fisher_L(SourceScene(1.0, 1.5), PSF, 4, QuadratureSpec(scheme="monte_carlo_importance"))
@@ -367,12 +367,24 @@ class TestHierarchyExact:
         with pytest.raises(ValueError, match="s > 0"):
             sampling_hierarchy_fi(SourceScene(separation=0.0, brightness=1.5), PSF)
 
+    def test_both_classes_share_one_expectation(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return envelope_expectation(*args, **kwargs)
+
+        monkeypatch.setattr(homsr.fisher, "envelope_expectation", counted)
+        sampling_hierarchy_fi(SourceScene(separation=1.0, brightness=1.5), PSF)
+        assert len(calls) == 1  # the two camera classes are its two columns
+
 
 class TestBucketFisher:
-    @pytest.mark.parametrize("s", [1e-8, 1e-12])
+    @pytest.mark.parametrize("s", [1e-8, 1e-12, 1e-140])
     @pytest.mark.parametrize("L", [2, 4, 6])
     def test_keeps_balanced_classes_at_tiny_separation(self, L, s):
-        # The balanced weights are exact down to any s > 0, so the bucket
+        # The balanced weights are exact down to the smallest s whose drop
+        # floors are normal floats (1e-140 is just inside), so the bucket
         # information reaches the sub-Rayleigh limit of F^(L).
         scene = SourceScene(separation=s, brightness=1.5)
         assert bucket_fisher(scene, PSF, L) == pytest.approx(subrayleigh_fisher_order(L // 2, 1.5), rel=1e-12)
@@ -380,6 +392,19 @@ class TestBucketFisher:
     def test_zero_separation_rejected(self):
         with pytest.raises(ValueError, match="s > 0"):
             bucket_fisher(SourceScene(separation=0.0, brightness=1.5), PSF, 2)
+
+    @pytest.mark.parametrize("s", [1e-200, 1e-150, 2.6e154, 1e160])
+    @pytest.mark.parametrize("call", [
+        lambda scene: bucket_fisher(scene, PSF, 2),
+        lambda scene: bucket_fisher(scene, PSF, 4),
+        lambda scene: sampling_hierarchy_fi(scene, PSF),
+    ], ids=["bucket_L2", "bucket_L4", "hierarchy"])
+    def test_separation_outside_float_range_refused(self, call, s):
+        # unchecked, at 1e-150 the balanced weights' complex step underflows (0.37598 at L = 2 and 0.05007 at L = 4,
+        # against limits of 0.375 and 0.05273), below ~1e-155 it reads 0, the hierarchy's f_full is nan at 2.6e154,
+        # and 1e160 raises OverflowError
+        with pytest.raises(ValueError, match="bucket_fisher needs .*normal floats.*use the closed-form limits"):
+            call(SourceScene(separation=s, brightness=1.5))
 
     @pytest.mark.parametrize("L", [0, -1])
     def test_order_below_one_rejected(self, L):
